@@ -8,9 +8,8 @@ deterministic CSV/heatmap reporting on top.
 
 from .config import ACTIVATIONS, GATING_ORDERS, ModelConfig
 from .moe_core import (Expert, GateParams, LayerTrace, TokenTrace, activation_fn,
-                       expert_forward, flatten_corpus, gate_forward, model_forward,
-                       moe_layer_forward, read_corpus, recombined_output,
-                       trace_all_experts)
+                       expert_forward, flatten_corpus, moe_layer_forward, read_corpus,
+                       recombined_output, trace_all_experts)
 from .static_analysis import (Projection, RegressionReport, ReorderReport,
                               SimilarityMatrix, aggregate_r2, cosine_sim,
                               dbscan_outliers, filter_outliers, gate_embedding_sim,
@@ -19,10 +18,9 @@ from .static_analysis import (Projection, RegressionReport, ReorderReport,
                               solve_assignment)
 from .dynamic_analysis import (ActivationRatioReport, RankCountMatrix, RoutingLog,
                                activation_ratio, angular_sim, avg_output_sim,
-                               expert_norms, intermediate_heatmap, output_sim_per_token,
-                               rank_count_matrix, routing_pattern)
-from .synth import (SynthSpec, generate, synth_permuted_clone,
-                    synth_permuted_clone_model, synth_scratch, synth_upcycled)
+                               output_sim_per_token, rank_count_matrix, routing_pattern)
+from .synth import (SynthSpec, synth_permuted_clone, synth_permuted_clone_model,
+                    synth_scratch, synth_upcycled)
 from .tensor_store import (Checkpoint, CheckpointError, TensorMeta, build_checkpoint,
                            dump_checkpoint, read_checkpoint, required_tensor_shapes,
                            write_checkpoint)

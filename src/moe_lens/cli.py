@@ -3,8 +3,7 @@
 Every analysis subcommand reads a checkpoint (plus a corpus for the
 trace-based ones) and writes provenance-stamped CSV tables and P6 heatmaps
 under ``--out``.  Outputs are deterministic: the same invocation over the same
-inputs reproduces every artifact byte for byte.  MOE_LENS_THREADS caps the
-worker threads used for tracing.
+inputs reproduces every artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -12,8 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,62 +39,59 @@ def _int_list(text: str, n: int, flag: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("MOE_LENS_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError("MOE_LENS_THREADS must be an integer") from exc
-    return max(1, n)
-
-
-def _traced(model: Checkpoint, tokens: list[int], reference: Checkpoint | None,
-            k_override_all: bool) -> list[TokenTrace]:
-    workers = min(_worker_count(), max(len(tokens), 1))
-    if workers <= 1 or len(tokens) < 2:
-        return trace_all_experts(model, tokens, reference, k_override_all)
-    bounds = np.linspace(0, len(tokens), workers + 1).astype(int)
-    chunks = [tokens[bounds[i]:bounds[i + 1]] for i in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(
-            lambda chunk: trace_all_experts(model, chunk, reference, k_override_all),
-            chunks)
-    return [t for part in parts for t in part]
-
-
 @dataclass
 class Context:
-    """Loaded inputs plus the provenance stamp shared by a command's artifacts."""
+    """A command's inputs, each read and hashed once, and its provenance stamp;
+    ``traces`` is the corpus trace that a report shares with its steps."""
 
     args: argparse.Namespace
     model: Checkpoint
     reference: Checkpoint | None
     tokens: list[int] | None
-    provenance: Provenance
+    digests: dict[str, str]
+    provenance: Provenance | None = None
+    traces: list[TokenTrace] | None = None
 
     @property
     def out(self) -> str:
         return self.args.out
 
+    def corpus_traces(self, reference: Checkpoint | None) -> list[TokenTrace]:
+        """The shared corpus trace, else a new one; steps that pass no
+        reference never read the reference outputs a shared trace carries."""
+        k_override_all = self.args.k_override == "all"
+        if self.traces is not None and not k_override_all:
+            return self.traces
+        return trace_all_experts(self.model, self.tokens, reference, k_override_all)
 
-def _load_context(args, argv: list[str], need_corpus: bool = False) -> Context:
-    inputs = {"model": file_digest(args.model)}
-    model = read_checkpoint(args.model)
-    reference = None
-    if getattr(args, "ref", None):
-        inputs["reference"] = file_digest(args.ref)
-        reference = read_checkpoint(args.ref)
-    tokens = None
-    if need_corpus:
-        inputs["corpus"] = file_digest(args.corpus)
-        tokens = flatten_corpus(read_corpus(args.corpus))
-        if not tokens:
-            raise ValueError("corpus holds no tokens")
+
+def _load_context(args, argv: list[str], loaded: Context | None,
+                  need_corpus: bool = False) -> Context:
+    """Read and hash the command's inputs, or take them from a report's ``loaded``."""
+    ref_path = getattr(args, "ref", None)
+    if loaded is None:
+        digests = {"model": file_digest(args.model)}
+        model = read_checkpoint(args.model)
+        reference = None
+        if ref_path:
+            digests["reference"] = file_digest(ref_path)
+            reference = read_checkpoint(ref_path)
+        tokens = None
+        if need_corpus:
+            digests["corpus"] = file_digest(args.corpus)
+            tokens = flatten_corpus(read_corpus(args.corpus))
+            if not tokens:
+                raise ValueError("corpus holds no tokens")
+        loaded = Context(args=args, model=model, reference=reference, tokens=tokens,
+                         digests=digests)
+    used = ["model", *(["reference"] if ref_path else []),
+            *(["corpus"] if need_corpus else [])]
     os.makedirs(args.out, exist_ok=True)
-    prov = Provenance(command=["moe-lens", *argv], inputs=inputs,
+    prov = Provenance(command=["moe-lens", *argv],
+                      inputs={name: loaded.digests[name] for name in used},
                       seed=getattr(args, "seed", None))
-    return Context(args=args, model=model, reference=reference,
-                   tokens=tokens, provenance=prov)
+    return replace(loaded, args=args, provenance=prov,
+                   reference=loaded.reference if ref_path else None)
 
 
 def _select_layers(arg: str, model: Checkpoint, gated_only: bool) -> list[int]:
@@ -126,7 +121,7 @@ def _emit_matrix_pair(ctx: Context, stem: str, sim) -> list[str]:
 
 # --- subcommands -----------------------------------------------------------
 
-def _cmd_synth(args, argv) -> list[str]:
+def _cmd_synth(args, argv, _loaded) -> list[str]:
     config = ModelConfig(
         num_layers=args.layers,
         experts_per_layer=_int_list(args.experts, args.layers, "--experts"),
@@ -161,8 +156,8 @@ def _cmd_synth(args, argv) -> list[str]:
     return written
 
 
-def _cmd_matrix_sim(args, argv) -> list[str]:
-    ctx = _load_context(args, argv)
+def _cmd_matrix_sim(args, argv, loaded) -> list[str]:
+    ctx = _load_context(args, argv, loaded)
     written = []
     for layer in _select_layers(args.layer, ctx.model, gated_only=args.layer == "all"):
         sim = sta.matrix_level_sim(ctx.model, layer, args.which, ctx.reference)
@@ -170,8 +165,8 @@ def _cmd_matrix_sim(args, argv) -> list[str]:
     return written
 
 
-def _cmd_neuron_avg_sim(args, argv) -> list[str]:
-    ctx = _load_context(args, argv)
+def _cmd_neuron_avg_sim(args, argv, loaded) -> list[str]:
+    ctx = _load_context(args, argv, loaded)
     written = []
     for layer in _select_layers(args.layer, ctx.model, gated_only=args.layer == "all"):
         sim = sta.neuron_average_sim(ctx.model, layer, args.which, ctx.reference)
@@ -179,8 +174,8 @@ def _cmd_neuron_avg_sim(args, argv) -> list[str]:
     return written
 
 
-def _cmd_reorder(args, argv) -> list[str]:
-    ctx = _load_context(args, argv)
+def _cmd_reorder(args, argv, loaded) -> list[str]:
+    ctx = _load_context(args, argv, loaded)
     layers = _select_layers(args.layer, ctx.model, gated_only=True)
     rows = []
     taus = []
@@ -198,8 +193,8 @@ def _cmd_reorder(args, argv) -> list[str]:
     return [path]
 
 
-def _cmd_gate_sim(args, argv) -> list[str]:
-    ctx = _load_context(args, argv)
+def _cmd_gate_sim(args, argv, loaded) -> list[str]:
+    ctx = _load_context(args, argv, loaded)
     written = []
     for layer in _select_layers(args.layer, ctx.model, gated_only=True):
         sim = sta.gate_embedding_sim(ctx.model, layer)
@@ -207,8 +202,8 @@ def _cmd_gate_sim(args, argv) -> list[str]:
     return written
 
 
-def _cmd_gate_corr(args, argv) -> list[str]:
-    ctx = _load_context(args, argv)
+def _cmd_gate_corr(args, argv, loaded) -> list[str]:
+    ctx = _load_context(args, argv, loaded)
     config = ctx.model.config
     layers = [i for i in config.moe_layers() if config.experts_per_layer[i] >= 3]
     if not layers:
@@ -222,8 +217,8 @@ def _cmd_gate_corr(args, argv) -> list[str]:
     return [path]
 
 
-def _cmd_pca(args, argv) -> list[str]:
-    ctx = _load_context(args, argv)
+def _cmd_pca(args, argv, loaded) -> list[str]:
+    ctx = _load_context(args, argv, loaded)
     written = []
     for layer in _select_layers(args.layer, ctx.model, gated_only=True):
         n = ctx.model.config.experts_per_layer[layer]
@@ -253,9 +248,9 @@ def _cmd_pca(args, argv) -> list[str]:
     return written
 
 
-def _cmd_trace(args, argv) -> list[str]:
-    ctx = _load_context(args, argv, need_corpus=True)
-    traces = _traced(ctx.model, ctx.tokens, ctx.reference, args.k_override == "all")
+def _cmd_trace(args, argv, loaded) -> list[str]:
+    ctx = _load_context(args, argv, loaded, need_corpus=True)
+    traces = ctx.corpus_traces(ctx.reference)
     rows = []
     worst = 0.0
     for idx, trace in enumerate(traces):
@@ -271,13 +266,13 @@ def _cmd_trace(args, argv) -> list[str]:
     return [path]
 
 
-def _cmd_out_sim(args, argv) -> list[str]:
-    ctx = _load_context(args, argv, need_corpus=True)
+def _cmd_out_sim(args, argv, loaded) -> list[str]:
+    ctx = _load_context(args, argv, loaded, need_corpus=True)
     if not 0 <= args.token < len(ctx.tokens):
         raise ValueError(f"--token {args.token} out of range for corpus of "
                          f"{len(ctx.tokens)} tokens")
-    traces = _traced(ctx.model, [ctx.tokens[args.token]], ctx.reference,
-                     args.k_override == "all")
+    traces = trace_all_experts(ctx.model, [ctx.tokens[args.token]], ctx.reference,
+                               args.k_override == "all")
     written = []
     for layer in _select_layers(args.layer, ctx.model, gated_only=args.layer == "all"):
         sim = dyn.output_sim_per_token(traces[0], layer)
@@ -286,9 +281,9 @@ def _cmd_out_sim(args, argv) -> list[str]:
     return written
 
 
-def _cmd_avg_out_sim(args, argv) -> list[str]:
-    ctx = _load_context(args, argv, need_corpus=True)
-    traces = _traced(ctx.model, ctx.tokens, ctx.reference, args.k_override == "all")
+def _cmd_avg_out_sim(args, argv, loaded) -> list[str]:
+    ctx = _load_context(args, argv, loaded, need_corpus=True)
+    traces = ctx.corpus_traces(ctx.reference)
     written = []
     for layer in _select_layers(args.layer, ctx.model, gated_only=args.layer == "all"):
         sim = dyn.avg_output_sim(traces, layer)
@@ -296,9 +291,9 @@ def _cmd_avg_out_sim(args, argv) -> list[str]:
     return written
 
 
-def _cmd_norm_rank(args, argv) -> list[str]:
-    ctx = _load_context(args, argv, need_corpus=True)
-    traces = _traced(ctx.model, ctx.tokens, None, args.k_override == "all")
+def _cmd_norm_rank(args, argv, loaded) -> list[str]:
+    ctx = _load_context(args, argv, loaded, need_corpus=True)
+    traces = ctx.corpus_traces(None)
     layers = _select_layers(args.layer, ctx.model, gated_only=True)
     config = ctx.model.config
     groups: dict[int, list[int]] = {}
@@ -326,9 +321,9 @@ def _cmd_norm_rank(args, argv) -> list[str]:
     return written
 
 
-def _cmd_act_ratio(args, argv) -> list[str]:
-    ctx = _load_context(args, argv, need_corpus=True)
-    traces = _traced(ctx.model, ctx.tokens, None, args.k_override == "all")
+def _cmd_act_ratio(args, argv, loaded) -> list[str]:
+    ctx = _load_context(args, argv, loaded, need_corpus=True)
+    traces = ctx.corpus_traces(None)
     report = dyn.activation_ratio(traces, threshold=args.threshold)
     rows = [[layer, expert, ratio]
             for (layer, expert), ratio in report.per_expert.items()]
@@ -339,9 +334,9 @@ def _cmd_act_ratio(args, argv) -> list[str]:
     return [path]
 
 
-def _cmd_route_log(args, argv) -> list[str]:
-    ctx = _load_context(args, argv, need_corpus=True)
-    traces = _traced(ctx.model, ctx.tokens, None, args.k_override == "all")
+def _cmd_route_log(args, argv, loaded) -> list[str]:
+    ctx = _load_context(args, argv, loaded, need_corpus=True)
+    traces = ctx.corpus_traces(None)
     log = dyn.routing_pattern(traces)
     rows = []
     for entry in log.entries:
@@ -354,11 +349,12 @@ def _cmd_route_log(args, argv) -> list[str]:
     return [path]
 
 
-def _cmd_report(args, argv) -> list[str]:
-    """Run the full analysis suite into subdirectories of --out."""
-    os.makedirs(args.out, exist_ok=True)
-    model = read_checkpoint(args.model)
-    config = model.config
+def _cmd_report(args, argv, _loaded) -> list[str]:
+    """Run the full analysis suite into subdirectories of --out, every step
+    through ``run_command`` on inputs read, hashed and traced once here."""
+    ctx = _load_context(args, argv, None, need_corpus=True)
+    ctx.traces = trace_all_experts(ctx.model, ctx.tokens, ctx.reference)
+    config = ctx.model.config
     gated = config.moe_layers()
 
     base = ["--model", args.model]
@@ -393,7 +389,7 @@ def _cmd_report(args, argv) -> list[str]:
     invocations.append(["act-ratio", *base, *corpus, *sub("act-ratio")])
 
     for invocation in invocations:
-        code = run_command(invocation)
+        code = run_command(invocation, ctx)
         if code != 0:
             raise ValueError(f"report step failed: {invocation[0]}")
     return []
@@ -543,15 +539,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_command(argv: list[str]) -> int:
-    """Parse and execute one invocation; returns the process exit code."""
+def run_command(argv: list[str], loaded: Context | None = None) -> int:
+    """Parse and execute one invocation; returns the process exit code.
+
+    A report passes its ``loaded`` inputs; without them a command loads its own.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        written = args.func(args, argv)
+        written = args.func(args, argv, loaded)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,6 +14,21 @@ ACTIVATIONS = ("silu", "gelu")
 GATING_ORDERS = ("topk_then_softmax", "softmax_then_topk")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# JSON types accepted per field, checked before construction so that
+# ``__post_init__`` never coerces (``int("2")``) or fails with a TypeError.
+_FIELD_TYPES = (
+    ("an integer", _is_int, ("num_layers", "top_k", "d_hid", "d_mid", "vocab")),
+    ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v)),
+     ("experts_per_layer", "num_shared")),
+    ("a string", lambda v: isinstance(v, str), ("activation", "gating_order")),
+    ("a boolean", lambda v: isinstance(v, bool), ("use_prenorm",)),
+)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture hyperparameters; immutable and JSON-serializable.
@@ -99,4 +114,9 @@ class ModelConfig:
         extra = raw.keys() - known
         if extra:
             raise ValueError(f"config has unknown fields: {sorted(extra)}")
+        for kind, accepts, names in _FIELD_TYPES:
+            for name in names:
+                if not accepts(raw[name]):
+                    raise ValueError(f"{name} must be {kind}: {raw[name]!r}")
         return cls(**raw)
+

@@ -98,12 +98,6 @@ def avg_output_sim(traces: list[TokenTrace], layer: int) -> SimilarityMatrix:
                             n_experts=n_experts, s_ee=s_ee, s_ef=s_ef)
 
 
-def expert_norms(trace: TokenTrace, layer: int) -> np.ndarray:
-    """L2 norm of each routed expert's output for one token."""
-    lt = _layer_trace(trace, layer)
-    return np.linalg.norm(lt.expert_outputs, axis=1)
-
-
 @dataclass
 class RankCountMatrix:
     """Joint histogram of output-norm rank versus gate-score rank.
@@ -211,10 +205,3 @@ def routing_pattern(traces: list[TokenTrace]) -> RoutingLog:
                                       layer=layer, selections=selections))
     return RoutingLog(entries=entries)
 
-
-def intermediate_heatmap(trace: TokenTrace, layer: int) -> np.ndarray:
-    """Magnitudes of every expert's gated intermediate state, [N, d_mid]."""
-    lt = _layer_trace(trace, layer)
-    if lt.intermediates is None:
-        raise ValueError("trace lacks intermediates; run trace_all_experts")
-    return np.abs(lt.intermediates)

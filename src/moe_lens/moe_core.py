@@ -7,8 +7,8 @@ experts.  An expert maps its input through two parallel projections, gates one
 with the activation function, and projects back down.
 
 Tracing happens in two stages.  Stage one is the native forward pass with the
-configured top-k routing; it records every block's output.  Stage two replays
-each block in isolation on its recorded input and evaluates *all* experts, so
+configured top-k routing; it records every block's input, output and routing.
+Stage two feeds each block's recorded input to *all* of its experts, so
 analyses can see what unselected experts would have produced.  Routing
 decisions in the trace always come from the native pass.
 """
@@ -140,12 +140,6 @@ def gate_from_logits(logits: np.ndarray, k: int, order: str) -> tuple[np.ndarray
     return scores, [int(i) for i in selected]
 
 
-def gate_forward(gate: GateParams, x, k: int, order: str) -> tuple[np.ndarray, list[int]]:
-    """Route an input vector: returns (scores over all experts, selected indices)."""
-    logits = np.asarray(gate.w_g, dtype=np.float64) @ np.asarray(x, dtype=np.float64)
-    return gate_from_logits(logits, k, order)
-
-
 def _combine(z_in: np.ndarray, scores: np.ndarray, outputs: dict[int, np.ndarray],
              shared_outputs: list[np.ndarray]) -> np.ndarray:
     # Single accumulation path shared by the forward pass and the replay check,
@@ -222,21 +216,6 @@ def _embedding_row(ckpt: Checkpoint, token: int) -> np.ndarray:
     return np.asarray(ckpt.get_tensor("embed.weight")[token], dtype=np.float64)
 
 
-def model_forward(ckpt: Checkpoint, tokens: list[int],
-                  k_override_all: bool = False) -> list[list[np.ndarray]]:
-    """Native forward pass per token; returns each token's block outputs z_1..z_L."""
-    layers = [load_layer_weights(ckpt, i) for i in range(ckpt.config.num_layers)]
-    results = []
-    for token in tokens:
-        z = _embedding_row(ckpt, token)
-        outs = []
-        for weights in layers:
-            z, _ = moe_layer_forward(weights, z, ckpt.config, k_override_all)
-            outs.append(z)
-        results.append(outs)
-    return results
-
-
 def trace_all_experts(ckpt: Checkpoint, tokens: list[int],
                       reference: Checkpoint | None = None,
                       k_override_all: bool = False) -> list[TokenTrace]:
@@ -259,21 +238,16 @@ def trace_all_experts(ckpt: Checkpoint, tokens: list[int],
 
     traces = []
     for token in tokens:
-        x = _embedding_row(ckpt, token)
-        # Stage one: native pass, remembering every block output.
-        z_list = []
-        z = x
-        for weights in layers:
-            z, _ = moe_layer_forward(weights, z, config, k_override_all)
-            z_list.append(z)
-
-        # Stage two: replay each block on its recorded input, all experts on.
+        # Stage one: native pass, keeping each block's routing and output.
+        z = _embedding_row(ckpt, token)
         per_layer = []
-        for i, weights in enumerate(layers):
-            z_in = x if i == 0 else z_list[i - 1]
-            _, trace = moe_layer_forward(weights, z_in, config, k_override_all)
-            trace.z_out = z_list[i]
-            h = rmsnorm(z_in) if config.use_prenorm else np.asarray(z_in, dtype=np.float64)
+        for weights in layers:
+            z, trace = moe_layer_forward(weights, z, config, k_override_all)
+            per_layer.append(trace)
+
+        # Stage two: every expert on each block's recorded input.
+        for i, (weights, trace) in enumerate(zip(layers, per_layer)):
+            h = rmsnorm(trace.z_in) if config.use_prenorm else trace.z_in
             pairs = [expert_forward(e, h, config.activation) for e in weights.experts]
             trace.expert_outputs = np.stack([p[0] for p in pairs])
             trace.intermediates = np.stack([p[1] for p in pairs])
@@ -285,7 +259,6 @@ def trace_all_experts(ckpt: Checkpoint, tokens: list[int],
             if ref_layers is not None:
                 trace.reference_output = expert_forward(
                     ref_layers[i].experts[0], h, config.activation)[0]
-            per_layer.append(trace)
         traces.append(TokenTrace(token_id=token, per_layer=per_layer))
     return traces
 

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import shlex
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .tensor_store import atomic_write_bytes
 
 TOOL_VERSION = "0.1.0"
 
@@ -48,13 +49,6 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
-def _atomic_write_bytes(path, blob: bytes) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
-
-
 def format_cell(value) -> str:
     """One CSV cell: floats get exactly six decimals, None/NaN become empty."""
     if value is None:
@@ -80,7 +74,7 @@ def emit_csv(path, provenance: Provenance, columns: list[str], rows,
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(format_cell(cell) for cell in row))
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def matrix_rows(labels: list[str], values: np.ndarray):
@@ -141,7 +135,7 @@ def emit_heatmap(path, provenance: Provenance, values: np.ndarray,
                        for j in range(n_cols))
         rows_bytes.append(row * cell)
     blob = b"P6\n%d %d\n255\n" % (width, height) + b"".join(rows_bytes)
-    _atomic_write_bytes(path, blob)
+    atomic_write_bytes(path, blob)
 
     side = [f"# {line}" for line in provenance.lines()]
     for comment in extra_comments or []:
@@ -149,7 +143,7 @@ def emit_heatmap(path, provenance: Provenance, values: np.ndarray,
     side.append(f"range: {format_cell(lo)} {format_cell(hi)}")
     side.append(f"cell: {cell}")
     side.append(f"shape: {n_rows} {n_cols}")
-    _atomic_write_bytes(f"{path}.range.txt", ("\n".join(side) + "\n").encode("utf-8"))
+    atomic_write_bytes(f"{path}.range.txt", ("\n".join(side) + "\n").encode("utf-8"))
 
 
 def metric_range(metric: str) -> tuple[float, float]:

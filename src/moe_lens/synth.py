@@ -162,11 +162,3 @@ def synth_permuted_clone_model(spec: SynthSpec) -> tuple[Checkpoint, dict[tuple[
 
     return build_checkpoint(config, tensors), permutations
 
-
-def generate(spec: SynthSpec):
-    """Dispatch on mode; upcycled returns (model, reference), others a model."""
-    if spec.mode == "scratch":
-        return synth_scratch(spec)
-    if spec.mode == "upcycled":
-        return synth_upcycled(spec)
-    return synth_permuted_clone_model(spec)[0]

@@ -34,6 +34,7 @@ the header with sorted keys, so identical inputs produce identical bytes.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -163,11 +164,24 @@ def write_checkpoint(config: ModelConfig, tensors: dict[str, np.ndarray], path) 
 
 
 def dump_checkpoint(ckpt: Checkpoint, path) -> None:
-    blob = serialize_checkpoint(ckpt)
+    atomic_write_bytes(path, serialize_checkpoint(ckpt))
+
+
+def atomic_write_bytes(path, blob: bytes) -> None:
+    """Write ``blob`` to ``<path>.tmp``, then rename it over ``path``.
+
+    Readers never see a partly written file, and the temp file is removed if
+    the write or the rename fails.
+    """
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def read_checkpoint(path) -> Checkpoint:

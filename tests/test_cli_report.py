@@ -2,6 +2,7 @@
 
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -494,18 +495,6 @@ def test_rerun_byte_identical(workspace, tmp_path):
                           "avg-out-sim-layer0.ppm.range.txt"}
 
 
-def test_thread_count_does_not_change_artifacts(workspace, tmp_path, monkeypatch):
-    out = tmp_path / "out"
-    argv = ["trace", "--model", workspace["model"],
-            "--corpus", workspace["corpus"], "--out", str(out)]
-    monkeypatch.delenv("MOE_LENS_THREADS", raising=False)
-    assert run_command(argv) == 0
-    first = snapshot(out)
-    monkeypatch.setenv("MOE_LENS_THREADS", "3")
-    assert run_command(argv) == 0
-    assert snapshot(out) == first
-
-
 def test_report_bundle(workspace, tmp_path):
     out = tmp_path / "bundle"
     assert run_command(["report", "--model", workspace["up"],
@@ -530,6 +519,69 @@ def test_report_bundle(workspace, tmp_path):
     # Reference column made it through the bundle plumbing.
     data = data_lines(out / "matrix-sim" / "matrix-sim-layer0-up.csv")
     assert data[0] == ",0,1,2,3,F"
+
+
+def report_argv(workspace, out):
+    return ["report", "--model", workspace["up"], "--ref", workspace["ref"],
+            "--corpus", workspace["corpus"], "--out", str(out)]
+
+
+def test_report_rerun_byte_identical(workspace, tmp_path, capsys):
+    out = tmp_path / "bundle"
+    assert run_command(report_argv(workspace, out)) == 0
+    first, first_stdout = snapshot(out), capsys.readouterr().out
+    assert run_command(report_argv(workspace, out)) == 0
+    assert snapshot(out) == first
+    assert capsys.readouterr().out == first_stdout
+
+
+def test_report_steps_match_standalone_commands(workspace, tmp_path):
+    out = tmp_path / "bundle"
+    assert run_command(report_argv(workspace, out)) == 0
+    bundle = snapshot(out)
+    model = ["--model", workspace["up"]]
+    ref = ["--ref", workspace["ref"]]
+    corpus = ["--corpus", workspace["corpus"]]
+    steps = {"avg-out-sim": ["avg-out-sim", *model, *ref, *corpus, "--layer", "all"],
+             "norm-rank": ["norm-rank", *model, *corpus, "--layer", "all"],
+             "trace": ["trace", *model, *ref, *corpus]}
+    for name, argv in steps.items():
+        shutil.rmtree(out / name)
+        assert run_command([*argv, "--out", str(out / name)]) == 0
+    assert snapshot(out) == bundle
+
+
+def test_report_loads_and_traces_inputs_once(workspace, tmp_path, monkeypatch):
+    import moe_lens.cli as cli
+    calls = {"trace_all_experts": [], "read_checkpoint": [], "file_digest": []}
+
+    def count(name, key):
+        fn = getattr(cli, name)
+
+        def counted(*args, **kwargs):
+            calls[name].append(key(*args))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+
+    count("trace_all_experts", lambda ckpt, tokens, *rest: len(tokens))
+    count("read_checkpoint", lambda path: path)
+    count("file_digest", lambda path: path)
+    assert run_command(report_argv(workspace, tmp_path / "bundle")) == 0
+    # The whole corpus once, then out-sim's single token.
+    assert calls["trace_all_experts"] == [10, 1]
+    assert calls["read_checkpoint"] == [workspace["up"], workspace["ref"]]
+    assert calls["file_digest"] == [workspace["up"], workspace["ref"], workspace["corpus"]]
+
+
+def test_report_bad_corpus_writes_nothing(workspace, tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    write_corpus(corpus, [[0, 1], [13]])  # vocab is 13
+    out = tmp_path / "bundle"
+    code = run_command(["report", "--model", workspace["up"], "--corpus", str(corpus),
+                        "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: token id out of range")
+    assert not out.exists() or snapshot(out) == {}
 
 
 def test_dense_model_matrix_sim_fails_cleanly(tmp_path, capsys):

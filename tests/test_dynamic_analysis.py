@@ -7,8 +7,7 @@ import pytest
 
 from moe_lens import ModelConfig
 from moe_lens.dynamic_analysis import (activation_ratio, angular_sim,
-                                       avg_output_sim, expert_norms,
-                                       intermediate_heatmap, output_sim_per_token,
+                                       avg_output_sim, output_sim_per_token,
                                        rank_count_matrix, routing_pattern)
 from moe_lens.moe_core import LayerTrace, TokenTrace, trace_all_experts
 from moe_lens.static_analysis import cosine_sim
@@ -190,15 +189,6 @@ def test_avg_output_sim_empty_rejected():
 
 # --- norms and rank counting --------------------------------------------------------
 
-def test_expert_norms_match_outputs():
-    ck, ref, traces = traced_model()
-    lt = traces[2].per_layer[0]
-    norms = expert_norms(traces[2], 0)
-    for e in range(4):
-        assert norms[e] == pytest.approx(float(np.linalg.norm(lt.expert_outputs[e])),
-                                         abs=1e-12)
-
-
 def test_rank_count_frozen_two_expert_event():
     # norms [5, 2]: expert 0 ranks 2nd-smallest, expert 1 ranks 1st.
     # logits [0.2, 0.8]: expert 0 ranks 1st-smallest, expert 1 ranks 2nd.
@@ -329,12 +319,3 @@ def test_routing_pattern_skips_single_expert_layers():
     log = routing_pattern(traces)
     assert {e.layer for e in log.entries} == {1}
 
-
-# --- intermediate heatmap -------------------------------------------------------------
-
-def test_intermediate_heatmap_shape_and_abs():
-    tr = make_intermediate_trace([[1.0, -2.0, 0.5], [-0.1, 0.0, 3.0]])
-    grid = intermediate_heatmap(tr, 0)
-    assert grid.shape == (2, 3)
-    np.testing.assert_allclose(grid, [[1.0, 2.0, 0.5], [0.1, 0.0, 3.0]])
-    assert np.all(grid >= 0)

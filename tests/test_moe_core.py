@@ -7,9 +7,9 @@ import pytest
 
 from moe_lens import ModelConfig
 from moe_lens.moe_core import (Expert, GateParams, activation_fn, expert_forward,
-                               flatten_corpus, gate_forward, gate_from_logits,
-                               model_forward, moe_layer_forward, read_corpus,
-                               recombined_output, rmsnorm, trace_all_experts)
+                               flatten_corpus, gate_from_logits, moe_layer_forward,
+                               read_corpus, recombined_output, rmsnorm,
+                               trace_all_experts)
 from moe_lens.moe_core import LayerWeights
 from moe_lens.synth import SynthSpec, synth_scratch
 
@@ -155,14 +155,6 @@ def test_gate_k_out_of_range():
         gate_from_logits(np.array([1.0, 2.0]), 3, "topk_then_softmax")
 
 
-def test_gate_forward_uses_projection():
-    gate = GateParams(w_g=np.eye(3))
-    scores, selected = gate_forward(gate, np.array([1.0, 2.0, 3.0]), 2,
-                                    "topk_then_softmax")
-    assert selected == [2, 1]
-    assert abs(scores[2] - 1.0 / (1.0 + math.exp(-1.0))) < 1e-9
-
-
 # --- layer forward -----------------------------------------------------------
 
 def layer_from(config, rng, n_experts, shared=0):
@@ -196,7 +188,7 @@ def test_layer_matches_compositional_oracle():
     z, trace = moe_layer_forward(weights, x, cfg)
 
     h = x / np.sqrt(np.mean(x * x) + 1e-6)
-    scores, selected = gate_forward(weights.gate, h, 1, cfg.gating_order)
+    scores, selected = gate_from_logits(weights.gate.w_g @ h, 1, cfg.gating_order)
     picked = selected[0]
     y, _ = expert_forward(weights.experts[picked], h, cfg.activation)
     np.testing.assert_allclose(z, x + scores[picked] * y, atol=1e-6)
@@ -225,7 +217,7 @@ def test_shared_experts_bypass_gate():
     x = rng.normal(size=4)
     z, _ = moe_layer_forward(weights, x, cfg)
     h = rmsnorm(x)
-    scores, selected = gate_forward(weights.gate, h, 1, cfg.gating_order)
+    scores, selected = gate_from_logits(weights.gate.w_g @ h, 1, cfg.gating_order)
     want = x + scores[selected[0]] * expert_forward(weights.experts[selected[0]], h)[0]
     for s in weights.shared:
         want = want + expert_forward(s, h)[0]
@@ -245,28 +237,29 @@ def test_prenorm_off_feeds_raw_input():
 
 # --- model forward and tracing -------------------------------------------------
 
-def test_model_forward_zero_layers_keeps_embedding():
+def test_trace_zero_layers_keeps_embedding():
     cfg = ModelConfig(num_layers=0, experts_per_layer=[], num_shared=[], top_k=1,
                       d_hid=4, d_mid=5, vocab=3)
     ck = synth_scratch(SynthSpec(config=cfg, mode="scratch", seed=0))
-    outs = model_forward(ck, [1])
-    assert outs == [[]]
+    traces = trace_all_experts(ck, [1])
+    assert [t.per_layer for t in traces] == [[]]
 
 
-def test_model_forward_composes_layers(small_checkpoint):
+def test_trace_composes_layers(small_checkpoint):
     from moe_lens.moe_core import load_layer_weights
     ck = small_checkpoint
-    zs = model_forward(ck, [3])[0]
-    x = np.asarray(ck.get_tensor("embed.weight")[3], dtype=np.float64)
-    z = x
-    for i in range(ck.config.num_layers):
-        z, _ = moe_layer_forward(load_layer_weights(ck, i), z, ck.config)
-    np.testing.assert_array_equal(zs[-1], z)
+    tokens = [3, 8, 3]
+    traces = trace_all_experts(ck, tokens)
+    for token, trace in zip(tokens, traces):
+        z = np.asarray(ck.get_tensor("embed.weight")[token], dtype=np.float64)
+        for i in range(ck.config.num_layers):
+            z, _ = moe_layer_forward(load_layer_weights(ck, i), z, ck.config)
+        np.testing.assert_array_equal(trace.per_layer[-1].z_out, z)
 
 
-def test_model_forward_token_out_of_range(small_checkpoint):
+def test_trace_token_out_of_range(small_checkpoint):
     with pytest.raises(ValueError, match="token id out of range"):
-        model_forward(small_checkpoint, [17])
+        trace_all_experts(small_checkpoint, [17])
 
 
 def test_trace_shapes_and_native_routing(small_checkpoint):

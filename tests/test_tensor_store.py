@@ -1,11 +1,13 @@
 """Checkpoint container: byte layout, validation, round trips."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 from moe_lens import ModelConfig
+from moe_lens.report import Provenance, emit_csv
 from moe_lens.tensor_store import (MAGIC, CheckpointError, build_checkpoint,
                                    dump_checkpoint, parse_checkpoint, read_checkpoint,
                                    required_tensor_shapes, serialize_checkpoint,
@@ -235,6 +237,19 @@ def test_config_validation_round_trip():
     assert ModelConfig.from_dict(raw) == config
 
 
+@pytest.mark.parametrize("field, value", [
+    ("num_layers", "1"), ("experts_per_layer", 2), ("top_k", None),
+    ("d_hid", 2.0), ("use_prenorm", "no"), ("num_layers", True),
+])
+def test_read_rejects_mistyped_config(field, value):
+    config = tiny_config()
+    blob = serialize_checkpoint(build_checkpoint(config, full_tensor_map(config)))
+    header, data = _header_and_data(blob)
+    header["__config__"][field] = value
+    with pytest.raises(CheckpointError, match=f"bad config: {field} must be"):
+        parse_checkpoint(_reassemble(header, data))
+
+
 def test_config_rejects_top_k_above_smallest_gated():
     with pytest.raises(ValueError, match="top_k"):
         tiny_config(num_layers=2, experts_per_layer=[4, 2], num_shared=[0, 0], top_k=3)
@@ -252,3 +267,18 @@ def test_dump_is_atomic_no_tmp_left(tmp_path):
     dump_checkpoint(ckpt, path)
     assert path.exists()
     assert not (tmp_path / "model.moel.tmp").exists()
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: dump_checkpoint(build_checkpoint(tiny_config(),
+                                                  full_tensor_map(tiny_config())), path),
+    lambda path: emit_csv(path, Provenance(command=["c"]), ["a"], [[1]]),
+], ids=["dump_checkpoint", "emit_csv"])
+def test_failed_rename_leaves_no_tmp(tmp_path, monkeypatch, write):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        write(tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
