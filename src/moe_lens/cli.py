@@ -18,7 +18,7 @@ import numpy as np
 from . import dynamic_analysis as dyn
 from . import static_analysis as sta
 from .config import ACTIVATIONS, GATING_ORDERS, ModelConfig
-from .moe_core import (TokenTrace, flatten_corpus, read_corpus, recombined_output,
+from .moe_core import (CorpusTrace, flatten_corpus, read_corpus, recombined_output,
                        trace_all_experts)
 from .report import (Provenance, emit_csv, emit_heatmap, emit_similarity_csv,
                      file_digest, matrix_comments, metric_range)
@@ -42,7 +42,7 @@ def _int_list(text: str, n: int, flag: str) -> tuple[int, ...]:
 @dataclass
 class Context:
     """A command's inputs, each read and hashed once, and its provenance stamp;
-    ``traces`` is the corpus trace that a report shares with its steps."""
+    ``trace`` is the corpus trace that a report shares with its steps."""
 
     args: argparse.Namespace
     model: Checkpoint
@@ -50,18 +50,18 @@ class Context:
     tokens: list[int] | None
     digests: dict[str, str]
     provenance: Provenance | None = None
-    traces: list[TokenTrace] | None = None
+    trace: CorpusTrace | None = None
 
     @property
     def out(self) -> str:
         return self.args.out
 
-    def corpus_traces(self, reference: Checkpoint | None) -> list[TokenTrace]:
+    def corpus_trace(self, reference: Checkpoint | None) -> CorpusTrace:
         """The shared corpus trace, else a new one; steps that pass no
         reference never read the reference outputs a shared trace carries."""
         k_override_all = self.args.k_override == "all"
-        if self.traces is not None and not k_override_all:
-            return self.traces
+        if self.trace is not None and not k_override_all:
+            return self.trace
         return trace_all_experts(self.model, self.tokens, reference, k_override_all)
 
 
@@ -250,16 +250,17 @@ def _cmd_pca(args, argv, loaded) -> list[str]:
 
 def _cmd_trace(args, argv, loaded) -> list[str]:
     ctx = _load_context(args, argv, loaded, need_corpus=True)
-    traces = ctx.corpus_traces(ctx.reference)
-    rows = []
-    worst = 0.0
-    for idx, trace in enumerate(traces):
-        for layer, lt in enumerate(trace.per_layer):
-            rebuilt = recombined_output(lt)
-            scale = np.linalg.norm(lt.z_out)
-            err = np.linalg.norm(rebuilt - lt.z_out) / (scale if scale > 0 else 1.0)
-            worst = max(worst, err)
-            rows.append([idx, trace.token_id, layer, err])
+    trace = ctx.corpus_trace(ctx.reference)
+    errs = np.zeros((trace.token_ids.size, len(trace.layers)))
+    for layer, lt in enumerate(trace.layers):
+        z_out = trace.z[layer + 1]
+        scale = np.linalg.norm(z_out, axis=1)
+        rebuilt = recombined_output(lt, trace.z[layer])
+        errs[:, layer] = np.linalg.norm(rebuilt - z_out, axis=1) / np.where(scale > 0, scale, 1.0)
+    rows = ([idx, token_id, layer, errs[idx, layer]]
+            for idx, token_id in enumerate(trace.token_ids.tolist())
+            for layer in range(errs.shape[1]))
+    worst = errs.max(initial=0.0)
     path = os.path.join(ctx.out, "trace-consistency.csv")
     emit_csv(path, ctx.provenance, ["token_index", "token_id", "layer", "rel_err"],
              rows, extra_comments=[f"max_rel_err: {worst:.6e}"])
@@ -271,11 +272,11 @@ def _cmd_out_sim(args, argv, loaded) -> list[str]:
     if not 0 <= args.token < len(ctx.tokens):
         raise ValueError(f"--token {args.token} out of range for corpus of "
                          f"{len(ctx.tokens)} tokens")
-    traces = trace_all_experts(ctx.model, [ctx.tokens[args.token]], ctx.reference,
-                               args.k_override == "all")
+    trace = trace_all_experts(ctx.model, [ctx.tokens[args.token]], ctx.reference,
+                              args.k_override == "all")
     written = []
     for layer in _select_layers(args.layer, ctx.model, gated_only=args.layer == "all"):
-        sim = dyn.output_sim_per_token(traces[0], layer)
+        sim = dyn.output_sim_per_token(trace, layer)
         written += _emit_matrix_pair(
             ctx, f"out-sim-layer{layer}-token{args.token}", sim)
     return written
@@ -283,17 +284,17 @@ def _cmd_out_sim(args, argv, loaded) -> list[str]:
 
 def _cmd_avg_out_sim(args, argv, loaded) -> list[str]:
     ctx = _load_context(args, argv, loaded, need_corpus=True)
-    traces = ctx.corpus_traces(ctx.reference)
+    trace = ctx.corpus_trace(ctx.reference)
     written = []
     for layer in _select_layers(args.layer, ctx.model, gated_only=args.layer == "all"):
-        sim = dyn.avg_output_sim(traces, layer)
+        sim = dyn.avg_output_sim(trace, layer)
         written += _emit_matrix_pair(ctx, f"avg-out-sim-layer{layer}", sim)
     return written
 
 
 def _cmd_norm_rank(args, argv, loaded) -> list[str]:
     ctx = _load_context(args, argv, loaded, need_corpus=True)
-    traces = ctx.corpus_traces(None)
+    trace = ctx.corpus_trace(None)
     layers = _select_layers(args.layer, ctx.model, gated_only=True)
     config = ctx.model.config
     groups: dict[int, list[int]] = {}
@@ -301,7 +302,7 @@ def _cmd_norm_rank(args, argv, loaded) -> list[str]:
         groups.setdefault(config.experts_per_layer[layer], []).append(layer)
     written = []
     for n in sorted(groups):
-        rc = dyn.rank_count_matrix(traces, groups[n])
+        rc = dyn.rank_count_matrix(trace, groups[n])
         labels = [str(r + 1) for r in range(rc.n_experts)]
         stem = f"norm-rank-n{n}" if len(groups) > 1 or args.layer == "all" \
             else f"norm-rank-layer{layers[0]}"
@@ -323,8 +324,7 @@ def _cmd_norm_rank(args, argv, loaded) -> list[str]:
 
 def _cmd_act_ratio(args, argv, loaded) -> list[str]:
     ctx = _load_context(args, argv, loaded, need_corpus=True)
-    traces = ctx.corpus_traces(None)
-    report = dyn.activation_ratio(traces, threshold=args.threshold)
+    report = dyn.activation_ratio(ctx.corpus_trace(None), threshold=args.threshold)
     rows = [[layer, expert, ratio]
             for (layer, expert), ratio in report.per_expert.items()]
     rows.append(["overall", None, report.overall])
@@ -336,8 +336,7 @@ def _cmd_act_ratio(args, argv, loaded) -> list[str]:
 
 def _cmd_route_log(args, argv, loaded) -> list[str]:
     ctx = _load_context(args, argv, loaded, need_corpus=True)
-    traces = ctx.corpus_traces(None)
-    log = dyn.routing_pattern(traces)
+    log = dyn.routing_pattern(ctx.corpus_trace(None))
     rows = []
     for entry in log.entries:
         for slot, (expert, score) in enumerate(entry.selections):
@@ -353,7 +352,7 @@ def _cmd_report(args, argv, _loaded) -> list[str]:
     """Run the full analysis suite into subdirectories of --out, every step
     through ``run_command`` on inputs read, hashed and traced once here."""
     ctx = _load_context(args, argv, None, need_corpus=True)
-    ctx.traces = trace_all_experts(ctx.model, ctx.tokens, ctx.reference)
+    ctx.trace = trace_all_experts(ctx.model, ctx.tokens, ctx.reference)
     config = ctx.model.config
     gated = config.moe_layers()
 
@@ -486,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_out(p)
     p.set_defaults(func=_cmd_pca)
 
-    p = commands.add_parser("trace", help="two-stage trace consistency table")
+    p = commands.add_parser("trace", help="trace recombination consistency table")
     _add_model(p)
     _add_corpus(p)
     _add_common_out(p)

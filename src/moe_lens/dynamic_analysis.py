@@ -1,8 +1,9 @@
 """Behavioral analyses over forward traces.
 
-These functions consume the two-stage traces from ``moe_core``: per-token
-expert output similarity, corpus-averaged similarity on the angular scale,
-output norms versus routing scores, activation sparsity, and routing logs.
+These functions reduce the corpus traces from ``moe_core``, whose arrays
+hold every expert's output on every token: per-token expert output
+similarity, corpus-averaged similarity on the angular scale, output norms
+versus routing scores, activation sparsity, and routing logs.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moe_core import LayerTrace, TokenTrace
+from .moe_core import CorpusTrace, LayerTrace
 from .static_analysis import (REFERENCE_LABEL, SimilarityMatrix, _summaries,
                               build_similarity_matrix, cosine_sim)
 
@@ -26,71 +27,55 @@ def angular_sim(u, v) -> float:
     return float(1.0 - np.arccos(c) / np.pi)
 
 
-def _layer_trace(trace: TokenTrace, layer: int) -> LayerTrace:
-    if not 0 <= layer < len(trace.per_layer):
+def _layer_trace(trace: CorpusTrace, layer: int) -> LayerTrace:
+    if not 0 <= layer < len(trace.layers):
         raise ValueError(f"layer {layer} out of range")
-    lt = trace.per_layer[layer]
-    if lt.expert_outputs is None:
-        raise ValueError("trace lacks all-expert outputs; run trace_all_experts")
-    return lt
+    return trace.layers[layer]
 
 
-def _output_entities(lt: LayerTrace) -> tuple[list[np.ndarray], list[str], int, bool]:
-    vectors = [lt.expert_outputs[n] for n in range(lt.expert_outputs.shape[0])]
-    labels = [str(n) for n in range(len(vectors))]
-    n_experts = len(vectors)
-    if lt.shared_outputs is not None:
-        for m in range(lt.shared_outputs.shape[0]):
-            vectors.append(lt.shared_outputs[m])
-            labels.append(f"S{m}")
+def _output_entities(lt: LayerTrace) -> tuple[np.ndarray, list[str], int, bool]:
+    """All output vectors of one block as [T, entities, d_hid]: routed experts,
+    then shared experts, then the reference when the trace has one."""
+    parts = [lt.expert_outputs, lt.shared_outputs]
+    n_experts = lt.expert_outputs.shape[1]
+    labels = [str(n) for n in range(n_experts)]
+    labels += [f"S{m}" for m in range(lt.shared_outputs.shape[1])]
     has_ref = lt.reference_output is not None
     if has_ref:
-        vectors.append(lt.reference_output)
+        parts.append(lt.reference_output[:, None])
         labels.append(REFERENCE_LABEL)
-    return vectors, labels, n_experts, has_ref
+    return np.concatenate(parts, axis=1), labels, n_experts, has_ref
 
 
-def output_sim_per_token(trace: TokenTrace, layer: int) -> SimilarityMatrix:
-    """Pairwise cosine between all expert outputs for one token and layer.
+def output_sim_per_token(trace: CorpusTrace, layer: int, token: int = 0) -> SimilarityMatrix:
+    """Pairwise cosine between all expert outputs for one traced token and layer.
 
     Shared-expert and reference outputs are appended when the trace has them.
     Zero output vectors mask their cells rather than raising.
     """
     lt = _layer_trace(trace, layer)
     vectors, labels, n_experts, has_ref = _output_entities(lt)
-    selected = [str(n) for n in lt.selected]
-    return build_similarity_matrix(vectors, labels, "cosine", n_experts,
+    selected = [str(n) for n in lt.selected[token]]
+    return build_similarity_matrix(vectors[token], labels, "cosine", n_experts,
                                    has_reference=has_ref, allow_zero=True,
                                    selected_labels=selected)
 
 
-def avg_output_sim(traces: list[TokenTrace], layer: int) -> SimilarityMatrix:
+def avg_output_sim(trace: CorpusTrace, layer: int) -> SimilarityMatrix:
     """Mean angular similarity matrix over a corpus, accumulated in token order.
 
     Cells undefined for some tokens average over the remaining tokens; cells
     undefined everywhere stay masked.
     """
-    if not traces:
-        raise ValueError("no traces given")
-    acc = None
-    count = None
-    labels = None
-    n_experts = 0
-    has_ref = False
-    for trace in traces:
-        lt = _layer_trace(trace, layer)
-        vectors, labs, n_experts, has_ref = _output_entities(lt)
-        sim = build_similarity_matrix(vectors, labs, "angular", n_experts,
-                                      has_reference=has_ref, allow_zero=True)
-        if acc is None:
-            acc = np.zeros_like(sim.values)
-            count = np.zeros_like(sim.values, dtype=np.int64)
-            labels = labs
-        elif labs != labels:
-            raise ValueError("traces disagree on layer entities")
-        defined = ~np.isnan(sim.values)
-        acc[defined] += sim.values[defined]
-        count += defined
+    if trace.token_ids.size == 0:
+        raise ValueError("no traces given: the trace holds no tokens")
+    vectors, labels, n_experts, has_ref = _output_entities(_layer_trace(trace, layer))
+    norms = np.linalg.norm(vectors, axis=2)
+    unit = vectors / np.where(norms == 0.0, 1.0, norms)[:, :, None]
+    sims = 1.0 - np.arccos(np.clip(unit @ unit.transpose(0, 2, 1), -1.0, 1.0)) / np.pi
+    defined = (norms != 0.0)[:, :, None] & (norms != 0.0)[:, None, :]
+    acc = np.where(defined, sims, 0.0).sum(axis=0)
+    count = defined.sum(axis=0)
     with np.errstate(invalid="ignore"):
         mean = np.where(count > 0, acc / np.maximum(count, 1), np.nan)
     s_ee, s_ef = _summaries(mean, n_experts, has_ref)
@@ -114,37 +99,28 @@ class RankCountMatrix:
 
 
 def _ascending_ranks(values: np.ndarray) -> np.ndarray:
-    """Rank positions (0-based) ascending by value, ties broken by index."""
-    n = values.shape[0]
-    order = np.lexsort((np.arange(n), values))
-    ranks = np.empty(n, dtype=int)
-    ranks[order] = np.arange(n)
-    return ranks
+    """Rank positions (0-based) ascending by value along each row, ties broken by index."""
+    return np.argsort(np.argsort(values, axis=-1, kind="stable"), axis=-1, kind="stable")
 
 
-def rank_count_matrix(traces: list[TokenTrace], layers: list[int]) -> RankCountMatrix:
+def rank_count_matrix(trace: CorpusTrace, layers: list[int]) -> RankCountMatrix:
     """Accumulate norm-rank vs score-rank counts over tokens and layers."""
-    if not traces or not layers:
+    if trace.token_ids.size == 0 or not layers:
         raise ValueError("need at least one trace and one layer")
-    sizes = set()
-    for trace in traces:
-        for layer in layers:
-            sizes.add(_layer_trace(trace, layer).expert_outputs.shape[0])
+    sizes = {_layer_trace(trace, layer).expert_outputs.shape[1] for layer in layers}
     if len(sizes) != 1:
         raise ValueError(f"selected layers have differing expert counts: {sorted(sizes)}")
     n = sizes.pop()
 
-    counts = np.zeros((n, n), dtype=np.int64)
-    events = 0
-    for trace in traces:
-        for layer in layers:
-            lt = _layer_trace(trace, layer)
-            norm_rank = _ascending_ranks(np.linalg.norm(lt.expert_outputs, axis=1))
-            score_rank = _ascending_ranks(np.asarray(lt.full_scores))
-            for e in range(n):
-                counts[norm_rank[e], score_rank[e]] += 1
-            events += 1
-    return RankCountMatrix(n_experts=n, counts=counts, total_events=events)
+    cells = []
+    for layer in layers:
+        lt = trace.layers[layer]
+        norm_rank = _ascending_ranks(np.linalg.norm(lt.expert_outputs, axis=2))
+        score_rank = _ascending_ranks(lt.full_scores)
+        cells.append((norm_rank * n + score_rank).ravel())
+    counts = np.bincount(np.concatenate(cells), minlength=n * n).reshape(n, n)
+    return RankCountMatrix(n_experts=n, counts=counts,
+                           total_events=trace.token_ids.size * len(layers))
 
 
 @dataclass
@@ -154,7 +130,7 @@ class ActivationRatioReport:
     overall: float
 
 
-def activation_ratio(traces: list[TokenTrace], threshold: float = 0.001) -> ActivationRatioReport:
+def activation_ratio(trace: CorpusTrace, threshold: float = 0.001) -> ActivationRatioReport:
     """Fraction of intermediate entries with magnitude above the threshold.
 
     Counts every routed expert's gated intermediate state on every token;
@@ -162,21 +138,18 @@ def activation_ratio(traces: list[TokenTrace], threshold: float = 0.001) -> Acti
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    if not traces:
-        raise ValueError("no traces given")
-    hits: dict[tuple[int, int], int] = {}
-    totals: dict[tuple[int, int], int] = {}
-    for trace in traces:
-        for layer, lt in enumerate(trace.per_layer):
-            if lt.intermediates is None:
-                raise ValueError("trace lacks intermediates; run trace_all_experts")
-            above = np.abs(lt.intermediates) > threshold
-            for e in range(lt.intermediates.shape[0]):
-                key = (layer, e)
-                hits[key] = hits.get(key, 0) + int(above[e].sum())
-                totals[key] = totals.get(key, 0) + above.shape[1]
-    per_expert = {key: hits[key] / totals[key] for key in sorted(totals)}
-    overall = sum(hits.values()) / sum(totals.values())
+    if trace.token_ids.size == 0:
+        raise ValueError("no traces given: the trace holds no tokens")
+    per_expert: dict[tuple[int, int], float] = {}
+    hits = total = 0
+    for layer, lt in enumerate(trace.layers):
+        above = (np.abs(lt.intermediates) > threshold).sum(axis=(0, 2)).tolist()
+        size = lt.intermediates.shape[0] * lt.intermediates.shape[2]
+        for e, count in enumerate(above):
+            per_expert[(layer, e)] = count / size
+        hits += sum(above)
+        total += size * len(above)
+    overall = hits / total
     return ActivationRatioReport(threshold=threshold, per_expert=per_expert, overall=overall)
 
 
@@ -193,15 +166,12 @@ class RoutingLog:
     entries: list[RouteEntry]
 
 
-def routing_pattern(traces: list[TokenTrace]) -> RoutingLog:
+def routing_pattern(trace: CorpusTrace) -> RoutingLog:
     """Selected experts and their used scores, per token and gated layer."""
-    entries = []
-    for idx, trace in enumerate(traces):
-        for layer, lt in enumerate(trace.per_layer):
-            if len(lt.gate_scores) == 1:
-                continue  # dense layer, nothing routed
-            selections = [(int(n), float(lt.gate_scores[n])) for n in lt.selected]
-            entries.append(RouteEntry(token_index=idx, token_id=trace.token_id,
-                                      layer=layer, selections=selections))
+    gated = [(layer, lt.selected, np.take_along_axis(lt.gate_scores, lt.selected, axis=1))
+             for layer, lt in enumerate(trace.layers) if lt.gate_scores.shape[1] > 1]
+    entries = [RouteEntry(token_index=idx, token_id=int(token_id), layer=layer,
+                          selections=list(zip(selected[idx].tolist(), scores[idx].tolist())))
+               for idx, token_id in enumerate(trace.token_ids)
+               for layer, selected, scores in gated]
     return RoutingLog(entries=entries)
-

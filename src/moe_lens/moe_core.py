@@ -1,4 +1,4 @@
-"""Minimal MoE forward engine and the two-stage tracing protocol.
+"""Minimal MoE forward engine that traces every expert on every token.
 
 The engine runs tokens independently (no attention, no positions): a token's
 embedding enters a stack of residual blocks, each block being an optional
@@ -6,11 +6,10 @@ RMS-normalization followed by either a dense FFN or a gated mixture of
 experts.  An expert maps its input through two parallel projections, gates one
 with the activation function, and projects back down.
 
-Tracing happens in two stages.  Stage one is the native forward pass with the
-configured top-k routing; it records every block's input, output and routing.
-Stage two feeds each block's recorded input to *all* of its experts, so
-analyses can see what unselected experts would have produced.  Routing
-decisions in the trace always come from the native pass.
+A trace runs the whole corpus through the model block by block.  Each block
+evaluates every routed, shared and reference FFN once on all tokens, so
+analyses can see what unselected experts would have produced, and combines
+only the natively routed experts into the block's output.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, expit
 
-from .config import ACTIVATIONS, GATING_ORDERS, ModelConfig
+from .config import GATING_ORDERS
 from .tensor_store import Checkpoint
 
 RMSNORM_EPS = 1e-6
@@ -36,50 +35,36 @@ class Expert:
 
 
 @dataclass
-class GateParams:
-    """Router projection, one row of w_g per routed expert."""
-
-    w_g: np.ndarray
-
-
-@dataclass
-class LayerWeights:
-    experts: list[Expert]
-    gate: GateParams | None
-    shared: list[Expert]
-
-    @property
-    def is_dense(self) -> bool:
-        return self.gate is None
-
-
-@dataclass
 class LayerTrace:
-    """Everything recorded about one block for one token.
+    """Everything recorded about one block; row t of each array is token t.
 
-    ``gate_scores`` are the combination weights actually used (zero for
-    unselected experts).  ``full_scores`` are the softmax over all gate logits
-    regardless of k, kept for rank analyses where unselected experts need
-    comparable scores.  ``expert_outputs`` and ``intermediates`` cover all
-    routed experts and come from the stage-two replay; ``selected`` lists the
-    natively routed expert indices in descending-score order.
+    ``gate_scores`` [T, N] are the combination weights actually used (zero for
+    unselected experts).  ``full_scores`` [T, N] are the softmax over all gate
+    logits regardless of k, kept for rank analyses where unselected experts
+    need comparable scores.  ``selected`` [T, k] lists the routed expert
+    indices in descending-score order.  ``expert_outputs`` [T, N, d_hid] and
+    ``intermediates`` [T, N, d_mid] cover all routed experts,
+    ``shared_outputs`` [T, S, d_hid] the shared ones, and ``reference_output``
+    [T, d_hid] the reference FFN when the trace has one.  A dense block is one
+    expert with score 1.
     """
 
-    z_in: np.ndarray
-    z_out: np.ndarray
     gate_scores: np.ndarray
     full_scores: np.ndarray
-    selected: list[int]
-    expert_outputs: np.ndarray | None = None
-    intermediates: np.ndarray | None = None
-    shared_outputs: np.ndarray | None = None
+    selected: np.ndarray
+    expert_outputs: np.ndarray
+    intermediates: np.ndarray
+    shared_outputs: np.ndarray
     reference_output: np.ndarray | None = None
 
 
 @dataclass
-class TokenTrace:
-    token_id: int
-    per_layer: list[LayerTrace]
+class CorpusTrace:
+    """A traced corpus: ``z[i]`` [T, d_hid] enters block i, ``z[i + 1]`` leaves it."""
+
+    token_ids: np.ndarray
+    z: np.ndarray
+    layers: list[LayerTrace]
 
 
 def activation_fn(kind: str, x) -> np.ndarray:
@@ -93,97 +78,62 @@ def activation_fn(kind: str, x) -> np.ndarray:
 
 
 def rmsnorm(x: np.ndarray) -> np.ndarray:
+    """Normalize each row (the last axis) to unit root-mean-square."""
     x = np.asarray(x, dtype=np.float64)
-    return x / np.sqrt(np.mean(x * x) + RMSNORM_EPS)
+    return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMSNORM_EPS)
 
 
 def expert_forward(expert: Expert, x, kind: str = "silu") -> tuple[np.ndarray, np.ndarray]:
-    """Run one expert; returns (output [d_hid], intermediate [d_mid])."""
+    """Run one expert on ``x`` [..., d_hid]; returns (output [..., d_hid],
+    intermediate [..., d_mid])."""
     x = np.asarray(x, dtype=np.float64)
-    inter = activation_fn(kind, expert.w_act @ x)
-    y = expert.w_down @ ((expert.w_up @ x) * inter)
+    inter = activation_fn(kind, x @ expert.w_act.T)
+    y = ((x @ expert.w_up.T) * inter) @ expert.w_down.T
     return y, inter
 
 
 def full_softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = np.exp(logits - logits.max())
-    return shifted / shifted.sum()
+    shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
-def select_topk(logits: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest logits, descending; ties go to the lower index."""
-    logits = np.asarray(logits)
-    if not 1 <= k <= logits.shape[0]:
-        raise ValueError(f"k={k} out of range for {logits.shape[0]} experts")
-    order = np.argsort(-logits, kind="stable")
-    return order[:k]
+def gate_from_logits(logits: np.ndarray, k: int, order: str) -> tuple[np.ndarray, np.ndarray]:
+    """Routing scores and selection for gate logits [..., N].
 
-
-def gate_from_logits(logits: np.ndarray, k: int, order: str) -> tuple[np.ndarray, list[int]]:
-    """Routing scores and selection for raw gate logits.
-
-    ``topk_then_softmax`` normalizes over the selected logits only, so the
-    returned scores sum to one.  ``softmax_then_topk`` normalizes over all
-    logits first and keeps the selected probabilities as-is (no second
-    normalization), so they sum to less than one whenever k < N.
+    ``selected`` [..., k] holds the indices of the k largest logits,
+    descending, with ties going to the lower index.  ``topk_then_softmax``
+    normalizes over the selected logits only, so the returned scores sum to
+    one.  ``softmax_then_topk`` normalizes over all logits first and keeps the
+    selected probabilities as-is (no second normalization), so they sum to
+    less than one whenever k < N.
     """
     if order not in GATING_ORDERS:
         raise ValueError(f"unknown gating order: {order!r}")
     logits = np.asarray(logits, dtype=np.float64)
-    selected = select_topk(logits, k)
-    scores = np.zeros(logits.shape[0])
+    if not 1 <= k <= logits.shape[-1]:
+        raise ValueError(f"k={k} out of range for {logits.shape[-1]} experts")
+    selected = np.argsort(-logits, axis=-1, kind="stable")[..., :k]
     if order == "topk_then_softmax":
-        scores[selected] = full_softmax(logits[selected])
+        kept = full_softmax(np.take_along_axis(logits, selected, axis=-1))
     else:
-        scores[selected] = full_softmax(logits)[selected]
-    return scores, [int(i) for i in selected]
+        kept = np.take_along_axis(full_softmax(logits), selected, axis=-1)
+    scores = np.zeros_like(logits)
+    np.put_along_axis(scores, selected, kept, axis=-1)
+    return scores, selected
 
 
-def _combine(z_in: np.ndarray, scores: np.ndarray, outputs: dict[int, np.ndarray],
-             shared_outputs: list[np.ndarray]) -> np.ndarray:
-    # Single accumulation path shared by the forward pass and the replay check,
-    # so both produce bit-identical sums.
+def recombined_output(trace: LayerTrace, z_in: np.ndarray) -> np.ndarray:
+    """The block output: ``z_in`` plus the score-weighted routed experts, added
+    in expert order, plus the shared experts."""
     y = np.zeros_like(z_in)
-    for n in sorted(outputs):
-        y = y + scores[n] * outputs[n]
-    for out in shared_outputs:
-        y = y + out
+    for n in range(trace.expert_outputs.shape[1]):
+        # Unselected experts have score 0 and leave the sum unchanged.
+        y = y + trace.gate_scores[:, n, None] * trace.expert_outputs[:, n]
+    for m in range(trace.shared_outputs.shape[1]):
+        y = y + trace.shared_outputs[:, m]
     return z_in + y
-
-
-def moe_layer_forward(weights: LayerWeights, x, config: ModelConfig,
-                      k_override_all: bool = False) -> tuple[np.ndarray, LayerTrace]:
-    """One residual block.  The returned trace has routing info but no
-    all-expert outputs; ``trace_all_experts`` fills those in."""
-    x = np.asarray(x, dtype=np.float64)
-    h = rmsnorm(x) if config.use_prenorm else x
-
-    if weights.is_dense:
-        y, _ = expert_forward(weights.experts[0], h, config.activation)
-        z_out = _combine(x, np.ones(1), {0: y}, [])
-        trace = LayerTrace(z_in=x, z_out=z_out, gate_scores=np.ones(1),
-                           full_scores=np.ones(1), selected=[0])
-        return z_out, trace
-
-    n_experts = len(weights.experts)
-    k = n_experts if k_override_all else config.top_k
-    logits = np.asarray(weights.gate.w_g, dtype=np.float64) @ h
-    scores, selected = gate_from_logits(logits, k, config.gating_order)
-    outputs = {n: expert_forward(weights.experts[n], h, config.activation)[0]
-               for n in selected}
-    shared = [expert_forward(e, h, config.activation)[0] for e in weights.shared]
-    z_out = _combine(x, scores, outputs, shared)
-    trace = LayerTrace(z_in=x, z_out=z_out, gate_scores=scores,
-                       full_scores=full_softmax(logits), selected=selected)
-    return z_out, trace
-
-
-def recombined_output(trace: LayerTrace) -> np.ndarray:
-    """Rebuild z_out from a fully populated trace (selected experts + shared)."""
-    outputs = {n: trace.expert_outputs[n] for n in trace.selected}
-    shared = [] if trace.shared_outputs is None else list(trace.shared_outputs)
-    return _combine(trace.z_in, trace.gate_scores, outputs, shared)
 
 
 def load_expert(ckpt: Checkpoint, prefix: str) -> Expert:
@@ -194,39 +144,49 @@ def load_expert(ckpt: Checkpoint, prefix: str) -> Expert:
     )
 
 
-def load_layer_weights(ckpt: Checkpoint, layer: int) -> LayerWeights:
+def _trace_block(ckpt: Checkpoint, layer: int, h: np.ndarray,
+                 k_override_all: bool) -> LayerTrace:
+    """Every expert of one block on the normalized inputs ``h`` [T, d_hid].
+
+    Each expert is its own matmul over all tokens, so identical experts give
+    bit-identical outputs and the lower-index tie rule sees exact ties.
+    """
     config = ckpt.config
-    if not 0 <= layer < config.num_layers:
-        raise ValueError(f"layer {layer} out of range")
+    t = h.shape[0]
     if config.is_dense(layer):
-        return LayerWeights(experts=[load_expert(ckpt, f"layers.{layer}.ffn")],
-                            gate=None, shared=[])
-    gate = GateParams(w_g=np.asarray(
-        ckpt.get_tensor(f"layers.{layer}.gate.weight"), dtype=np.float64))
-    experts = [load_expert(ckpt, f"layers.{layer}.experts.{n}")
-               for n in range(config.experts_per_layer[layer])]
-    shared = [load_expert(ckpt, f"layers.{layer}.shared.{m}")
+        experts = [load_expert(ckpt, f"layers.{layer}.ffn")]
+        scores, full = np.ones((t, 1)), np.ones((t, 1))
+        selected = np.zeros((t, 1), dtype=np.int64)
+    else:
+        n = config.experts_per_layer[layer]
+        experts = [load_expert(ckpt, f"layers.{layer}.experts.{e}") for e in range(n)]
+        w_g = np.asarray(ckpt.get_tensor(f"layers.{layer}.gate.weight"), dtype=np.float64)
+        logits = h @ w_g.T
+        scores, selected = gate_from_logits(logits, n if k_override_all else config.top_k,
+                                            config.gating_order)
+        full = full_softmax(logits)
+    pairs = [expert_forward(e, h, config.activation) for e in experts]
+    shared = [expert_forward(load_expert(ckpt, f"layers.{layer}.shared.{m}"), h,
+                             config.activation)[0]
               for m in range(config.num_shared[layer])]
-    return LayerWeights(experts=experts, gate=gate, shared=shared)
-
-
-def _embedding_row(ckpt: Checkpoint, token: int) -> np.ndarray:
-    if not 0 <= token < ckpt.config.vocab:
-        raise ValueError(f"token id out of range: {token}")
-    return np.asarray(ckpt.get_tensor("embed.weight")[token], dtype=np.float64)
+    return LayerTrace(
+        gate_scores=scores, full_scores=full, selected=selected,
+        expert_outputs=np.stack([y for y, _ in pairs], axis=1),
+        intermediates=np.stack([inter for _, inter in pairs], axis=1),
+        shared_outputs=np.stack(shared, axis=1) if shared else np.zeros((t, 0, config.d_hid)))
 
 
 def trace_all_experts(ckpt: Checkpoint, tokens: list[int],
                       reference: Checkpoint | None = None,
-                      k_override_all: bool = False) -> list[TokenTrace]:
-    """Two-stage trace: native routing plus an all-experts replay per block.
+                      k_override_all: bool = False) -> CorpusTrace:
+    """Trace ``tokens`` through the model with every expert evaluated.
 
-    With ``reference`` given (a checkpoint whose layers are dense), each block
-    trace also carries the reference FFN's output on the same replayed input.
+    Routing follows the configured top-k (every expert with
+    ``k_override_all``).  With ``reference`` given (a checkpoint whose layers
+    are dense), each block trace also carries the reference FFN's output on
+    the block's input.
     """
     config = ckpt.config
-    layers = [load_layer_weights(ckpt, i) for i in range(config.num_layers)]
-    ref_layers = None
     if reference is not None:
         if reference.config.num_layers != config.num_layers:
             raise ValueError("reference layer count differs from model")
@@ -234,33 +194,21 @@ def trace_all_experts(ckpt: Checkpoint, tokens: list[int],
             raise ValueError("reference checkpoint must be dense in every layer")
         if (reference.config.d_hid, reference.config.d_mid) != (config.d_hid, config.d_mid):
             raise ValueError("reference dimensions differ from model")
-        ref_layers = [load_layer_weights(reference, i) for i in range(config.num_layers)]
-
-    traces = []
-    for token in tokens:
-        # Stage one: native pass, keeping each block's routing and output.
-        z = _embedding_row(ckpt, token)
-        per_layer = []
-        for weights in layers:
-            z, trace = moe_layer_forward(weights, z, config, k_override_all)
-            per_layer.append(trace)
-
-        # Stage two: every expert on each block's recorded input.
-        for i, (weights, trace) in enumerate(zip(layers, per_layer)):
-            h = rmsnorm(trace.z_in) if config.use_prenorm else trace.z_in
-            pairs = [expert_forward(e, h, config.activation) for e in weights.experts]
-            trace.expert_outputs = np.stack([p[0] for p in pairs])
-            trace.intermediates = np.stack([p[1] for p in pairs])
-            if weights.shared:
-                trace.shared_outputs = np.stack(
-                    [expert_forward(e, h, config.activation)[0] for e in weights.shared])
-            else:
-                trace.shared_outputs = np.zeros((0, config.d_hid))
-            if ref_layers is not None:
-                trace.reference_output = expert_forward(
-                    ref_layers[i].experts[0], h, config.activation)[0]
-        traces.append(TokenTrace(token_id=token, per_layer=per_layer))
-    return traces
+    bad = [t for t in tokens if not 0 <= t < config.vocab]
+    if bad:
+        raise ValueError(f"token id out of range: {bad[0]}")
+    ids = np.asarray(tokens, dtype=np.int64)
+    z = [np.asarray(ckpt.get_tensor("embed.weight")[ids], dtype=np.float64)]
+    layers = []
+    for i in range(config.num_layers):
+        h = rmsnorm(z[i]) if config.use_prenorm else z[i]
+        lt = _trace_block(ckpt, i, h, k_override_all)
+        if reference is not None:
+            lt.reference_output = expert_forward(
+                load_expert(reference, f"layers.{i}.ffn"), h, config.activation)[0]
+        layers.append(lt)
+        z.append(recombined_output(lt, z[i]))
+    return CorpusTrace(token_ids=ids, z=np.stack(z), layers=layers)
 
 
 def read_corpus(path) -> list[list[int]]:

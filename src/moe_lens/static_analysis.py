@@ -210,13 +210,13 @@ def kendall_tau(seq_a, seq_b) -> float:
         raise ValueError("need at least two elements")
     if len(set(a)) != n or sorted(a) != sorted(b):
         raise ValueError("inputs must be permutations of the same set")
-    net = 0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            da = (a[i] > a[j]) - (a[i] < a[j])
-            db = (b[i] > b[j]) - (b[i] < b[j])
-            net += da * db
-    return net / (n * (n - 1) // 2)
+    # A pair is discordant when b, listed in a's order, is inverted there;
+    # concordant minus discordant is then total - 2 * discordant, exactly.
+    ranked = np.asarray(b)[np.argsort(a)]
+    discordant = sum(int(np.count_nonzero(ranked[i + 1:] < ranked[i]))
+                     for i in range(n - 1))
+    total = n * (n - 1) // 2
+    return (total - 2 * discordant) / total
 
 
 @dataclass

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ModelConfig
+from .config import ModelConfig, _is_int
 
 MAGIC = b"MOEL"
 FORMAT_VERSION = 1
@@ -224,11 +224,11 @@ def parse_checkpoint(blob: bytes) -> Checkpoint:
             raise CheckpointError(f"unsupported dtype for {name}: {entry.get('dtype')!r}")
         shape = entry.get("shape")
         if (not isinstance(shape, list) or
-                not all(isinstance(d, int) and d > 0 for d in shape)):
+                not all(_is_int(d) and d > 0 for d in shape)):
             raise CheckpointError(f"bad shape for {name}")
         offsets = entry.get("offsets")
         if (not isinstance(offsets, list) or len(offsets) != 2 or
-                not all(isinstance(o, int) and o >= 0 for o in offsets)):
+                not all(_is_int(o) and o >= 0 for o in offsets)):
             raise CheckpointError(f"bad offsets for {name}")
         start, end = offsets
         meta = TensorMeta(name=name, shape=tuple(shape), start=start, end=end)

@@ -16,7 +16,7 @@ from moe_lens import ModelConfig
 from moe_lens.cli import run_command
 from moe_lens.dynamic_analysis import (activation_ratio, angular_sim,
                                        avg_output_sim, rank_count_matrix)
-from moe_lens.moe_core import (LayerTrace, TokenTrace, gate_from_logits,
+from moe_lens.moe_core import (CorpusTrace, LayerTrace, gate_from_logits,
                                recombined_output, trace_all_experts)
 from moe_lens.static_analysis import (dbscan_outliers, kendall_tau,
                                       matrix_level_sim, gate_expert_regression,
@@ -38,36 +38,36 @@ def scratch_model(seed, layers=2, n=4, d_hid=32, d_mid=64, vocab=59, k=2):
     return synth_scratch(SynthSpec(config=cfg, mode="scratch", seed=seed))
 
 
-def norm_wired_trace(token_id, norms, d_hid=8):
-    """Trace whose gate logits are a monotone function of the output norms."""
+def norm_wired_trace(norms, d_hid=8):
+    """Trace whose gate logits are a monotone function of the output norms;
+    ``norms`` holds one row per token."""
     norms = np.asarray(norms, dtype=np.float64)
-    n = norms.shape[0]
+    t, n = norms.shape
     scores = np.exp(2.0 * norms)
-    full = scores / scores.sum()
-    order = np.argsort(-full, kind="stable")
-    gate = np.zeros(n)
-    gate[order[:2]] = full[order[:2]]
-    outs = np.zeros((n, d_hid))
-    outs[:, 0] = norms
-    return TokenTrace(token_id=token_id, per_layer=[LayerTrace(
-        z_in=np.zeros(d_hid), z_out=np.zeros(d_hid), gate_scores=gate,
-        full_scores=full, selected=order[:2].tolist(), expert_outputs=outs,
-        intermediates=np.zeros((n, 3)), shared_outputs=None,
-        reference_output=None)])
+    full = scores / scores.sum(axis=1, keepdims=True)
+    order = np.argsort(-full, axis=1, kind="stable")
+    gate = np.zeros((t, n))
+    np.put_along_axis(gate, order[:, :2], np.take_along_axis(full, order[:, :2], 1), 1)
+    outs = np.zeros((t, n, d_hid))
+    outs[:, :, 0] = norms
+    return CorpusTrace(token_ids=np.arange(t), z=np.zeros((2, t, d_hid)), layers=[LayerTrace(
+        gate_scores=gate, full_scores=full, selected=order[:, :2], expert_outputs=outs,
+        intermediates=np.zeros((t, n, 3)), shared_outputs=np.zeros((t, 0, d_hid)))])
 
 
 def test_c01_two_stage_consistency():
     model = scratch_model(seed=41, layers=4, n=8, d_hid=32, d_mid=64, vocab=59)
     tokens = np.random.default_rng(41).integers(0, 59, 50).tolist()
-    traces = trace_all_experts(model, tokens)
-    assert len(traces) == 50
-    for trace in traces:
-        assert len(trace.per_layer) == 4
-        for lt in trace.per_layer:
-            rebuilt = recombined_output(lt)
-            scale = np.linalg.norm(lt.z_out)
+    trace = trace_all_experts(model, tokens)
+    assert trace.token_ids.size == 50
+    assert len(trace.layers) == 4
+    for t in range(50):
+        for i, lt in enumerate(trace.layers):
+            rebuilt = recombined_output(lt, trace.z[i])[t]
+            z_out = trace.z[i + 1, t]
+            scale = np.linalg.norm(z_out)
             assert scale > 0
-            rel = np.linalg.norm(rebuilt - lt.z_out) / scale
+            rel = np.linalg.norm(rebuilt - z_out) / scale
             assert rel <= 1e-5
 
 
@@ -153,9 +153,9 @@ def test_c06_angular_similarity():
     assert angular_sim([1, 1], [1, 0]) == pytest.approx(0.75, abs=1e-9)
 
     model = scratch_model(seed=7, layers=2, n=4, d_hid=16, d_mid=24, vocab=13)
-    traces = trace_all_experts(model, list(range(13)))
+    trace = trace_all_experts(model, list(range(13)))
     for layer in range(2):
-        avg = avg_output_sim(traces, layer)
+        avg = avg_output_sim(trace, layer)
         defined = ~np.isnan(avg.values)
         assert np.all(avg.values[defined] >= 0.0)
         assert np.all(avg.values[defined] <= 1.0)
@@ -174,8 +174,8 @@ def test_c07_gating_order_selection_invariance(rng):
 
 
 def test_c08_norm_routing_diagonal(rng):
-    traces = [norm_wired_trace(t, rng.uniform(0.1, 3.0, 6)) for t in range(100)]
-    m = rank_count_matrix(traces, [0])
+    trace = norm_wired_trace([rng.uniform(0.1, 3.0, 6) for t in range(100)])
+    m = rank_count_matrix(trace, [0])
     counts = np.asarray(m.counts)
     assert m.total_events == 100
     np.testing.assert_array_equal(counts, np.diag(np.diag(counts)))
@@ -192,17 +192,17 @@ def test_c08_norm_routing_diagonal(rng):
 
 
 def test_c09_activation_ratio_counting():
-    tr = norm_wired_trace(0, [1.0, 2.0])
-    tr.per_layer[0].intermediates = np.array([[0.0005, 0.5, -0.2, 0.0001],
-                                              [0.1, 0.002, 0.0, -0.5]])
-    rep = activation_ratio([tr], threshold=0.001)
+    tr = norm_wired_trace([[1.0, 2.0]])
+    tr.layers[0].intermediates = np.array([[[0.0005, 0.5, -0.2, 0.0001],
+                                            [0.1, 0.002, 0.0, -0.5]]])
+    rep = activation_ratio(tr, threshold=0.001)
     assert rep.per_expert[(0, 0)] == 0.5
     assert rep.per_expert[(0, 1)] == 0.75
     assert rep.overall == 0.625
 
     model = scratch_model(seed=23, layers=2, n=4, d_hid=16, d_mid=24, vocab=13)
-    traces = trace_all_experts(model, list(range(13)))
-    sweep = [activation_ratio(traces, threshold=t).overall
+    trace = trace_all_experts(model, list(range(13)))
+    sweep = [activation_ratio(trace, threshold=t).overall
              for t in np.linspace(0.0, 2.0, 10)]
     assert all(later <= earlier for earlier, later in zip(sweep, sweep[1:]))
 

@@ -1,8 +1,12 @@
 """CSV/PPM emission primitives and end-to-end command-line runs."""
 
+import json
 import math
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -571,6 +575,19 @@ def test_report_loads_and_traces_inputs_once(workspace, tmp_path, monkeypatch):
     assert calls["trace_all_experts"] == [10, 1]
     assert calls["read_checkpoint"] == [workspace["up"], workspace["ref"]]
     assert calls["file_digest"] == [workspace["up"], workspace["ref"], workspace["corpus"]]
+
+
+def test_traced_benchmark_report_runs(workspace, tmp_path):
+    # perfbench/tracer.py wraps package functions by name, so a rename
+    # breaks the benchmark's traced run; run it as the benchmark does.
+    repo = Path(__file__).resolve().parents[1]
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run([sys.executable, str(repo / "perfbench" / "tracer.py"), str(spans),
+                           *report_argv(workspace, tmp_path / "bundle")],
+                          env={**os.environ, "PYTHONPATH": str(repo / "src")},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "moe_core.trace" in {span[0] for span in json.loads(spans.read_text())["spans"]}
 
 
 def test_report_bad_corpus_writes_nothing(workspace, tmp_path, capsys):

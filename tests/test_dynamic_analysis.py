@@ -9,7 +9,7 @@ from moe_lens import ModelConfig
 from moe_lens.dynamic_analysis import (activation_ratio, angular_sim,
                                        avg_output_sim, output_sim_per_token,
                                        rank_count_matrix, routing_pattern)
-from moe_lens.moe_core import LayerTrace, TokenTrace, trace_all_experts
+from moe_lens.moe_core import CorpusTrace, LayerTrace, trace_all_experts
 from moe_lens.static_analysis import cosine_sim
 from moe_lens.synth import SynthSpec, synth_scratch, synth_upcycled
 
@@ -28,26 +28,33 @@ def traced_model(seed=5, noise=None, n=4, layers=2, vocab=11, k=2):
     return ck, ref, trace_all_experts(ck, tokens, reference=ref)
 
 
-def synthetic_trace(token_id, logits, norms, d_hid=4, k=2):
-    """One-layer trace with chosen gate logits and output norms.
+def synthetic_trace(logits, norms, d_hid=4, k=2):
+    """One-layer trace with chosen gate logits and output norms, one row per token.
 
     Every output points along the first axis, so nonzero outputs are mutually
     parallel; rank tests only care about the norms anyway.
     """
-    n = len(logits)
-    exp = np.exp(np.asarray(logits, dtype=np.float64))
-    full = exp / exp.sum()
-    order = np.argsort(-full, kind="stable")
-    selected = order[:k].tolist()
-    scores = np.zeros(n)
-    scores[selected] = full[selected]
-    outs = np.zeros((n, d_hid))
-    outs[:, 0] = norms
-    return TokenTrace(token_id=token_id, per_layer=[LayerTrace(
-        z_in=np.zeros(d_hid), z_out=np.zeros(d_hid),
+    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    t, n = logits.shape
+    exp = np.exp(logits)
+    full = exp / exp.sum(axis=1, keepdims=True)
+    selected = np.argsort(-full, axis=1, kind="stable")[:, :k]
+    scores = np.zeros((t, n))
+    np.put_along_axis(scores, selected, np.take_along_axis(full, selected, 1), 1)
+    outs = np.zeros((t, n, d_hid))
+    outs[:, :, 0] = norms
+    return CorpusTrace(token_ids=np.arange(t), z=np.zeros((2, t, d_hid)), layers=[LayerTrace(
         gate_scores=scores, full_scores=full, selected=selected,
-        expert_outputs=outs, intermediates=np.zeros((n, 3)),
-        shared_outputs=None, reference_output=None)])
+        expert_outputs=outs, intermediates=np.zeros((t, n, 3)),
+        shared_outputs=np.zeros((t, 0, d_hid)))])
+
+
+def first_tokens(trace, t):
+    """The trace of the first ``t`` tokens alone."""
+    return CorpusTrace(token_ids=trace.token_ids[:t], z=trace.z[:, :t], layers=[
+        LayerTrace(**{name: None if value is None else value[:t]
+                      for name, value in vars(lt).items()})
+        for lt in trace.layers])
 
 
 # --- angular similarity -------------------------------------------------------
@@ -79,8 +86,8 @@ def test_angular_survives_rounding_at_extremes(rng):
 # --- per-token output similarity ------------------------------------------------
 
 def test_output_sim_identical_experts():
-    ck, ref, traces = traced_model(noise=0.0)
-    sim = output_sim_per_token(traces[0], 0)
+    ck, ref, trace = traced_model(noise=0.0)
+    sim = output_sim_per_token(trace, 0, 0)
     # Expert block only; the trailing row/column belongs to the reference.
     block = sim.values[:4, :4]
     off = ~np.eye(4, dtype=bool)
@@ -88,67 +95,59 @@ def test_output_sim_identical_experts():
 
 
 def test_output_sim_matches_direct_cosine():
-    ck, ref, traces = traced_model()
-    lt = traces[3].per_layer[1]
-    sim = output_sim_per_token(traces[3], 1)
+    ck, ref, trace = traced_model()
+    lt = trace.layers[1]
+    sim = output_sim_per_token(trace, 1, 3)
     for i in range(4):
         for j in range(4):
             if i == j:
                 continue
-            want = cosine_sim(lt.expert_outputs[i], lt.expert_outputs[j])
+            want = cosine_sim(lt.expert_outputs[3, i], lt.expert_outputs[3, j])
             assert sim.values[i, j] == pytest.approx(want, abs=1e-12)
 
 
 def test_output_sim_masks_zero_outputs():
-    tr = synthetic_trace(0, logits=[1.0, 2.0, 3.0], norms=[1.0, 0.0, 2.0])
-    sim = output_sim_per_token(tr, 0)
+    tr = synthetic_trace(logits=[1.0, 2.0, 3.0], norms=[1.0, 0.0, 2.0])
+    sim = output_sim_per_token(tr, 0, 0)
     assert np.isnan(sim.values[1, 0]) and np.isnan(sim.values[0, 1])
     assert np.isnan(sim.values[1, 1])
     assert sim.values[0, 2] == pytest.approx(1.0)
 
 
 def test_output_sim_marks_selected():
-    ck, ref, traces = traced_model()
-    sim = output_sim_per_token(traces[0], 0)
-    native = traces[0].per_layer[0].selected
+    ck, ref, trace = traced_model()
+    sim = output_sim_per_token(trace, 0, 0)
+    native = trace.layers[0].selected[0]
     assert sim.selected_labels == [str(e) for e in native]
 
 
 def test_output_sim_includes_reference_column():
-    ck, ref, traces = traced_model(noise=0.3)
-    sim = output_sim_per_token(traces[0], 0)
+    ck, ref, trace = traced_model(noise=0.3)
+    sim = output_sim_per_token(trace, 0, 0)
     assert sim.labels[-1] == "F"
     assert sim.values.shape == (5, 5)
     assert sim.s_ef is not None
 
 
-def test_output_sim_requires_full_trace():
-    bare = TokenTrace(token_id=0, per_layer=[LayerTrace(
-        z_in=np.zeros(4), z_out=np.zeros(4), gate_scores=np.ones(1),
-        full_scores=np.ones(1), selected=[0])])
-    with pytest.raises(ValueError, match="all-expert outputs"):
-        output_sim_per_token(bare, 0)
-
-
 def test_output_sim_layer_out_of_range():
-    ck, ref, traces = traced_model()
+    ck, ref, trace = traced_model()
     with pytest.raises(ValueError, match="out of range"):
-        output_sim_per_token(traces[0], 5)
+        output_sim_per_token(trace, 5, 0)
 
 
 # --- averaged output similarity ----------------------------------------------------
 
 def test_avg_output_sim_single_token_equals_angular_of_per_token():
-    ck, ref, traces = traced_model()
-    avg = avg_output_sim(traces[:1], 0)
-    per = output_sim_per_token(traces[0], 0)
+    ck, ref, trace = traced_model()
+    avg = avg_output_sim(first_tokens(trace, 1), 0)
+    per = output_sim_per_token(trace, 0, 0)
     want = 1.0 - np.arccos(per.values) / np.pi
     np.testing.assert_allclose(avg.values, want, atol=1e-12)
 
 
 def test_avg_output_sim_bounds_and_diagonal():
-    ck, ref, traces = traced_model()
-    avg = avg_output_sim(traces, 1)
+    ck, ref, trace = traced_model()
+    avg = avg_output_sim(trace, 1)
     defined = ~np.isnan(avg.values)
     assert np.all(avg.values[defined] >= 0.0)
     assert np.all(avg.values[defined] <= 1.0)
@@ -156,17 +155,17 @@ def test_avg_output_sim_bounds_and_diagonal():
 
 
 def test_avg_output_sim_order_invariant():
-    ck, ref, traces = traced_model()
-    fwd = avg_output_sim(traces, 0)
-    rev = avg_output_sim(list(reversed(traces)), 0)
+    ck, ref, trace = traced_model()
+    fwd = avg_output_sim(trace, 0)
+    rev = avg_output_sim(trace_all_experts(ck, trace.token_ids[::-1].tolist()), 0)
     np.testing.assert_allclose(fwd.values, rev.values, atol=1e-12)
 
 
 def test_avg_output_sim_separates_upcycled_from_scratch():
-    _, _, up_traces = traced_model(seed=9, noise=0.3)
-    _, _, sc_traces = traced_model(seed=9)
-    up = avg_output_sim(up_traces, 0)
-    sc = avg_output_sim(sc_traces, 0)
+    _, _, up_trace = traced_model(seed=9, noise=0.3)
+    _, _, sc_trace = traced_model(seed=9)
+    up = avg_output_sim(up_trace, 0)
+    sc = avg_output_sim(sc_trace, 0)
     off = ~np.eye(4, dtype=bool)
     up_mean = np.nanmean(up.values[:4, :4][off])
     sc_mean = np.nanmean(sc.values[off])
@@ -174,17 +173,18 @@ def test_avg_output_sim_separates_upcycled_from_scratch():
 
 
 def test_avg_output_sim_counts_defined_cells_only():
-    tr_a = synthetic_trace(0, logits=[1.0, 2.0, 3.0], norms=[1.0, 0.0, 2.0])
-    tr_b = synthetic_trace(1, logits=[1.0, 2.0, 3.0], norms=[1.0, 3.0, 2.0])
-    avg = avg_output_sim([tr_a, tr_b], 0)
+    trace = synthetic_trace(logits=[[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]],
+                            norms=[[1.0, 0.0, 2.0], [1.0, 3.0, 2.0]])
+    avg = avg_output_sim(trace, 0)
     # Cell (0,1) is defined only in the second trace; the masked first one must
     # not dilute it toward zero.
     assert avg.values[0, 1] == pytest.approx(1.0)
 
 
 def test_avg_output_sim_empty_rejected():
+    ck, _, trace = traced_model()
     with pytest.raises(ValueError, match="no traces"):
-        avg_output_sim([], 0)
+        avg_output_sim(trace_all_experts(ck, []), 0)
 
 
 # --- norms and rank counting --------------------------------------------------------
@@ -192,8 +192,8 @@ def test_avg_output_sim_empty_rejected():
 def test_rank_count_frozen_two_expert_event():
     # norms [5, 2]: expert 0 ranks 2nd-smallest, expert 1 ranks 1st.
     # logits [0.2, 0.8]: expert 0 ranks 1st-smallest, expert 1 ranks 2nd.
-    tr = synthetic_trace(0, logits=[0.2, 0.8], norms=[5.0, 2.0])
-    m = rank_count_matrix([tr], [0])
+    tr = synthetic_trace(logits=[0.2, 0.8], norms=[5.0, 2.0])
+    m = rank_count_matrix(tr, [0])
     assert m.total_events == 1
     assert m.counts[1][0] == 1
     assert m.counts[0][1] == 1
@@ -201,63 +201,60 @@ def test_rank_count_frozen_two_expert_event():
 
 
 def test_rank_count_perfect_agreement_is_diagonal():
-    traces = [synthetic_trace(i, logits=[3.0, 2.0, 1.0], norms=[9.0, 5.0, 1.0])
-              for i in range(7)]
-    m = rank_count_matrix(traces, [0])
+    trace = synthetic_trace(logits=[[3.0, 2.0, 1.0]] * 7, norms=[[9.0, 5.0, 1.0]] * 7)
+    m = rank_count_matrix(trace, [0])
     assert m.total_events == 7
     np.testing.assert_array_equal(np.asarray(m.counts), np.diag([7, 7, 7]))
 
 
 def test_rank_count_marginals():
     rng = np.random.default_rng(11)
-    traces = [synthetic_trace(i, logits=rng.normal(size=4).tolist(),
-                              norms=rng.uniform(0.1, 5.0, 4).tolist())
-              for i in range(25)]
-    m = rank_count_matrix(traces, [0])
+    rows = [(rng.normal(size=4), rng.uniform(0.1, 5.0, 4)) for i in range(25)]
+    trace = synthetic_trace(logits=[l for l, _ in rows], norms=[n for _, n in rows])
+    m = rank_count_matrix(trace, [0])
     counts = np.asarray(m.counts)
     np.testing.assert_array_equal(counts.sum(axis=0), 25)
     np.testing.assert_array_equal(counts.sum(axis=1), 25)
 
 
 def test_rank_count_ties_broken_by_expert_index():
-    tr = synthetic_trace(0, logits=[1.0, 1.0], norms=[2.0, 2.0])
-    m = rank_count_matrix([tr], [0])
+    tr = synthetic_trace(logits=[1.0, 1.0], norms=[2.0, 2.0])
+    m = rank_count_matrix(tr, [0])
     # Both rankings resolve ties in expert order, so the event is diagonal.
     assert m.counts[0][0] == 1
     assert m.counts[1][1] == 1
 
 
 def test_rank_count_rejects_mixed_widths():
-    ck, _, traces = traced_model(n=4)
     cfg = ModelConfig(num_layers=2, experts_per_layer=[4, 6], num_shared=[0, 0],
                       top_k=2, d_hid=8, d_mid=12, vocab=5)
     mixed = synth_scratch(SynthSpec(config=cfg, mode="scratch", seed=3))
-    mixed_traces = trace_all_experts(mixed, [0, 1])
+    mixed_trace = trace_all_experts(mixed, [0, 1])
     with pytest.raises(ValueError, match="differing expert counts"):
-        rank_count_matrix(mixed_traces, [0, 1])
+        rank_count_matrix(mixed_trace, [0, 1])
 
 
 def test_rank_count_accumulates_across_layers():
-    ck, ref, traces = traced_model()
-    both = rank_count_matrix(traces, [0, 1])
-    only0 = rank_count_matrix(traces, [0])
-    only1 = rank_count_matrix(traces, [1])
+    ck, ref, trace = traced_model()
+    both = rank_count_matrix(trace, [0, 1])
+    only0 = rank_count_matrix(trace, [0])
+    only1 = rank_count_matrix(trace, [1])
     np.testing.assert_array_equal(both.counts, only0.counts + only1.counts)
-    assert both.total_events == 2 * len(traces)
+    assert both.total_events == 2 * trace.token_ids.size
 
 
 # --- activation ratio ----------------------------------------------------------------
 
 def make_intermediate_trace(values):
-    tr = synthetic_trace(0, logits=[1.0, 2.0], norms=[1.0, 1.0])
-    tr.per_layer[0].intermediates = np.asarray(values, dtype=np.float64)
+    tr = synthetic_trace(logits=[1.0, 2.0], norms=[1.0, 1.0])
+    tr.layers[0].intermediates = np.asarray([values], dtype=np.float64)
     return tr
 
 
 def test_activation_ratio_frozen_example():
     tr = make_intermediate_trace([[0.0005, 0.5, -0.2, 0.0001],
                                   [1.0, 1.0, 1.0, 1.0]])
-    rep = activation_ratio([tr], threshold=0.001)
+    rep = activation_ratio(tr, threshold=0.001)
     assert rep.per_expert[(0, 0)] == pytest.approx(0.5)
     assert rep.per_expert[(0, 1)] == pytest.approx(1.0)
     assert rep.overall == pytest.approx(0.75)
@@ -265,48 +262,48 @@ def test_activation_ratio_frozen_example():
 
 def test_activation_ratio_strictly_above():
     tr = make_intermediate_trace([[0.001, 0.002], [0.0, 0.0015]])
-    rep = activation_ratio([tr], threshold=0.001)
+    rep = activation_ratio(tr, threshold=0.001)
     # Entries equal to the threshold do not count.
     assert rep.per_expert[(0, 0)] == pytest.approx(0.5)
     assert rep.per_expert[(0, 1)] == pytest.approx(0.5)
 
 
 def test_activation_ratio_monotone_in_threshold():
-    ck, ref, traces = traced_model()
-    fracs = [activation_ratio(traces, threshold=t).overall
+    ck, ref, trace = traced_model()
+    fracs = [activation_ratio(trace, threshold=t).overall
              for t in np.linspace(0.0, 2.0, 10)]
     assert all(b <= a + 1e-12 for a, b in zip(fracs, fracs[1:]))
 
 
 def test_activation_ratio_all_zero_intermediates():
     tr = make_intermediate_trace(np.zeros((2, 6)))
-    rep = activation_ratio([tr], threshold=0.001)
+    rep = activation_ratio(tr, threshold=0.001)
     assert rep.overall == 0.0
 
 
 def test_activation_ratio_keys_cover_layers_and_experts():
-    ck, ref, traces = traced_model(layers=2, n=3)
-    rep = activation_ratio(traces, threshold=0.01)
+    ck, ref, trace = traced_model(layers=2, n=3)
+    rep = activation_ratio(trace, threshold=0.01)
     assert set(rep.per_expert) == {(l, e) for l in range(2) for e in range(3)}
 
 
 def test_activation_ratio_rejects_negative_threshold():
     with pytest.raises(ValueError, match="nonnegative"):
-        activation_ratio([synthetic_trace(0, [1.0, 2.0], [1.0, 1.0])], threshold=-0.1)
+        activation_ratio(synthetic_trace([1.0, 2.0], [1.0, 1.0]), threshold=-0.1)
 
 
 # --- routing log --------------------------------------------------------------------
 
 def test_routing_pattern_counts_and_scores():
-    ck, ref, traces = traced_model(k=2)
-    log = routing_pattern(traces)
-    assert len(log.entries) == len(traces) * 2
+    ck, ref, trace = traced_model(k=2)
+    log = routing_pattern(trace)
+    assert len(log.entries) == trace.token_ids.size * 2
     for ent in log.entries:
-        lt = traces[ent.token_index].per_layer[ent.layer]
-        assert ent.token_id == traces[ent.token_index].token_id
-        assert [e for e, _ in ent.selections] == lt.selected
+        lt = trace.layers[ent.layer]
+        assert ent.token_id == trace.token_ids[ent.token_index]
+        assert [e for e, _ in ent.selections] == lt.selected[ent.token_index].tolist()
         for expert, score in ent.selections:
-            assert score == pytest.approx(float(lt.gate_scores[expert]))
+            assert score == pytest.approx(float(lt.gate_scores[ent.token_index, expert]))
         scores = [s for _, s in ent.selections]
         assert scores == sorted(scores, reverse=True)
 
@@ -315,7 +312,6 @@ def test_routing_pattern_skips_single_expert_layers():
     cfg = ModelConfig(num_layers=2, experts_per_layer=[1, 4], num_shared=[0, 0],
                       top_k=1, d_hid=8, d_mid=12, vocab=5)
     ck = synth_scratch(SynthSpec(config=cfg, mode="scratch", seed=2))
-    traces = trace_all_experts(ck, [0, 1, 2])
-    log = routing_pattern(traces)
+    log = routing_pattern(trace_all_experts(ck, [0, 1, 2]))
     assert {e.layer for e in log.entries} == {1}
 

@@ -1,4 +1,8 @@
-"""Forward engine: activations, experts, gating, layers, and two-stage traces."""
+"""Forward engine: activations, experts, gating, layers, and corpus traces.
+
+The layer tests pin the per-token oracle to hand computations; the trace
+tests pin the corpus-wide engine to that oracle.
+"""
 
 import math
 
@@ -6,12 +10,12 @@ import numpy as np
 import pytest
 
 from moe_lens import ModelConfig
-from moe_lens.moe_core import (Expert, GateParams, activation_fn, expert_forward,
-                               flatten_corpus, gate_from_logits, moe_layer_forward,
-                               read_corpus, recombined_output, rmsnorm,
+from moe_lens.moe_core import (Expert, activation_fn, expert_forward, flatten_corpus,
+                               gate_from_logits, read_corpus, recombined_output, rmsnorm,
                                trace_all_experts)
-from moe_lens.moe_core import LayerWeights
-from moe_lens.synth import SynthSpec, synth_scratch
+from moe_lens.synth import SynthSpec, synth_scratch, synth_upcycled
+from per_token_oracle import (GateParams, LayerWeights, assert_trace_matches,
+                              load_layer_weights, moe_layer_forward, trace_per_token)
 
 
 # --- independent oracles -----------------------------------------------------
@@ -115,7 +119,7 @@ def test_gate_topk_then_softmax_frozen_example():
     scores, selected = gate_from_logits(np.array([1.0, 2.0, 3.0]), 2,
                                         "topk_then_softmax")
     ref = softmax_ref([2.0, 3.0])
-    assert selected == [2, 1]
+    assert selected.tolist() == [2, 1]
     assert abs(scores[0]) == 0.0
     assert abs(scores[1] - ref[0]) < 1e-9   # 0.268941
     assert abs(scores[2] - ref[1]) < 1e-9   # 0.731059
@@ -126,7 +130,7 @@ def test_gate_softmax_then_topk_frozen_example():
     scores, selected = gate_from_logits(np.array([1.0, 2.0, 3.0]), 2,
                                         "softmax_then_topk")
     ref = softmax_ref([1.0, 2.0, 3.0])
-    assert selected == [2, 1]
+    assert selected.tolist() == [2, 1]
     assert scores[0] == 0.0
     assert abs(scores[1] - ref[1]) < 1e-9   # 0.244728
     assert abs(scores[2] - ref[2]) < 1e-9   # 0.665241
@@ -140,13 +144,13 @@ def test_gate_orders_select_same_experts_when_tie_free(rng):
         for k in (1, 3, 8):
             _, sel_a = gate_from_logits(logits, k, "topk_then_softmax")
             _, sel_b = gate_from_logits(logits, k, "softmax_then_topk")
-            assert sel_a == sel_b
+            assert sel_a.tolist() == sel_b.tolist()
 
 
 def test_gate_tie_goes_to_lower_index():
     scores, selected = gate_from_logits(np.array([1.0, 1.0, 0.0]), 1,
                                         "topk_then_softmax")
-    assert selected == [0]
+    assert selected.tolist() == [0]
     assert scores[0] == 1.0
 
 
@@ -241,20 +245,20 @@ def test_trace_zero_layers_keeps_embedding():
     cfg = ModelConfig(num_layers=0, experts_per_layer=[], num_shared=[], top_k=1,
                       d_hid=4, d_mid=5, vocab=3)
     ck = synth_scratch(SynthSpec(config=cfg, mode="scratch", seed=0))
-    traces = trace_all_experts(ck, [1])
-    assert [t.per_layer for t in traces] == [[]]
+    trace = trace_all_experts(ck, [1])
+    assert trace.layers == []
+    np.testing.assert_array_equal(trace.z, [[ck.get_tensor("embed.weight")[1]]])
 
 
 def test_trace_composes_layers(small_checkpoint):
-    from moe_lens.moe_core import load_layer_weights
     ck = small_checkpoint
     tokens = [3, 8, 3]
-    traces = trace_all_experts(ck, tokens)
-    for token, trace in zip(tokens, traces):
+    trace = trace_all_experts(ck, tokens)
+    for t, token in enumerate(tokens):
         z = np.asarray(ck.get_tensor("embed.weight")[token], dtype=np.float64)
         for i in range(ck.config.num_layers):
             z, _ = moe_layer_forward(load_layer_weights(ck, i), z, ck.config)
-        np.testing.assert_array_equal(trace.per_layer[-1].z_out, z)
+        np.testing.assert_allclose(trace.z[-1, t], z, rtol=0, atol=1e-12)
 
 
 def test_trace_token_out_of_range(small_checkpoint):
@@ -265,77 +269,113 @@ def test_trace_token_out_of_range(small_checkpoint):
 def test_trace_shapes_and_native_routing(small_checkpoint):
     ck = small_checkpoint
     tokens = [0, 5, 9]
-    traces = trace_all_experts(ck, tokens)
-    assert len(traces) == 3
-    for trace, token in zip(traces, tokens):
-        assert trace.token_id == token
-        assert len(trace.per_layer) == 2
-        for lt in trace.per_layer:
-            assert lt.expert_outputs.shape == (4, 8)
-            assert lt.intermediates.shape == (4, 12)
-            assert len(lt.selected) == 2
-            assert set(np.flatnonzero(lt.gate_scores)) == set(lt.selected)
-            assert abs(lt.full_scores.sum() - 1.0) < 1e-9
+    trace = trace_all_experts(ck, tokens)
+    assert trace.token_ids.tolist() == tokens
+    assert trace.z.shape == (3, 3, 8)
+    assert len(trace.layers) == 2
+    for lt in trace.layers:
+        assert lt.expert_outputs.shape == (3, 4, 8)
+        assert lt.intermediates.shape == (3, 4, 12)
+        assert lt.selected.shape == (3, 2)
+        for t in range(3):
+            assert set(np.flatnonzero(lt.gate_scores[t])) == set(lt.selected[t])
+            assert abs(lt.full_scores[t].sum() - 1.0) < 1e-9
 
 
 def test_trace_recombination_reproduces_recorded_outputs(small_checkpoint):
-    traces = trace_all_experts(small_checkpoint, list(range(10)))
-    for trace in traces:
-        for lt in trace.per_layer:
-            scale = np.linalg.norm(lt.z_out)
-            err = np.linalg.norm(recombined_output(lt) - lt.z_out)
-            assert err <= 1e-5 * max(scale, 1e-12)
+    trace = trace_all_experts(small_checkpoint, list(range(10)))
+    for i, lt in enumerate(trace.layers):
+        z_out = trace.z[i + 1]
+        scale = np.linalg.norm(z_out, axis=1)
+        err = np.linalg.norm(recombined_output(lt, trace.z[i]) - z_out, axis=1)
+        assert np.all(err <= 1e-5 * np.maximum(scale, 1e-12))
 
 
 def test_trace_selected_matches_native_forward(small_checkpoint):
     ck = small_checkpoint
-    traces = trace_all_experts(ck, [4])
-    # An independent stage-one pass must agree with the trace's routing.
-    from moe_lens.moe_core import load_layer_weights
+    trace = trace_all_experts(ck, [4])
+    # An independent per-token pass must agree with the trace's routing.
     x = np.asarray(ck.get_tensor("embed.weight")[4], dtype=np.float64)
     z = x
-    for i, lt in enumerate(traces[0].per_layer):
+    for i, lt in enumerate(trace.layers):
         _, fresh = moe_layer_forward(load_layer_weights(ck, i), z, ck.config)
-        assert fresh.selected == lt.selected
-        np.testing.assert_array_equal(lt.z_in, z)
+        assert fresh.selected == lt.selected[0].tolist()
+        np.testing.assert_allclose(trace.z[i, 0], z, rtol=0, atol=1e-12)
         z = fresh.z_out
-        np.testing.assert_array_equal(lt.z_out, z)
+        np.testing.assert_allclose(trace.z[i + 1, 0], z, rtol=0, atol=1e-12)
 
 
 def test_trace_with_shared_and_dense_layers():
     cfg = ModelConfig(num_layers=3, experts_per_layer=[4, 1, 3], num_shared=[1, 0, 0],
                       top_k=2, d_hid=8, d_mid=10, vocab=13)
     ck = synth_scratch(SynthSpec(config=cfg, mode="scratch", seed=77))
-    traces = trace_all_experts(ck, [1, 2])
-    for trace in traces:
-        dense = trace.per_layer[1]
-        assert dense.expert_outputs.shape == (1, 8)
-        assert dense.selected == [0]
-        assert dense.gate_scores.tolist() == [1.0]
-        assert trace.per_layer[0].shared_outputs.shape == (1, 8)
-        assert trace.per_layer[2].shared_outputs.shape == (0, 8)
-        for lt in trace.per_layer:
-            err = np.linalg.norm(recombined_output(lt) - lt.z_out)
-            assert err <= 1e-5 * max(np.linalg.norm(lt.z_out), 1e-12)
+    trace = trace_all_experts(ck, [1, 2])
+    dense = trace.layers[1]
+    assert dense.expert_outputs.shape == (2, 1, 8)
+    assert dense.selected.tolist() == [[0], [0]]
+    assert dense.gate_scores.tolist() == [[1.0], [1.0]]
+    assert trace.layers[0].shared_outputs.shape == (2, 1, 8)
+    assert trace.layers[2].shared_outputs.shape == (2, 0, 8)
+    for i, lt in enumerate(trace.layers):
+        z_out = trace.z[i + 1]
+        err = np.linalg.norm(recombined_output(lt, trace.z[i]) - z_out, axis=1)
+        assert np.all(err <= 1e-5 * np.maximum(np.linalg.norm(z_out, axis=1), 1e-12))
 
 
 def test_trace_k_override_routes_everything(small_checkpoint):
-    traces = trace_all_experts(small_checkpoint, [0], k_override_all=True)
-    lt = traces[0].per_layer[0]
-    assert sorted(lt.selected) == [0, 1, 2, 3]
-    assert abs(lt.gate_scores.sum() - 1.0) < 1e-9
+    trace = trace_all_experts(small_checkpoint, [0], k_override_all=True)
+    lt = trace.layers[0]
+    assert sorted(lt.selected[0].tolist()) == [0, 1, 2, 3]
+    assert abs(lt.gate_scores[0].sum() - 1.0) < 1e-9
 
 
 def test_trace_reference_outputs_present():
-    from moe_lens.synth import synth_upcycled
     cfg = ModelConfig(num_layers=2, experts_per_layer=[3, 3], num_shared=[0, 0],
                       top_k=1, d_hid=6, d_mid=8, vocab=7)
     model, ref = synth_upcycled(SynthSpec(config=cfg, mode="upcycled", seed=5,
                                           upcycle_noise_std=0.5))
-    traces = trace_all_experts(model, [0], reference=ref)
-    lt = traces[0].per_layer[0]
+    trace = trace_all_experts(model, [0], reference=ref)
+    lt = trace.layers[0]
     assert lt.reference_output is not None
-    assert lt.reference_output.shape == (6,)
+    assert lt.reference_output.shape == (1, 6)
+
+
+def upcycled_pair(noise):
+    cfg = ModelConfig(num_layers=2, experts_per_layer=[4, 4], num_shared=[0, 0],
+                      top_k=2, d_hid=16, d_mid=24, vocab=29)
+    return synth_upcycled(SynthSpec(config=cfg, mode="upcycled", seed=13,
+                                    upcycle_noise_std=noise))
+
+
+def fine_grained_model():
+    """Dense middle layer, shared experts, softmax-then-top-k, gelu, no prenorm."""
+    cfg = ModelConfig(num_layers=3, experts_per_layer=[6, 1, 6], num_shared=[2, 0, 2],
+                      top_k=2, d_hid=16, d_mid=20, vocab=31, activation="gelu",
+                      gating_order="softmax_then_topk", use_prenorm=False)
+    return synth_scratch(SynthSpec(config=cfg, mode="scratch", seed=21))
+
+
+@pytest.mark.parametrize("with_ref, k_override_all", [(False, False), (True, False),
+                                                      (True, True)])
+def test_trace_matches_per_token_oracle(with_ref, k_override_all):
+    tokens = [0, 7, 28, 7, 12, 3]
+    if with_ref:
+        model, ref = upcycled_pair(noise=0.3)
+    else:
+        model, ref = fine_grained_model(), None
+    trace = trace_all_experts(model, tokens, ref, k_override_all)
+    assert_trace_matches(trace, trace_per_token(model, tokens, ref, k_override_all))
+
+
+def test_trace_identical_experts_give_equal_outputs():
+    model, ref = upcycled_pair(noise=0.0)
+    tokens = list(range(29))
+    trace = trace_all_experts(model, tokens, ref)
+    assert_trace_matches(trace, trace_per_token(model, tokens, ref))
+    for lt in trace.layers:
+        for n in range(1, 4):
+            assert np.array_equal(lt.expert_outputs[:, 0], lt.expert_outputs[:, n])
+            assert np.array_equal(lt.intermediates[:, 0], lt.intermediates[:, n])
 
 
 # --- corpus ------------------------------------------------------------------

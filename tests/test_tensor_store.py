@@ -250,6 +250,16 @@ def test_read_rejects_mistyped_config(field, value):
         parse_checkpoint(_reassemble(header, data))
 
 
+@pytest.mark.parametrize("field, value", [("shape", [True, True]), ("offsets", [False, 4])])
+def test_read_rejects_boolean_tensor_directory(field, value):
+    config = tiny_config(num_layers=0, experts_per_layer=[], num_shared=[], d_hid=1, vocab=1)
+    blob = serialize_checkpoint(build_checkpoint(config, full_tensor_map(config)))
+    header, data = _header_and_data(blob)
+    header["tensors"]["embed.weight"][field] = value
+    with pytest.raises(CheckpointError, match=f"bad {field} for embed.weight"):
+        parse_checkpoint(_reassemble(header, data))
+
+
 def test_config_rejects_top_k_above_smallest_gated():
     with pytest.raises(ValueError, match="top_k"):
         tiny_config(num_layers=2, experts_per_layer=[4, 2], num_shared=[0, 0], top_k=3)
