@@ -9,6 +9,7 @@ inputs reproduces every artifact byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -56,13 +57,13 @@ class Context:
     def out(self) -> str:
         return self.args.out
 
-    def corpus_trace(self, reference: Checkpoint | None) -> CorpusTrace:
-        """The shared corpus trace, else a new one; steps that pass no
-        reference never read the reference outputs a shared trace carries."""
+    def corpus_trace(self) -> CorpusTrace:
+        """The shared corpus trace, else a new one; steps without ``--ref``
+        never read the reference outputs a shared trace carries."""
         k_override_all = self.args.k_override == "all"
         if self.trace is not None and not k_override_all:
             return self.trace
-        return trace_all_experts(self.model, self.tokens, reference, k_override_all)
+        return trace_all_experts(self.model, self.tokens, self.reference, k_override_all)
 
 
 def _load_context(args, argv: list[str], loaded: Context | None,
@@ -156,21 +157,14 @@ def _cmd_synth(args, argv, _loaded) -> list[str]:
     return written
 
 
-def _cmd_matrix_sim(args, argv, loaded) -> list[str]:
+def _cmd_weight_sim(args, argv, loaded) -> list[str]:
+    """matrix-sim or neuron-avg-sim, named by the subcommand."""
     ctx = _load_context(args, argv, loaded)
+    analysis = sta.matrix_level_sim if args.command == "matrix-sim" else sta.neuron_average_sim
     written = []
     for layer in _select_layers(args.layer, ctx.model, gated_only=args.layer == "all"):
-        sim = sta.matrix_level_sim(ctx.model, layer, args.which, ctx.reference)
-        written += _emit_matrix_pair(ctx, f"matrix-sim-layer{layer}-{args.which}", sim)
-    return written
-
-
-def _cmd_neuron_avg_sim(args, argv, loaded) -> list[str]:
-    ctx = _load_context(args, argv, loaded)
-    written = []
-    for layer in _select_layers(args.layer, ctx.model, gated_only=args.layer == "all"):
-        sim = sta.neuron_average_sim(ctx.model, layer, args.which, ctx.reference)
-        written += _emit_matrix_pair(ctx, f"neuron-avg-sim-layer{layer}-{args.which}", sim)
+        sim = analysis(ctx.model, layer, args.which, ctx.reference)
+        written += _emit_matrix_pair(ctx, f"{args.command}-layer{layer}-{args.which}", sim)
     return written
 
 
@@ -181,7 +175,7 @@ def _cmd_reorder(args, argv, loaded) -> list[str]:
     taus = []
     for layer in layers:
         for rep in sta.pairwise_reorder_reports(ctx.model, layer, args.which):
-            rows.append([layer, rep.pair[0], rep.pair[1], rep.which,
+            rows.append([layer, rep.pair[0], rep.pair[1], args.which,
                          rep.sim_before, rep.sim_after, rep.tau])
             taus.append(rep.tau)
     if not rows:
@@ -221,15 +215,16 @@ def _cmd_pca(args, argv, loaded) -> list[str]:
     ctx = _load_context(args, argv, loaded)
     written = []
     for layer in _select_layers(args.layer, ctx.model, gated_only=True):
-        n = ctx.model.config.experts_per_layer[layer]
-        mats = sta.layer_expert_matrices(ctx.model, layer, args.which)
+        if ctx.model.config.is_dense(layer):
+            raise ValueError(f"layer {layer} is dense; no expert population")
+        stack, experts = sta.layer_weights(ctx.model, layer, args.which)
         if args.level == "matrix":
-            vectors = [m.ravel() for m in mats]
-            labels = [str(e) for e in range(n)]
+            vectors = stack.reshape(len(stack), -1)
+            labels = experts
         else:
-            neurons = [m.T if args.which == "down" else m for m in mats]
-            vectors = [row for m in neurons for row in m]
-            labels = [f"{e}.{j}" for e, m in enumerate(neurons) for j in range(m.shape[0])]
+            neurons = sta.neuron_rows(stack, args.which)
+            vectors = neurons.reshape(-1, neurons.shape[-1])
+            labels = [f"{e}.{j}" for e in experts for j in range(neurons.shape[1])]
         proj = sta.pca_project(vectors, dims=args.dims,
                                standardize=not args.no_standardize, labels=labels)
         if args.eps is not None:
@@ -239,7 +234,7 @@ def _cmd_pca(args, argv, loaded) -> list[str]:
             "outliers: " + (" ".join(proj.outliers) if proj.outliers else "-"),
             f"level: {args.level}",
         ]
-        rows = [[label, *coords] for label, coords in proj.points]
+        rows = [[label, *coords] for label, coords in zip(proj.labels, proj.coords)]
         path = os.path.join(ctx.out, f"pca-layer{layer}-{args.which}-{args.level}.csv")
         emit_csv(path, ctx.provenance,
                  ["label", *[f"pc{d + 1}" for d in range(args.dims)]],
@@ -250,7 +245,7 @@ def _cmd_pca(args, argv, loaded) -> list[str]:
 
 def _cmd_trace(args, argv, loaded) -> list[str]:
     ctx = _load_context(args, argv, loaded, need_corpus=True)
-    trace = ctx.corpus_trace(ctx.reference)
+    trace = ctx.corpus_trace()
     errs = np.zeros((trace.token_ids.size, len(trace.layers)))
     for layer, lt in enumerate(trace.layers):
         z_out = trace.z[layer + 1]
@@ -284,7 +279,7 @@ def _cmd_out_sim(args, argv, loaded) -> list[str]:
 
 def _cmd_avg_out_sim(args, argv, loaded) -> list[str]:
     ctx = _load_context(args, argv, loaded, need_corpus=True)
-    trace = ctx.corpus_trace(ctx.reference)
+    trace = ctx.corpus_trace()
     written = []
     for layer in _select_layers(args.layer, ctx.model, gated_only=args.layer == "all"):
         sim = dyn.avg_output_sim(trace, layer)
@@ -294,7 +289,7 @@ def _cmd_avg_out_sim(args, argv, loaded) -> list[str]:
 
 def _cmd_norm_rank(args, argv, loaded) -> list[str]:
     ctx = _load_context(args, argv, loaded, need_corpus=True)
-    trace = ctx.corpus_trace(None)
+    trace = ctx.corpus_trace()
     layers = _select_layers(args.layer, ctx.model, gated_only=True)
     config = ctx.model.config
     groups: dict[int, list[int]] = {}
@@ -324,7 +319,7 @@ def _cmd_norm_rank(args, argv, loaded) -> list[str]:
 
 def _cmd_act_ratio(args, argv, loaded) -> list[str]:
     ctx = _load_context(args, argv, loaded, need_corpus=True)
-    report = dyn.activation_ratio(ctx.corpus_trace(None), threshold=args.threshold)
+    report = dyn.activation_ratio(ctx.corpus_trace(), threshold=args.threshold)
     rows = [[layer, expert, ratio]
             for (layer, expert), ratio in report.per_expert.items()]
     rows.append(["overall", None, report.overall])
@@ -336,7 +331,7 @@ def _cmd_act_ratio(args, argv, loaded) -> list[str]:
 
 def _cmd_route_log(args, argv, loaded) -> list[str]:
     ctx = _load_context(args, argv, loaded, need_corpus=True)
-    log = dyn.routing_pattern(ctx.corpus_trace(None))
+    log = dyn.routing_pattern(ctx.corpus_trace())
     rows = []
     for entry in log.entries:
         for slot, (expert, score) in enumerate(entry.selections):
@@ -414,7 +409,10 @@ def _add_corpus(parser):
                         help="route every expert instead of the configured top-k")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``moe-lens`` parser, built once per process and shared by every
+    ``run_command`` call, of which a report makes one per step."""
     parser = argparse.ArgumentParser(prog="moe-lens",
                                      description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -442,15 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="upcycling noise ratio relative to --init-std")
     p.set_defaults(func=_cmd_synth)
 
-    for name, func, needs_which in (("matrix-sim", _cmd_matrix_sim, True),
-                                    ("neuron-avg-sim", _cmd_neuron_avg_sim, True)):
+    for name in ("matrix-sim", "neuron-avg-sim"):
         p = commands.add_parser(name, help=f"{name} over expert weights")
         _add_model(p)
         p.add_argument("--layer", default="all")
-        p.add_argument("--which", required=needs_which,
-                       choices=list(sta.WHICH_MATRICES))
+        p.add_argument("--which", required=True, choices=list(sta.WHICH_MATRICES))
         _add_common_out(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_weight_sim)
 
     p = commands.add_parser("reorder", help="neuron alignment between expert pairs")
     _add_model(p, with_ref=False)

@@ -140,6 +140,8 @@ def activation_ratio(trace: CorpusTrace, threshold: float = 0.001) -> Activation
         raise ValueError("threshold must be nonnegative")
     if trace.token_ids.size == 0:
         raise ValueError("no traces given: the trace holds no tokens")
+    if not trace.layers:
+        raise ValueError("no intermediates to count: the model has no layers")
     per_expert: dict[tuple[int, int], float] = {}
     hits = total = 0
     for layer, lt in enumerate(trace.layers):

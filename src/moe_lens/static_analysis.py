@@ -9,12 +9,12 @@ geometry, and low-dimensional projections of expert weights.  Behavioral
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial import cKDTree
 
-from .moe_core import Expert, load_expert
 from .tensor_store import Checkpoint
 
 WHICH_MATRICES = ("up", "act", "down")
@@ -85,10 +85,12 @@ def _summaries(values: np.ndarray, n_experts: int,
     return s_ee, s_ef
 
 
-def build_similarity_matrix(vectors, labels: list[str], metric: str, n_experts: int,
-                            has_reference: bool = False, allow_zero: bool = False,
+def build_similarity_matrix(vectors: np.ndarray, labels: list[str], metric: str,
+                            n_experts: int, has_reference: bool = False,
+                            allow_zero: bool = False,
                             selected_labels: list[str] | None = None) -> SimilarityMatrix:
-    values = _pairwise_cosine(np.stack([np.ravel(v) for v in vectors]), allow_zero)
+    """Similarity between the rows of ``vectors`` [entities, features]."""
+    values = _pairwise_cosine(vectors, allow_zero)
     if metric == "angular":
         with np.errstate(invalid="ignore"):
             values = 1.0 - np.arccos(values) / np.pi
@@ -100,61 +102,58 @@ def build_similarity_matrix(vectors, labels: list[str], metric: str, n_experts: 
                             selected_labels=selected_labels)
 
 
-def _expert_matrix(expert: Expert, which: str) -> np.ndarray:
-    if which == "up":
-        return np.asarray(expert.w_up, dtype=np.float64)
-    if which == "act":
-        return np.asarray(expert.w_act, dtype=np.float64)
-    if which == "down":
-        return np.asarray(expert.w_down, dtype=np.float64)
-    raise ValueError(f"unknown matrix selector: {which!r}")
+def layer_weights(ckpt: Checkpoint, layer: int, which: str,
+                  reference: Checkpoint | None = None) -> tuple[np.ndarray, list[str]]:
+    """The chosen matrix of every expert of one layer as one float64
+    [E, rows, cols] stack in stored orientation, with the experts' labels.
 
-
-def _layer_entities(ckpt: Checkpoint, layer: int, which: str,
-                    reference: Checkpoint | None) -> tuple[list[np.ndarray], list[str], int, bool]:
-    """Expert matrices for one layer, reference FFN appended last when given."""
+    A dense layer is its one FFN.  The reference FFN, when given, comes last,
+    labelled ``F``.
+    """
+    if which not in WHICH_MATRICES:
+        raise ValueError(f"unknown matrix selector: {which!r}")
     config = ckpt.config
     if not 0 <= layer < config.num_layers:
         raise ValueError(f"layer {layer} out of range")
-    if config.is_dense(layer) and reference is None:
-        raise ValueError(f"layer {layer} is dense; a reference checkpoint is required")
-
-    if config.is_dense(layer):
-        mats = [_expert_matrix(load_expert(ckpt, f"layers.{layer}.ffn"), which)]
-        labels = ["0"]
-    else:
-        n = config.experts_per_layer[layer]
-        mats = [_expert_matrix(load_expert(ckpt, f"layers.{layer}.experts.{e}"), which)
-                for e in range(n)]
-        labels = [str(e) for e in range(n)]
-    n_experts = len(mats)
-
+    names = ([f"layers.{layer}.ffn"] if config.is_dense(layer) else
+             [f"layers.{layer}.experts.{e}" for e in range(config.experts_per_layer[layer])])
+    mats = [ckpt.get_tensor(f"{name}.w_{which}") for name in names]
+    labels = [str(e) for e in range(len(mats))]
     if reference is not None:
+        if reference.config.num_layers != config.num_layers:
+            raise ValueError("reference layer count differs from model")
         if not reference.config.is_dense(layer):
             raise ValueError(f"reference layer {layer} is not dense")
-        ref_mat = _expert_matrix(load_expert(reference, f"layers.{layer}.ffn"), which)
-        if ref_mat.shape != mats[0].shape:
+        mats.append(reference.get_tensor(f"layers.{layer}.ffn.w_{which}"))
+        if mats[-1].shape != mats[0].shape:
             raise ValueError("cannot mix entities of different dimensions")
-        mats.append(ref_mat)
         labels.append(REFERENCE_LABEL)
-    return mats, labels, n_experts, reference is not None
+    return np.stack(mats).astype(np.float64), labels
 
 
-def layer_expert_matrices(ckpt: Checkpoint, layer: int, which: str) -> list[np.ndarray]:
-    """The chosen weight matrix of every routed expert in one gated layer."""
-    config = ckpt.config
-    if config.is_dense(layer):
-        raise ValueError(f"layer {layer} is dense; no expert population")
-    return [_expert_matrix(load_expert(ckpt, f"layers.{layer}.experts.{e}"), which)
-            for e in range(config.experts_per_layer[layer])]
+def neuron_rows(stack: np.ndarray, which: str) -> np.ndarray:
+    """``stack`` (one matrix or a stack of them) with one neuron's d_hid vector
+    per row: a neuron is a row of w_up/w_act and a column of w_down.  This is
+    the one place that orientation is decided."""
+    return np.swapaxes(stack, -1, -2) if which == "down" else stack
+
+
+def _weight_sim(ckpt: Checkpoint, layer: int, which: str, reference: Checkpoint | None,
+                vectors_of) -> SimilarityMatrix:
+    """Pairwise cosine over one vector per expert (and reference) of a layer."""
+    stack, labels = layer_weights(ckpt, layer, which, reference)
+    if ckpt.config.is_dense(layer) and reference is None:
+        raise ValueError(f"layer {layer} is dense; a reference checkpoint is required")
+    has_ref = reference is not None
+    return build_similarity_matrix(vectors_of(stack), labels, "cosine",
+                                   len(labels) - int(has_ref), has_ref)
 
 
 def matrix_level_sim(ckpt: Checkpoint, layer: int, which: str,
                      reference: Checkpoint | None = None) -> SimilarityMatrix:
     """Pairwise cosine over row-major flattened expert matrices."""
-    mats, labels, n_experts, has_ref = _layer_entities(ckpt, layer, which, reference)
-    flat = [m.ravel() for m in mats]
-    return build_similarity_matrix(flat, labels, "cosine", n_experts, has_ref)
+    return _weight_sim(ckpt, layer, which, reference,
+                       lambda stack: stack.reshape(len(stack), -1))
 
 
 def neuron_average_sim(ckpt: Checkpoint, layer: int, which: str,
@@ -165,12 +164,8 @@ def neuron_average_sim(ckpt: Checkpoint, layer: int, which: str,
     collapses each expert to one d_hid vector, which discards neuron identity
     and with it most of the signal that flattened comparison sees.
     """
-    mats, labels, n_experts, has_ref = _layer_entities(ckpt, layer, which, reference)
-    if which == "down":
-        means = [m.mean(axis=1) for m in mats]
-    else:
-        means = [m.mean(axis=0) for m in mats]
-    return build_similarity_matrix(means, labels, "cosine", n_experts, has_ref)
+    return _weight_sim(ckpt, layer, which, reference,
+                       lambda stack: neuron_rows(stack, which).mean(axis=1))
 
 
 def solve_assignment(score: np.ndarray, maximize: bool = True) -> np.ndarray:
@@ -223,7 +218,6 @@ def kendall_tau(seq_a, seq_b) -> float:
 class ReorderReport:
     """Outcome of aligning expert_b's neurons against expert_a's."""
 
-    which: str
     permutation: np.ndarray  # permutation[j] = a-neuron index matched to b-neuron j
     sim_before: float
     sim_after: float
@@ -231,31 +225,18 @@ class ReorderReport:
     pair: tuple[str, str] | None = None
 
 
-def _neuron_rows(expert: Expert, which: str) -> np.ndarray:
-    mat = _expert_matrix(expert, which)
-    return mat.T.copy() if which == "down" else mat
-
-
-def neuron_pair_scores(expert_a: Expert, expert_b: Expert, which: str) -> np.ndarray:
-    """Alignment score between every a-neuron and b-neuron.
-
-    Scores are raw dot products: summed over an assignment they equal the
-    flattened-matrix inner product, whose normalization is permutation
-    invariant, so the assignment that maximizes this total maximizes the
-    whole-matrix cosine exactly.  Per-neuron cosines lack that guarantee (the
-    matching can then trade norm-weighted agreement away and end up below the
-    unpermuted similarity).  Zero-norm neurons score 0 against everything.
-    """
-    a = _neuron_rows(expert_a, which)
-    b = _neuron_rows(expert_b, which)
-    if a.shape != b.shape:
-        raise ValueError("experts have different neuron dimensions")
-    return a @ b.T
-
-
-def reorder_neurons(expert_a: Expert, expert_b: Expert, which: str,
+def reorder_neurons(a: np.ndarray, b: np.ndarray,
                     pair: tuple[str, str] | None = None) -> ReorderReport:
     """Match b's neurons to a's so the flattened cosine is maximized.
+
+    ``a`` and ``b`` hold one neuron per row (see ``neuron_rows``).  The
+    assignment scores every a-neuron against every b-neuron by raw dot
+    product: summed over an assignment these equal the flattened-matrix inner
+    product, whose normalization is permutation invariant, so the assignment
+    that maximizes this total maximizes the whole-matrix cosine exactly.
+    Per-neuron cosines lack that guarantee (the matching can then trade
+    norm-weighted agreement away and end up below the unpermuted similarity).
+    Zero-norm neurons score 0 against everything.
 
     ``sim_before``/``sim_after`` are flattened-matrix cosines of the chosen
     matrix before and after applying the matching; ``tau`` is the Kendall
@@ -263,19 +244,16 @@ def reorder_neurons(expert_a: Expert, expert_b: Expert, which: str,
     assignment optimizes the same objective it is scored by, ``sim_after``
     can never fall below ``sim_before``.
     """
-    scores = neuron_pair_scores(expert_a, expert_b, which)
-    row_to_col = solve_assignment(scores, maximize=True)
+    if a.shape != b.shape:
+        raise ValueError("experts have different neuron dimensions")
+    row_to_col = solve_assignment(a @ b.T, maximize=True)
     n = len(row_to_col)
     perm = np.empty(n, dtype=int)
     perm[row_to_col] = np.arange(n)  # b-neuron j -> a-neuron perm[j]
-
-    a = _neuron_rows(expert_a, which)
-    b = _neuron_rows(expert_b, which)
-    aligned_b = b[row_to_col]
-    sim_before = cosine_sim(a.ravel(), b.ravel())
-    sim_after = cosine_sim(a.ravel(), aligned_b.ravel())
+    sim_before = cosine_sim(a, b)
+    sim_after = cosine_sim(a, b[row_to_col])
     tau = kendall_tau(perm.tolist(), list(range(n)))
-    return ReorderReport(which=which, permutation=perm, sim_before=sim_before,
+    return ReorderReport(permutation=perm, sim_before=sim_before,
                          sim_after=sim_after, tau=tau, pair=pair)
 
 
@@ -288,7 +266,7 @@ def gate_embedding_sim(ckpt: Checkpoint, layer: int) -> SimilarityMatrix:
         raise ValueError(f"layer {layer} is dense and has no gate")
     rows = np.asarray(ckpt.get_tensor(f"layers.{layer}.gate.weight"), dtype=np.float64)
     labels = [str(e) for e in range(rows.shape[0])]
-    return build_similarity_matrix(list(rows), labels, "cosine", rows.shape[0])
+    return build_similarity_matrix(rows, labels, "cosine", rows.shape[0])
 
 
 def pearson_r(xs, ys) -> float:
@@ -315,8 +293,6 @@ class RegressionReport:
     n_pairs: int
     r: float
     r2: float
-    x: np.ndarray = field(repr=False)
-    y: np.ndarray = field(repr=False)
 
 
 def _upper_triangle(values: np.ndarray) -> np.ndarray:
@@ -339,8 +315,7 @@ def gate_expert_regression(ckpt: Checkpoint, layer: int, which: str) -> Regressi
     x = _upper_triangle(gate_embedding_sim(ckpt, layer).values)
     y = _upper_triangle(neuron_average_sim(ckpt, layer, which).values)
     r = pearson_r(x, y)
-    return RegressionReport(layer=layer, which=which, n_pairs=x.size,
-                            r=r, r2=r * r, x=x, y=y)
+    return RegressionReport(layer=layer, which=which, n_pairs=x.size, r=r, r2=r * r)
 
 
 def aggregate_r2(reports: list[RegressionReport]) -> float:
@@ -354,7 +329,8 @@ def aggregate_r2(reports: list[RegressionReport]) -> float:
 class Projection:
     """PCA projection with enough context to reconstruct or replot."""
 
-    points: list[tuple[str, np.ndarray]]
+    labels: list[str]
+    coords: np.ndarray  # [n, dims]
     explained_variance: np.ndarray
     outliers: list[str]
     components: np.ndarray  # [dims, n_kept_features]
@@ -363,18 +339,19 @@ class Projection:
     kept_features: np.ndarray
 
 
-def pca_project(vectors, dims: int = 2, standardize: bool = True,
+def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True,
                 labels: list[str] | None = None) -> Projection:
-    """Project equal-length vectors onto their leading principal components.
+    """Project the rows of ``vectors`` [n, features] onto their leading
+    principal components.
 
     With ``standardize``, features are shifted to zero mean and unit variance
     first and zero-variance features are dropped.  Component signs follow a
     fixed convention (largest-magnitude entry positive), so output is
     deterministic.
     """
-    data = np.asarray([np.ravel(v) for v in vectors], dtype=np.float64)
+    data = np.asarray(vectors, dtype=np.float64)
     if data.ndim != 2:
-        raise ValueError("vectors must be equal-length")
+        raise ValueError("vectors must be a 2-D array")
     n, n_features = data.shape
     if labels is None:
         labels = [str(i) for i in range(n)]
@@ -409,16 +386,14 @@ def pca_project(vectors, dims: int = 2, standardize: bool = True,
     coords = work @ components.T
     explained = (singular[:dims] ** 2) / max(n - 1, 1)
 
-    points = [(labels[i], coords[i]) for i in range(n)]
-    return Projection(points=points, explained_variance=explained, outliers=[],
-                      components=components, center=center, scale=scale,
+    return Projection(labels=list(labels), coords=coords, explained_variance=explained,
+                      outliers=[], components=components, center=center, scale=scale,
                       kept_features=kept)
 
 
 def reconstruct(projection: Projection) -> np.ndarray:
     """Map projected points back to the (kept-feature) input space."""
-    coords = np.stack([c for _, c in projection.points])
-    work = coords @ projection.components
+    work = projection.coords @ projection.components
     if projection.scale is not None:
         return work * projection.scale + projection.center[projection.kept_features]
     return work + projection.center
@@ -429,10 +404,13 @@ def dbscan_outliers(points, eps: float, min_pts: int = 2,
     """Labels of density-noise points under Euclidean DBSCAN.
 
     A point is core when its eps-ball (itself included) holds at least
-    ``min_pts`` points; anything not reachable from a core point is noise.
-    With min_pts=1 every point is core, so nothing is ever flagged.
+    ``min_pts`` points.  By DBSCAN's definition (Ester et al., KDD 1996) a
+    point is noise when it is not core and no core point lies within ``eps``
+    of it, so two ball counts decide it without labelling any cluster.  With
+    min_pts=1 every point is core, so nothing is ever flagged.
     """
-    data = np.asarray([np.ravel(p) for p in points], dtype=np.float64)
+    data = np.asarray(points, dtype=np.float64)
+    data = data.reshape(data.shape[0], -1)
     n = data.shape[0]
     if labels is None:
         labels = list(range(n))
@@ -443,52 +421,27 @@ def dbscan_outliers(points, eps: float, min_pts: int = 2,
     if min_pts < 1:
         raise ValueError("min_pts must be at least 1")
 
-    diff = data[:, None, :] - data[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    neighbors = [np.flatnonzero(dist[i] <= eps) for i in range(n)]
-    core = [len(nb) >= min_pts for nb in neighbors]
+    def within_eps(centers: np.ndarray) -> np.ndarray:
+        return cKDTree(centers).query_ball_point(data, eps, return_length=True)
 
-    assignment = [-1] * n  # -1 noise until claimed by a cluster
-    cluster = 0
-    for start in range(n):
-        if assignment[start] != -1 or not core[start]:
-            continue
-        cluster += 1
-        queue = [start]
-        assignment[start] = cluster
-        while queue:
-            p = queue.pop()
-            if not core[p]:
-                continue
-            for q in neighbors[p]:
-                if assignment[q] == -1:
-                    assignment[q] = cluster
-                    queue.append(q)
-    return {labels[i] for i in range(n) if assignment[i] == -1}
+    core = within_eps(data) >= min_pts
+    # Core points count themselves, so a count of zero marks exactly the noise.
+    return {labels[i] for i in np.flatnonzero(within_eps(data[core]) == 0)}
 
 
 def filter_outliers(projection: Projection, eps: float, min_pts: int = 2) -> Projection:
     """Drop DBSCAN-noise points from a projection, recording their labels."""
-    labels = [lab for lab, _ in projection.points]
-    coords = [c for _, c in projection.points]
-    noise = dbscan_outliers(coords, eps=eps, min_pts=min_pts, labels=labels)
-    kept_points = [(lab, c) for lab, c in projection.points if lab not in noise]
-    removed = [lab for lab in labels if lab in noise]
-    return Projection(points=kept_points, explained_variance=projection.explained_variance,
-                      outliers=removed, components=projection.components,
-                      center=projection.center, scale=projection.scale,
-                      kept_features=projection.kept_features)
+    keep = np.ones(len(projection.labels), dtype=bool)
+    keep[list(dbscan_outliers(projection.coords, eps=eps, min_pts=min_pts))] = False
+    return replace(projection, coords=projection.coords[keep],
+                   labels=[lab for lab, k in zip(projection.labels, keep) if k],
+                   outliers=[lab for lab, k in zip(projection.labels, keep) if not k])
 
 
 def pairwise_reorder_reports(ckpt: Checkpoint, layer: int, which: str) -> list[ReorderReport]:
     """Reorder reports for every routed expert pair (i < j) of one layer."""
-    config = ckpt.config
-    if config.is_dense(layer):
+    if ckpt.config.is_dense(layer):
         raise ValueError(f"layer {layer} is dense; nothing to reorder")
-    n = config.experts_per_layer[layer]
-    experts = [load_expert(ckpt, f"layers.{layer}.experts.{e}") for e in range(n)]
-    reports = []
-    for i, j in itertools.combinations(range(n), 2):
-        reports.append(reorder_neurons(experts[i], experts[j], which,
-                                       pair=(str(i), str(j))))
-    return reports
+    rows = neuron_rows(layer_weights(ckpt, layer, which)[0], which)
+    return [reorder_neurons(rows[i], rows[j], pair=(str(i), str(j)))
+            for i, j in itertools.combinations(range(len(rows)), 2)]

@@ -27,7 +27,7 @@ from moe_lens.synth import (SynthSpec, synth_permuted_clone, synth_scratch,
 from moe_lens.tensor_store import (build_checkpoint, dump_checkpoint,
                                    parse_checkpoint, read_checkpoint,
                                    serialize_checkpoint)
-from test_static_analysis import (brute_force_assignment, kendall_ref,
+from test_static_analysis import (brute_force_assignment, expert_rows, kendall_ref,
                                   random_expert)
 
 
@@ -94,7 +94,7 @@ def test_c03_reordering_oracle(rng):
         perm = rng.permutation(10)
         clone = synth_permuted_clone(base, perm)
         for which in ("up", "act", "down"):
-            rep = reorder_neurons(base, clone, which)
+            rep = reorder_neurons(expert_rows(base, which), expert_rows(clone, which))
             np.testing.assert_array_equal(rep.permutation, perm)
             assert abs(rep.sim_after - 1.0) <= 1e-6
 
@@ -111,7 +111,7 @@ def test_c03_reordering_oracle(rng):
     for _ in range(100):
         a = random_expert(rng, d_mid=6, d_hid=5)
         b = random_expert(rng, d_mid=6, d_hid=5)
-        rep = reorder_neurons(a, b, "up")
+        rep = reorder_neurons(expert_rows(a, "up"), expert_rows(b, "up"))
         assert rep.sim_after >= rep.sim_before - 1e-9
 
 

@@ -317,6 +317,19 @@ def test_matrix_sim_layer_out_of_range(workspace, tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_weight_sim_rejects_reference_of_other_depth(workspace, tmp_path, capsys):
+    assert run_command(["synth", "--mode", "upcycled", "--seed", "7", "--layers", "1",
+                        "--d-hid", "8", "--d-mid", "12", "--vocab", "13",
+                        "--out", str(tmp_path / "one")]) == 0
+    capsys.readouterr()
+    for command in ("matrix-sim", "neuron-avg-sim"):
+        code = run_command([command, "--model", workspace["up"], "--which", "up",
+                            "--ref", str(tmp_path / "one" / "reference.moel"),
+                            "--out", str(tmp_path / command)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: reference layer count differs from model\n"
+
+
 def test_matrix_sim_rejects_unknown_which(workspace, tmp_path, capsys):
     code = run_command(["matrix-sim", "--model", workspace["model"],
                         "--layer", "0", "--which", "sideways",
@@ -577,17 +590,34 @@ def test_report_loads_and_traces_inputs_once(workspace, tmp_path, monkeypatch):
     assert calls["file_digest"] == [workspace["up"], workspace["ref"], workspace["corpus"]]
 
 
+def test_report_builds_parser_once(workspace, tmp_path):
+    import moe_lens.cli as cli
+    cli.build_parser.cache_clear()
+    assert run_command(report_argv(workspace, tmp_path / "bundle")) == 0
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_traced_benchmark_report_runs(workspace, tmp_path):
     # perfbench/tracer.py wraps package functions by name, so a rename
     # breaks the benchmark's traced run; run it as the benchmark does.
     repo = Path(__file__).resolve().parents[1]
-    spans = tmp_path / "spans.json"
-    proc = subprocess.run([sys.executable, str(repo / "perfbench" / "tracer.py"), str(spans),
-                           *report_argv(workspace, tmp_path / "bundle")],
-                          env={**os.environ, "PYTHONPATH": str(repo / "src")},
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert "moe_core.trace" in {span[0] for span in json.loads(spans.read_text())["spans"]}
+
+    def traced(name, argv):
+        spans = tmp_path / f"spans-{name}.json"
+        proc = subprocess.run([sys.executable, str(repo / "perfbench" / "tracer.py"),
+                               str(spans), *argv],
+                              env={**os.environ, "PYTHONPATH": str(repo / "src")},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(spans.read_text())
+
+    dump = traced("report", report_argv(workspace, tmp_path / "bundle"))
+    assert "moe_core.trace" in {span[0] for span in dump["spans"]}
+    # The benchmark's DBSCAN probe: neuron-level PCA of the last layer.
+    dump = traced("pca", ["pca", "--model", workspace["up"], "--layer", "1", "--which", "up",
+                          "--level", "neuron", "--eps", "0.5", "--out", str(tmp_path / "pca")])
+    assert "static_analysis.dbscan" in {span[0] for span in dump["spans"]}
+    assert dump["dbscan_points"] == 4 * 12  # experts x d_mid
 
 
 def test_report_bad_corpus_writes_nothing(workspace, tmp_path, capsys):
@@ -599,6 +629,19 @@ def test_report_bad_corpus_writes_nothing(workspace, tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith("error: token id out of range")
     assert not out.exists() or snapshot(out) == {}
+
+
+def test_zero_layer_model_fails_cleanly(tmp_path, capsys):
+    assert run_command(["synth", "--mode", "scratch", "--seed", "5", "--out", str(tmp_path),
+                        "--layers", "0", "--d-hid", "8", "--d-mid", "8", "--vocab", "7"]) == 0
+    write_corpus(tmp_path / "corpus.txt", [[0, 1, 2]])
+    inputs = ["--model", str(tmp_path / "model.moel"), "--corpus", str(tmp_path / "corpus.txt")]
+    capsys.readouterr()
+    for command in ("act-ratio", "report"):
+        code = run_command([command, *inputs, "--out", str(tmp_path / command)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no intermediates to count: the model has no layers")
 
 
 def test_dense_model_matrix_sim_fails_cleanly(tmp_path, capsys):

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from dbscan_oracle import dbscan_noise
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from moe_lens import ModelConfig
 from moe_lens.moe_core import Expert
@@ -12,8 +15,8 @@ from moe_lens.static_analysis import (aggregate_r2, cosine_sim, dbscan_outliers,
                                       filter_outliers, gate_embedding_sim,
                                       gate_expert_regression, kendall_tau,
                                       matrix_level_sim, neuron_average_sim,
-                                      pca_project, pearson_r, reconstruct,
-                                      reorder_neurons, solve_assignment)
+                                      neuron_rows, pca_project, pearson_r,
+                                      reconstruct, reorder_neurons, solve_assignment)
 from moe_lens.synth import (SynthSpec, synth_permuted_clone,
                             synth_permuted_clone_model, synth_scratch, synth_upcycled)
 from moe_lens.tensor_store import build_checkpoint, required_tensor_shapes
@@ -57,6 +60,11 @@ def random_expert(rng, d_mid=6, d_hid=4):
     return Expert(w_up=rng.normal(size=(d_mid, d_hid)),
                   w_act=rng.normal(size=(d_mid, d_hid)),
                   w_down=rng.normal(size=(d_hid, d_mid)))
+
+
+def expert_rows(expert, which):
+    """One expert's neuron rows of the chosen matrix, as the analyses read them."""
+    return neuron_rows(np.asarray(getattr(expert, f"w_{which}"), dtype=np.float64), which)
 
 
 def upcycled_pair(seed=0, noise=0.3, n=4):
@@ -315,7 +323,7 @@ def test_reorder_recovers_planted_permutation(rng):
     perm = rng.permutation(8)
     clone = synth_permuted_clone(base, perm)
     for which in ("up", "act", "down"):
-        report = reorder_neurons(base, clone, which)
+        report = reorder_neurons(expert_rows(base, which), expert_rows(clone, which))
         np.testing.assert_array_equal(report.permutation, perm)
         assert report.sim_after == pytest.approx(1.0, abs=1e-6)
         assert report.tau == kendall_ref(perm.tolist(), list(range(8)))
@@ -323,7 +331,7 @@ def test_reorder_recovers_planted_permutation(rng):
 
 def test_reorder_identity_when_already_aligned(rng):
     e = random_expert(rng)
-    report = reorder_neurons(e, e, "up")
+    report = reorder_neurons(expert_rows(e, "up"), expert_rows(e, "up"))
     np.testing.assert_array_equal(report.permutation, np.arange(6))
     assert report.tau == 1.0
     assert report.sim_before == pytest.approx(1.0)
@@ -335,7 +343,7 @@ def test_reorder_never_hurts(rng):
         a = random_expert(rng, d_mid=7, d_hid=5)
         b = random_expert(rng, d_mid=7, d_hid=5)
         for which in ("up", "act", "down"):
-            rep = reorder_neurons(a, b, which)
+            rep = reorder_neurons(expert_rows(a, which), expert_rows(b, which))
             assert rep.sim_after >= rep.sim_before - 1e-9
 
 
@@ -343,7 +351,7 @@ def test_reorder_zero_norm_neuron_is_tolerated(rng):
     a = random_expert(rng, d_mid=4, d_hid=3)
     b = random_expert(rng, d_mid=4, d_hid=3)
     b.w_up[2] = 0.0
-    rep = reorder_neurons(a, b, "up")
+    rep = reorder_neurons(expert_rows(a, "up"), expert_rows(b, "up"))
     assert len(rep.permutation) == 4
     assert sorted(rep.permutation.tolist()) == [0, 1, 2, 3]
 
@@ -352,7 +360,7 @@ def test_reorder_rejects_size_mismatch(rng):
     a = random_expert(rng, d_mid=4, d_hid=3)
     b = random_expert(rng, d_mid=5, d_hid=3)
     with pytest.raises(ValueError, match="different neuron dimensions"):
-        reorder_neurons(a, b, "up")
+        reorder_neurons(expert_rows(a, "up"), expert_rows(b, "up"))
 
 
 # --- gate geometry and regression ------------------------------------------------
@@ -489,7 +497,7 @@ def test_pca_deterministic(rng):
     data = rng.normal(size=(8, 5))
     a = pca_project(data, dims=2)
     b = pca_project(data, dims=2)
-    for (la, ca), (lb, cb) in zip(a.points, b.points):
+    for (la, ca), (lb, cb) in zip(zip(a.labels, a.coords), zip(b.labels, b.coords)):
         assert la == lb
         np.testing.assert_array_equal(ca, cb)
 
@@ -529,10 +537,44 @@ def test_dbscan_border_point_not_noise():
     assert dbscan_outliers(pts, eps=1.1, min_pts=3) == set()
 
 
+@st.composite
+def dbscan_clouds(draw):
+    """Small clouds on a scaled integer lattice, some points duplicated.  The
+    scales keep every squared distance exact, so lattice neighbours sit
+    exactly eps apart and both implementations see the same ties."""
+    dims = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        side = draw(st.integers(2, 4 if dims < 3 else 3))
+        grid = np.stack(np.meshgrid(*[np.arange(side)] * dims, indexing="ij"), -1)
+        grid = grid.reshape(-1, dims)
+        keep = draw(st.lists(st.booleans(), min_size=len(grid), max_size=len(grid)))
+        ints = grid[np.array(keep, dtype=bool)]
+    else:
+        ints = np.array(draw(st.lists(st.lists(st.integers(-4, 4), min_size=dims,
+                                               max_size=dims), max_size=20)),
+                        dtype=np.int64).reshape(-1, dims)
+    assume(len(ints) > 0)
+    ints = np.concatenate([ints, ints[draw(st.lists(st.integers(0, len(ints) - 1),
+                                                    max_size=6))]])
+    scale = draw(st.sampled_from([0.25, 0.5, 1.0, 3.0]))
+    steps = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    return ints * scale, steps * scale, draw(st.integers(1, 4))
+
+
+@given(dbscan_clouds())
+def test_dbscan_noise_matches_bfs_oracle(cloud):
+    points, eps, min_pts = cloud
+    assert dbscan_outliers(points, eps=eps, min_pts=min_pts) == \
+        dbscan_noise(points, eps, min_pts)
+    labels = [f"p{i}" for i in range(len(points))]
+    assert dbscan_outliers(points, eps=eps, min_pts=min_pts, labels=labels) == \
+        {labels[i] for i in dbscan_noise(points, eps, min_pts)}
+
+
 def test_filter_outliers_records_labels(rng):
     vel = [rng.normal(size=3) for _ in range(8)]
     vel.append(np.array([500.0, 500.0, 500.0]))
     proj = pca_project(vel, dims=2, standardize=False)
     filtered = filter_outliers(proj, eps=50.0, min_pts=2)
     assert filtered.outliers == ["8"]
-    assert len(filtered.points) == 8
+    assert len(filtered.coords) == 8
