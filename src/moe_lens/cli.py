@@ -12,6 +12,7 @@ import argparse
 import functools
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -66,10 +67,12 @@ class Context:
         return trace_all_experts(self.model, self.tokens, self.reference, k_override_all)
 
 
-def _load_context(args, argv: list[str], loaded: Context | None,
-                  need_corpus: bool = False) -> Context:
-    """Read and hash the command's inputs, or take them from a report's ``loaded``."""
+def _load_context(args, argv: list[str], loaded: Context | None) -> Context:
+    """Read and hash the inputs the command's parser takes (``--model``, and
+    ``--ref``/``--corpus`` where it has them), or take them from a report's
+    ``loaded``."""
     ref_path = getattr(args, "ref", None)
+    corpus_path = getattr(args, "corpus", None)
     if loaded is None:
         digests = {"model": file_digest(args.model)}
         model = read_checkpoint(args.model)
@@ -78,15 +81,15 @@ def _load_context(args, argv: list[str], loaded: Context | None,
             digests["reference"] = file_digest(ref_path)
             reference = read_checkpoint(ref_path)
         tokens = None
-        if need_corpus:
-            digests["corpus"] = file_digest(args.corpus)
-            tokens = flatten_corpus(read_corpus(args.corpus))
+        if corpus_path:
+            digests["corpus"] = file_digest(corpus_path)
+            tokens = flatten_corpus(read_corpus(corpus_path))
             if not tokens:
                 raise ValueError("corpus holds no tokens")
         loaded = Context(args=args, model=model, reference=reference, tokens=tokens,
                          digests=digests)
     used = ["model", *(["reference"] if ref_path else []),
-            *(["corpus"] if need_corpus else [])]
+            *(["corpus"] if corpus_path else [])]
     os.makedirs(args.out, exist_ok=True)
     prov = Provenance(command=["moe-lens", *argv],
                       inputs={name: loaded.digests[name] for name in used},
@@ -95,10 +98,11 @@ def _load_context(args, argv: list[str], loaded: Context | None,
                    reference=loaded.reference if ref_path else None)
 
 
-def _select_layers(arg: str, model: Checkpoint, gated_only: bool) -> list[int]:
+def _select_layers(arg: str, model: Checkpoint) -> list[int]:
+    """``all`` is every gated layer; an index may name a dense one."""
     config = model.config
     if arg == "all":
-        layers = config.moe_layers() if gated_only else list(range(config.num_layers))
+        layers = config.moe_layers()
         if not layers:
             raise ValueError("model has no gated layers")
         return layers
@@ -122,7 +126,7 @@ def _emit_matrix_pair(ctx: Context, stem: str, sim) -> list[str]:
 
 # --- subcommands -----------------------------------------------------------
 
-def _cmd_synth(args, argv, _loaded) -> list[str]:
+def _cmd_synth(args) -> list[str]:
     config = ModelConfig(
         num_layers=args.layers,
         experts_per_layer=_int_list(args.experts, args.layers, "--experts"),
@@ -157,64 +161,63 @@ def _cmd_synth(args, argv, _loaded) -> list[str]:
     return written
 
 
-def _cmd_weight_sim(args, argv, loaded) -> list[str]:
-    """matrix-sim or neuron-avg-sim, named by the subcommand."""
-    ctx = _load_context(args, argv, loaded)
-    analysis = sta.matrix_level_sim if args.command == "matrix-sim" else sta.neuron_average_sim
+def _cmd_layer_sims(entry: Analysis, ctx: Context) -> list[str]:
+    """One similarity matrix per selected layer, from the entry's ``layer_sim``."""
+    sim = entry.layer_sim(ctx)
     written = []
-    for layer in _select_layers(args.layer, ctx.model, gated_only=args.layer == "all"):
-        sim = analysis(ctx.model, layer, args.which, ctx.reference)
-        written += _emit_matrix_pair(ctx, f"{args.command}-layer{layer}-{args.which}", sim)
+    for layer in _select_layers(ctx.args.layer, ctx.model):
+        stem = entry.stem.format_map({**vars(ctx.args), "layer": layer})
+        written += _emit_matrix_pair(ctx, stem, sim(layer))
     return written
 
 
-def _cmd_reorder(args, argv, loaded) -> list[str]:
-    ctx = _load_context(args, argv, loaded)
-    layers = _select_layers(args.layer, ctx.model, gated_only=True)
+def _token_sims(ctx: Context):
+    """out-sim's per-layer analysis, on the ``--token`` traced alone."""
+    token = ctx.args.token
+    if not 0 <= token < len(ctx.tokens):
+        raise ValueError(f"--token {token} out of range for corpus of "
+                         f"{len(ctx.tokens)} tokens")
+    trace = trace_all_experts(ctx.model, [ctx.tokens[token]], ctx.reference,
+                              ctx.args.k_override == "all")
+    return functools.partial(dyn.output_sim_per_token, trace)
+
+
+def _cmd_reorder(ctx: Context) -> list[str]:
+    which = ctx.args.which
     rows = []
     taus = []
-    for layer in layers:
-        for rep in sta.pairwise_reorder_reports(ctx.model, layer, args.which):
-            rows.append([layer, rep.pair[0], rep.pair[1], args.which,
+    for layer in _select_layers(ctx.args.layer, ctx.model):
+        for rep in sta.pairwise_reorder_reports(ctx.model, layer, which):
+            rows.append([layer, rep.pair[0], rep.pair[1], which,
                          rep.sim_before, rep.sim_after, rep.tau])
             taus.append(rep.tau)
     if not rows:
         raise ValueError("no expert pairs to reorder")
-    path = os.path.join(ctx.out, f"reorder-{args.which}.csv")
+    path = os.path.join(ctx.out, f"reorder-{which}.csv")
     emit_csv(path, ctx.provenance,
              ["layer", "expert_a", "expert_b", "which", "sim_before", "sim_after", "tau"],
              rows, extra_comments=[f"mean_tau: {np.mean(taus):.6f}"])
     return [path]
 
 
-def _cmd_gate_sim(args, argv, loaded) -> list[str]:
-    ctx = _load_context(args, argv, loaded)
-    written = []
-    for layer in _select_layers(args.layer, ctx.model, gated_only=True):
-        sim = sta.gate_embedding_sim(ctx.model, layer)
-        written += _emit_matrix_pair(ctx, f"gate-sim-layer{layer}", sim)
-    return written
-
-
-def _cmd_gate_corr(args, argv, loaded) -> list[str]:
-    ctx = _load_context(args, argv, loaded)
+def _cmd_gate_corr(ctx: Context) -> list[str]:
+    which = ctx.args.which
     config = ctx.model.config
     layers = [i for i in config.moe_layers() if config.experts_per_layer[i] >= 3]
     if not layers:
         raise ValueError("no gated layer has enough experts for regression")
-    reports = [sta.gate_expert_regression(ctx.model, layer, args.which)
-               for layer in layers]
+    reports = [sta.gate_expert_regression(ctx.model, layer, which) for layer in layers]
     rows = [[rep.layer, rep.which, rep.n_pairs, rep.r, rep.r2] for rep in reports]
-    rows.append(["avg", args.which, None, None, sta.aggregate_r2(reports)])
-    path = os.path.join(ctx.out, f"gate-corr-{args.which}.csv")
+    rows.append(["avg", which, None, None, sta.aggregate_r2(reports)])
+    path = os.path.join(ctx.out, f"gate-corr-{which}.csv")
     emit_csv(path, ctx.provenance, ["layer", "which", "n_pairs", "r", "r2"], rows)
     return [path]
 
 
-def _cmd_pca(args, argv, loaded) -> list[str]:
-    ctx = _load_context(args, argv, loaded)
+def _cmd_pca(ctx: Context) -> list[str]:
+    args = ctx.args
     written = []
-    for layer in _select_layers(args.layer, ctx.model, gated_only=True):
+    for layer in _select_layers(args.layer, ctx.model):
         if ctx.model.config.is_dense(layer):
             raise ValueError(f"layer {layer} is dense; no expert population")
         stack, experts = sta.layer_weights(ctx.model, layer, args.which)
@@ -243,8 +246,7 @@ def _cmd_pca(args, argv, loaded) -> list[str]:
     return written
 
 
-def _cmd_trace(args, argv, loaded) -> list[str]:
-    ctx = _load_context(args, argv, loaded, need_corpus=True)
+def _cmd_trace(ctx: Context) -> list[str]:
     trace = ctx.corpus_trace()
     errs = np.zeros((trace.token_ids.size, len(trace.layers)))
     for layer, lt in enumerate(trace.layers):
@@ -262,35 +264,9 @@ def _cmd_trace(args, argv, loaded) -> list[str]:
     return [path]
 
 
-def _cmd_out_sim(args, argv, loaded) -> list[str]:
-    ctx = _load_context(args, argv, loaded, need_corpus=True)
-    if not 0 <= args.token < len(ctx.tokens):
-        raise ValueError(f"--token {args.token} out of range for corpus of "
-                         f"{len(ctx.tokens)} tokens")
-    trace = trace_all_experts(ctx.model, [ctx.tokens[args.token]], ctx.reference,
-                              args.k_override == "all")
-    written = []
-    for layer in _select_layers(args.layer, ctx.model, gated_only=args.layer == "all"):
-        sim = dyn.output_sim_per_token(trace, layer)
-        written += _emit_matrix_pair(
-            ctx, f"out-sim-layer{layer}-token{args.token}", sim)
-    return written
-
-
-def _cmd_avg_out_sim(args, argv, loaded) -> list[str]:
-    ctx = _load_context(args, argv, loaded, need_corpus=True)
+def _cmd_norm_rank(ctx: Context) -> list[str]:
     trace = ctx.corpus_trace()
-    written = []
-    for layer in _select_layers(args.layer, ctx.model, gated_only=args.layer == "all"):
-        sim = dyn.avg_output_sim(trace, layer)
-        written += _emit_matrix_pair(ctx, f"avg-out-sim-layer{layer}", sim)
-    return written
-
-
-def _cmd_norm_rank(args, argv, loaded) -> list[str]:
-    ctx = _load_context(args, argv, loaded, need_corpus=True)
-    trace = ctx.corpus_trace()
-    layers = _select_layers(args.layer, ctx.model, gated_only=True)
+    layers = _select_layers(ctx.args.layer, ctx.model)
     config = ctx.model.config
     groups: dict[int, list[int]] = {}
     for layer in layers:
@@ -299,7 +275,7 @@ def _cmd_norm_rank(args, argv, loaded) -> list[str]:
     for n in sorted(groups):
         rc = dyn.rank_count_matrix(trace, groups[n])
         labels = [str(r + 1) for r in range(rc.n_experts)]
-        stem = f"norm-rank-n{n}" if len(groups) > 1 or args.layer == "all" \
+        stem = f"norm-rank-n{n}" if len(groups) > 1 or ctx.args.layer == "all" \
             else f"norm-rank-layer{layers[0]}"
         path = os.path.join(ctx.out, f"{stem}.csv")
         comments = [f"layers: {' '.join(str(l) for l in groups[n])}",
@@ -317,9 +293,8 @@ def _cmd_norm_rank(args, argv, loaded) -> list[str]:
     return written
 
 
-def _cmd_act_ratio(args, argv, loaded) -> list[str]:
-    ctx = _load_context(args, argv, loaded, need_corpus=True)
-    report = dyn.activation_ratio(ctx.corpus_trace(), threshold=args.threshold)
+def _cmd_act_ratio(ctx: Context) -> list[str]:
+    report = dyn.activation_ratio(ctx.corpus_trace(), threshold=ctx.args.threshold)
     rows = [[layer, expert, ratio]
             for (layer, expert), ratio in report.per_expert.items()]
     rows.append(["overall", None, report.overall])
@@ -329,85 +304,123 @@ def _cmd_act_ratio(args, argv, loaded) -> list[str]:
     return [path]
 
 
-def _cmd_route_log(args, argv, loaded) -> list[str]:
-    ctx = _load_context(args, argv, loaded, need_corpus=True)
-    log = dyn.routing_pattern(ctx.corpus_trace())
-    rows = []
-    for entry in log.entries:
-        for slot, (expert, score) in enumerate(entry.selections):
-            rows.append([entry.token_index, entry.token_id, entry.layer,
-                         slot, expert, score])
+def _cmd_route_log(ctx: Context) -> list[str]:
+    columns = [c.tolist() for c in dyn.routing_pattern(ctx.corpus_trace())]
     path = os.path.join(ctx.out, "route-log.csv")
     emit_csv(path, ctx.provenance,
-             ["token_index", "token_id", "layer", "slot", "expert", "score"], rows)
+             ["token_index", "token_id", "layer", "slot", "expert", "score"], zip(*columns))
     return [path]
 
 
-def _cmd_report(args, argv, _loaded) -> list[str]:
+def _cmd_report(ctx: Context) -> list[str]:
     """Run the full analysis suite into subdirectories of --out, every step
     through ``run_command`` on inputs read, hashed and traced once here."""
-    ctx = _load_context(args, argv, None, need_corpus=True)
     ctx.trace = trace_all_experts(ctx.model, ctx.tokens, ctx.reference)
     config = ctx.model.config
+    if not config.num_layers:
+        raise ValueError("no intermediates to count: the model has no layers")
     gated = config.moe_layers()
-
-    base = ["--model", args.model]
-    ref = ["--ref", args.ref] if args.ref else []
-    corpus = ["--corpus", args.corpus]
-    sub = lambda name: ["--out", os.path.join(args.out, name)]
-
-    invocations: list[list[str]] = []
+    steps: list[tuple[str, str | None]] = []
     if gated:
-        for which in ("up", "act", "down"):
-            invocations.append(["matrix-sim", *base, *ref, "--layer", "all",
-                                "--which", which, *sub("matrix-sim")])
-            invocations.append(["neuron-avg-sim", *base, *ref, "--layer", "all",
-                                "--which", which, *sub("neuron-avg-sim")])
-            invocations.append(["reorder", *base, "--layer", "all",
-                                "--which", which, *sub("reorder")])
-            invocations.append(["pca", *base, "--layer", "all", "--which", which,
-                                *sub("pca")])
-        invocations.append(["gate-sim", *base, "--layer", "all", *sub("gate-sim")])
+        for which in sta.WHICH_MATRICES:
+            steps += [(name, which) for name in ("matrix-sim", "neuron-avg-sim", "reorder", "pca")]
+        steps.append(("gate-sim", None))
         if any(config.experts_per_layer[i] >= 3 for i in gated):
-            for which in ("up", "act", "down"):
-                invocations.append(["gate-corr", *base, "--which", which,
-                                    *sub("gate-corr")])
-        invocations.append(["out-sim", *base, *ref, *corpus, "--layer", "all",
-                            *sub("out-sim")])
-        invocations.append(["avg-out-sim", *base, *ref, *corpus, "--layer", "all",
-                            *sub("avg-out-sim")])
-        invocations.append(["norm-rank", *base, *corpus, "--layer", "all",
-                            *sub("norm-rank")])
-        invocations.append(["route-log", *base, *corpus, *sub("route-log")])
-    invocations.append(["trace", *base, *ref, *corpus, *sub("trace")])
-    invocations.append(["act-ratio", *base, *corpus, *sub("act-ratio")])
+            steps += [("gate-corr", which) for which in sta.WHICH_MATRICES]
+        steps += [(name, None) for name in ("out-sim", "avg-out-sim", "norm-rank", "route-log")]
+    steps += [("trace", None), ("act-ratio", None)]
 
-    for invocation in invocations:
-        code = run_command(invocation, ctx)
-        if code != 0:
-            raise ValueError(f"report step failed: {invocation[0]}")
+    args = ctx.args
+    for name, which in steps:
+        entry = ANALYSES[name]
+        argv = [name, "--model", args.model]
+        if entry.ref and args.ref:
+            argv += ["--ref", args.ref]
+        if entry.corpus:
+            argv += ["--corpus", args.corpus]
+        if entry.layer:
+            argv += ["--layer", "all"]
+        if which:
+            argv += ["--which", which]
+        argv += ["--out", os.path.join(args.out, name)]
+        if run_command(argv, ctx) != 0:
+            raise ValueError(f"report step failed: {name}")
     return []
 
 
+# --- the analysis table ----------------------------------------------------
+
+@dataclass(frozen=True)
+class Analysis:
+    """One analysis subcommand, and a report step of the same name.
+
+    The flags say which inputs (``--ref``, ``--corpus`` with ``--k-override``)
+    and selectors (``--layer``, ``--which``) it takes; ``options`` are its own
+    further flags as ``(flag, add_argument keywords)``.  It runs ``handler``,
+    or, with ``layer_sim`` and ``stem`` instead, writes one similarity matrix
+    per selected layer: ``layer_sim(ctx)`` gives the analysis of a layer index
+    and ``stem`` formats with the arguments and ``layer`` into a file stem.
+    """
+
+    help: str
+    handler: Callable[[Context], list[str]] | None = None
+    ref: bool = False
+    corpus: bool = False
+    layer: bool = False
+    which: bool = False
+    options: tuple[tuple[str, dict], ...] = ()
+    layer_sim: Callable[[Context], Callable[[int], sta.SimilarityMatrix]] | None = None
+    stem: str = ""
+
+
+# Analyses are looked up when a command runs, not when the table is built, so
+# a function that perfbench/tracer.py or a test rebinds is the one called.
+ANALYSES = {
+    "matrix-sim": Analysis(
+        "matrix-sim over expert weights", ref=True, layer=True, which=True,
+        layer_sim=lambda ctx: functools.partial(sta.matrix_level_sim, ctx.model,
+                                                which=ctx.args.which, reference=ctx.reference),
+        stem="{command}-layer{layer}-{which}"),
+    "neuron-avg-sim": Analysis(
+        "neuron-avg-sim over expert weights", ref=True, layer=True, which=True,
+        layer_sim=lambda ctx: functools.partial(sta.neuron_average_sim, ctx.model,
+                                                which=ctx.args.which, reference=ctx.reference),
+        stem="{command}-layer{layer}-{which}"),
+    "reorder": Analysis("neuron alignment between expert pairs", _cmd_reorder,
+                        layer=True, which=True),
+    "gate-sim": Analysis(
+        "gate row similarity", layer=True,
+        layer_sim=lambda ctx: functools.partial(sta.gate_embedding_sim, ctx.model),
+        stem="gate-sim-layer{layer}"),
+    "gate-corr": Analysis("gate-vs-expert similarity regression per layer", _cmd_gate_corr,
+                          which=True),
+    "pca": Analysis(
+        "principal-component projection of experts", _cmd_pca, layer=True, which=True,
+        options=(("--level", dict(choices=["matrix", "neuron"], default="matrix")),
+                 ("--dims", dict(type=int, default=2)),
+                 ("--eps", dict(type=float, default=None,
+                                help="enable DBSCAN outlier removal with this radius")),
+                 ("--min-pts", dict(type=int, default=2)),
+                 ("--no-standardize", dict(action="store_true")))),
+    "trace": Analysis("trace recombination consistency table", _cmd_trace,
+                      ref=True, corpus=True),
+    "out-sim": Analysis(
+        "per-token expert output similarity", ref=True, corpus=True, layer=True,
+        options=(("--token", dict(type=int, default=0, help="flattened corpus token index")),),
+        layer_sim=_token_sims, stem="out-sim-layer{layer}-token{token}"),
+    "avg-out-sim": Analysis(
+        "corpus-averaged angular output similarity", ref=True, corpus=True, layer=True,
+        layer_sim=lambda ctx: functools.partial(dyn.avg_output_sim, ctx.corpus_trace()),
+        stem="avg-out-sim-layer{layer}"),
+    "norm-rank": Analysis("output-norm rank vs gate-score rank counts", _cmd_norm_rank,
+                          corpus=True, layer=True),
+    "act-ratio": Analysis("activation sparsity ratios", _cmd_act_ratio, corpus=True,
+                          options=(("--threshold", dict(type=float, default=0.001)),)),
+    "route-log": Analysis("routing decisions per token", _cmd_route_log, corpus=True),
+}
+
+
 # --- parser ----------------------------------------------------------------
-
-def _add_common_out(parser):
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--cell", type=int, default=16,
-                        help="heatmap block size in pixels")
-
-
-def _add_model(parser, with_ref=True):
-    parser.add_argument("--model", required=True, help="checkpoint path")
-    if with_ref:
-        parser.add_argument("--ref", help="dense reference checkpoint path")
-
-
-def _add_corpus(parser):
-    parser.add_argument("--corpus", required=True, help="token corpus path")
-    parser.add_argument("--k-override", choices=["all"], default=None,
-                        help="route every expert instead of the configured top-k")
-
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -438,95 +451,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-std", type=float, default=0.02)
     p.add_argument("--noise", type=float, default=0.0,
                    help="upcycling noise ratio relative to --init-std")
-    p.set_defaults(func=_cmd_synth)
 
-    for name in ("matrix-sim", "neuron-avg-sim"):
-        p = commands.add_parser(name, help=f"{name} over expert weights")
-        _add_model(p)
-        p.add_argument("--layer", default="all")
-        p.add_argument("--which", required=True, choices=list(sta.WHICH_MATRICES))
-        _add_common_out(p)
-        p.set_defaults(func=_cmd_weight_sim)
-
-    p = commands.add_parser("reorder", help="neuron alignment between expert pairs")
-    _add_model(p, with_ref=False)
-    p.add_argument("--layer", default="all")
-    p.add_argument("--which", required=True, choices=list(sta.WHICH_MATRICES))
-    _add_common_out(p)
-    p.set_defaults(func=_cmd_reorder)
-
-    p = commands.add_parser("gate-sim", help="gate row similarity")
-    _add_model(p, with_ref=False)
-    p.add_argument("--layer", default="all")
-    _add_common_out(p)
-    p.set_defaults(func=_cmd_gate_sim)
-
-    p = commands.add_parser("gate-corr",
-                            help="gate-vs-expert similarity regression per layer")
-    _add_model(p, with_ref=False)
-    p.add_argument("--which", required=True, choices=list(sta.WHICH_MATRICES))
-    _add_common_out(p)
-    p.set_defaults(func=_cmd_gate_corr)
-
-    p = commands.add_parser("pca", help="principal-component projection of experts")
-    _add_model(p, with_ref=False)
-    p.add_argument("--layer", default="all")
-    p.add_argument("--which", required=True, choices=list(sta.WHICH_MATRICES))
-    p.add_argument("--level", choices=["matrix", "neuron"], default="matrix")
-    p.add_argument("--dims", type=int, default=2)
-    p.add_argument("--eps", type=float, default=None,
-                   help="enable DBSCAN outlier removal with this radius")
-    p.add_argument("--min-pts", type=int, default=2)
-    p.add_argument("--no-standardize", action="store_true")
-    _add_common_out(p)
-    p.set_defaults(func=_cmd_pca)
-
-    p = commands.add_parser("trace", help="trace recombination consistency table")
-    _add_model(p)
-    _add_corpus(p)
-    _add_common_out(p)
-    p.set_defaults(func=_cmd_trace)
-
-    p = commands.add_parser("out-sim", help="per-token expert output similarity")
-    _add_model(p)
-    _add_corpus(p)
-    p.add_argument("--layer", default="all")
-    p.add_argument("--token", type=int, default=0,
-                   help="flattened corpus token index")
-    _add_common_out(p)
-    p.set_defaults(func=_cmd_out_sim)
-
-    p = commands.add_parser("avg-out-sim",
-                            help="corpus-averaged angular output similarity")
-    _add_model(p)
-    _add_corpus(p)
-    p.add_argument("--layer", default="all")
-    _add_common_out(p)
-    p.set_defaults(func=_cmd_avg_out_sim)
-
-    p = commands.add_parser("norm-rank",
-                            help="output-norm rank vs gate-score rank counts")
-    _add_model(p, with_ref=False)
-    _add_corpus(p)
-    p.add_argument("--layer", default="all")
-    _add_common_out(p)
-    p.set_defaults(func=_cmd_norm_rank)
-
-    p = commands.add_parser("act-ratio", help="activation sparsity ratios")
-    _add_model(p, with_ref=False)
-    _add_corpus(p)
-    p.add_argument("--threshold", type=float, default=0.001)
-    _add_common_out(p)
-    p.set_defaults(func=_cmd_act_ratio)
-
-    p = commands.add_parser("route-log", help="routing decisions per token")
-    _add_model(p, with_ref=False)
-    _add_corpus(p)
-    _add_common_out(p)
-    p.set_defaults(func=_cmd_route_log)
+    for name, entry in ANALYSES.items():
+        p = commands.add_parser(name, help=entry.help)
+        p.add_argument("--model", required=True, help="checkpoint path")
+        if entry.ref:
+            p.add_argument("--ref", help="dense reference checkpoint path")
+        if entry.corpus:
+            p.add_argument("--corpus", required=True, help="token corpus path")
+            p.add_argument("--k-override", choices=["all"], default=None,
+                           help="route every expert instead of the configured top-k")
+        if entry.layer:
+            p.add_argument("--layer", default="all")
+        if entry.which:
+            p.add_argument("--which", required=True, choices=list(sta.WHICH_MATRICES))
+        for flag, options in entry.options:
+            p.add_argument(flag, **options)
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--cell", type=int, default=16,
+                       help="heatmap block size in pixels")
+        p.set_defaults(func=entry.handler or functools.partial(_cmd_layer_sims, entry))
 
     p = commands.add_parser("report", help="run the full analysis bundle")
-    _add_model(p)
+    p.add_argument("--model", required=True, help="checkpoint path")
+    p.add_argument("--ref", help="dense reference checkpoint path")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_report)
@@ -545,7 +493,10 @@ def run_command(argv: list[str], loaded: Context | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        written = args.func(args, argv, loaded)
+        if args.command == "synth":
+            written = _cmd_synth(args)
+        else:
+            written = args.func(_load_context(args, argv, loaded))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

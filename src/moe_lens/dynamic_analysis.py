@@ -155,25 +155,22 @@ def activation_ratio(trace: CorpusTrace, threshold: float = 0.001) -> Activation
     return ActivationRatioReport(threshold=threshold, per_expert=per_expert, overall=overall)
 
 
-@dataclass
-class RouteEntry:
-    token_index: int
-    token_id: int
-    layer: int
-    selections: list[tuple[int, float]]  # (expert, score) in descending-score order
-
-
-@dataclass
-class RoutingLog:
-    entries: list[RouteEntry]
-
-
-def routing_pattern(trace: CorpusTrace) -> RoutingLog:
-    """Selected experts and their used scores, per token and gated layer."""
-    gated = [(layer, lt.selected, np.take_along_axis(lt.gate_scores, lt.selected, axis=1))
-             for layer, lt in enumerate(trace.layers) if lt.gate_scores.shape[1] > 1]
-    entries = [RouteEntry(token_index=idx, token_id=int(token_id), layer=layer,
-                          selections=list(zip(selected[idx].tolist(), scores[idx].tolist())))
-               for idx, token_id in enumerate(trace.token_ids)
-               for layer, selected, scores in gated]
-    return RoutingLog(entries=entries)
+def routing_pattern(trace: CorpusTrace) -> tuple[np.ndarray, ...]:
+    """Every routing decision of the gated layers, one row per token, layer
+    and slot in that order, as [R] arrays: ``(token_index, token_id, layer,
+    slot, expert, score)``.  A token's slots in a layer hold its selected
+    experts by descending used score.  Rows are flat rather than [.., k]
+    because with ``k_override_all`` each layer routes its own expert count.
+    """
+    t = trace.token_ids.size
+    parts = [(np.zeros(0, np.int64),) * 4 + (np.zeros(0),)]
+    for layer, lt in enumerate(trace.layers):
+        if lt.gate_scores.shape[1] > 1:
+            k = lt.selected.shape[1]
+            parts.append((np.repeat(np.arange(t), k), np.full(t * k, layer),
+                          np.tile(np.arange(k), t), lt.selected.ravel(),
+                          np.take_along_axis(lt.gate_scores, lt.selected, axis=1).ravel()))
+    columns = [np.concatenate(column) for column in zip(*parts)]
+    order = np.argsort(columns[0], kind="stable")
+    token_index, layer, slot, expert, score = (c[order] for c in columns)
+    return token_index, trace.token_ids[token_index], layer, slot, expert, score

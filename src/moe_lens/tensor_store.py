@@ -38,6 +38,7 @@ import contextlib
 import json
 import math
 import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,31 +111,36 @@ def required_tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def _check_tensor_set(config: ModelConfig, shapes: dict[str, tuple[int, ...]]) -> None:
+    """Raise unless ``shapes`` names exactly the tensors the config requires,
+    each with its required shape."""
+    required = required_tensor_shapes(config)
+    for name, want in required.items():
+        if name not in shapes:
+            raise CheckpointError(f"missing tensor: {name}")
+        if shapes[name] != want:
+            raise CheckpointError(f"shape mismatch for {name}: got {shapes[name]}, want {want}")
+    for name in shapes:
+        if name not in required:
+            raise CheckpointError(f"unexpected tensor: {name}")
+
+
 def build_checkpoint(config: ModelConfig, tensors: dict[str, np.ndarray]) -> Checkpoint:
     """Pack a complete tensor map into an in-memory checkpoint.
 
     The map must cover exactly the names the config requires, each with the
     exact shape; values are cast to float32.
     """
-    required = required_tensor_shapes(config)
-    for name in required:
-        if name not in tensors:
-            raise CheckpointError(f"missing tensor: {name}")
-    for name in tensors:
-        if name not in required:
-            raise CheckpointError(f"unexpected tensor: {name}")
+    tensors = {name: np.asarray(arr) for name, arr in tensors.items()}
+    _check_tensor_set(config, {name: arr.shape for name, arr in tensors.items()})
 
     metas: dict[str, TensorMeta] = {}
     chunks: list[bytes] = []
     cursor = 0
     for name in sorted(tensors):
-        arr = np.asarray(tensors[name])
-        want = required[name]
-        if arr.shape != want:
-            raise CheckpointError(
-                f"shape mismatch for {name}: got {tuple(arr.shape)}, want {want}")
-        raw = np.ascontiguousarray(arr, dtype=_F32).tobytes()
-        metas[name] = TensorMeta(name=name, shape=want, start=cursor, end=cursor + len(raw))
+        raw = np.ascontiguousarray(tensors[name], dtype=_F32).tobytes()
+        metas[name] = TensorMeta(name=name, shape=tensors[name].shape, start=cursor,
+                                 end=cursor + len(raw))
         chunks.append(raw)
         cursor += len(raw)
     return Checkpoint(config=config, tensors=metas, data=b"".join(chunks))
@@ -156,26 +162,26 @@ def serialize_checkpoint(ckpt: Checkpoint) -> bytes:
     return b"".join(parts)
 
 
-def write_checkpoint(config: ModelConfig, tensors: dict[str, np.ndarray], path) -> Checkpoint:
-    """Validate, pack, and atomically write a checkpoint file."""
-    ckpt = build_checkpoint(config, tensors)
-    dump_checkpoint(ckpt, path)
-    return ckpt
-
-
 def dump_checkpoint(ckpt: Checkpoint, path) -> None:
     atomic_write_bytes(path, serialize_checkpoint(ckpt))
 
 
 def atomic_write_bytes(path, blob: bytes) -> None:
-    """Write ``blob`` to ``<path>.tmp``, then rename it over ``path``.
+    """Write ``blob`` to a temp file of this writer's own in ``path``'s
+    directory, then rename it over ``path``.
 
-    Readers never see a partly written file, and the temp file is removed if
-    the write or the rename fails.
+    Readers never see a partly written file, two writers of one path never
+    share a temp file, and the temp file is removed if the write or the
+    rename fails.  The file gets the mode ``open`` would give it,
+    ``0o666 & ~umask``, not ``mkstemp``'s 0o600.
     """
-    tmp = f"{path}.tmp"
+    directory, name = os.path.split(os.fspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory or ".")
     try:
-        with open(tmp, "wb") as fh:
+        with os.fdopen(fd, "wb") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(blob)
         os.replace(tmp, path)
     except BaseException:
@@ -244,12 +250,5 @@ def parse_checkpoint(blob: bytes) -> Checkpoint:
     if len(data) != total:
         raise CheckpointError("header/payload length mismatch")
 
-    required = required_tensor_shapes(config)
-    for name, shape in required.items():
-        if name not in metas:
-            raise CheckpointError(f"missing tensor: {name}")
-        if metas[name].shape != shape:
-            raise CheckpointError(
-                f"shape mismatch for {name}: got {metas[name].shape}, want {shape}")
-
+    _check_tensor_set(config, {name: meta.shape for name, meta in metas.items()})
     return Checkpoint(config=config, tensors=metas, data=data)

@@ -1,5 +1,7 @@
 """CSV/PPM emission primitives and end-to-end command-line runs."""
 
+import argparse
+import ast
 import json
 import math
 import os
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 from conftest import write_corpus
 
-from moe_lens.cli import run_command
+from moe_lens.cli import build_parser, run_command
 from moe_lens.report import (Provenance, colormap, emit_csv, emit_heatmap,
                              file_digest, format_cell, metric_range)
 
@@ -126,7 +128,7 @@ def test_emit_csv_layout(tmp_path):
 def test_emit_csv_atomic(tmp_path):
     path = tmp_path / "t.csv"
     emit_csv(path, Provenance(command=["c"]), ["a"], [[1]])
-    assert not os.path.exists(f"{path}.tmp")
+    assert list(tmp_path.iterdir()) == [path]
 
 
 # --- colormap and heatmaps -----------------------------------------------------
@@ -266,6 +268,57 @@ def test_synth_requires_seed(tmp_path, capsys):
 def test_unknown_subcommand_exits_2(capsys):
     assert run_command(["inspect-everything"]) == 2
     capsys.readouterr()
+
+
+# Every subcommand's options in parser order: (flag, default, choices, required, type).
+MODEL = ("--model", None, None, True, None)
+REF = ("--ref", None, None, False, None)
+CORPUS = [("--corpus", None, None, True, None), ("--k-override", None, ("all",), False, None)]
+LAYER = ("--layer", "all", None, False, None)
+WHICH = ("--which", None, ("up", "act", "down"), True, None)
+OUT = [("--out", None, None, True, None), ("--cell", 16, None, False, int)]
+PARSER_OPTIONS = {
+    "synth": [("--mode", None, ("scratch", "upcycled", "permuted-clone"), True, None),
+              ("--seed", None, None, True, int), ("--out", None, None, True, None),
+              ("--layers", 2, None, False, int), ("--experts", "4", None, False, None),
+              ("--shared", "0", None, False, None), ("--top-k", 2, None, False, int),
+              ("--d-hid", 32, None, False, int), ("--d-mid", 64, None, False, int),
+              ("--vocab", 101, None, False, int),
+              ("--activation", "silu", ("silu", "gelu"), False, None),
+              ("--gating-order", "topk_then_softmax",
+               ("topk_then_softmax", "softmax_then_topk"), False, None),
+              ("--no-prenorm", False, None, False, None),
+              ("--init-std", 0.02, None, False, float), ("--noise", 0.0, None, False, float)],
+    "matrix-sim": [MODEL, REF, LAYER, WHICH, *OUT],
+    "neuron-avg-sim": [MODEL, REF, LAYER, WHICH, *OUT],
+    "reorder": [MODEL, LAYER, WHICH, *OUT],
+    "gate-sim": [MODEL, LAYER, *OUT],
+    "gate-corr": [MODEL, WHICH, *OUT],
+    "pca": [MODEL, LAYER, WHICH, ("--level", "matrix", ("matrix", "neuron"), False, None),
+            ("--dims", 2, None, False, int), ("--eps", None, None, False, float),
+            ("--min-pts", 2, None, False, int), ("--no-standardize", False, None, False, None),
+            *OUT],
+    "trace": [MODEL, REF, *CORPUS, *OUT],
+    "out-sim": [MODEL, REF, *CORPUS, LAYER, ("--token", 0, None, False, int), *OUT],
+    "avg-out-sim": [MODEL, REF, *CORPUS, LAYER, *OUT],
+    "norm-rank": [MODEL, *CORPUS, LAYER, *OUT],
+    "act-ratio": [MODEL, *CORPUS, ("--threshold", 0.001, None, False, float), *OUT],
+    "route-log": [MODEL, *CORPUS, *OUT],
+    "report": [MODEL, REF, ("--corpus", None, None, True, None), ("--out", None, None, True, None)],
+}
+
+
+def test_parser_options_are_pinned():
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(commands) == list(PARSER_OPTIONS)
+    for name, parser in commands.items():
+        actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        got = [(*a.option_strings, a.default, tuple(a.choices) if a.choices else None,
+                a.required, a.type) for a in actions]
+        assert got == PARSER_OPTIONS[name], name
+        for action in actions:
+            assert action.dest == action.option_strings[0][2:].replace("-", "_")
 
 
 # --- analysis commands -------------------------------------------------------------
@@ -559,12 +612,27 @@ def test_report_steps_match_standalone_commands(workspace, tmp_path):
     model = ["--model", workspace["up"]]
     ref = ["--ref", workspace["ref"]]
     corpus = ["--corpus", workspace["corpus"]]
-    steps = {"avg-out-sim": ["avg-out-sim", *model, *ref, *corpus, "--layer", "all"],
-             "norm-rank": ["norm-rank", *model, *corpus, "--layer", "all"],
-             "trace": ["trace", *model, *ref, *corpus]}
-    for name, argv in steps.items():
+    which = [["--which", w] for w in ("up", "act", "down")]
+    steps = {
+        "matrix-sim": [["matrix-sim", *model, *ref, "--layer", "all", *w] for w in which],
+        "neuron-avg-sim": [["neuron-avg-sim", *model, *ref, "--layer", "all", *w]
+                           for w in which],
+        "reorder": [["reorder", *model, "--layer", "all", *w] for w in which],
+        "pca": [["pca", *model, "--layer", "all", *w] for w in which],
+        "gate-sim": [["gate-sim", *model, "--layer", "all"]],
+        "gate-corr": [["gate-corr", *model, *w] for w in which],
+        "out-sim": [["out-sim", *model, *ref, *corpus, "--layer", "all"]],
+        "avg-out-sim": [["avg-out-sim", *model, *ref, *corpus, "--layer", "all"]],
+        "norm-rank": [["norm-rank", *model, *corpus, "--layer", "all"]],
+        "route-log": [["route-log", *model, *corpus]],
+        "trace": [["trace", *model, *ref, *corpus]],
+        "act-ratio": [["act-ratio", *model, *corpus]],
+    }
+    assert sorted(steps) == sorted(os.listdir(out))
+    for name, invocations in steps.items():
         shutil.rmtree(out / name)
-        assert run_command([*argv, "--out", str(out / name)]) == 0
+        for argv in invocations:
+            assert run_command([*argv, "--out", str(out / name)]) == 0
     assert snapshot(out) == bundle
 
 
@@ -612,7 +680,17 @@ def test_traced_benchmark_report_runs(workspace, tmp_path):
         return json.loads(spans.read_text())
 
     dump = traced("report", report_argv(workspace, tmp_path / "bundle"))
-    assert "moe_core.trace" in {span[0] for span in dump["spans"]}
+    spans = dump["spans"]
+    assert "moe_core.trace" in {span[0] for span in spans}
+    # One cli.<step> span under cli.report per step the benchmark times;
+    # a step without one reads as 0 s in its per-layer metric.
+    run_py = ast.parse((repo / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    report_steps = next(ast.literal_eval(node.value) for node in run_py.body
+                        if isinstance(node, ast.Assign)
+                        and getattr(node.targets[0], "id", None) == "REPORT_STEPS")
+    root = next(i for i, span in enumerate(spans) if span[0] == "cli.report")
+    steps = {span[0] for span in spans if span[3] == root and span[0].startswith("cli.")}
+    assert steps == {f"cli.{step}" for step in report_steps}
     # The benchmark's DBSCAN probe: neuron-level PCA of the last layer.
     dump = traced("pca", ["pca", "--model", workspace["up"], "--layer", "1", "--which", "up",
                           "--level", "neuron", "--eps", "0.5", "--out", str(tmp_path / "pca")])
@@ -642,6 +720,8 @@ def test_zero_layer_model_fails_cleanly(tmp_path, capsys):
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: no intermediates to count: the model has no layers")
+    # report refuses the model before its first step, so it leaves no partial bundle.
+    assert snapshot(tmp_path / "report") == {}
 
 
 def test_dense_model_matrix_sim_fails_cleanly(tmp_path, capsys):

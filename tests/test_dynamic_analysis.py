@@ -296,22 +296,40 @@ def test_activation_ratio_rejects_negative_threshold():
 
 def test_routing_pattern_counts_and_scores():
     ck, ref, trace = traced_model(k=2)
-    log = routing_pattern(trace)
-    assert len(log.entries) == trace.token_ids.size * 2
-    for ent in log.entries:
-        lt = trace.layers[ent.layer]
-        assert ent.token_id == trace.token_ids[ent.token_index]
-        assert [e for e, _ in ent.selections] == lt.selected[ent.token_index].tolist()
-        for expert, score in ent.selections:
-            assert score == pytest.approx(float(lt.gate_scores[ent.token_index, expert]))
-        scores = [s for _, s in ent.selections]
-        assert scores == sorted(scores, reverse=True)
+    token_index, token_id, layer, slot, expert, score = routing_pattern(trace)
+    t = trace.token_ids.size
+    # One row per token, gated layer and slot, in that order.
+    assert np.array_equal(token_index, np.repeat(np.arange(t), 2 * 2))
+    assert np.array_equal(layer, np.tile([0, 0, 1, 1], t))
+    assert np.array_equal(slot, np.tile([0, 1], 2 * t))
+    assert np.array_equal(token_id, trace.token_ids[token_index])
+    for idx in range(t):
+        for l, lt in enumerate(trace.layers):
+            rows = (token_index == idx) & (layer == l)
+            assert expert[rows].tolist() == lt.selected[idx].tolist()
+            for e, sc in zip(expert[rows], score[rows]):
+                assert sc == pytest.approx(float(lt.gate_scores[idx, e]))
+            scores = score[rows].tolist()
+            assert scores == sorted(scores, reverse=True)
 
 
 def test_routing_pattern_skips_single_expert_layers():
     cfg = ModelConfig(num_layers=2, experts_per_layer=[1, 4], num_shared=[0, 0],
                       top_k=1, d_hid=8, d_mid=12, vocab=5)
     ck = synth_scratch(SynthSpec(config=cfg, mode="scratch", seed=2))
-    log = routing_pattern(trace_all_experts(ck, [0, 1, 2]))
-    assert {e.layer for e in log.entries} == {1}
+    token_index, token_id, layer, slot, expert, score = routing_pattern(
+        trace_all_experts(ck, [0, 1, 2]))
+    assert set(layer.tolist()) == {1}
+    assert token_index.tolist() == [0, 1, 2]
 
+
+def test_routing_pattern_layers_of_different_widths_under_k_override():
+    cfg = ModelConfig(num_layers=2, experts_per_layer=[2, 3], num_shared=[0, 0],
+                      top_k=1, d_hid=8, d_mid=12, vocab=5)
+    ck = synth_scratch(SynthSpec(config=cfg, mode="scratch", seed=2))
+    token_index, _, layer, slot, expert, _ = routing_pattern(
+        trace_all_experts(ck, [3, 4], k_override_all=True))
+    assert token_index.tolist() == [0] * 5 + [1] * 5
+    assert layer.tolist() == [0, 0, 1, 1, 1] * 2
+    assert slot.tolist() == [0, 1, 0, 1, 2] * 2
+    assert sorted(expert[:2].tolist()) == [0, 1] and sorted(expert[2:5].tolist()) == [0, 1, 2]

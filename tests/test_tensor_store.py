@@ -8,10 +8,10 @@ import pytest
 
 from moe_lens import ModelConfig
 from moe_lens.report import Provenance, emit_csv
-from moe_lens.tensor_store import (MAGIC, CheckpointError, build_checkpoint,
-                                   dump_checkpoint, parse_checkpoint, read_checkpoint,
-                                   required_tensor_shapes, serialize_checkpoint,
-                                   write_checkpoint)
+from moe_lens.tensor_store import (MAGIC, CheckpointError, atomic_write_bytes,
+                                   build_checkpoint, dump_checkpoint, parse_checkpoint,
+                                   read_checkpoint, required_tensor_shapes,
+                                   serialize_checkpoint)
 
 
 def tiny_config(**overrides):
@@ -68,7 +68,8 @@ def test_round_trip_is_bit_exact(tmp_path):
     config = tiny_config(num_shared=[1])
     tensors = full_tensor_map(config)
     path = tmp_path / "model.moel"
-    written = write_checkpoint(config, tensors, path)
+    written = build_checkpoint(config, tensors)
+    dump_checkpoint(written, path)
     loaded = read_checkpoint(path)
     assert loaded.config == config
     assert loaded.tensors == written.tensors
@@ -90,7 +91,7 @@ def test_serialization_is_deterministic():
 def test_reserialize_after_read_is_identical(tmp_path):
     config = tiny_config()
     path = tmp_path / "m.moel"
-    write_checkpoint(config, full_tensor_map(config), path)
+    dump_checkpoint(build_checkpoint(config, full_tensor_map(config)), path)
     blob = path.read_bytes()
     assert serialize_checkpoint(parse_checkpoint(blob)) == blob
 
@@ -230,6 +231,16 @@ def test_read_rejects_missing_required_tensor():
         parse_checkpoint(_reassemble(header, data))
 
 
+def test_read_rejects_extra_tensor():
+    config = tiny_config()
+    blob = serialize_checkpoint(build_checkpoint(config, full_tensor_map(config)))
+    header, data = _header_and_data(blob)
+    header["tensors"]["layers.1.gate.weight"] = {
+        "dtype": "f32", "shape": [2, 2], "offsets": [len(data), len(data) + 16]}
+    with pytest.raises(CheckpointError, match="unexpected tensor: layers.1.gate.weight"):
+        parse_checkpoint(_reassemble(header, data + bytes(16)))
+
+
 def test_config_validation_round_trip():
     config = tiny_config(num_layers=3, experts_per_layer=[2, 1, 4],
                          num_shared=[1, 0, 0], top_k=2)
@@ -275,8 +286,25 @@ def test_dump_is_atomic_no_tmp_left(tmp_path):
     ckpt = build_checkpoint(config, full_tensor_map(config))
     path = tmp_path / "model.moel"
     dump_checkpoint(ckpt, path)
-    assert path.exists()
-    assert not (tmp_path / "model.moel.tmp").exists()
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_atomic_write_ignores_a_fixed_tmp_name(tmp_path):
+    # Another writer's temp file of the same name cannot block this one.
+    path = tmp_path / "out.csv"
+    (tmp_path / "out.csv.tmp").mkdir()
+    atomic_write_bytes(path, b"data")
+    assert path.read_bytes() == b"data"
+    assert sorted(tmp_path.iterdir()) == [path, tmp_path / "out.csv.tmp"]
+
+
+def test_atomic_write_mode_follows_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        atomic_write_bytes(tmp_path / "out.csv", b"data")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "out.csv").stat().st_mode & 0o777 == 0o640
 
 
 @pytest.mark.parametrize("write", [
