@@ -83,7 +83,7 @@ def _load_context(args, argv: list[str], loaded: Context | None) -> Context:
         tokens = None
         if corpus_path:
             digests["corpus"] = file_digest(corpus_path)
-            tokens = flatten_corpus(read_corpus(corpus_path))
+            tokens = flatten_corpus(read_corpus(corpus_path, model.config.vocab))
             if not tokens:
                 raise ValueError("corpus holds no tokens")
         loaded = Context(args=args, model=model, reference=reference, tokens=tokens,
@@ -247,6 +247,8 @@ def _cmd_pca(ctx: Context) -> list[str]:
 
 
 def _cmd_trace(ctx: Context) -> list[str]:
+    if not ctx.model.config.num_layers:
+        raise ValueError("nothing to trace: the model has no layers")
     trace = ctx.corpus_trace()
     errs = np.zeros((trace.token_ids.size, len(trace.layers)))
     for layer, lt in enumerate(trace.layers):
@@ -305,6 +307,8 @@ def _cmd_act_ratio(ctx: Context) -> list[str]:
 
 
 def _cmd_route_log(ctx: Context) -> list[str]:
+    if not ctx.model.config.moe_layers():
+        raise ValueError("model has no gated layers")
     columns = [c.tolist() for c in dyn.routing_pattern(ctx.corpus_trace())]
     path = os.path.join(ctx.out, "route-log.csv")
     emit_csv(path, ctx.provenance,
@@ -315,10 +319,10 @@ def _cmd_route_log(ctx: Context) -> list[str]:
 def _cmd_report(ctx: Context) -> list[str]:
     """Run the full analysis suite into subdirectories of --out, every step
     through ``run_command`` on inputs read, hashed and traced once here."""
-    ctx.trace = trace_all_experts(ctx.model, ctx.tokens, ctx.reference)
     config = ctx.model.config
     if not config.num_layers:
         raise ValueError("no intermediates to count: the model has no layers")
+    ctx.trace = trace_all_experts(ctx.model, ctx.tokens, ctx.reference)
     gated = config.moe_layers()
     steps: list[tuple[str, str | None]] = []
     if gated:
@@ -492,6 +496,9 @@ def run_command(argv: list[str], loaded: Context | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    if args.command == "report":
+        # reorder always runs; imported after the trace, idle BLAS threads slow it.
+        import scipy.optimize  # noqa: F401
     try:
         if args.command == "synth":
             written = _cmd_synth(args)

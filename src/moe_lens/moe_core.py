@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, expit
 
 from .config import GATING_ORDERS
 from .tensor_store import Checkpoint
@@ -68,11 +67,14 @@ class CorpusTrace:
 
 
 def activation_fn(kind: str, x) -> np.ndarray:
-    """Elementwise silu or gelu (exact erf form), computed in float64."""
+    """Elementwise silu (numpy only) or gelu (exact erf form, from scipy) in float64."""
     x = np.asarray(x, dtype=np.float64)
     if kind == "silu":
-        return x * expit(x)
+        # exp(-x) overflows to inf below x = -709.78, where silu is -0.0.
+        with np.errstate(over="ignore"):
+            return x / (1.0 + np.exp(-x))
     if kind == "gelu":
+        from scipy.special import erf
         return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
     raise ValueError(f"unknown activation: {kind!r}")
 
@@ -211,8 +213,9 @@ def trace_all_experts(ckpt: Checkpoint, tokens: list[int],
     return CorpusTrace(token_ids=ids, z=np.stack(z), layers=layers)
 
 
-def read_corpus(path) -> list[list[int]]:
-    """Parse a corpus file: one sequence per line, whitespace-separated token ids."""
+def read_corpus(path, vocab: int) -> list[list[int]]:
+    """Parse a corpus file: one sequence per line, whitespace-separated token
+    ids, each below ``vocab``."""
     sequences = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -223,6 +226,10 @@ def read_corpus(path) -> list[list[int]]:
                 raise ValueError(f"bad token id on line {lineno}: {exc}") from exc
             if any(t < 0 for t in ids):
                 raise ValueError(f"negative token id on line {lineno}")
+            bad = [t for t in ids if t >= vocab]
+            if bad:
+                raise ValueError(f"token id out of range on line {lineno}: {bad[0]} "
+                                 f"(vocab {vocab})")
             if ids:
                 sequences.append(ids)
     return sequences

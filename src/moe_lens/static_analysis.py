@@ -3,7 +3,9 @@
 Everything here compares experts through their parameters alone: flattened
 whole-matrix cosine, per-neuron averaging, optimal neuron reordering, gate-row
 geometry, and low-dimensional projections of expert weights.  Behavioral
-(forward-pass) comparisons live in ``dynamic_analysis``.
+(forward-pass) comparisons live in ``dynamic_analysis``.  scipy is imported
+inside ``solve_assignment`` and ``dbscan_outliers``, the two functions that
+call it, so a command that reaches neither never loads it.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial import cKDTree
 
 from .tensor_store import Checkpoint
 
@@ -180,6 +180,7 @@ def solve_assignment(score: np.ndarray, maximize: bool = True) -> np.ndarray:
         raise ValueError("score matrix must be square")
     if not np.all(np.isfinite(score)):
         raise ValueError("score matrix must be finite")
+    from scipy.optimize import linear_sum_assignment
     n = score.shape[0]
     rows, cols = linear_sum_assignment(score, maximize=maximize)
     perm = cols[np.argsort(rows)]
@@ -420,6 +421,7 @@ def dbscan_outliers(points, eps: float, min_pts: int = 2,
         raise ValueError("eps must be positive")
     if min_pts < 1:
         raise ValueError("min_pts must be at least 1")
+    from scipy.spatial import cKDTree
 
     def within_eps(centers: np.ndarray) -> np.ndarray:
         return cKDTree(centers).query_ball_point(data, eps, return_length=True)

@@ -15,10 +15,11 @@ The JSON header holds the model config and a tensor directory::
                                           "shape": [8, 64],
                                           "offsets": [0, 2048]}, ...}}
 
-Tensor payloads are float32, little-endian, row-major.  ``offsets`` are byte
-positions relative to the start of the data section; the range length must be
-exactly ``4 * prod(shape)``.  Ranges of distinct tensors may not overlap and
-the data section ends at the largest end offset.
+The header holds no other key, and a tensor entry no other than these three.
+Tensor payloads are finite float32, little-endian, row-major.  ``offsets``
+are byte positions relative to the start of the data section; the range
+length must be exactly ``4 * prod(shape)``.  Ranges of distinct tensors may
+not overlap and the data section ends at the largest end offset.
 
 Tensor names are derived from the config.  Every model has ``embed.weight``
 of shape ``[vocab, d_hid]``.  Gated layer ``i`` contributes
@@ -210,8 +211,8 @@ def parse_checkpoint(blob: bytes) -> Checkpoint:
         header = json.loads(blob[16:16 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"malformed header: {exc}") from exc
-    if not isinstance(header, dict) or "__config__" not in header or "tensors" not in header:
-        raise CheckpointError("malformed header: missing __config__ or tensors")
+    if not isinstance(header, dict) or header.keys() != {"__config__", "tensors"}:
+        raise CheckpointError("malformed header: keys must be __config__ and tensors")
     try:
         config = ModelConfig.from_dict(header["__config__"])
     except ValueError as exc:
@@ -224,8 +225,9 @@ def parse_checkpoint(blob: bytes) -> Checkpoint:
 
     metas: dict[str, TensorMeta] = {}
     for name, entry in directory.items():
-        if not isinstance(entry, dict):
-            raise CheckpointError(f"malformed entry for {name}")
+        if not isinstance(entry, dict) or entry.keys() != {"dtype", "shape", "offsets"}:
+            raise CheckpointError(f"malformed entry for {name}: keys must be dtype, "
+                                  "shape and offsets")
         if entry.get("dtype") != "f32":
             raise CheckpointError(f"unsupported dtype for {name}: {entry.get('dtype')!r}")
         shape = entry.get("shape")
@@ -251,4 +253,8 @@ def parse_checkpoint(blob: bytes) -> Checkpoint:
         raise CheckpointError("header/payload length mismatch")
 
     _check_tensor_set(config, {name: meta.shape for name, meta in metas.items()})
-    return Checkpoint(config=config, tensors=metas, data=data)
+    ckpt = Checkpoint(config=config, tensors=metas, data=data)
+    for name in metas:
+        if not np.isfinite(ckpt.get_tensor(name)).all():
+            raise CheckpointError(f"non-finite value in {name}")
+    return ckpt

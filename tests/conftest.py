@@ -1,10 +1,15 @@
-"""Shared fixtures plus a terminal summary line per acceptance criterion."""
+"""Shared fixtures and helpers plus a terminal summary line per acceptance criterion."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import moe_lens
 from moe_lens import ModelConfig
 from moe_lens.synth import SynthSpec, synth_scratch
 
@@ -32,6 +37,20 @@ def write_corpus(path, sequences):
     with open(path, "w", encoding="utf-8") as fh:
         for seq in sequences:
             fh.write(" ".join(str(t) for t in seq) + "\n")
+
+
+# Python source, for ``run_isolated``, naming the scipy modules loaded so far.
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def run_isolated(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports this ``moe_lens``, so
+    what it imports is not masked by modules other tests loaded here."""
+    src = Path(moe_lens.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def pytest_runtest_logreport(report):

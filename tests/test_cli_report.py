@@ -8,11 +8,12 @@ import os
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import write_corpus
+from conftest import SCIPY_MODULES, run_isolated, write_corpus
 
 from moe_lens.cli import build_parser, run_command
 from moe_lens.report import (Provenance, colormap, emit_csv, emit_heatmap,
@@ -734,3 +735,78 @@ def test_dense_model_matrix_sim_fails_cleanly(tmp_path, capsys):
                         "--out", str(tmp_path / "x")])
     assert code == 1
     assert "no gated layers" in capsys.readouterr().err
+
+
+def test_corpus_ids_checked_against_vocab_on_load(workspace, tmp_path, capsys):
+    # out-sim traces only its --token, so only a check at load sees the rest.
+    corpus = tmp_path / "corpus.txt"
+    write_corpus(corpus, [[0, 1], [2, 99, 3]])  # vocab is 13
+    for command in ("trace", "out-sim", "avg-out-sim", "norm-rank", "act-ratio",
+                    "route-log", "report"):
+        code = run_command([command, "--model", workspace["model"], "--corpus", str(corpus),
+                            "--out", str(tmp_path / command)])
+        assert code == 1, command
+        assert capsys.readouterr().err == \
+            "error: token id out of range on line 2: 99 (vocab 13)\n", command
+
+
+def test_non_finite_weight_fails_cleanly(tmp_path, capsys):
+    from moe_lens.tensor_store import read_checkpoint, serialize_checkpoint
+    assert run_command(["synth", "--mode", "scratch", "--seed", "5", "--out", str(tmp_path),
+                        "--layers", "1", "--d-hid", "8", "--d-mid", "8", "--vocab", "7"]) == 0
+    ckpt = read_checkpoint(tmp_path / "model.moel")
+    meta = ckpt.tensors["layers.0.experts.1.w_up"]
+    data = bytearray(ckpt.data)
+    data[meta.start:meta.start + 4] = np.float32("nan").tobytes()
+    ckpt.data = bytes(data)
+    (tmp_path / "nan.moel").write_bytes(serialize_checkpoint(ckpt))
+    capsys.readouterr()
+    code = run_command(["matrix-sim", "--model", str(tmp_path / "nan.moel"), "--which", "up",
+                        "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "error: non-finite value in layers.0.experts.1.w_up\n"
+
+
+@pytest.mark.parametrize("command, synth_args, message", [
+    ("trace", ["--layers", "0"], "nothing to trace: the model has no layers"),
+    ("route-log", ["--layers", "0"], "model has no gated layers"),
+    ("route-log", ["--layers", "1", "--experts", "1", "--top-k", "1"],
+     "model has no gated layers"),
+], ids=["trace-zero-layers", "route-log-zero-layers", "route-log-dense"])
+def test_empty_model_fails_cleanly(tmp_path, capsys, command, synth_args, message):
+    assert run_command(["synth", "--mode", "scratch", "--seed", "5", "--out", str(tmp_path),
+                        *synth_args, "--d-hid", "8", "--d-mid", "8", "--vocab", "7"]) == 0
+    write_corpus(tmp_path / "corpus.txt", [[0, 1, 2]])
+    capsys.readouterr()
+    code = run_command([command, "--model", str(tmp_path / "model.moel"),
+                        "--corpus", str(tmp_path / "corpus.txt"),
+                        "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert snapshot(tmp_path / "out") == {}
+
+
+# --- imports -----------------------------------------------------------------
+
+def test_cli_import_loads_no_scipy():
+    run_isolated(f"import sys, moe_lens.cli\nassert {SCIPY_MODULES} == [], {SCIPY_MODULES}")
+
+
+def test_silu_synth_and_out_sim_load_no_scipy(tmp_path):
+    out = str(tmp_path)
+    run_isolated(textwrap.dedent(f"""
+        import sys
+        from moe_lens.cli import run_command
+        out = {out!r}
+        assert run_command(["synth", "--mode", "upcycled", "--seed", "3", "--noise", "0.3",
+                            "--d-hid", "8", "--d-mid", "12", "--vocab", "13",
+                            "--out", out]) == 0
+        with open(out + "/corpus.txt", "w") as fh:
+            fh.write("1 2 3\\n4 5\\n")
+        assert run_command(["out-sim", "--model", out + "/model.moel",
+                            "--ref", out + "/reference.moel", "--corpus", out + "/corpus.txt",
+                            "--token", "3", "--out", out + "/sim"]) == 0
+        assert {SCIPY_MODULES} == [], {SCIPY_MODULES}
+        """))
+    assert (tmp_path / "sim" / "out-sim-layer1-token3.csv").exists()

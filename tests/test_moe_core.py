@@ -5,9 +5,11 @@ tests pin the corpus-wide engine to that oracle.
 """
 
 import math
+import textwrap
 
 import numpy as np
 import pytest
+from conftest import SCIPY_MODULES, run_isolated
 
 from moe_lens import ModelConfig
 from moe_lens.moe_core import (Expert, activation_fn, expert_forward, flatten_corpus,
@@ -58,6 +60,35 @@ def test_silu_zero_and_one():
 def test_gelu_matches_erf_form():
     for x in (-2.0, -0.5, 0.0, 0.3, 1.0, 4.0):
         assert abs(activation_fn("gelu", x) - gelu_ref(x)) < 1e-12
+
+
+def test_silu_in_numpy_matches_expit_form():
+    # silu needs no scipy; it must agree with x * expit(x) to a few ulp even
+    # where exp(-x) overflows, and warn nowhere.
+    run_isolated(textwrap.dedent(f"""
+        import sys, warnings
+        import numpy as np
+        from moe_lens.moe_core import activation_fn
+        x = np.concatenate([np.linspace(-1000.0, 1000.0, 40001),
+                            [-745.2, -709.8, -709.7, -1e-300, -0.0, 5e-324, 1e300, -1e300]])
+        warnings.simplefilter("error")
+        got = activation_fn("silu", x)
+        assert {SCIPY_MODULES} == []
+        from scipy.special import expit
+        np.testing.assert_array_max_ulp(got, x * expit(x), maxulp=4)
+        """))
+
+
+def test_gelu_imports_erf_when_called():
+    run_isolated(textwrap.dedent(f"""
+        import math, sys
+        import numpy as np
+        from moe_lens.moe_core import activation_fn
+        assert {SCIPY_MODULES} == []
+        x = np.linspace(-6.0, 6.0, 241)
+        want = [0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x]
+        np.testing.assert_allclose(activation_fn("gelu", x), want, rtol=1e-14, atol=0)
+        """))
     assert activation_fn("gelu", 0.0) == 0.0
 
 
@@ -383,7 +414,7 @@ def test_trace_identical_experts_give_equal_outputs():
 def test_read_corpus_round_trip(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_text("1 2 3\n\n7 8\n", encoding="utf-8")
-    seqs = read_corpus(path)
+    seqs = read_corpus(path, 9)
     assert seqs == [[1, 2, 3], [7, 8]]
     assert flatten_corpus(seqs) == [1, 2, 3, 7, 8]
 
@@ -392,11 +423,18 @@ def test_read_corpus_rejects_garbage(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_text("1 banana 3\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 1"):
-        read_corpus(path)
+        read_corpus(path, 9)
 
 
 def test_read_corpus_rejects_negative(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_text("1 -2\n", encoding="utf-8")
     with pytest.raises(ValueError, match="negative"):
-        read_corpus(path)
+        read_corpus(path, 9)
+
+
+def test_read_corpus_rejects_ids_outside_vocab(tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_text("1 2\n\n3 9 4\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"token id out of range on line 3: 9 \(vocab 9\)"):
+        read_corpus(path, 9)

@@ -241,6 +241,35 @@ def test_read_rejects_extra_tensor():
         parse_checkpoint(_reassemble(header, data + bytes(16)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_read_rejects_non_finite_payload(value):
+    config = tiny_config()
+    tensors = full_tensor_map(config)
+    tensors["layers.0.experts.1.w_up"][2, 1] = value
+    blob = serialize_checkpoint(build_checkpoint(config, tensors))
+    with pytest.raises(CheckpointError, match="non-finite value in layers.0.experts.1.w_up"):
+        parse_checkpoint(blob)
+
+
+def test_read_rejects_unknown_header_key():
+    config = tiny_config()
+    blob = serialize_checkpoint(build_checkpoint(config, full_tensor_map(config)))
+    header, data = _header_and_data(blob)
+    header["extra_key"] = {}
+    with pytest.raises(CheckpointError, match="malformed header: keys must be __config__ and tensors"):
+        parse_checkpoint(_reassemble(header, data))
+
+
+def test_read_rejects_unknown_tensor_entry_key():
+    config = tiny_config()
+    blob = serialize_checkpoint(build_checkpoint(config, full_tensor_map(config)))
+    header, data = _header_and_data(blob)
+    header["tensors"]["embed.weight"]["stride"] = [2, 1]
+    with pytest.raises(CheckpointError,
+                       match="malformed entry for embed.weight: keys must be dtype, shape"):
+        parse_checkpoint(_reassemble(header, data))
+
+
 def test_config_validation_round_trip():
     config = tiny_config(num_layers=3, experts_per_layer=[2, 1, 4],
                          num_shared=[1, 0, 0], top_k=2)
