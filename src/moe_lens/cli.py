@@ -20,7 +20,7 @@ import numpy as np
 from . import dynamic_analysis as dyn
 from . import static_analysis as sta
 from .config import ACTIVATIONS, GATING_ORDERS, ModelConfig
-from .moe_core import (CorpusTrace, flatten_corpus, read_corpus, recombined_output,
+from .moe_core import (CorpusTrace, flatten_corpus, native_output, read_corpus,
                        trace_all_experts)
 from .report import (Provenance, emit_csv, emit_heatmap, emit_similarity_csv,
                      file_digest, matrix_comments, metric_range)
@@ -254,7 +254,7 @@ def _cmd_trace(ctx: Context) -> list[str]:
     for layer, lt in enumerate(trace.layers):
         z_out = trace.z[layer + 1]
         scale = np.linalg.norm(z_out, axis=1)
-        rebuilt = recombined_output(lt, trace.z[layer])
+        rebuilt = native_output(ctx.model, layer, lt, trace.z[layer])
         errs[:, layer] = np.linalg.norm(rebuilt - z_out, axis=1) / np.where(scale > 0, scale, 1.0)
     rows = ([idx, token_id, layer, errs[idx, layer]]
             for idx, token_id in enumerate(trace.token_ids.tolist())
@@ -496,9 +496,6 @@ def run_command(argv: list[str], loaded: Context | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    if args.command == "report":
-        # reorder always runs; imported after the trace, idle BLAS threads slow it.
-        import scipy.optimize  # noqa: F401
     try:
         if args.command == "synth":
             written = _cmd_synth(args)

@@ -136,8 +136,8 @@ def activation_ratio(trace: CorpusTrace, threshold: float = 0.001) -> Activation
     Counts every routed expert's gated intermediate state on every token;
     ``per_expert`` is keyed by (layer, expert index).
     """
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not 0 <= threshold < np.inf:
+        raise ValueError(f"threshold must be nonnegative and finite: {threshold}")
     if trace.token_ids.size == 0:
         raise ValueError("no traces given: the trace holds no tokens")
     if not trace.layers:

@@ -213,6 +213,27 @@ def trace_all_experts(ckpt: Checkpoint, tokens: list[int],
     return CorpusTrace(token_ids=ids, z=np.stack(z), layers=layers)
 
 
+def native_output(ckpt: Checkpoint, layer: int, trace: LayerTrace,
+                  z_in: np.ndarray) -> np.ndarray:
+    """Block ``layer``'s output as a serving MoE computes it, independently of
+    ``recombined_output``: each routed expert runs only on the tokens that
+    selected it, its output scaled by the used gate score, and the shared
+    experts and ``z_in`` are added."""
+    config = ckpt.config
+    h = rmsnorm(z_in) if config.use_prenorm else z_in
+    y = np.zeros_like(z_in)
+    for n in range(trace.gate_scores.shape[1]):
+        expert = load_expert(ckpt, f"layers.{layer}.ffn" if config.is_dense(layer)
+                             else f"layers.{layer}.experts.{n}")
+        rows = np.flatnonzero((trace.selected == n).any(axis=1))
+        y[rows] += (trace.gate_scores[rows, n, None]
+                    * expert_forward(expert, h[rows], config.activation)[0])
+    for m in range(config.num_shared[layer]):
+        y += expert_forward(load_expert(ckpt, f"layers.{layer}.shared.{m}"), h,
+                            config.activation)[0]
+    return z_in + y
+
+
 def read_corpus(path, vocab: int) -> list[list[int]]:
     """Parse a corpus file: one sequence per line, whitespace-separated token
     ids, each below ``vocab``."""

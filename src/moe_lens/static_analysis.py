@@ -5,7 +5,10 @@ whole-matrix cosine, per-neuron averaging, optimal neuron reordering, gate-row
 geometry, and low-dimensional projections of expert weights.  Behavioral
 (forward-pass) comparisons live in ``dynamic_analysis``.  scipy is imported
 inside ``solve_assignment`` and ``dbscan_outliers``, the two functions that
-call it, so a command that reaches neither never loads it.
+call it, so a command that reaches neither never loads it.  Reordering loads
+it only for an expert pair whose identity matching is not certified optimal
+(every a-neuron's best match is its own index, or every b-neuron's is);
+Kendall's tau counts discordant pairs by bottom-up merge levels.
 """
 
 from __future__ import annotations
@@ -173,20 +176,27 @@ def solve_assignment(score: np.ndarray, maximize: bool = True) -> np.ndarray:
 
     Returns ``perm`` with row ``i`` assigned to column ``perm[i]``.  Tie rule:
     whenever the identity assignment attains the optimal total, identity is
-    returned.
+    returned.  When every diagonal entry is its row's best, or every one is
+    its column's best, that proves identity optimal without scipy, which is
+    imported only for a matrix that lacks both certificates.
     """
     score = np.asarray(score, dtype=np.float64)
     if score.ndim != 2 or score.shape[0] != score.shape[1]:
         raise ValueError("score matrix must be square")
     if not np.all(np.isfinite(score)):
         raise ValueError("score matrix must be finite")
+    idx = np.arange(score.shape[0])
+    diagonal = score[idx, idx]
+    # The row (or column) optima summed bound every assignment's total; identity
+    # attains each of them, so it is optimal and the tie rule returns it.
+    ahead = np.less_equal if maximize else np.greater_equal
+    if ahead(score, diagonal[:, None]).all() or ahead(score, diagonal).all():
+        return idx
     from scipy.optimize import linear_sum_assignment
-    n = score.shape[0]
     rows, cols = linear_sum_assignment(score, maximize=maximize)
     perm = cols[np.argsort(rows)]
-    idx = np.arange(n)
     best = score[idx, perm].sum()
-    ident = score[idx, idx].sum()
+    ident = diagonal.sum()
     if (ident >= best) if maximize else (ident <= best):
         return idx
     return perm
@@ -195,7 +205,9 @@ def solve_assignment(score: np.ndarray, maximize: bool = True) -> np.ndarray:
 def kendall_tau(seq_a, seq_b) -> float:
     """Tie-free Kendall rank coefficient between two permutations of one set.
 
-    Counts concordant minus discordant position pairs over n(n-1)/2.
+    Counts concordant minus discordant position pairs over n(n-1)/2.  The
+    discordant pairs are the inversions of b's ranks listed in a's order,
+    counted exactly by bottom-up merge levels in O(n log n).
     """
     a = list(seq_a)
     b = list(seq_b)
@@ -208,9 +220,23 @@ def kendall_tau(seq_a, seq_b) -> float:
         raise ValueError("inputs must be permutations of the same set")
     # A pair is discordant when b, listed in a's order, is inverted there;
     # concordant minus discordant is then total - 2 * discordant, exactly.
-    ranked = np.asarray(b)[np.argsort(a)]
-    discordant = sum(int(np.count_nonzero(ranked[i + 1:] < ranked[i]))
-                     for i in range(n - 1))
+    rank_b = np.empty(n, dtype=np.int64)
+    rank_b[np.argsort(b)] = np.arange(n)
+    # Padding up to a power of two with larger, increasing ranks adds no inversion.
+    m = 1 << (n - 1).bit_length()
+    ranks = np.concatenate([rank_b[np.argsort(a)], np.arange(n, m)])
+    discordant, width = 0, 1
+    while width < m:
+        runs = ranks.reshape(-1, 2, width)  # per block, a sorted left and right run
+        block = np.arange(len(runs))
+        # Block offsets keep the keys of each block above those of the ones before.
+        keys = runs + block[:, None, None] * m
+        # Per right-run entry, the left-run entries of its block below it.
+        below = (np.searchsorted(keys[:, 0].ravel(), keys[:, 1].ravel())
+                 - np.repeat(block * width, width))
+        discordant += int((width - below).sum())
+        ranks = np.sort(runs.reshape(-1, 2 * width), axis=1).ravel()
+        width *= 2
     total = n * (n - 1) // 2
     return (total - 2 * discordant) / total
 
@@ -240,19 +266,25 @@ def reorder_neurons(a: np.ndarray, b: np.ndarray,
     Zero-norm neurons score 0 against everything.
 
     ``sim_before``/``sim_after`` are flattened-matrix cosines of the chosen
-    matrix before and after applying the matching; ``tau`` is the Kendall
-    coefficient of the recovered permutation against identity.  Because the
-    assignment optimizes the same objective it is scored by, ``sim_after``
-    can never fall below ``sim_before``.
+    matrix before and after applying the matching: the score matrix's diagonal
+    and assigned sums over the product of the two matrices' norms.  ``tau`` is
+    the Kendall coefficient of the recovered permutation against identity.
+    Because the assignment optimizes the same objective it is scored by,
+    ``sim_after`` can never fall below ``sim_before``.
     """
     if a.shape != b.shape:
         raise ValueError("experts have different neuron dimensions")
-    row_to_col = solve_assignment(a @ b.T, maximize=True)
+    score = a @ b.T
+    row_to_col = solve_assignment(score, maximize=True)
     n = len(row_to_col)
     perm = np.empty(n, dtype=int)
     perm[row_to_col] = np.arange(n)  # b-neuron j -> a-neuron perm[j]
-    sim_before = cosine_sim(a, b)
-    sim_after = cosine_sim(a, b[row_to_col])
+    norms = np.linalg.norm(a) * np.linalg.norm(b)
+    if norms == 0.0:
+        raise ValueError("undefined similarity: zero vector")
+    idx = np.arange(n)
+    sim_before = float(score[idx, idx].sum() / norms)
+    sim_after = float(score[idx, row_to_col].sum() / norms)
     tau = kendall_tau(perm.tolist(), list(range(n)))
     return ReorderReport(permutation=perm, sim_before=sim_before,
                          sim_after=sim_after, tau=tau, pair=pair)
@@ -417,8 +449,8 @@ def dbscan_outliers(points, eps: float, min_pts: int = 2,
         labels = list(range(n))
     if len(labels) != n:
         raise ValueError("labels length must match point count")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite: {eps}")
     if min_pts < 1:
         raise ValueError("min_pts must be at least 1")
     from scipy.spatial import cKDTree

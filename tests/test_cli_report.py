@@ -467,6 +467,69 @@ def test_trace_consistency_table(workspace, tmp_path):
     assert len(data) == 1 + 10 * 2  # 10 corpus tokens x 2 layers
 
 
+def max_rel_err(path):
+    line = next(l for l in read_lines(path) if l.startswith("# max_rel_err: "))
+    return float(line.split()[-1])
+
+
+def drop_shared(lt, z_in):
+    return z_in + np.einsum("tn,tnd->td", lt.gate_scores, lt.expert_outputs)
+
+
+def weight_by_full_scores(lt, z_in):
+    return (z_in + np.einsum("tn,tnd->td", lt.full_scores, lt.expert_outputs)
+            + lt.shared_outputs.sum(axis=1))
+
+
+@pytest.fixture(scope="module")
+def shared_model(tmp_path_factory):
+    root = tmp_path_factory.mktemp("shared")
+    assert run_command(["synth", "--mode", "scratch", "--seed", "4", "--shared", "1",
+                        "--d-hid", "8", "--d-mid", "12", "--vocab", "13",
+                        "--out", str(root)]) == 0
+    write_corpus(root / "corpus.txt", [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9, 10, 11, 12]])
+    return root
+
+
+def test_trace_checks_engine_against_native_pass(shared_model, tmp_path):
+    assert run_command(["trace", "--model", str(shared_model / "model.moel"),
+                        "--corpus", str(shared_model / "corpus.txt"),
+                        "--out", str(tmp_path)]) == 0
+    assert max_rel_err(tmp_path / "trace-consistency.csv") <= 1e-12
+
+
+@pytest.mark.parametrize("mutant", [drop_shared, weight_by_full_scores])
+def test_trace_catches_a_broken_recombination(shared_model, tmp_path, monkeypatch, mutant):
+    """A defect in ``recombined_output`` reaches every caller of it, so the
+    mutant replaces every binding of the function in the package."""
+    from moe_lens import moe_core
+    original = moe_core.recombined_output
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "moe_lens":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, mutant)
+    assert run_command(["trace", "--model", str(shared_model / "model.moel"),
+                        "--corpus", str(shared_model / "corpus.txt"),
+                        "--out", str(tmp_path)]) == 0
+    assert max_rel_err(tmp_path / "trace-consistency.csv") > 1e-9
+
+
+@pytest.mark.parametrize("argv", [["pca", "--which", "up", "--eps", "nan"],
+                                  ["pca", "--which", "up", "--eps", "inf"],
+                                  ["act-ratio", "--threshold", "nan"],
+                                  ["act-ratio", "--threshold", "inf"]])
+def test_non_finite_flag_values_fail_cleanly(workspace, tmp_path, capsys, argv):
+    corpus = ["--corpus", workspace["corpus"]] if argv[0] == "act-ratio" else []
+    capsys.readouterr()
+    code = run_command([*argv, "--model", workspace["model"], *corpus,
+                        "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+    assert snapshot(tmp_path / "out") == {}
+
+
 def test_out_sim_token_and_selected(workspace, tmp_path):
     out = tmp_path / "out"
     assert run_command(["out-sim", "--model", workspace["model"],

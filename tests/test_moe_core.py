@@ -13,8 +13,8 @@ from conftest import SCIPY_MODULES, run_isolated
 
 from moe_lens import ModelConfig
 from moe_lens.moe_core import (Expert, activation_fn, expert_forward, flatten_corpus,
-                               gate_from_logits, read_corpus, recombined_output, rmsnorm,
-                               trace_all_experts)
+                               gate_from_logits, native_output, read_corpus,
+                               recombined_output, rmsnorm, trace_all_experts)
 from moe_lens.synth import SynthSpec, synth_scratch, synth_upcycled
 from per_token_oracle import (GateParams, LayerWeights, assert_trace_matches,
                               load_layer_weights, moe_layer_forward, trace_per_token)
@@ -395,7 +395,14 @@ def test_trace_matches_per_token_oracle(with_ref, k_override_all):
     else:
         model, ref = fine_grained_model(), None
     trace = trace_all_experts(model, tokens, ref, k_override_all)
-    assert_trace_matches(trace, trace_per_token(model, tokens, ref, k_override_all))
+    oracle = trace_per_token(model, tokens, ref, k_override_all)
+    assert_trace_matches(trace, oracle)
+    # The native pass, fed the trace's block inputs and routing, gives the
+    # oracle's native per-token block outputs.
+    for i, lt in enumerate(trace.layers):
+        want = np.stack([per_layer[i].z_out for per_layer in oracle])
+        np.testing.assert_allclose(native_output(model, i, lt, trace.z[i]), want,
+                                   rtol=0, atol=1e-12)
 
 
 def test_trace_identical_experts_give_equal_outputs():

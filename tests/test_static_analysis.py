@@ -2,9 +2,11 @@
 
 import itertools
 import math
+import textwrap
 
 import numpy as np
 import pytest
+from conftest import SCIPY_MODULES, run_isolated
 from dbscan_oracle import dbscan_noise
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -14,12 +16,13 @@ from moe_lens.moe_core import Expert
 from moe_lens.static_analysis import (aggregate_r2, cosine_sim, dbscan_outliers,
                                       filter_outliers, gate_embedding_sim,
                                       gate_expert_regression, kendall_tau,
-                                      matrix_level_sim, neuron_average_sim,
-                                      neuron_rows, pca_project, pearson_r,
+                                      layer_weights, matrix_level_sim,
+                                      neuron_average_sim, neuron_rows, pca_project, pearson_r,
                                       reconstruct, reorder_neurons, solve_assignment)
 from moe_lens.synth import (SynthSpec, synth_permuted_clone,
                             synth_permuted_clone_model, synth_scratch, synth_upcycled)
-from moe_lens.tensor_store import build_checkpoint, required_tensor_shapes
+from moe_lens.report import format_cell
+from moe_lens.tensor_store import build_checkpoint, read_checkpoint, required_tensor_shapes
 
 
 # --- oracles -----------------------------------------------------------------
@@ -54,6 +57,29 @@ def brute_force_assignment(score, maximize=True):
         if better:
             best_perm, best_total = perm, total
     return np.array(best_perm), best_total
+
+
+def assignment_old_rule(score, maximize=True):
+    """The assignment rule before the identity certificate: scipy's optimum,
+    replaced by identity whenever identity attains the same total."""
+    from scipy.optimize import linear_sum_assignment
+    rows, cols = linear_sum_assignment(score, maximize=maximize)
+    perm = cols[np.argsort(rows)]
+    idx = np.arange(len(score))
+    best, ident = score[idx, perm].sum(), score[idx, idx].sum()
+    return idx if ((ident >= best) if maximize else (ident <= best)) else perm
+
+
+def inversions_chunked(ranked, chunk=512):
+    """Pairs i < j with ranked[i] > ranked[j], compared a block of rows at a time."""
+    ranked = np.asarray(ranked)
+    positions = np.arange(len(ranked))
+    count = 0
+    for start in range(0, len(ranked), chunk):
+        head = positions[start:start + chunk, None]
+        later = positions[None, :] > head
+        count += int(np.count_nonzero(later & (ranked[None, :] < ranked[head])))
+    return count
 
 
 def random_expert(rng, d_mid=6, d_hid=4):
@@ -280,6 +306,33 @@ def test_assignment_rejects_bad_input():
         solve_assignment(np.array([[np.nan, 1.0], [1.0, 0.0]]))
 
 
+@st.composite
+def score_matrices(draw):
+    """Square scores of exact binary fractions, so every total is exact: small
+    integers full of ties, or finer values; some rows all zero, and sometimes
+    each diagonal entry raised to its row's or column's maximum, or lowered to
+    its minimum, which makes identity optimal."""
+    n = draw(st.integers(1, 6))
+    cells = draw(st.sampled_from([st.integers(-3, 3),
+                                  st.integers(-1000, 1000).map(lambda v: v / 8)]))
+    score = np.array(draw(st.lists(st.lists(cells, min_size=n, max_size=n),
+                                   min_size=n, max_size=n)), dtype=np.float64)
+    score[draw(st.lists(st.integers(0, n - 1), max_size=2))] = 0.0
+    idx = np.arange(n)
+    diagonal = draw(st.sampled_from([None, np.max, np.min]))
+    if diagonal is not None:
+        score[idx, idx] = diagonal(score, axis=draw(st.sampled_from([0, 1])))
+    return score
+
+
+@given(score_matrices(), st.booleans())
+def test_assignment_keeps_old_rule_and_optimum(score, maximize):
+    perm = solve_assignment(score, maximize=maximize)
+    np.testing.assert_array_equal(perm, assignment_old_rule(score, maximize))
+    _, best_total = brute_force_assignment(score, maximize=maximize)
+    assert sum(score[i, perm[i]] for i in range(len(score))) == best_total
+
+
 # --- kendall tau -----------------------------------------------------------------
 
 def test_kendall_frozen_values():
@@ -289,11 +342,19 @@ def test_kendall_frozen_values():
 
 
 def test_kendall_matches_reference(rng):
-    for _ in range(100):
-        n = int(rng.integers(2, 11))
-        a = rng.permutation(n).tolist()
-        b = rng.permutation(n).tolist()
-        assert kendall_tau(a, b) == kendall_ref(a, b)
+    for n in range(2, 301):
+        values = rng.choice(10 * n, size=n, replace=False) - 5 * n
+        a = rng.permutation(values).tolist()
+        b = rng.permutation(values).tolist()
+        assert kendall_tau(a, b) == kendall_ref(a, b), n
+
+
+@pytest.mark.parametrize("n", [2049, 14336])
+def test_kendall_matches_chunked_pair_count(rng, n):
+    b = rng.permutation(n)
+    total = n * (n - 1) // 2
+    want = (total - 2 * inversions_chunked(b)) / total
+    assert kendall_tau(list(range(n)), b.tolist()) == want
 
 
 def test_kendall_symmetry_and_bounds(rng):
@@ -354,6 +415,72 @@ def test_reorder_zero_norm_neuron_is_tolerated(rng):
     rep = reorder_neurons(expert_rows(a, "up"), expert_rows(b, "up"))
     assert len(rep.permutation) == 4
     assert sorted(rep.permutation.tolist()) == [0, 1, 2, 3]
+
+
+def test_reorder_similarities_match_flattened_cosine(rng):
+    for trial in range(40):
+        a = rng.normal(size=(7, 5))
+        # Near clones take the identity certificate; independent draws the solver.
+        b = a + 0.1 * rng.normal(size=a.shape) if trial % 2 else rng.normal(size=a.shape)
+        if trial % 4 < 2:
+            a[rng.integers(7)] = 0.0
+            b[rng.integers(7)] = 0.0
+        rep = reorder_neurons(a, b)
+        row_to_col = np.argsort(rep.permutation)
+        assert rep.sim_before == pytest.approx(cosine_sim(a, b), rel=0, abs=1e-12)
+        assert rep.sim_after == pytest.approx(cosine_sim(a, b[row_to_col]), rel=0, abs=1e-12)
+        assert rep.sim_after >= rep.sim_before
+
+
+def test_reorder_all_zero_expert_rejected(rng):
+    a = rng.normal(size=(4, 3))
+    for pair in ((a, np.zeros_like(a)), (np.zeros_like(a), a)):
+        with pytest.raises(ValueError, match="zero vector"):
+            reorder_neurons(*pair)
+
+
+def old_reorder_rows(model_path, which):
+    """reorder's CSV rows as computed before the identity certificate:
+    flattened cosines before and after the old rule's matching."""
+    ckpt = read_checkpoint(model_path)
+    rows = []
+    for layer in ckpt.config.moe_layers():
+        stack = neuron_rows(layer_weights(ckpt, layer, which)[0], which)
+        for i, j in itertools.combinations(range(len(stack)), 2):
+            a, b = stack[i], stack[j]
+            row_to_col = assignment_old_rule(a @ b.T)
+            tau = kendall_ref(np.argsort(row_to_col).tolist(), list(range(len(a))))
+            cells = [layer, str(i), str(j), which, cosine_sim(a, b),
+                     cosine_sim(a, b[row_to_col]), tau]
+            rows.append(",".join(format_cell(c) for c in cells))
+    return rows
+
+
+def test_report_loads_scipy_only_for_pairs_identity_does_not_solve(tmp_path):
+    """Every pair of an upcycled model is certified identity, so its report
+    loads no scipy; a scratch model's pairs need the solver, and its reorder
+    tables are the ones the old rule gives."""
+    out = str(tmp_path)
+    run_isolated(textwrap.dedent(f"""
+        import sys
+        from moe_lens.cli import run_command
+        out = {out!r}
+        with open(out + "/corpus.txt", "w") as fh:
+            fh.write("1 2 3\\n4 5\\n")
+        for mode in ("upcycled", "scratch"):
+            assert run_command(["synth", "--mode", mode, "--seed", "3", "--noise", "0.3",
+                                "--out", out + "/" + mode]) == 0
+            assert run_command(["report", "--model", out + "/" + mode + "/model.moel",
+                                "--corpus", out + "/corpus.txt",
+                                "--out", out + "/" + mode + "-report"]) == 0
+            if mode == "upcycled":
+                assert {SCIPY_MODULES} == [], {SCIPY_MODULES}
+        assert "scipy.optimize" in sys.modules
+        """))
+    for which in ("up", "act", "down"):
+        with open(tmp_path / "scratch-report" / "reorder" / f"reorder-{which}.csv") as fh:
+            got = [line for line in fh.read().splitlines() if not line.startswith("#")]
+        assert got[1:] == old_reorder_rows(tmp_path / "scratch" / "model.moel", which)
 
 
 def test_reorder_rejects_size_mismatch(rng):

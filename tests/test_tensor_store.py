@@ -1,10 +1,13 @@
 """Checkpoint container: byte layout, validation, round trips."""
 
+import copy
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moe_lens import ModelConfig
 from moe_lens.report import Provenance, emit_csv
@@ -268,6 +271,78 @@ def test_read_rejects_unknown_tensor_entry_key():
     with pytest.raises(CheckpointError,
                        match="malformed entry for embed.weight: keys must be dtype, shape"):
         parse_checkpoint(_reassemble(header, data))
+
+
+# --- parser fuzzing ----------------------------------------------------------
+
+def _json_paths(node, prefix=()):
+    """The key path of every node of a JSON tree, the root included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _assert_rejected_or_round_trips(blob):
+    """The parser's one error type, and the writer's exact bytes for what it accepts."""
+    try:
+        ckpt = parse_checkpoint(blob)
+    except CheckpointError:
+        return
+    assert serialize_checkpoint(ckpt) == blob
+
+
+_FUZZ_BLOB = serialize_checkpoint(build_checkpoint(tiny_config(), full_tensor_map(tiny_config())))
+_FUZZ_HEADER, _FUZZ_PAYLOAD = _header_and_data(_FUZZ_BLOB)
+_FUZZ_PATHS = list(_json_paths(_FUZZ_HEADER))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 80) | st.floats()
+    | st.sampled_from(["f32", "f64", "silu", "gelu", "softmax_then_topk", ""]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_FUZZ_PATHS), st.sampled_from(["replace", "delete", "add"]),
+       _JSON_VALUES | st.sampled_from(_FUZZ_PATHS).map(lambda p: _at(_FUZZ_HEADER, p)),
+       st.text(max_size=8))
+def test_parser_fuzz_header_mutations(path, op, value, new_key):
+    """Replace, delete or add one node of the header JSON, with a drawn value
+    or one copied from elsewhere in the header."""
+    header = copy.deepcopy(_FUZZ_HEADER)
+    value = copy.deepcopy(value)
+    if not path:
+        header = value
+    else:
+        parent, last = _at(header, path[:-1]), path[-1]
+        target = parent[last]
+        if op == "delete":
+            del parent[last]
+        elif op == "add" and isinstance(target, dict):
+            target[new_key] = value
+        elif op == "add" and isinstance(target, list):
+            target.append(value)
+        else:
+            parent[last] = value
+    _assert_rejected_or_round_trips(_reassemble(header, _FUZZ_PAYLOAD))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(_FUZZ_BLOB) - 1), st.integers(1, 255)),
+                min_size=1, max_size=3))
+def test_parser_fuzz_byte_flips(flips):
+    blob = bytearray(_FUZZ_BLOB)
+    for position, mask in flips:
+        blob[position] ^= mask
+    _assert_rejected_or_round_trips(bytes(blob))
 
 
 def test_config_validation_round_trip():
