@@ -22,8 +22,7 @@ from . import static_analysis as sta
 from .config import ACTIVATIONS, GATING_ORDERS, ModelConfig
 from .moe_core import (CorpusTrace, flatten_corpus, native_output, read_corpus,
                        trace_all_experts)
-from .report import (Provenance, emit_csv, emit_heatmap, emit_similarity_csv,
-                     file_digest, matrix_comments, metric_range)
+from .report import Provenance, emit_csv, emit_matrix, file_digest, matrix_comments, metric_range
 from .synth import SynthSpec, synth_permuted_clone_model, synth_scratch, synth_upcycled
 from .tensor_store import Checkpoint, dump_checkpoint, read_checkpoint
 
@@ -115,15 +114,6 @@ def _select_layers(arg: str, model: Checkpoint) -> list[int]:
     return [layer]
 
 
-def _emit_matrix_pair(ctx: Context, stem: str, sim) -> list[str]:
-    csv_path = os.path.join(ctx.out, f"{stem}.csv")
-    ppm_path = os.path.join(ctx.out, f"{stem}.ppm")
-    emit_similarity_csv(csv_path, ctx.provenance, sim)
-    emit_heatmap(ppm_path, ctx.provenance, sim.values, metric_range(sim.metric),
-                 cell=ctx.args.cell, extra_comments=matrix_comments(sim))
-    return [csv_path, ppm_path, f"{ppm_path}.range.txt"]
-
-
 # --- subcommands -----------------------------------------------------------
 
 def _cmd_synth(args) -> list[str]:
@@ -163,11 +153,14 @@ def _cmd_synth(args) -> list[str]:
 
 def _cmd_layer_sims(entry: Analysis, ctx: Context) -> list[str]:
     """One similarity matrix per selected layer, from the entry's ``layer_sim``."""
-    sim = entry.layer_sim(ctx)
+    analyse = entry.layer_sim(ctx)
     written = []
     for layer in _select_layers(ctx.args.layer, ctx.model):
         stem = entry.stem.format_map({**vars(ctx.args), "layer": layer})
-        written += _emit_matrix_pair(ctx, stem, sim(layer))
+        sim = analyse(layer)
+        written += emit_matrix(os.path.join(ctx.out, stem), ctx.provenance, sim.labels,
+                               sim.values, metric_range(sim.metric), matrix_comments(sim),
+                               ctx.args.cell)
     return written
 
 
@@ -279,19 +272,12 @@ def _cmd_norm_rank(ctx: Context) -> list[str]:
         labels = [str(r + 1) for r in range(rc.n_experts)]
         stem = f"norm-rank-n{n}" if len(groups) > 1 or ctx.args.layer == "all" \
             else f"norm-rank-layer{layers[0]}"
-        path = os.path.join(ctx.out, f"{stem}.csv")
         comments = [f"layers: {' '.join(str(l) for l in groups[n])}",
                     f"events: {rc.total_events}",
                     "rows: output-norm rank (1 = smallest); "
                     "columns: gate-score rank (1 = smallest)"]
-        emit_csv(path, ctx.provenance, ["", *labels],
-                 ([labels[i], *rc.counts[i]] for i in range(rc.n_experts)),
-                 extra_comments=comments)
-        ppm_path = os.path.join(ctx.out, f"{stem}.ppm")
-        emit_heatmap(ppm_path, ctx.provenance, rc.counts.astype(np.float64),
-                     (0.0, float(rc.counts.max())), cell=ctx.args.cell,
-                     extra_comments=comments)
-        written += [path, ppm_path, f"{ppm_path}.range.txt"]
+        written += emit_matrix(os.path.join(ctx.out, stem), ctx.provenance, labels, rc.counts,
+                               (0.0, float(rc.counts.max())), comments, ctx.args.cell)
     return written
 
 

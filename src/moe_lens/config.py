@@ -89,6 +89,16 @@ class ModelConfig:
         """Indices of gated (non-dense) layers."""
         return [i for i in range(self.num_layers) if not self.is_dense(i)]
 
+    def check_reference(self, ref: "ModelConfig") -> None:
+        """Raise unless ``ref`` can be this model's reference: the same depth,
+        dense in every layer, and the same ``d_hid`` and ``d_mid``."""
+        if ref.num_layers != self.num_layers:
+            raise ValueError("reference layer count differs from model")
+        if ref.moe_layers():
+            raise ValueError("reference checkpoint must be dense in every layer")
+        if (ref.d_hid, ref.d_mid) != (self.d_hid, self.d_mid):
+            raise ValueError("reference dimensions differ from model")
+
     def to_dict(self) -> dict:
         return {
             "num_layers": self.num_layers,

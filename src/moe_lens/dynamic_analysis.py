@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moe_core import CorpusTrace, LayerTrace
-from .static_analysis import (REFERENCE_LABEL, SimilarityMatrix, _summaries,
-                              build_similarity_matrix, cosine_sim)
+from .static_analysis import (REFERENCE_LABEL, SimilarityMatrix, _pairwise_cosine, _summaries,
+                              angular, build_similarity_matrix, cosine_sim)
 
 
 def angular_sim(u, v) -> float:
@@ -23,8 +23,7 @@ def angular_sim(u, v) -> float:
     Unlike raw cosine this is a bounded, sign-free scale, which makes corpus
     averages comparable across layers and models.
     """
-    c = np.clip(cosine_sim(u, v), -1.0, 1.0)
-    return float(1.0 - np.arccos(c) / np.pi)
+    return float(angular(np.clip(cosine_sim(u, v), -1.0, 1.0)))
 
 
 def _layer_trace(trace: CorpusTrace, layer: int) -> LayerTrace:
@@ -70,14 +69,10 @@ def avg_output_sim(trace: CorpusTrace, layer: int) -> SimilarityMatrix:
     if trace.token_ids.size == 0:
         raise ValueError("no traces given: the trace holds no tokens")
     vectors, labels, n_experts, has_ref = _output_entities(_layer_trace(trace, layer))
-    norms = np.linalg.norm(vectors, axis=2)
-    unit = vectors / np.where(norms == 0.0, 1.0, norms)[:, :, None]
-    sims = 1.0 - np.arccos(np.clip(unit @ unit.transpose(0, 2, 1), -1.0, 1.0)) / np.pi
-    defined = (norms != 0.0)[:, :, None] & (norms != 0.0)[:, None, :]
-    acc = np.where(defined, sims, 0.0).sum(axis=0)
-    count = defined.sum(axis=0)
+    sims = angular(_pairwise_cosine(vectors, allow_zero=True))
+    count = (~np.isnan(sims)).sum(axis=0)
     with np.errstate(invalid="ignore"):
-        mean = np.where(count > 0, acc / np.maximum(count, 1), np.nan)
+        mean = np.where(count > 0, np.nansum(sims, axis=0) / np.maximum(count, 1), np.nan)
     s_ee, s_ef = _summaries(mean, n_experts, has_ref)
     return SimilarityMatrix(labels=labels, values=mean, metric="angular",
                             n_experts=n_experts, s_ee=s_ee, s_ef=s_ef)

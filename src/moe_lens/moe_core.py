@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import GATING_ORDERS
-from .tensor_store import Checkpoint
+from .tensor_store import EMBED, FFN_MATRICES, Checkpoint, ffn_prefixes, gate_name
 
 RMSNORM_EPS = 1e-6
 
@@ -139,11 +139,9 @@ def recombined_output(trace: LayerTrace, z_in: np.ndarray) -> np.ndarray:
 
 
 def load_expert(ckpt: Checkpoint, prefix: str) -> Expert:
-    return Expert(
-        w_up=np.asarray(ckpt.get_tensor(f"{prefix}.w_up"), dtype=np.float64),
-        w_act=np.asarray(ckpt.get_tensor(f"{prefix}.w_act"), dtype=np.float64),
-        w_down=np.asarray(ckpt.get_tensor(f"{prefix}.w_down"), dtype=np.float64),
-    )
+    """The FFN whose tensors are named under ``prefix`` (see ``ffn_prefixes``)."""
+    return Expert(*(np.asarray(ckpt.get_tensor(f"{prefix}.{matrix}"), dtype=np.float64)
+                    for matrix in FFN_MATRICES))
 
 
 def _trace_block(ckpt: Checkpoint, layer: int, h: np.ndarray,
@@ -155,22 +153,20 @@ def _trace_block(ckpt: Checkpoint, layer: int, h: np.ndarray,
     """
     config = ckpt.config
     t = h.shape[0]
+    routed, shared_prefixes = ffn_prefixes(config, layer)
     if config.is_dense(layer):
-        experts = [load_expert(ckpt, f"layers.{layer}.ffn")]
         scores, full = np.ones((t, 1)), np.ones((t, 1))
         selected = np.zeros((t, 1), dtype=np.int64)
     else:
-        n = config.experts_per_layer[layer]
-        experts = [load_expert(ckpt, f"layers.{layer}.experts.{e}") for e in range(n)]
-        w_g = np.asarray(ckpt.get_tensor(f"layers.{layer}.gate.weight"), dtype=np.float64)
+        w_g = np.asarray(ckpt.get_tensor(gate_name(layer)), dtype=np.float64)
         logits = h @ w_g.T
-        scores, selected = gate_from_logits(logits, n if k_override_all else config.top_k,
-                                            config.gating_order)
+        scores, selected = gate_from_logits(
+            logits, len(routed) if k_override_all else config.top_k, config.gating_order)
         full = full_softmax(logits)
-    pairs = [expert_forward(e, h, config.activation) for e in experts]
-    shared = [expert_forward(load_expert(ckpt, f"layers.{layer}.shared.{m}"), h,
-                             config.activation)[0]
-              for m in range(config.num_shared[layer])]
+    pairs = [expert_forward(load_expert(ckpt, prefix), h, config.activation)
+             for prefix in routed]
+    shared = [expert_forward(load_expert(ckpt, prefix), h, config.activation)[0]
+              for prefix in shared_prefixes]
     return LayerTrace(
         gate_scores=scores, full_scores=full, selected=selected,
         expert_outputs=np.stack([y for y, _ in pairs], axis=1),
@@ -184,30 +180,26 @@ def trace_all_experts(ckpt: Checkpoint, tokens: list[int],
     """Trace ``tokens`` through the model with every expert evaluated.
 
     Routing follows the configured top-k (every expert with
-    ``k_override_all``).  With ``reference`` given (a checkpoint whose layers
-    are dense), each block trace also carries the reference FFN's output on
-    the block's input.
+    ``k_override_all``).  With ``reference`` given (see
+    ``ModelConfig.check_reference``), each block trace also carries the
+    reference FFN's output on the block's input.
     """
     config = ckpt.config
     if reference is not None:
-        if reference.config.num_layers != config.num_layers:
-            raise ValueError("reference layer count differs from model")
-        if any(not reference.config.is_dense(i) for i in range(config.num_layers)):
-            raise ValueError("reference checkpoint must be dense in every layer")
-        if (reference.config.d_hid, reference.config.d_mid) != (config.d_hid, config.d_mid):
-            raise ValueError("reference dimensions differ from model")
+        config.check_reference(reference.config)
     bad = [t for t in tokens if not 0 <= t < config.vocab]
     if bad:
         raise ValueError(f"token id out of range: {bad[0]}")
     ids = np.asarray(tokens, dtype=np.int64)
-    z = [np.asarray(ckpt.get_tensor("embed.weight")[ids], dtype=np.float64)]
+    z = [np.asarray(ckpt.get_tensor(EMBED)[ids], dtype=np.float64)]
     layers = []
     for i in range(config.num_layers):
         h = rmsnorm(z[i]) if config.use_prenorm else z[i]
         lt = _trace_block(ckpt, i, h, k_override_all)
         if reference is not None:
+            (ffn,), _ = ffn_prefixes(reference.config, i)
             lt.reference_output = expert_forward(
-                load_expert(reference, f"layers.{i}.ffn"), h, config.activation)[0]
+                load_expert(reference, ffn), h, config.activation)[0]
         layers.append(lt)
         z.append(recombined_output(lt, z[i]))
     return CorpusTrace(token_ids=ids, z=np.stack(z), layers=layers)
@@ -222,15 +214,13 @@ def native_output(ckpt: Checkpoint, layer: int, trace: LayerTrace,
     config = ckpt.config
     h = rmsnorm(z_in) if config.use_prenorm else z_in
     y = np.zeros_like(z_in)
-    for n in range(trace.gate_scores.shape[1]):
-        expert = load_expert(ckpt, f"layers.{layer}.ffn" if config.is_dense(layer)
-                             else f"layers.{layer}.experts.{n}")
+    routed, shared = ffn_prefixes(config, layer)
+    for n, prefix in enumerate(routed):
         rows = np.flatnonzero((trace.selected == n).any(axis=1))
         y[rows] += (trace.gate_scores[rows, n, None]
-                    * expert_forward(expert, h[rows], config.activation)[0])
-    for m in range(config.num_shared[layer]):
-        y += expert_forward(load_expert(ckpt, f"layers.{layer}.shared.{m}"), h,
-                            config.activation)[0]
+                    * expert_forward(load_expert(ckpt, prefix), h[rows], config.activation)[0])
+    for prefix in shared:
+        y += expert_forward(load_expert(ckpt, prefix), h, config.activation)[0]
     return z_in + y
 
 

@@ -77,12 +77,6 @@ def emit_csv(path, provenance: Provenance, columns: list[str], rows,
     atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def matrix_rows(labels: list[str], values: np.ndarray):
-    """Labeled square matrix as CSV rows (first column = row label)."""
-    for i, label in enumerate(labels):
-        yield [label, *values[i]]
-
-
 def matrix_comments(sim) -> list[str]:
     out = [f"metric: {sim.metric}"]
     if sim.s_ee is not None:
@@ -92,12 +86,6 @@ def matrix_comments(sim) -> list[str]:
     if sim.selected_labels is not None:
         out.append(f"selected: {' '.join(sim.selected_labels)}")
     return out
-
-
-def emit_similarity_csv(path, provenance: Provenance, sim) -> None:
-    emit_csv(path, provenance, ["", *sim.labels],
-             matrix_rows(sim.labels, sim.values),
-             extra_comments=matrix_comments(sim))
 
 
 def colormap(value: float, lo: float, hi: float) -> bytes:
@@ -144,6 +132,20 @@ def emit_heatmap(path, provenance: Provenance, values: np.ndarray,
     side.append(f"cell: {cell}")
     side.append(f"shape: {n_rows} {n_cols}")
     atomic_write_bytes(f"{path}.range.txt", ("\n".join(side) + "\n").encode("utf-8"))
+
+
+def emit_matrix(stem, provenance: Provenance, labels: list[str], values: np.ndarray,
+                value_range: tuple[float, float], comments: list[str],
+                cell: int) -> list[str]:
+    """Write a labeled square matrix as ``<stem>.csv`` (first column the row
+    label) and as the ``<stem>.ppm`` heatmap with its range sidecar; returns
+    the three paths.  The heatmap is written first, so that its input checks
+    run before any file exists."""
+    csv_path, ppm_path = f"{stem}.csv", f"{stem}.ppm"
+    emit_heatmap(ppm_path, provenance, values, value_range, cell=cell, extra_comments=comments)
+    emit_csv(csv_path, provenance, ["", *labels],
+             ([label, *row] for label, row in zip(labels, values)), extra_comments=comments)
+    return [csv_path, ppm_path, f"{ppm_path}.range.txt"]
 
 
 def metric_range(metric: str) -> tuple[float, float]:

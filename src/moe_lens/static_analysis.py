@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor_store import Checkpoint
+from .tensor_store import Checkpoint, ffn_prefixes, gate_name
 
 WHICH_MATRICES = ("up", "act", "down")
 
@@ -59,17 +59,22 @@ class SimilarityMatrix:
 
 
 def _pairwise_cosine(vectors: np.ndarray, allow_zero: bool) -> np.ndarray:
-    """Full cosine matrix over row vectors; zero rows yield NaN rows/cols."""
+    """Cosine matrices [..., n, n] over the rows of ``vectors`` [..., n, d];
+    a zero row yields a NaN row and column."""
     vectors = np.asarray(vectors, dtype=np.float64)
-    norms = np.linalg.norm(vectors, axis=1)
-    if not allow_zero and np.any(norms == 0.0):
+    norms = np.linalg.norm(vectors, axis=-1)
+    zero = norms == 0.0
+    if not allow_zero and np.any(zero):
         raise ValueError("undefined similarity: zero vector")
-    safe = np.where(norms == 0.0, 1.0, norms)
-    unit = vectors / safe[:, None]
-    values = np.clip(unit @ unit.T, -1.0, 1.0)
-    values[norms == 0.0, :] = np.nan
-    values[:, norms == 0.0] = np.nan
-    return values
+    unit = vectors / np.where(zero, 1.0, norms)[..., None]
+    values = np.clip(unit @ np.swapaxes(unit, -1, -2), -1.0, 1.0)
+    return np.where(zero[..., :, None] | zero[..., None, :], np.nan, values)
+
+
+def angular(cosine):
+    """Cosine folded onto [0, 1]: 1 parallel, 0.5 orthogonal, 0 opposite; NaN stays NaN."""
+    with np.errstate(invalid="ignore"):
+        return 1.0 - np.arccos(cosine) / np.pi
 
 
 def _summaries(values: np.ndarray, n_experts: int,
@@ -95,8 +100,7 @@ def build_similarity_matrix(vectors: np.ndarray, labels: list[str], metric: str,
     """Similarity between the rows of ``vectors`` [entities, features]."""
     values = _pairwise_cosine(vectors, allow_zero)
     if metric == "angular":
-        with np.errstate(invalid="ignore"):
-            values = 1.0 - np.arccos(values) / np.pi
+        values = angular(values)
     elif metric != "cosine":
         raise ValueError(f"unknown metric: {metric!r}")
     s_ee, s_ef = _summaries(values, n_experts, has_reference)
@@ -110,26 +114,20 @@ def layer_weights(ckpt: Checkpoint, layer: int, which: str,
     """The chosen matrix of every expert of one layer as one float64
     [E, rows, cols] stack in stored orientation, with the experts' labels.
 
-    A dense layer is its one FFN.  The reference FFN, when given, comes last,
-    labelled ``F``.
+    A dense layer is its one FFN.  The reference FFN, when given (see
+    ``ModelConfig.check_reference``), comes last, labelled ``F``.
     """
     if which not in WHICH_MATRICES:
         raise ValueError(f"unknown matrix selector: {which!r}")
     config = ckpt.config
     if not 0 <= layer < config.num_layers:
         raise ValueError(f"layer {layer} out of range")
-    names = ([f"layers.{layer}.ffn"] if config.is_dense(layer) else
-             [f"layers.{layer}.experts.{e}" for e in range(config.experts_per_layer[layer])])
-    mats = [ckpt.get_tensor(f"{name}.w_{which}") for name in names]
+    mats = [ckpt.get_tensor(f"{prefix}.w_{which}") for prefix in ffn_prefixes(config, layer)[0]]
     labels = [str(e) for e in range(len(mats))]
     if reference is not None:
-        if reference.config.num_layers != config.num_layers:
-            raise ValueError("reference layer count differs from model")
-        if not reference.config.is_dense(layer):
-            raise ValueError(f"reference layer {layer} is not dense")
-        mats.append(reference.get_tensor(f"layers.{layer}.ffn.w_{which}"))
-        if mats[-1].shape != mats[0].shape:
-            raise ValueError("cannot mix entities of different dimensions")
+        config.check_reference(reference.config)
+        (ffn,), _ = ffn_prefixes(reference.config, layer)
+        mats.append(reference.get_tensor(f"{ffn}.w_{which}"))
         labels.append(REFERENCE_LABEL)
     return np.stack(mats).astype(np.float64), labels
 
@@ -297,7 +295,7 @@ def gate_embedding_sim(ckpt: Checkpoint, layer: int) -> SimilarityMatrix:
         raise ValueError(f"layer {layer} out of range")
     if config.is_dense(layer):
         raise ValueError(f"layer {layer} is dense and has no gate")
-    rows = np.asarray(ckpt.get_tensor(f"layers.{layer}.gate.weight"), dtype=np.float64)
+    rows = np.asarray(ckpt.get_tensor(gate_name(layer)), dtype=np.float64)
     labels = [str(e) for e in range(rows.shape[0])]
     return build_similarity_matrix(rows, labels, "cosine", rows.shape[0])
 
@@ -432,9 +430,8 @@ def reconstruct(projection: Projection) -> np.ndarray:
     return work + projection.center
 
 
-def dbscan_outliers(points, eps: float, min_pts: int = 2,
-                    labels: list[str] | None = None) -> set:
-    """Labels of density-noise points under Euclidean DBSCAN.
+def dbscan_outliers(points, eps: float, min_pts: int = 2) -> set:
+    """Indices of density-noise points under Euclidean DBSCAN.
 
     A point is core when its eps-ball (itself included) holds at least
     ``min_pts`` points.  By DBSCAN's definition (Ester et al., KDD 1996) a
@@ -444,11 +441,6 @@ def dbscan_outliers(points, eps: float, min_pts: int = 2,
     """
     data = np.asarray(points, dtype=np.float64)
     data = data.reshape(data.shape[0], -1)
-    n = data.shape[0]
-    if labels is None:
-        labels = list(range(n))
-    if len(labels) != n:
-        raise ValueError("labels length must match point count")
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite: {eps}")
     if min_pts < 1:
@@ -460,7 +452,7 @@ def dbscan_outliers(points, eps: float, min_pts: int = 2,
 
     core = within_eps(data) >= min_pts
     # Core points count themselves, so a count of zero marks exactly the noise.
-    return {labels[i] for i in np.flatnonzero(within_eps(data[core]) == 0)}
+    return set(np.flatnonzero(within_eps(data[core]) == 0).tolist())
 
 
 def filter_outliers(projection: Projection, eps: float, min_pts: int = 2) -> Projection:

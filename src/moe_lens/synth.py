@@ -23,13 +23,15 @@ Gate weights and embeddings are scratch-drawn in every mode.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import ModelConfig
 from .moe_core import Expert
-from .tensor_store import Checkpoint, build_checkpoint, required_tensor_shapes
+from .tensor_store import (FFN_MATRICES, Checkpoint, build_checkpoint, ffn_prefixes,
+                           required_tensor_shapes)
 
 SYNTH_MODES = ("scratch", "upcycled", "permuted_clone")
 
@@ -45,10 +47,11 @@ class SynthSpec:
     def __post_init__(self):
         if self.mode not in SYNTH_MODES:
             raise ValueError(f"unknown synth mode: {self.mode!r}")
-        if self.init_std <= 0:
-            raise ValueError("init_std must be positive")
-        if self.upcycle_noise_std < 0:
-            raise ValueError("upcycle_noise_std must be nonnegative")
+        if not 0 < self.init_std < math.inf:
+            raise ValueError(f"init_std must be positive and finite: {self.init_std}")
+        if not 0 <= self.upcycle_noise_std < math.inf:
+            raise ValueError("upcycle_noise_std must be nonnegative and finite: "
+                             f"{self.upcycle_noise_std}")
 
 
 def _tensor_rng(seed: int, name: str) -> np.random.Generator:
@@ -91,23 +94,27 @@ def synth_upcycled(spec: SynthSpec) -> tuple[Checkpoint, Checkpoint]:
     ref_tensors = {name: _draw(spec.seed, name, shape, spec.init_std)
                    for name, shape in required_tensor_shapes(ref_config).items()}
 
+    # Each FFN name of the model -> the name of its layer's base tensor.
+    base_of = {}
+    for i in range(config.num_layers):
+        (base,), _ = ffn_prefixes(ref_config, i)
+        routed, shared = ffn_prefixes(config, i)
+        for prefix in routed + shared:
+            base_of.update((f"{prefix}.{m}", f"{base}.{m}") for m in FFN_MATRICES)
+
     noise_std = spec.upcycle_noise_std * spec.init_std
     tensors: dict[str, np.ndarray] = {}
     for name, shape in required_tensor_shapes(config).items():
-        parts = name.split(".")
-        if parts[0] == "layers" and parts[2] in ("experts", "shared"):
-            base = ref_tensors[f"layers.{parts[1]}.ffn.{parts[4]}"]
-            if noise_std == 0.0:
-                tensors[name] = base.copy()
-            else:
-                noise = _draw(spec.seed, name, shape, noise_std)
-                tensors[name] = (base.astype(np.float64) + noise).astype(np.float32)
-        elif parts[0] == "layers" and parts[2] == "ffn":
-            tensors[name] = ref_tensors[name]
-        elif name in ref_tensors:
-            tensors[name] = ref_tensors[name]  # embed.weight, shared with the reference
-        else:
+        if name in ref_tensors:
+            tensors[name] = ref_tensors[name]  # the embedding and dense layers
+        elif name not in base_of:
             tensors[name] = _draw(spec.seed, name, shape, spec.init_std)  # gate weights
+        elif noise_std == 0.0:
+            tensors[name] = ref_tensors[base_of[name]].copy()
+        else:
+            noise = _draw(spec.seed, name, shape, noise_std)
+            tensors[name] = (ref_tensors[base_of[name]].astype(np.float64)
+                             + noise).astype(np.float32)
 
     model = build_checkpoint(config, tensors)
     reference = build_checkpoint(ref_config, ref_tensors)
@@ -135,30 +142,21 @@ def synth_permuted_clone_model(spec: SynthSpec) -> tuple[Checkpoint, dict[tuple[
     Returns the checkpoint and the applied permutations keyed by (layer, expert).
     """
     config = spec.config
-    shapes = required_tensor_shapes(config)
-    tensors: dict[str, np.ndarray] = {}
+    # Every gated layer's routed experts after the first: (layer, expert, prefix).
+    clones = [(i, n, prefix) for i in config.moe_layers()
+              for n, prefix in enumerate(ffn_prefixes(config, i)[0]) if n > 0]
+    cloned = {f"{prefix}.{m}" for _, _, prefix in clones for m in FFN_MATRICES}
+    tensors = {name: _draw(spec.seed, name, shape, spec.init_std)
+               for name, shape in required_tensor_shapes(config).items() if name not in cloned}
     permutations: dict[tuple[int, int], np.ndarray] = {}
-
-    for name, shape in shapes.items():
-        parts = name.split(".")
-        if not (parts[0] == "layers" and parts[2] == "experts" and parts[3] != "0"):
-            tensors[name] = _draw(spec.seed, name, shape, spec.init_std)
-
-    for i in range(config.num_layers):
-        n_experts = config.experts_per_layer[i]
-        if n_experts == 1:
-            continue
-        base = Expert(w_up=tensors[f"layers.{i}.experts.0.w_up"],
-                      w_act=tensors[f"layers.{i}.experts.0.w_act"],
-                      w_down=tensors[f"layers.{i}.experts.0.w_down"])
-        for n in range(1, n_experts):
-            rng = _tensor_rng(spec.seed, f"layers.{i}.experts.{n}.permutation")
-            perm = rng.permutation(config.d_mid)
-            permutations[(i, n)] = perm
-            clone = synth_permuted_clone(base, perm)
-            tensors[f"layers.{i}.experts.{n}.w_up"] = clone.w_up
-            tensors[f"layers.{i}.experts.{n}.w_act"] = clone.w_act
-            tensors[f"layers.{i}.experts.{n}.w_down"] = clone.w_down
-
+    for i, n, prefix in clones:
+        first = ffn_prefixes(config, i)[0][0]
+        base = Expert(*(tensors[f"{first}.{m}"] for m in FFN_MATRICES))
+        # The permutation's RNG key is its own name, fixed apart from the tensor layout.
+        rng = _tensor_rng(spec.seed, f"layers.{i}.experts.{n}.permutation")
+        permutations[(i, n)] = rng.permutation(config.d_mid)
+        clone = synth_permuted_clone(base, permutations[(i, n)])
+        tensors.update(zip((f"{prefix}.{m}" for m in FFN_MATRICES),
+                           (clone.w_up, clone.w_act, clone.w_down)))
     return build_checkpoint(config, tensors), permutations
 

@@ -18,19 +18,20 @@ The JSON header holds the model config and a tensor directory::
 The header holds no other key, and a tensor entry no other than these three.
 Tensor payloads are finite float32, little-endian, row-major.  ``offsets``
 are byte positions relative to the start of the data section; the range
-length must be exactly ``4 * prod(shape)``.  Ranges of distinct tensors may
-not overlap and the data section ends at the largest end offset.
+length must be exactly ``4 * prod(shape)``.
 
-Tensor names are derived from the config.  Every model has ``embed.weight``
-of shape ``[vocab, d_hid]``.  Gated layer ``i`` contributes
-``layers.{i}.gate.weight`` ``[N_i, d_hid]`` plus, per routed expert ``n``,
-``layers.{i}.experts.{n}.w_up`` and ``.w_act`` ``[d_mid, d_hid]`` and
-``.w_down`` ``[d_hid, d_mid]``; shared experts use the same three suffixes
-under ``layers.{i}.shared.{m}``.  A dense layer stores a single
-``layers.{i}.ffn.w_up`` / ``.w_act`` / ``.w_down`` triple and no gate.
+Tensor names are derived from the config, and this module is the only one
+that spells them.  Every model has ``embed.weight`` of shape
+``[vocab, d_hid]``.  Gated layer ``i`` contributes ``layers.{i}.gate.weight``
+``[N_i, d_hid]`` plus, per routed expert ``n``, ``layers.{i}.experts.{n}.w_up``
+and ``.w_act`` ``[d_mid, d_hid]`` and ``.w_down`` ``[d_hid, d_mid]``; shared
+experts use the same three suffixes under ``layers.{i}.shared.{m}``.  A dense
+layer stores a single ``layers.{i}.ffn.w_up`` / ``.w_act`` / ``.w_down``
+triple and no gate.  ``ffn_prefixes`` gives a layer's FFN name prefixes.
 
 The writer lays tensors out consecutively in sorted-name order and serializes
-the header with sorted keys, so identical inputs produce identical bytes.
+the header with sorted keys and no whitespace.  The reader accepts exactly
+those bytes, so a file round-trips bit-exactly and one model has one file.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ MAGIC = b"MOEL"
 FORMAT_VERSION = 1
 
 _F32 = np.dtype("<f4")
+
+EMBED = "embed.weight"
+FFN_MATRICES = ("w_up", "w_act", "w_down")
 
 
 class CheckpointError(ValueError):
@@ -86,29 +90,31 @@ class Checkpoint:
         return flat.reshape(meta.shape)
 
 
+def gate_name(layer: int) -> str:
+    return f"layers.{layer}.gate.weight"
+
+
+def ffn_prefixes(config: ModelConfig, layer: int) -> tuple[list[str], list[str]]:
+    """Name prefixes of one layer's FFNs as ``(routed, shared)``, in expert
+    order; a dense layer's one FFN is its only routed entry.  An FFN's tensors
+    are ``f"{prefix}.{matrix}"`` for each ``matrix`` of ``FFN_MATRICES``."""
+    if config.is_dense(layer):
+        return [f"layers.{layer}.ffn"], []
+    return ([f"layers.{layer}.experts.{e}" for e in range(config.experts_per_layer[layer])],
+            [f"layers.{layer}.shared.{m}" for m in range(config.num_shared[layer])])
+
+
 def required_tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Exact tensor name -> shape map implied by a config."""
     up = (config.d_mid, config.d_hid)
-    down = (config.d_hid, config.d_mid)
-    shapes: dict[str, tuple[int, ...]] = {"embed.weight": (config.vocab, config.d_hid)}
+    ffn_shapes = dict(zip(FFN_MATRICES, (up, up, (config.d_hid, config.d_mid))))
+    shapes: dict[str, tuple[int, ...]] = {EMBED: (config.vocab, config.d_hid)}
     for i in range(config.num_layers):
-        n = config.experts_per_layer[i]
-        if config.is_dense(i):
-            shapes[f"layers.{i}.ffn.w_up"] = up
-            shapes[f"layers.{i}.ffn.w_act"] = up
-            shapes[f"layers.{i}.ffn.w_down"] = down
-            continue
-        shapes[f"layers.{i}.gate.weight"] = (n, config.d_hid)
-        for e in range(n):
-            prefix = f"layers.{i}.experts.{e}"
-            shapes[f"{prefix}.w_up"] = up
-            shapes[f"{prefix}.w_act"] = up
-            shapes[f"{prefix}.w_down"] = down
-        for m in range(config.num_shared[i]):
-            prefix = f"layers.{i}.shared.{m}"
-            shapes[f"{prefix}.w_up"] = up
-            shapes[f"{prefix}.w_act"] = up
-            shapes[f"{prefix}.w_down"] = down
+        if not config.is_dense(i):
+            shapes[gate_name(i)] = (config.experts_per_layer[i], config.d_hid)
+        routed, shared = ffn_prefixes(config, i)
+        for prefix in routed + shared:
+            shapes.update((f"{prefix}.{matrix}", shape) for matrix, shape in ffn_shapes.items())
     return shapes
 
 
@@ -144,17 +150,32 @@ def build_checkpoint(config: ModelConfig, tensors: dict[str, np.ndarray]) -> Che
                                  end=cursor + len(raw))
         chunks.append(raw)
         cursor += len(raw)
-    return Checkpoint(config=config, tensors=metas, data=b"".join(chunks))
+    ckpt = Checkpoint(config=config, tensors=metas, data=b"".join(chunks))
+    _check_finite(ckpt)
+    return ckpt
 
 
-def serialize_checkpoint(ckpt: Checkpoint) -> bytes:
+def _check_finite(ckpt: Checkpoint) -> None:
+    """Raise unless every payload value is finite; the writer and the reader
+    share this check, so they accept one set of models."""
+    for name in ckpt.tensors:
+        if not np.isfinite(ckpt.get_tensor(name)).all():
+            raise CheckpointError(f"non-finite value in {name}")
+
+
+def _header_bytes(ckpt: Checkpoint) -> bytes:
+    """The canonical JSON header: sorted keys, no whitespace."""
     directory = {
         name: {"dtype": "f32", "shape": list(meta.shape),
                "offsets": [meta.start, meta.end]}
         for name, meta in ckpt.tensors.items()
     }
     header_obj = {"__config__": ckpt.config.to_dict(), "tensors": directory}
-    header = json.dumps(header_obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return json.dumps(header_obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def serialize_checkpoint(ckpt: Checkpoint) -> bytes:
+    header = _header_bytes(ckpt)
     parts = [MAGIC,
              FORMAT_VERSION.to_bytes(4, "little"),
              len(header).to_bytes(8, "little"),
@@ -198,7 +219,8 @@ def read_checkpoint(path) -> Checkpoint:
 
 
 def parse_checkpoint(blob: bytes) -> Checkpoint:
-    """Parse and fully validate serialized checkpoint bytes."""
+    """Parse and fully validate serialized checkpoint bytes; only the bytes
+    that ``serialize_checkpoint`` writes for the parsed model are accepted."""
     if len(blob) < 16 or blob[:4] != MAGIC:
         raise CheckpointError("bad magic")
     version = int.from_bytes(blob[4:8], "little")
@@ -244,17 +266,17 @@ def parse_checkpoint(blob: bytes) -> Checkpoint:
             raise CheckpointError(f"payload length mismatch for {name}")
         metas[name] = meta
 
-    spans = sorted((m.start, m.end, m.name) for m in metas.values())
-    for (s1, e1, n1), (s2, e2, n2) in zip(spans, spans[1:]):
-        if s2 < e1:
-            raise CheckpointError(f"overlapping tensor byte ranges: {n1} and {n2}")
-    total = max((m.end for m in metas.values()), default=0)
-    if len(data) != total:
+    cursor = 0
+    for name in sorted(metas):
+        if metas[name].start != cursor:
+            raise CheckpointError(f"tensor byte ranges not consecutive in name order at {name}")
+        cursor = metas[name].end
+    if len(data) != cursor:
         raise CheckpointError("header/payload length mismatch")
 
     _check_tensor_set(config, {name: meta.shape for name, meta in metas.items()})
     ckpt = Checkpoint(config=config, tensors=metas, data=data)
-    for name in metas:
-        if not np.isfinite(ckpt.get_tensor(name)).all():
-            raise CheckpointError(f"non-finite value in {name}")
+    _check_finite(ckpt)
+    if _header_bytes(ckpt) != blob[16:16 + header_len]:
+        raise CheckpointError("malformed header: not in canonical form")
     return ckpt

@@ -260,6 +260,22 @@ def test_synth_expert_list_must_match_layers(tmp_path, capsys):
     assert "--experts" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--init-std", "nan", "init_std must be positive and finite"),
+    ("--init-std", "inf", "init_std must be positive and finite"),
+    ("--init-std", "1e39", "non-finite value in embed.weight"),
+    ("--noise", "nan", "upcycle_noise_std must be nonnegative and finite"),
+    ("--noise", "inf", "upcycle_noise_std must be nonnegative and finite"),
+], ids=["init-std-nan", "init-std-inf", "init-std-1e39", "noise-nan", "noise-inf"])
+def test_synth_refuses_what_its_reader_rejects(tmp_path, capsys, flag, value, message):
+    with np.errstate(over="ignore"):  # 1e39 overflows the float32 cast
+        code = run_command(["synth", "--mode", "upcycled", "--seed", "1", flag, value,
+                            "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "out").exists() or snapshot(tmp_path / "out") == {}
+
+
 def test_synth_requires_seed(tmp_path, capsys):
     code = run_command(["synth", "--mode", "scratch", "--out", str(tmp_path)])
     assert code == 2
@@ -382,6 +398,34 @@ def test_weight_sim_rejects_reference_of_other_depth(workspace, tmp_path, capsys
                             "--out", str(tmp_path / command)])
         assert code == 1
         assert capsys.readouterr().err == "error: reference layer count differs from model\n"
+
+
+def test_every_reference_reader_rejects_a_partly_gated_reference(workspace, tmp_path, capsys):
+    # Layer 1 of this reference is dense, layer 0 is not.
+    assert run_command(["synth", "--mode", "scratch", "--seed", "7", "--layers", "2",
+                        "--experts", "4,1", "--d-hid", "8", "--d-mid", "12", "--vocab", "13",
+                        "--out", str(tmp_path / "partial")]) == 0
+    capsys.readouterr()
+    ref = ["--ref", str(tmp_path / "partial" / "model.moel")]
+    for argv in (["matrix-sim", "--layer", "1", "--which", "up"],
+                 ["neuron-avg-sim", "--layer", "1", "--which", "up"],
+                 ["trace", "--corpus", workspace["corpus"]]):
+        out = tmp_path / argv[0]
+        assert run_command([*argv, "--model", workspace["up"], *ref, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: reference checkpoint must be dense in every layer\n", argv[0]
+        assert snapshot(out) == {}
+
+
+@pytest.mark.parametrize("cell", ["0", "-1"])
+def test_cell_below_one_writes_nothing(workspace, tmp_path, capsys, cell):
+    for argv in (["matrix-sim", "--which", "up"], ["norm-rank", "--corpus", workspace["corpus"]]):
+        out = tmp_path / argv[0]
+        code = run_command([*argv, "--model", workspace["model"], "--cell", cell,
+                            "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: cell size must be positive\n"
+        assert snapshot(out) == {}
 
 
 def test_matrix_sim_rejects_unknown_which(workspace, tmp_path, capsys):

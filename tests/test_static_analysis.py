@@ -185,7 +185,7 @@ def test_matrix_sim_rejects_mismatched_reference():
     cfg_big = ModelConfig(num_layers=1, experts_per_layer=[1], num_shared=[0],
                           top_k=1, d_hid=16, d_mid=48, vocab=7)
     ref_bad = synth_scratch(SynthSpec(config=cfg_big, mode="scratch", seed=2))
-    with pytest.raises(ValueError, match="different dimensions"):
+    with pytest.raises(ValueError, match="reference dimensions differ from model"):
         matrix_level_sim(model, 0, "up", reference=ref_bad)
 
 
@@ -693,9 +693,6 @@ def test_dbscan_noise_matches_bfs_oracle(cloud):
     points, eps, min_pts = cloud
     assert dbscan_outliers(points, eps=eps, min_pts=min_pts) == \
         dbscan_noise(points, eps, min_pts)
-    labels = [f"p{i}" for i in range(len(points))]
-    assert dbscan_outliers(points, eps=eps, min_pts=min_pts, labels=labels) == \
-        {labels[i] for i in dbscan_noise(points, eps, min_pts)}
 
 
 def test_filter_outliers_records_labels(rng):

@@ -1,5 +1,6 @@
 """Checkpoint container: byte layout, validation, round trips."""
 
+import ast
 import copy
 import json
 import os
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import moe_lens
 from moe_lens import ModelConfig
 from moe_lens.report import Provenance, emit_csv
 from moe_lens.tensor_store import (MAGIC, CheckpointError, atomic_write_bytes,
@@ -207,7 +209,7 @@ def test_read_rejects_overlapping_ranges():
     size = entries[first]["offsets"][1] - entries[first]["offsets"][0]
     entries[first]["offsets"] = [entries[second]["offsets"][0],
                                  entries[second]["offsets"][0] + size]
-    with pytest.raises(CheckpointError, match="overlap|length mismatch"):
+    with pytest.raises(CheckpointError, match="not consecutive in name order at "):
         parse_checkpoint(_reassemble(header, data))
 
 
@@ -247,11 +249,90 @@ def test_read_rejects_extra_tensor():
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_read_rejects_non_finite_payload(value):
     config = tiny_config()
-    tensors = full_tensor_map(config)
-    tensors["layers.0.experts.1.w_up"][2, 1] = value
-    blob = serialize_checkpoint(build_checkpoint(config, tensors))
+    ckpt = build_checkpoint(config, full_tensor_map(config))
+    blob = bytearray(serialize_checkpoint(ckpt))
+    # Element [2, 1] of a [3, 2] tensor, patched in the serialized data section.
+    at = len(blob) - len(ckpt.data) + ckpt.tensors["layers.0.experts.1.w_up"].start + 4 * 5
+    blob[at:at + 4] = np.float32(value).tobytes()
     with pytest.raises(CheckpointError, match="non-finite value in layers.0.experts.1.w_up"):
+        parse_checkpoint(bytes(blob))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39])
+def test_write_rejects_non_finite_value(value):
+    config = tiny_config()
+    tensors = full_tensor_map(config)
+    tensors["layers.0.experts.1.w_up"] = tensors["layers.0.experts.1.w_up"].astype(np.float64)
+    tensors["layers.0.experts.1.w_up"][2, 1] = value  # 1e39 overflows float32
+    with pytest.raises(CheckpointError, match="non-finite value in layers.0.experts.1.w_up"):
+        with np.errstate(over="ignore"):
+            build_checkpoint(config, tensors)
+
+
+# --- canonical bytes: one model, one file --------------------------------------
+
+def _canonical_parts():
+    config = tiny_config()
+    return _header_and_data(serialize_checkpoint(build_checkpoint(config,
+                                                                  full_tensor_map(config))))
+
+
+@pytest.mark.parametrize("form", ["whitespace", "reordered keys", "duplicated key"])
+def test_read_rejects_non_canonical_header(form):
+    header, data = _canonical_parts()
+    compact = dict(separators=(",", ":"))
+    raw = {
+        "whitespace": json.dumps(header, sort_keys=True),
+        "reordered keys": json.dumps({"tensors": header["tensors"],
+                                      "__config__": header["__config__"]}, **compact),
+        # json.loads keeps the last of two equal keys.
+        "duplicated key": json.dumps(header, sort_keys=True, **compact)[:-1]
+        + ',"tensors":' + json.dumps(header["tensors"], sort_keys=True, **compact) + "}",
+    }[form].encode("utf-8")
+    blob = MAGIC + (1).to_bytes(4, "little") + len(raw).to_bytes(8, "little") + raw + data
+    with pytest.raises(CheckpointError, match="malformed header: not in canonical form"):
         parse_checkpoint(blob)
+
+
+def test_read_rejects_gap_in_data_section():
+    header, data = _canonical_parts()
+    first, *rest = sorted(header["tensors"])
+    end = header["tensors"][first]["offsets"][1]
+    for name in rest:
+        header["tensors"][name]["offsets"] = [o + 4 for o in header["tensors"][name]["offsets"]]
+    with pytest.raises(CheckpointError, match=f"not consecutive in name order at {rest[0]}"):
+        parse_checkpoint(_reassemble(header, data[:end] + bytes(4) + data[end:]))
+
+
+def test_tensor_names_spelled_only_in_tensor_store():
+    """Outside tensor_store, no string template of the package spells a tensor
+    name; the permuted-clone RNG key is a seed label, not a tensor name."""
+    allowed = {"layers.{}.experts.{}.permutation"}
+    package = os.path.dirname(moe_lens.__file__)
+    found = []
+    for filename in sorted(os.listdir(package)):
+        if not filename.endswith(".py") or filename == "tensor_store.py":
+            continue
+        with open(os.path.join(package, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                      and node.body and isinstance(node.body[0], ast.Expr)}
+        parts = set()  # the literal pieces of f-strings, checked as whole templates
+        for node in ast.walk(tree):
+            if isinstance(node, ast.JoinedStr):
+                template = "".join(v.value if isinstance(v, ast.Constant) else "{}"
+                                   for v in node.values)
+                parts.update(id(v) for v in node.values)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in docstrings and id(node) not in parts):
+                template = node.value
+            else:
+                continue
+            if ("layers." in template or "embed.weight" in template) \
+                    and template not in allowed:
+                found.append(f"{filename}:{node.lineno}: {template}")
+    assert found == []
 
 
 def test_read_rejects_unknown_header_key():
