@@ -20,8 +20,7 @@ import numpy as np
 from . import dynamic_analysis as dyn
 from . import static_analysis as sta
 from .config import ACTIVATIONS, GATING_ORDERS, ModelConfig
-from .moe_core import (CorpusTrace, flatten_corpus, native_output, read_corpus,
-                       trace_all_experts)
+from .moe_core import CorpusTrace, native_output, read_corpus, trace_all_experts
 from .report import Provenance, emit_csv, emit_matrix, file_digest, matrix_comments, metric_range
 from .synth import SynthSpec, synth_permuted_clone_model, synth_scratch, synth_upcycled
 from .tensor_store import Checkpoint, dump_checkpoint, read_checkpoint
@@ -82,7 +81,7 @@ def _load_context(args, argv: list[str], loaded: Context | None) -> Context:
         tokens = None
         if corpus_path:
             digests["corpus"] = file_digest(corpus_path)
-            tokens = flatten_corpus(read_corpus(corpus_path, model.config.vocab))
+            tokens = read_corpus(corpus_path, model.config.vocab)
             if not tokens:
                 raise ValueError("corpus holds no tokens")
         loaded = Context(args=args, model=model, reference=reference, tokens=tokens,
@@ -151,17 +150,22 @@ def _cmd_synth(args) -> list[str]:
     return written
 
 
-def _cmd_layer_sims(entry: Analysis, ctx: Context) -> list[str]:
-    """One similarity matrix per selected layer, from the entry's ``layer_sim``."""
-    analyse = entry.layer_sim(ctx)
-    written = []
-    for layer in _select_layers(ctx.args.layer, ctx.model):
-        stem = entry.stem.format_map({**vars(ctx.args), "layer": layer})
-        sim = analyse(layer)
-        written += emit_matrix(os.path.join(ctx.out, stem), ctx.provenance, sim.labels,
-                               sim.values, metric_range(sim.metric), matrix_comments(sim),
-                               ctx.args.cell)
-    return written
+def _layer_sims(stem: str, layer_sim: Callable[[Context], Callable[[int], sta.SimilarityMatrix]]
+                ) -> Callable[[Context], list[str]]:
+    """A handler that writes one similarity matrix per selected layer:
+    ``layer_sim(ctx)`` gives the analysis of a layer index, and ``stem``
+    formats with the arguments and ``layer`` into the file stem."""
+    def handler(ctx: Context) -> list[str]:
+        analyse = layer_sim(ctx)
+        written = []
+        for layer in _select_layers(ctx.args.layer, ctx.model):
+            path = os.path.join(ctx.out, stem.format_map({**vars(ctx.args), "layer": layer}))
+            sim = analyse(layer)
+            written += emit_matrix(path, ctx.provenance, sim.labels, sim.values,
+                                   metric_range(sim.metric), matrix_comments(sim),
+                                   ctx.args.cell)
+        return written
+    return handler
 
 
 def _token_sims(ctx: Context):
@@ -184,8 +188,6 @@ def _cmd_reorder(ctx: Context) -> list[str]:
             rows.append([layer, rep.pair[0], rep.pair[1], which,
                          rep.sim_before, rep.sim_after, rep.tau])
             taus.append(rep.tau)
-    if not rows:
-        raise ValueError("no expert pairs to reorder")
     path = os.path.join(ctx.out, f"reorder-{which}.csv")
     emit_csv(path, ctx.provenance,
              ["layer", "expert_a", "expert_b", "which", "sim_before", "sim_after", "tau"],
@@ -200,7 +202,7 @@ def _cmd_gate_corr(ctx: Context) -> list[str]:
     if not layers:
         raise ValueError("no gated layer has enough experts for regression")
     reports = [sta.gate_expert_regression(ctx.model, layer, which) for layer in layers]
-    rows = [[rep.layer, rep.which, rep.n_pairs, rep.r, rep.r2] for rep in reports]
+    rows = [[layer, which, rep.n_pairs, rep.r, rep.r2] for layer, rep in zip(layers, reports)]
     rows.append(["avg", which, None, None, sta.aggregate_r2(reports)])
     path = os.path.join(ctx.out, f"gate-corr-{which}.csv")
     emit_csv(path, ctx.provenance, ["layer", "which", "n_pairs", "r", "r2"], rows)
@@ -269,7 +271,7 @@ def _cmd_norm_rank(ctx: Context) -> list[str]:
     written = []
     for n in sorted(groups):
         rc = dyn.rank_count_matrix(trace, groups[n])
-        labels = [str(r + 1) for r in range(rc.n_experts)]
+        labels = [str(r + 1) for r in range(rc.counts.shape[0])]
         stem = f"norm-rank-n{n}" if len(groups) > 1 or ctx.args.layer == "all" \
             else f"norm-rank-layer{layers[0]}"
         comments = [f"layers: {' '.join(str(l) for l in groups[n])}",
@@ -288,7 +290,7 @@ def _cmd_act_ratio(ctx: Context) -> list[str]:
     rows.append(["overall", None, report.overall])
     path = os.path.join(ctx.out, "act-ratio.csv")
     emit_csv(path, ctx.provenance, ["layer", "expert", "ratio"], rows,
-             extra_comments=[f"threshold: {report.threshold}"])
+             extra_comments=[f"threshold: {ctx.args.threshold}"])
     return [path]
 
 
@@ -346,42 +348,40 @@ class Analysis:
 
     The flags say which inputs (``--ref``, ``--corpus`` with ``--k-override``)
     and selectors (``--layer``, ``--which``) it takes; ``options`` are its own
-    further flags as ``(flag, add_argument keywords)``.  It runs ``handler``,
-    or, with ``layer_sim`` and ``stem`` instead, writes one similarity matrix
-    per selected layer: ``layer_sim(ctx)`` gives the analysis of a layer index
-    and ``stem`` formats with the arguments and ``layer`` into a file stem.
+    further flags as ``(flag, add_argument keywords)``.  It runs ``handler``.
     """
 
     help: str
-    handler: Callable[[Context], list[str]] | None = None
+    handler: Callable[[Context], list[str]]
     ref: bool = False
     corpus: bool = False
     layer: bool = False
     which: bool = False
     options: tuple[tuple[str, dict], ...] = ()
-    layer_sim: Callable[[Context], Callable[[int], sta.SimilarityMatrix]] | None = None
-    stem: str = ""
 
 
 # Analyses are looked up when a command runs, not when the table is built, so
 # a function that perfbench/tracer.py or a test rebinds is the one called.
 ANALYSES = {
     "matrix-sim": Analysis(
-        "matrix-sim over expert weights", ref=True, layer=True, which=True,
-        layer_sim=lambda ctx: functools.partial(sta.matrix_level_sim, ctx.model,
-                                                which=ctx.args.which, reference=ctx.reference),
-        stem="{command}-layer{layer}-{which}"),
+        "matrix-sim over expert weights",
+        _layer_sims("{command}-layer{layer}-{which}",
+                    lambda ctx: functools.partial(sta.matrix_level_sim, ctx.model,
+                                                  which=ctx.args.which, reference=ctx.reference)),
+        ref=True, layer=True, which=True),
     "neuron-avg-sim": Analysis(
-        "neuron-avg-sim over expert weights", ref=True, layer=True, which=True,
-        layer_sim=lambda ctx: functools.partial(sta.neuron_average_sim, ctx.model,
-                                                which=ctx.args.which, reference=ctx.reference),
-        stem="{command}-layer{layer}-{which}"),
+        "neuron-avg-sim over expert weights",
+        _layer_sims("{command}-layer{layer}-{which}",
+                    lambda ctx: functools.partial(sta.neuron_average_sim, ctx.model,
+                                                  which=ctx.args.which, reference=ctx.reference)),
+        ref=True, layer=True, which=True),
     "reorder": Analysis("neuron alignment between expert pairs", _cmd_reorder,
                         layer=True, which=True),
     "gate-sim": Analysis(
-        "gate row similarity", layer=True,
-        layer_sim=lambda ctx: functools.partial(sta.gate_embedding_sim, ctx.model),
-        stem="gate-sim-layer{layer}"),
+        "gate row similarity",
+        _layer_sims("gate-sim-layer{layer}",
+                    lambda ctx: functools.partial(sta.gate_embedding_sim, ctx.model)),
+        layer=True),
     "gate-corr": Analysis("gate-vs-expert similarity regression per layer", _cmd_gate_corr,
                           which=True),
     "pca": Analysis(
@@ -395,13 +395,15 @@ ANALYSES = {
     "trace": Analysis("trace recombination consistency table", _cmd_trace,
                       ref=True, corpus=True),
     "out-sim": Analysis(
-        "per-token expert output similarity", ref=True, corpus=True, layer=True,
-        options=(("--token", dict(type=int, default=0, help="flattened corpus token index")),),
-        layer_sim=_token_sims, stem="out-sim-layer{layer}-token{token}"),
+        "per-token expert output similarity",
+        _layer_sims("out-sim-layer{layer}-token{token}", _token_sims),
+        ref=True, corpus=True, layer=True,
+        options=(("--token", dict(type=int, default=0, help="flattened corpus token index")),)),
     "avg-out-sim": Analysis(
-        "corpus-averaged angular output similarity", ref=True, corpus=True, layer=True,
-        layer_sim=lambda ctx: functools.partial(dyn.avg_output_sim, ctx.corpus_trace()),
-        stem="avg-out-sim-layer{layer}"),
+        "corpus-averaged angular output similarity",
+        _layer_sims("avg-out-sim-layer{layer}",
+                    lambda ctx: functools.partial(dyn.avg_output_sim, ctx.corpus_trace())),
+        ref=True, corpus=True, layer=True),
     "norm-rank": Analysis("output-norm rank vs gate-score rank counts", _cmd_norm_rank,
                           corpus=True, layer=True),
     "act-ratio": Analysis("activation sparsity ratios", _cmd_act_ratio, corpus=True,
@@ -460,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--cell", type=int, default=16,
                        help="heatmap block size in pixels")
-        p.set_defaults(func=entry.handler or functools.partial(_cmd_layer_sims, entry))
+        p.set_defaults(func=entry.handler)
 
     p = commands.add_parser("report", help="run the full analysis bundle")
     p.add_argument("--model", required=True, help="checkpoint path")

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moe_core import CorpusTrace, LayerTrace
-from .static_analysis import (REFERENCE_LABEL, SimilarityMatrix, _pairwise_cosine, _summaries,
-                              angular, build_similarity_matrix, cosine_sim)
+from .static_analysis import (REFERENCE_LABEL, SimilarityMatrix, angular, cosine_sim,
+                              pairwise_cosine, similarity_matrix)
 
 
 def angular_sim(u, v) -> float:
@@ -55,9 +55,8 @@ def output_sim_per_token(trace: CorpusTrace, layer: int, token: int = 0) -> Simi
     lt = _layer_trace(trace, layer)
     vectors, labels, n_experts, has_ref = _output_entities(lt)
     selected = [str(n) for n in lt.selected[token]]
-    return build_similarity_matrix(vectors[token], labels, "cosine", n_experts,
-                                   has_reference=has_ref, allow_zero=True,
-                                   selected_labels=selected)
+    return similarity_matrix(pairwise_cosine(vectors[token], allow_zero=True), labels,
+                             n_experts, has_ref, selected_labels=selected)
 
 
 def avg_output_sim(trace: CorpusTrace, layer: int) -> SimilarityMatrix:
@@ -69,13 +68,11 @@ def avg_output_sim(trace: CorpusTrace, layer: int) -> SimilarityMatrix:
     if trace.token_ids.size == 0:
         raise ValueError("no traces given: the trace holds no tokens")
     vectors, labels, n_experts, has_ref = _output_entities(_layer_trace(trace, layer))
-    sims = angular(_pairwise_cosine(vectors, allow_zero=True))
+    sims = angular(pairwise_cosine(vectors, allow_zero=True))
     count = (~np.isnan(sims)).sum(axis=0)
     with np.errstate(invalid="ignore"):
         mean = np.where(count > 0, np.nansum(sims, axis=0) / np.maximum(count, 1), np.nan)
-    s_ee, s_ef = _summaries(mean, n_experts, has_ref)
-    return SimilarityMatrix(labels=labels, values=mean, metric="angular",
-                            n_experts=n_experts, s_ee=s_ee, s_ef=s_ef)
+    return similarity_matrix(mean, labels, n_experts, has_ref, metric="angular")
 
 
 @dataclass
@@ -88,7 +85,6 @@ class RankCountMatrix:
     gate logits so unselected experts rank on equal footing.
     """
 
-    n_experts: int
     counts: np.ndarray
     total_events: int
 
@@ -114,13 +110,11 @@ def rank_count_matrix(trace: CorpusTrace, layers: list[int]) -> RankCountMatrix:
         score_rank = _ascending_ranks(lt.full_scores)
         cells.append((norm_rank * n + score_rank).ravel())
     counts = np.bincount(np.concatenate(cells), minlength=n * n).reshape(n, n)
-    return RankCountMatrix(n_experts=n, counts=counts,
-                           total_events=trace.token_ids.size * len(layers))
+    return RankCountMatrix(counts=counts, total_events=trace.token_ids.size * len(layers))
 
 
 @dataclass
 class ActivationRatioReport:
-    threshold: float
     per_expert: dict[tuple[int, int], float]  # (layer, expert) -> fraction
     overall: float
 
@@ -147,7 +141,7 @@ def activation_ratio(trace: CorpusTrace, threshold: float = 0.001) -> Activation
         hits += sum(above)
         total += size * len(above)
     overall = hits / total
-    return ActivationRatioReport(threshold=threshold, per_expert=per_expert, overall=overall)
+    return ActivationRatioReport(per_expert=per_expert, overall=overall)
 
 
 def routing_pattern(trace: CorpusTrace) -> tuple[np.ndarray, ...]:

@@ -224,10 +224,10 @@ def native_output(ckpt: Checkpoint, layer: int, trace: LayerTrace,
     return z_in + y
 
 
-def read_corpus(path, vocab: int) -> list[list[int]]:
-    """Parse a corpus file: one sequence per line, whitespace-separated token
-    ids, each below ``vocab``."""
-    sequences = []
+def read_corpus(path, vocab: int) -> list[int]:
+    """Parse a corpus file into its token stream: the whitespace-separated
+    token ids of every line, in file order, each below ``vocab``."""
+    tokens = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             fields = line.split()
@@ -241,10 +241,5 @@ def read_corpus(path, vocab: int) -> list[list[int]]:
             if bad:
                 raise ValueError(f"token id out of range on line {lineno}: {bad[0]} "
                                  f"(vocab {vocab})")
-            if ids:
-                sequences.append(ids)
-    return sequences
-
-
-def flatten_corpus(sequences: list[list[int]]) -> list[int]:
-    return [t for seq in sequences for t in seq]
+            tokens += ids
+    return tokens

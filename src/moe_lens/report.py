@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .tensor_store import atomic_write_bytes
-
-TOOL_VERSION = "0.1.0"
 
 # Colormap endpoints, linearly interpolated over 256 steps.
 _DARK = np.array([8, 8, 32], dtype=np.float64)
@@ -33,12 +32,17 @@ class Provenance:
     seed: int | None = None
 
     def lines(self) -> list[str]:
-        out = [f"moe-lens {TOOL_VERSION}",
+        out = [f"moe-lens {__version__}",
                f"command: {shlex.join(self.command)}"]
         for name in sorted(self.inputs):
             out.append(f"{name}: sha256:{self.inputs[name]}")
         out.append(f"seed: {self.seed if self.seed is not None else '-'}")
         return out
+
+
+def _comment_lines(provenance: Provenance, comments: list[str] | None) -> list[str]:
+    """An artifact's ``# ``-prefixed header: the provenance lines, then ``comments``."""
+    return [f"# {line}" for line in [*provenance.lines(), *(comments or [])]]
 
 
 def file_digest(path) -> str:
@@ -68,9 +72,7 @@ def format_cell(value) -> str:
 def emit_csv(path, provenance: Provenance, columns: list[str], rows,
              extra_comments: list[str] | None = None) -> None:
     """Write a table with ``# ``-prefixed provenance comments and a label header."""
-    lines = [f"# {line}" for line in provenance.lines()]
-    for comment in extra_comments or []:
-        lines.append(f"# {comment}")
+    lines = _comment_lines(provenance, extra_comments)
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(format_cell(cell) for cell in row))
@@ -125,9 +127,7 @@ def emit_heatmap(path, provenance: Provenance, values: np.ndarray,
     blob = b"P6\n%d %d\n255\n" % (width, height) + b"".join(rows_bytes)
     atomic_write_bytes(path, blob)
 
-    side = [f"# {line}" for line in provenance.lines()]
-    for comment in extra_comments or []:
-        side.append(f"# {comment}")
+    side = _comment_lines(provenance, extra_comments)
     side.append(f"range: {format_cell(lo)} {format_cell(hi)}")
     side.append(f"cell: {cell}")
     side.append(f"shape: {n_rows} {n_cols}")

@@ -42,23 +42,21 @@ def cosine_sim(u, v) -> float:
 class SimilarityMatrix:
     """Symmetric pairwise similarity with labeled rows/columns.
 
-    ``values`` holds NaN for masked (undefined) cells.  The first
-    ``n_experts`` labels are routed experts; shared experts and a reference
-    entry may follow.  ``s_ee`` is the mean off-diagonal value among routed
-    experts, ``s_ef`` the mean expert-vs-reference value when a reference
-    entity is present.
+    ``values`` holds NaN for masked (undefined) cells.  Routed experts come
+    first; shared experts and a reference entry may follow.  ``s_ee`` is the
+    mean off-diagonal value among routed experts, ``s_ef`` the mean
+    expert-vs-reference value when a reference entity is present.
     """
 
     labels: list[str]
     values: np.ndarray
     metric: str  # "cosine" or "angular"
-    n_experts: int
     s_ee: float | None = None
     s_ef: float | None = None
     selected_labels: list[str] | None = None
 
 
-def _pairwise_cosine(vectors: np.ndarray, allow_zero: bool) -> np.ndarray:
+def pairwise_cosine(vectors: np.ndarray, allow_zero: bool) -> np.ndarray:
     """Cosine matrices [..., n, n] over the rows of ``vectors`` [..., n, d];
     a zero row yields a NaN row and column."""
     vectors = np.asarray(vectors, dtype=np.float64)
@@ -77,8 +75,16 @@ def angular(cosine):
         return 1.0 - np.arccos(cosine) / np.pi
 
 
-def _summaries(values: np.ndarray, n_experts: int,
-               has_reference: bool) -> tuple[float | None, float | None]:
+def similarity_matrix(values: np.ndarray, labels: list[str], n_experts: int,
+                      has_reference: bool, metric: str = "cosine",
+                      selected_labels: list[str] | None = None) -> SimilarityMatrix:
+    """Label an [n, n] similarity matrix and summarize it.
+
+    The first ``n_experts`` entries are the routed experts and, with
+    ``has_reference``, the last one is the reference.  ``s_ee`` and ``s_ef``
+    average the defined cells of the routed block's off-diagonal and of the
+    routed entries' reference column; a block with no defined cell gives None.
+    """
     s_ee = None
     s_ef = None
     if n_experts >= 2:
@@ -90,23 +96,8 @@ def _summaries(values: np.ndarray, n_experts: int,
         col = values[:n_experts, -1]
         if not np.all(np.isnan(col)):
             s_ef = float(np.nanmean(col))
-    return s_ee, s_ef
-
-
-def build_similarity_matrix(vectors: np.ndarray, labels: list[str], metric: str,
-                            n_experts: int, has_reference: bool = False,
-                            allow_zero: bool = False,
-                            selected_labels: list[str] | None = None) -> SimilarityMatrix:
-    """Similarity between the rows of ``vectors`` [entities, features]."""
-    values = _pairwise_cosine(vectors, allow_zero)
-    if metric == "angular":
-        values = angular(values)
-    elif metric != "cosine":
-        raise ValueError(f"unknown metric: {metric!r}")
-    s_ee, s_ef = _summaries(values, n_experts, has_reference)
     return SimilarityMatrix(labels=list(labels), values=values, metric=metric,
-                            n_experts=n_experts, s_ee=s_ee, s_ef=s_ef,
-                            selected_labels=selected_labels)
+                            s_ee=s_ee, s_ef=s_ef, selected_labels=selected_labels)
 
 
 def layer_weights(ckpt: Checkpoint, layer: int, which: str,
@@ -146,8 +137,8 @@ def _weight_sim(ckpt: Checkpoint, layer: int, which: str, reference: Checkpoint 
     if ckpt.config.is_dense(layer) and reference is None:
         raise ValueError(f"layer {layer} is dense; a reference checkpoint is required")
     has_ref = reference is not None
-    return build_similarity_matrix(vectors_of(stack), labels, "cosine",
-                                   len(labels) - int(has_ref), has_ref)
+    return similarity_matrix(pairwise_cosine(vectors_of(stack), allow_zero=False), labels,
+                             len(labels) - int(has_ref), has_ref)
 
 
 def matrix_level_sim(ckpt: Checkpoint, layer: int, which: str,
@@ -169,8 +160,8 @@ def neuron_average_sim(ckpt: Checkpoint, layer: int, which: str,
                        lambda stack: neuron_rows(stack, which).mean(axis=1))
 
 
-def solve_assignment(score: np.ndarray, maximize: bool = True) -> np.ndarray:
-    """Optimal one-to-one assignment on a square score matrix.
+def solve_assignment(score: np.ndarray) -> np.ndarray:
+    """Maximum-total one-to-one assignment on a square score matrix.
 
     Returns ``perm`` with row ``i`` assigned to column ``perm[i]``.  Tie rule:
     whenever the identity assignment attains the optimal total, identity is
@@ -187,15 +178,13 @@ def solve_assignment(score: np.ndarray, maximize: bool = True) -> np.ndarray:
     diagonal = score[idx, idx]
     # The row (or column) optima summed bound every assignment's total; identity
     # attains each of them, so it is optimal and the tie rule returns it.
-    ahead = np.less_equal if maximize else np.greater_equal
-    if ahead(score, diagonal[:, None]).all() or ahead(score, diagonal).all():
+    if (score <= diagonal[:, None]).all() or (score <= diagonal).all():
         return idx
     from scipy.optimize import linear_sum_assignment
-    rows, cols = linear_sum_assignment(score, maximize=maximize)
+    rows, cols = linear_sum_assignment(score, maximize=True)
     perm = cols[np.argsort(rows)]
     best = score[idx, perm].sum()
-    ident = diagonal.sum()
-    if (ident >= best) if maximize else (ident <= best):
+    if diagonal.sum() >= best:
         return idx
     return perm
 
@@ -273,7 +262,7 @@ def reorder_neurons(a: np.ndarray, b: np.ndarray,
     if a.shape != b.shape:
         raise ValueError("experts have different neuron dimensions")
     score = a @ b.T
-    row_to_col = solve_assignment(score, maximize=True)
+    row_to_col = solve_assignment(score)
     n = len(row_to_col)
     perm = np.empty(n, dtype=int)
     perm[row_to_col] = np.arange(n)  # b-neuron j -> a-neuron perm[j]
@@ -297,7 +286,8 @@ def gate_embedding_sim(ckpt: Checkpoint, layer: int) -> SimilarityMatrix:
         raise ValueError(f"layer {layer} is dense and has no gate")
     rows = np.asarray(ckpt.get_tensor(gate_name(layer)), dtype=np.float64)
     labels = [str(e) for e in range(rows.shape[0])]
-    return build_similarity_matrix(rows, labels, "cosine", rows.shape[0])
+    return similarity_matrix(pairwise_cosine(rows, allow_zero=False), labels, rows.shape[0],
+                             has_reference=False)
 
 
 def pearson_r(xs, ys) -> float:
@@ -319,8 +309,6 @@ def pearson_r(xs, ys) -> float:
 
 @dataclass
 class RegressionReport:
-    layer: int
-    which: str
     n_pairs: int
     r: float
     r2: float
@@ -346,7 +334,7 @@ def gate_expert_regression(ckpt: Checkpoint, layer: int, which: str) -> Regressi
     x = _upper_triangle(gate_embedding_sim(ckpt, layer).values)
     y = _upper_triangle(neuron_average_sim(ckpt, layer, which).values)
     r = pearson_r(x, y)
-    return RegressionReport(layer=layer, which=which, n_pairs=x.size, r=r, r2=r * r)
+    return RegressionReport(n_pairs=x.size, r=r, r2=r * r)
 
 
 def aggregate_r2(reports: list[RegressionReport]) -> float:

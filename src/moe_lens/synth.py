@@ -63,7 +63,9 @@ def _tensor_rng(seed: int, name: str) -> np.random.Generator:
 
 def _draw(seed: int, name: str, shape: tuple[int, ...], std: float) -> np.ndarray:
     rng = _tensor_rng(seed, name)
-    return rng.normal(0.0, std, size=shape).astype(np.float32)
+    # A draw beyond float32's range becomes inf, which build_checkpoint refuses.
+    with np.errstate(over="ignore"):
+        return rng.normal(0.0, std, size=shape).astype(np.float32)
 
 
 def _reference_config(config: ModelConfig) -> ModelConfig:
@@ -113,8 +115,10 @@ def synth_upcycled(spec: SynthSpec) -> tuple[Checkpoint, Checkpoint]:
             tensors[name] = ref_tensors[base_of[name]].copy()
         else:
             noise = _draw(spec.seed, name, shape, noise_std)
-            tensors[name] = (ref_tensors[base_of[name]].astype(np.float64)
-                             + noise).astype(np.float32)
+            # As in _draw: a sum beyond float32's range (or inf - inf) is refused later.
+            with np.errstate(over="ignore", invalid="ignore"):
+                tensors[name] = (ref_tensors[base_of[name]].astype(np.float64)
+                                 + noise).astype(np.float32)
 
     model = build_checkpoint(config, tensors)
     reference = build_checkpoint(ref_config, ref_tensors)

@@ -62,7 +62,6 @@ class CheckpointError(ValueError):
 
 @dataclass(frozen=True)
 class TensorMeta:
-    name: str
     shape: tuple[int, ...]
     start: int
     end: int
@@ -146,7 +145,7 @@ def build_checkpoint(config: ModelConfig, tensors: dict[str, np.ndarray]) -> Che
     cursor = 0
     for name in sorted(tensors):
         raw = np.ascontiguousarray(tensors[name], dtype=_F32).tobytes()
-        metas[name] = TensorMeta(name=name, shape=tensors[name].shape, start=cursor,
+        metas[name] = TensorMeta(shape=tensors[name].shape, start=cursor,
                                  end=cursor + len(raw))
         chunks.append(raw)
         cursor += len(raw)
@@ -261,7 +260,7 @@ def parse_checkpoint(blob: bytes) -> Checkpoint:
                 not all(_is_int(o) and o >= 0 for o in offsets)):
             raise CheckpointError(f"bad offsets for {name}")
         start, end = offsets
-        meta = TensorMeta(name=name, shape=tuple(shape), start=start, end=end)
+        meta = TensorMeta(shape=tuple(shape), start=start, end=end)
         if end - start != meta.nbytes:
             raise CheckpointError(f"payload length mismatch for {name}")
         metas[name] = meta

@@ -102,7 +102,7 @@ def test_c03_reordering_oracle(rng):
     for n in range(2, 7):
         for _ in range(100):
             score = rng.normal(size=(n, n))
-            perm = solve_assignment(score, maximize=True)
+            perm = solve_assignment(score)
             got = sum(score[i, perm[i]] for i in range(n))
             _, best = brute_force_assignment(score, maximize=True)
             assert got == best

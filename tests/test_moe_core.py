@@ -12,9 +12,9 @@ import pytest
 from conftest import SCIPY_MODULES, run_isolated
 
 from moe_lens import ModelConfig
-from moe_lens.moe_core import (Expert, activation_fn, expert_forward, flatten_corpus,
-                               gate_from_logits, native_output, read_corpus,
-                               recombined_output, rmsnorm, trace_all_experts)
+from moe_lens.moe_core import (Expert, activation_fn, expert_forward, gate_from_logits,
+                               native_output, read_corpus, recombined_output, rmsnorm,
+                               trace_all_experts)
 from moe_lens.synth import SynthSpec, synth_scratch, synth_upcycled
 from per_token_oracle import (GateParams, LayerWeights, assert_trace_matches,
                               load_layer_weights, moe_layer_forward, trace_per_token)
@@ -421,9 +421,7 @@ def test_trace_identical_experts_give_equal_outputs():
 def test_read_corpus_round_trip(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_text("1 2 3\n\n7 8\n", encoding="utf-8")
-    seqs = read_corpus(path, 9)
-    assert seqs == [[1, 2, 3], [7, 8]]
-    assert flatten_corpus(seqs) == [1, 2, 3, 7, 8]
+    assert read_corpus(path, 9) == [1, 2, 3, 7, 8]
 
 
 def test_read_corpus_rejects_garbage(tmp_path):

@@ -18,7 +18,8 @@ from moe_lens.static_analysis import (aggregate_r2, cosine_sim, dbscan_outliers,
                                       gate_expert_regression, kendall_tau,
                                       layer_weights, matrix_level_sim,
                                       neuron_average_sim, neuron_rows, pca_project, pearson_r,
-                                      reconstruct, reorder_neurons, solve_assignment)
+                                      reconstruct, reorder_neurons, similarity_matrix,
+                                      solve_assignment)
 from moe_lens.synth import (SynthSpec, synth_permuted_clone,
                             synth_permuted_clone_model, synth_scratch, synth_upcycled)
 from moe_lens.report import format_cell
@@ -131,6 +132,37 @@ def test_cosine_zero_vector_rejected():
 def test_cosine_length_mismatch_rejected():
     with pytest.raises(ValueError, match="undefined similarity"):
         cosine_sim([1.0], [1.0, 2.0])
+
+
+# --- similarity summaries ------------------------------------------------------
+
+def test_similarity_matrix_summaries():
+    """Routed experts 0 and 1, shared expert S0, reference F: the summaries
+    read only routed cells, skip NaN cells, and are None when all are NaN."""
+    nan = np.nan
+    values = np.array([[1.0, 0.2, 0.9, 0.4],
+                       [0.2, 1.0, 0.9, nan],
+                       [0.9, 0.9, 1.0, 0.9],
+                       [0.4, nan, 0.9, 1.0]])
+    labels = ["0", "1", "S0", "F"]
+    sim = similarity_matrix(values, labels, 2, has_reference=True)
+    assert (sim.labels, sim.metric, sim.selected_labels) == (labels, "cosine", None)
+    assert sim.values is values
+    assert (sim.s_ee, sim.s_ef) == (0.2, 0.4)
+
+    # Without a reference the last column is the shared expert's, and unread.
+    no_ref = similarity_matrix(values[:3, :3], labels[:3], 2, has_reference=False)
+    assert (no_ref.s_ee, no_ref.s_ef) == (0.2, None)
+
+    masked = values.copy()
+    masked[0, 1] = masked[1, 0] = masked[0, 3] = masked[3, 0] = nan
+    sim = similarity_matrix(masked, labels, 2, has_reference=True, metric="angular",
+                            selected_labels=["1"])
+    assert (sim.s_ee, sim.s_ef) == (None, None)
+    assert (sim.metric, sim.selected_labels) == ("angular", ["1"])
+
+    one = similarity_matrix(values[[0, 3]][:, [0, 3]], ["0", "F"], 1, has_reference=True)
+    assert (one.s_ee, one.s_ef) == (None, 0.4)
 
 
 # --- matrix-level similarity ---------------------------------------------------
@@ -265,7 +297,7 @@ def test_neuron_average_matches_direct_computation(small_checkpoint):
 
 def test_assignment_two_neuron_toy():
     score = np.array([[0.9, 0.1], [0.2, 0.8]])
-    perm = solve_assignment(score, maximize=True)
+    perm = solve_assignment(score)
     assert perm.tolist() == [0, 1]
     assert score[[0, 1], perm].sum() == pytest.approx(1.7)
 
@@ -286,17 +318,10 @@ def test_assignment_matches_brute_force(rng):
     for n in range(2, 7):
         for _ in range(30):
             score = rng.normal(size=(n, n))
-            perm = solve_assignment(score, maximize=True)
+            perm = solve_assignment(score)
             _, best_total = brute_force_assignment(score, maximize=True)
             got_total = sum(score[i, perm[i]] for i in range(n))
             assert got_total == best_total
-
-
-def test_assignment_minimize(rng):
-    score = rng.normal(size=(4, 4))
-    perm = solve_assignment(score, maximize=False)
-    _, best_total = brute_force_assignment(score, maximize=False)
-    assert sum(score[i, perm[i]] for i in range(4)) == best_total
 
 
 def test_assignment_rejects_bad_input():
@@ -325,11 +350,11 @@ def score_matrices(draw):
     return score
 
 
-@given(score_matrices(), st.booleans())
-def test_assignment_keeps_old_rule_and_optimum(score, maximize):
-    perm = solve_assignment(score, maximize=maximize)
-    np.testing.assert_array_equal(perm, assignment_old_rule(score, maximize))
-    _, best_total = brute_force_assignment(score, maximize=maximize)
+@given(score_matrices())
+def test_assignment_keeps_old_rule_and_optimum(score):
+    perm = solve_assignment(score)
+    np.testing.assert_array_equal(perm, assignment_old_rule(score))
+    _, best_total = brute_force_assignment(score)
     assert sum(score[i, perm[i]] for i in range(len(score))) == best_total
 
 

@@ -9,7 +9,7 @@ from moe_lens import ModelConfig
 from moe_lens.static_analysis import cosine_sim, matrix_level_sim
 from moe_lens.synth import (SynthSpec, synth_permuted_clone, synth_permuted_clone_model,
                             synth_scratch, synth_upcycled)
-from moe_lens.tensor_store import serialize_checkpoint
+from moe_lens.tensor_store import CheckpointError, serialize_checkpoint
 
 
 def make_config(**overrides):
@@ -168,3 +168,13 @@ def test_synth_spec_validation():
     with pytest.raises(ValueError, match="noise"):
         SynthSpec(config=make_config(), mode="upcycled", seed=0,
                   upcycle_noise_std=-0.1)
+
+
+def test_upcycled_sum_overflow_is_refused_quietly():
+    """Base-plus-noise sums beyond float32's range are refused as non-finite,
+    and numpy prints no overflow warning on the way (the suite turns those
+    into errors)."""
+    spec = SynthSpec(config=make_config(), mode="upcycled", seed=1, init_std=1e38,
+                     upcycle_noise_std=1.0)
+    with pytest.raises(CheckpointError, match="non-finite value in"):
+        synth_upcycled(spec)
