@@ -204,8 +204,11 @@ def _cmd_gate_corr(ctx: Context) -> list[str]:
     reports = [sta.gate_expert_regression(ctx.model, layer, which) for layer in layers]
     rows = [[layer, which, rep.n_pairs, rep.r, rep.r2] for layer, rep in zip(layers, reports)]
     rows.append(["avg", which, None, None, sta.aggregate_r2(reports)])
+    flat = [str(layer) for layer, rep in zip(layers, reports) if rep.r is None]
     path = os.path.join(ctx.out, f"gate-corr-{which}.csv")
-    emit_csv(path, ctx.provenance, ["layer", "which", "n_pairs", "r", "r2"], rows)
+    emit_csv(path, ctx.provenance, ["layer", "which", "n_pairs", "r", "r2"], rows,
+             extra_comments=[f"degenerate: zero variance in layers {' '.join(flat)}"]
+             if flat else None)
     return [path]
 
 
@@ -232,6 +235,8 @@ def _cmd_pca(ctx: Context) -> list[str]:
             "outliers: " + (" ".join(proj.outliers) if proj.outliers else "-"),
             f"level: {args.level}",
         ]
+        if not proj.explained_variance.any():
+            comments.append("degenerate: no feature varies; every point is at the origin")
         rows = [[label, *coords] for label, coords in zip(proj.labels, proj.coords)]
         path = os.path.join(ctx.out, f"pca-layer{layer}-{args.which}-{args.level}.csv")
         emit_csv(path, ctx.provenance,

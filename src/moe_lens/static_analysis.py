@@ -4,11 +4,12 @@ Everything here compares experts through their parameters alone: flattened
 whole-matrix cosine, per-neuron averaging, optimal neuron reordering, gate-row
 geometry, and low-dimensional projections of expert weights.  Behavioral
 (forward-pass) comparisons live in ``dynamic_analysis``.  scipy is imported
-inside ``solve_assignment`` and ``dbscan_outliers``, the two functions that
-call it, so a command that reaches neither never loads it.  Reordering loads
-it only for an expert pair whose identity matching is not certified optimal
-(every a-neuron's best match is its own index, or every b-neuron's is);
-Kendall's tau counts discordant pairs by bottom-up merge levels.
+only inside ``solve_assignment``, so a command that does not reach it never
+loads scipy.  Reordering loads it only for an expert pair whose identity
+matching is not certified optimal (every a-neuron's best match is its own
+index, or every b-neuron's is); Kendall's tau counts discordant pairs by
+bottom-up merge levels.  DBSCAN counts its eps-balls over strip-sorted dense
+tiles in numpy.
 """
 
 from __future__ import annotations
@@ -290,8 +291,8 @@ def gate_embedding_sim(ckpt: Checkpoint, layer: int) -> SimilarityMatrix:
                              has_reference=False)
 
 
-def pearson_r(xs, ys) -> float:
-    """Pearson correlation; degenerate when either side has zero variance."""
+def pearson_r(xs, ys) -> float | None:
+    """Pearson correlation; None (undefined) when either side has zero variance."""
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
@@ -303,15 +304,15 @@ def pearson_r(xs, ys) -> float:
     vx = np.dot(xd, xd)
     vy = np.dot(yd, yd)
     if vx == 0.0 or vy == 0.0:
-        raise ValueError("degenerate regression: zero variance")
+        return None
     return float(np.dot(xd, yd) / np.sqrt(vx * vy))
 
 
 @dataclass
 class RegressionReport:
     n_pairs: int
-    r: float
-    r2: float
+    r: float | None  # None when either side has zero variance
+    r2: float | None
 
 
 def _upper_triangle(values: np.ndarray) -> np.ndarray:
@@ -324,7 +325,8 @@ def gate_expert_regression(ckpt: Checkpoint, layer: int, which: str) -> Regressi
     """Correlate gate-row similarities with neuron-averaged expert similarities.
 
     Both sides are the upper triangle (i < j) over routed expert pairs of one
-    layer.  Needs at least three experts so the triangle has spread.
+    layer.  Needs at least three experts so the triangle has spread; a side
+    with zero variance leaves ``r`` and ``r2`` undefined (None).
     """
     config = ckpt.config
     if config.is_dense(layer):
@@ -334,14 +336,16 @@ def gate_expert_regression(ckpt: Checkpoint, layer: int, which: str) -> Regressi
     x = _upper_triangle(gate_embedding_sim(ckpt, layer).values)
     y = _upper_triangle(neuron_average_sim(ckpt, layer, which).values)
     r = pearson_r(x, y)
-    return RegressionReport(n_pairs=x.size, r=r, r2=r * r)
+    return RegressionReport(n_pairs=x.size, r=r, r2=None if r is None else r * r)
 
 
-def aggregate_r2(reports: list[RegressionReport]) -> float:
-    """Mean r-squared over per-layer regression reports."""
+def aggregate_r2(reports: list[RegressionReport]) -> float | None:
+    """Mean of the defined r-squared values of per-layer regression reports;
+    None when no report has one."""
     if not reports:
         raise ValueError("no regression reports to aggregate")
-    return float(np.mean([rep.r2 for rep in reports]))
+    defined = [rep.r2 for rep in reports if rep.r2 is not None]
+    return float(np.mean(defined)) if defined else None
 
 
 @dataclass
@@ -366,7 +370,8 @@ def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True,
     With ``standardize``, features are shifted to zero mean and unit variance
     first and zero-variance features are dropped.  Component signs follow a
     fixed convention (largest-magnitude entry positive), so output is
-    deterministic.
+    deterministic.  A population in which no feature varies puts every point
+    at the origin with zero explained variance.
     """
     data = np.asarray(vectors, dtype=np.float64)
     if data.ndim != 2:
@@ -387,23 +392,25 @@ def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True,
     if standardize:
         sd = data.std(axis=0)
         kept = np.flatnonzero(sd > 0.0)
-        if kept.size == 0:
-            raise ValueError("all features have zero variance")
         scale = sd[kept]
         work = (data[:, kept] - center[kept]) / scale
     else:
         work = data - center
-    if work.shape[1] < dims:
+    if not work.any():
+        # Nothing varies, so no direction explains anything.
+        components = np.zeros((dims, work.shape[1]))
+        explained = np.zeros(dims)
+    elif work.shape[1] < dims:
         raise ValueError("fewer features than dims")
-
-    _, singular, vt = np.linalg.svd(work, full_matrices=False)
-    components = vt[:dims].copy()
-    for row in components:
-        lead = np.argmax(np.abs(row))
-        if row[lead] < 0:
-            row *= -1.0
+    else:
+        _, singular, vt = np.linalg.svd(work, full_matrices=False)
+        components = vt[:dims].copy()
+        for row in components:
+            lead = np.argmax(np.abs(row))
+            if row[lead] < 0:
+                row *= -1.0
+        explained = (singular[:dims] ** 2) / max(n - 1, 1)
     coords = work @ components.T
-    explained = (singular[:dims] ** 2) / max(n - 1, 1)
 
     return Projection(labels=list(labels), coords=coords, explained_variance=explained,
                       outliers=[], components=components, center=center, scale=scale,
@@ -418,14 +425,84 @@ def reconstruct(projection: Projection) -> np.ndarray:
     return work + projection.center
 
 
+_BALL_BLOCK = 64  # points per tile row
+_BALL_TILE_MAX = 4096  # centers per tile column, bounding a tile's memory
+
+
+def _balls_hold(points: np.ndarray, centers: np.ndarray, eps: float,
+                need: int) -> np.ndarray:
+    """Whether the eps-ball of each row of ``points`` holds at least ``need``
+    rows of ``centers``: a center is inside when sqrt(sum(d * d)) <= eps over
+    the coordinate differences d, summed in coordinate order.
+
+    Both sets are sorted into eps-wide strips of the first coordinate, each
+    strip ordered by the second (the first again for 1-d points).  Each block
+    of _BALL_BLOCK sorted points meets, as dense tiles, the second-coordinate
+    window of every strip that its first-coordinate range reaches: its own
+    strip first, outward from the block's own height, then the nearer strips.
+    A block stops once every one of its points holds ``need`` centers.
+    Strips and windows only preselect.  Every rounded coordinate difference
+    of a pair the test accepts is below ``reach``, and the bounds are
+    coordinates shifted by ``reach``; rounding is monotone, so the bounds
+    never drop a center the test keeps.
+    """
+    held = np.zeros(len(points), dtype=bool)
+    if not len(centers):
+        return held
+    # The floor keeps ``reach`` conservative where eps * eps underflows.
+    reach = max(eps * (1.0 + 2.0 ** -20), 2.0 ** -510)
+    y = min(1, points.shape[1] - 1)
+
+    def strip_sorted(data):
+        strip = np.floor(data[:, 0] / eps)
+        order = np.lexsort((data[:, y], strip))
+        return order, strip[order], np.ascontiguousarray(data[order].T)
+
+    _, strip, cols = strip_sorted(centers)
+    strips, rank = np.unique(strip, return_inverse=True)
+    # Complex keys sort by strip rank, then by the second coordinate, so one
+    # searchsorted finds the window of every strip a block reaches.
+    key = rank + 1j * cols[y]
+    order, point_strip, point_cols = strip_sorted(points)
+    for lo in range(0, len(points), _BALL_BLOCK):
+        block = point_cols[:, lo:lo + _BALL_BLOCK]
+        ranks = np.arange(np.searchsorted(strips, np.floor((block[0].min() - reach) / eps)),
+                          np.searchsorted(strips, np.floor((block[0].max() + reach) / eps),
+                                          "right"))
+        low, high = block[y].min(), block[y].max()
+        start = np.searchsorted(key, ranks + 1j * (low - reach))
+        mid = np.searchsorted(key, ranks + 1j * low)
+        stop = np.searchsorted(key, ranks + 1j * (high + reach), "right")
+        # Nearest strip first; in each, up from the block's lowest height, then down.
+        home = np.searchsorted(strips, point_strip[lo])
+        windows = [np.zeros(0, dtype=np.intp)]
+        for s in np.argsort(np.abs(ranks - home), kind="stable"):
+            windows += [np.arange(mid[s], stop[s]), np.arange(mid[s] - 1, start[s] - 1, -1)]
+        candidates = np.concatenate(windows)
+        count = np.zeros(block.shape[1], dtype=np.int64)
+        done, width = 0, _BALL_BLOCK
+        while done < len(candidates) and count.min() < need:
+            tile = cols[:, candidates[done:done + width]]
+            total = np.subtract.outer(block[0], tile[0]) ** 2
+            for k in range(1, len(block)):
+                total += np.subtract.outer(block[k], tile[k]) ** 2
+            count += np.count_nonzero(np.sqrt(total) <= eps, axis=1)
+            done += width
+            width = min(2 * width, _BALL_TILE_MAX)
+        held[order[lo:lo + _BALL_BLOCK]] = count >= need
+    return held
+
+
 def dbscan_outliers(points, eps: float, min_pts: int = 2) -> set:
     """Indices of density-noise points under Euclidean DBSCAN.
 
     A point is core when its eps-ball (itself included) holds at least
     ``min_pts`` points.  By DBSCAN's definition (Ester et al., KDD 1996) a
     point is noise when it is not core and no core point lies within ``eps``
-    of it, so two ball counts decide it without labelling any cluster.  With
-    min_pts=1 every point is core, so nothing is ever flagged.
+    of it, so two ball counts decide it without labelling any cluster: every
+    point against every point, then the non-core points against the core
+    ones.  Both counts stop at what they need to know (``_balls_hold``), in
+    numpy alone.  With min_pts=1 every point is core, so nothing is flagged.
     """
     data = np.asarray(points, dtype=np.float64)
     data = data.reshape(data.shape[0], -1)
@@ -433,14 +510,9 @@ def dbscan_outliers(points, eps: float, min_pts: int = 2) -> set:
         raise ValueError(f"eps must be positive and finite: {eps}")
     if min_pts < 1:
         raise ValueError("min_pts must be at least 1")
-    from scipy.spatial import cKDTree
-
-    def within_eps(centers: np.ndarray) -> np.ndarray:
-        return cKDTree(centers).query_ball_point(data, eps, return_length=True)
-
-    core = within_eps(data) >= min_pts
-    # Core points count themselves, so a count of zero marks exactly the noise.
-    return set(np.flatnonzero(within_eps(data[core]) == 0).tolist())
+    core = _balls_hold(data, data, eps, min_pts)
+    rest = np.flatnonzero(~core)
+    return set(rest[~_balls_hold(data[rest], data[core], eps, 1)].tolist())
 
 
 def filter_outliers(projection: Projection, eps: float, min_pts: int = 2) -> Projection:

@@ -1,9 +1,10 @@
 """Brute-force DBSCAN, the plainly correct oracle for ``dbscan_outliers``.
 
-It builds every pairwise distance and labels clusters by breadth-first
-expansion from core points, as in Ester et al. (KDD 1996); whatever no
-cluster claims is noise.  The implementation under test counts balls with a
-k-d tree and never labels clusters.
+It measures every pairwise distance, one point's row at a time, and labels
+clusters by breadth-first expansion from core points, as in Ester et al.
+(KDD 1996); whatever no cluster claims is noise.  The implementation under
+test only counts eps-balls, over strip-sorted tiles, and never labels
+clusters.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ def dbscan_noise(points, eps: float, min_pts: int) -> set[int]:
     """Indices of the points that no cluster claims."""
     data = np.asarray([np.ravel(p) for p in points], dtype=np.float64)
     n = data.shape[0]
-    diff = data[:, None, :] - data[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    neighbors = [np.flatnonzero(dist[i] <= eps) for i in range(n)]
+    neighbors = []
+    for point in data:
+        diff = data - point
+        neighbors.append(np.flatnonzero(np.sqrt((diff * diff).sum(axis=1)) <= eps))
     core = [len(nb) >= min_pts for nb in neighbors]
 
     assignment = [-1] * n  # -1 noise until claimed by a cluster

@@ -893,6 +893,44 @@ def test_empty_model_fails_cleanly(tmp_path, capsys, command, synth_args, messag
     assert snapshot(tmp_path / "out") == {}
 
 
+@pytest.mark.parametrize("synth_args, degenerate_steps", [
+    (["--mode", "upcycled", "--noise", "0"], {"pca", "gate-corr"}),
+    (["--mode", "permuted-clone"], {"gate-corr"}),
+], ids=["upcycled-noise-0", "permuted-clone"])
+def test_report_completes_on_degenerate_models(tmp_path, synth_args, degenerate_steps):
+    """Identical experts leave PCA no varying feature, and clones leave
+    gate-corr a side with zero variance: the report still finishes, and each
+    undefined value is an empty cell named in a ``degenerate:`` comment."""
+    assert run_command(["synth", *synth_args, "--seed", "2", "--layers", "2", "--experts", "4",
+                        "--d-hid", "8", "--d-mid", "12", "--vocab", "13",
+                        "--out", str(tmp_path / "model")]) == 0
+    write_corpus(tmp_path / "corpus.txt", [[0, 1, 2, 3], [4, 5, 6]])
+    ref = tmp_path / "model" / "reference.moel"
+    argv = ["report", "--model", str(tmp_path / "model" / "model.moel"),
+            *(["--ref", str(ref)] if ref.exists() else []),
+            "--corpus", str(tmp_path / "corpus.txt"), "--out", str(tmp_path / "bundle")]
+    assert run_command(argv) == 0
+    first = snapshot(tmp_path / "bundle")
+    assert run_command(argv) == 0
+    assert snapshot(tmp_path / "bundle") == first
+    tables = {name: data.decode().splitlines() for name, data in first.items()
+              if name.endswith(".csv")}
+    cells = {cell.lower() for lines in tables.values() for line in lines
+             if not line.startswith("#") for cell in line.split(",")}
+    assert not cells & {"nan", "inf", "-inf"}
+    flagged = {name: next((l for l in lines if l.startswith("# degenerate: ")), None)
+               for name, lines in tables.items()}
+    assert {name.split(os.sep)[0] for name, line in flagged.items() if line} == degenerate_steps
+    for name, lines in tables.items():
+        if not name.startswith("gate-corr"):
+            continue
+        rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+        empty = [row[0] for row in rows[:-1] if row[3] == row[4] == ""]
+        assert flagged[name] == (f"# degenerate: zero variance in layers {' '.join(empty)}"
+                                 if empty else None)
+        assert (rows[-1][4] == "") == (len(empty) == len(rows) - 1)
+
+
 # --- imports -----------------------------------------------------------------
 
 def test_cli_import_loads_no_scipy():
@@ -916,3 +954,20 @@ def test_silu_synth_and_out_sim_load_no_scipy(tmp_path):
         assert {SCIPY_MODULES} == [], {SCIPY_MODULES}
         """))
     assert (tmp_path / "sim" / "out-sim-layer1-token3.csv").exists()
+
+
+def test_pca_with_dbscan_loads_no_scipy(tmp_path):
+    out = str(tmp_path)
+    run_isolated(textwrap.dedent(f"""
+        import sys
+        from moe_lens.cli import run_command
+        out = {out!r}
+        assert run_command(["synth", "--mode", "upcycled", "--seed", "3", "--noise", "0.3",
+                            "--d-hid", "8", "--d-mid", "12", "--vocab", "13",
+                            "--out", out]) == 0
+        assert run_command(["pca", "--model", out + "/model.moel", "--which", "up",
+                            "--level", "neuron", "--eps", "0.5", "--min-pts", "2",
+                            "--out", out + "/pca"]) == 0
+        assert {SCIPY_MODULES} == [], {SCIPY_MODULES}
+        """))
+    assert (tmp_path / "pca" / "pca-layer0-up-neuron.csv").exists()

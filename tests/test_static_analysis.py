@@ -1,7 +1,9 @@
 """Weight-space analyses: cosine, averaging, reordering, regression, PCA, DBSCAN."""
 
+import ast
 import itertools
 import math
+import os
 import textwrap
 
 import numpy as np
@@ -11,6 +13,7 @@ from dbscan_oracle import dbscan_noise
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import moe_lens
 from moe_lens import ModelConfig
 from moe_lens.moe_core import Expert
 from moe_lens.static_analysis import (aggregate_r2, cosine_sim, dbscan_outliers,
@@ -553,8 +556,8 @@ def test_pearson_affine_invariance(rng):
 
 
 def test_pearson_degenerate():
-    with pytest.raises(ValueError, match="degenerate regression"):
-        pearson_r([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+    assert pearson_r([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) is None
+    assert pearson_r([1.0, 2.0, 3.0], [4.0, 4.0, 4.0]) is None
 
 
 def test_regression_perfect_when_gate_rows_are_act_means():
@@ -590,8 +593,8 @@ def test_regression_degenerate_identical_gate_rows():
     tensors["layers.0.gate.weight"] = np.tile(tensors["layers.0.gate.weight"][0],
                                               (4, 1))
     wired = build_checkpoint(cfg, tensors)
-    with pytest.raises(ValueError, match="degenerate regression"):
-        gate_expert_regression(wired, 0, "act")
+    rep = gate_expert_regression(wired, 0, "act")
+    assert (rep.n_pairs, rep.r, rep.r2) == (6, None, None)
 
 
 def test_aggregate_r2():
@@ -600,6 +603,9 @@ def test_aggregate_r2():
             self.r2 = r2
     assert aggregate_r2([R(0.4)]) == pytest.approx(0.4)
     assert aggregate_r2([R(0.2), R(0.6)]) == pytest.approx(0.4)
+    # Undefined (zero-variance) layers are left out of the mean.
+    assert aggregate_r2([R(None), R(0.2), R(0.6)]) == pytest.approx(0.4)
+    assert aggregate_r2([R(None), R(None)]) is None
     with pytest.raises(ValueError, match="no regression"):
         aggregate_r2([])
 
@@ -661,6 +667,15 @@ def test_pca_standardize_drops_constant_feature(rng):
     assert proj.kept_features.tolist() == [0, 1, 3]
 
 
+@pytest.mark.parametrize("standardize", [True, False])
+def test_pca_of_identical_points_sits_at_the_origin(standardize):
+    data = np.tile([0.5, -2.0, 3.0], (5, 1))
+    proj = pca_project(data, dims=2, standardize=standardize)
+    assert proj.coords.tolist() == [[0.0, 0.0]] * 5
+    assert proj.explained_variance.tolist() == [0.0, 0.0]
+    np.testing.assert_array_equal(reconstruct(proj), data[:, proj.kept_features])
+
+
 def test_pca_rejects_too_few_samples(rng):
     with pytest.raises(ValueError, match="fewer samples"):
         pca_project(rng.normal(size=(2, 4)), dims=2)
@@ -718,6 +733,64 @@ def test_dbscan_noise_matches_bfs_oracle(cloud):
     points, eps, min_pts = cloud
     assert dbscan_outliers(points, eps=eps, min_pts=min_pts) == \
         dbscan_noise(points, eps, min_pts)
+
+
+def tiled_cloud(seed):
+    """A seeded cloud of several hundred to about 3,000 points spread over
+    about 60 eps-wide strips, so it spans many tiles: a sparse scatter, a
+    lattice whose neighbours sit exactly eps apart, a dense cluster (every
+    point within eps of every other) with border points exactly eps beyond
+    its edge and others just farther, and duplicates of all of these.
+    Coordinates are integers times a power of two, so every squared distance
+    is exact and both implementations see the same ties."""
+    rng = np.random.default_rng(seed)
+    dims = 1 + seed % 3
+    step = int(rng.integers(2, 5))  # eps in integer units
+    span = 30 * step
+    scatter = rng.integers(-span, span + 1, size=(int(rng.integers(200, 2400)), dims))
+    side = {1: 200, 2: 15, 3: 6}[dims]
+    grid = np.stack(np.meshgrid(*[np.arange(side)] * dims, indexing="ij"), -1)
+    lattice = step * grid.reshape(-1, dims) - span // 2
+    corner = rng.integers(-span, span, size=dims)
+    cluster = corner + rng.integers(0, step // 2 + 1, size=(int(rng.integers(100, 400)), dims))
+    edge = cluster[cluster[:, 0] == cluster[:, 0].max()]
+    bases = edge[rng.integers(0, len(edge), size=40)]
+    border = np.concatenate([bases[:20] + step * np.eye(dims, dtype=np.int64)[0],
+                             bases[20:] + (step + 1) * np.eye(dims, dtype=np.int64)[0]])
+    ints = np.concatenate([scatter, lattice, cluster, border])
+    ints = np.concatenate([ints, ints[rng.integers(0, len(ints), size=60)]])
+    scale = 2.0 ** int(rng.integers(-2, 2))
+    return ints[rng.permutation(len(ints))] * scale, step * scale, 1 + seed % 5
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_dbscan_noise_matches_bfs_oracle_across_many_tiles(seed):
+    points, eps, min_pts = tiled_cloud(seed)
+    assert dbscan_outliers(points, eps=eps, min_pts=min_pts) == \
+        dbscan_noise(points, eps, min_pts)
+
+
+def test_no_module_imports_scipy_spatial():
+    """DBSCAN counts its balls in numpy, so nothing in the package needs
+    scipy.spatial and its import of scipy.sparse and scipy.linalg."""
+    package = os.path.dirname(moe_lens.__file__)
+    found = []
+    for filename in sorted(os.listdir(package)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(package, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+            else:
+                continue
+            if any(name == "scipy.spatial" or name.startswith("scipy.spatial.")
+                   for name in names):
+                found.append(f"{filename}:{node.lineno}")
+    assert found == []
 
 
 def test_filter_outliers_records_labels(rng):
