@@ -21,7 +21,8 @@ from . import dynamic_analysis as dyn
 from . import static_analysis as sta
 from .config import ACTIVATIONS, GATING_ORDERS, ModelConfig
 from .moe_core import CorpusTrace, native_output, read_corpus, trace_all_experts
-from .report import Provenance, emit_csv, emit_matrix, file_digest, matrix_comments, metric_range
+from .report import (Provenance, emit_csv, emit_matrix, file_digest, format_cell,
+                     matrix_comments, metric_range)
 from .synth import SynthSpec, synth_permuted_clone_model, synth_scratch, synth_upcycled
 from .tensor_store import Checkpoint, dump_checkpoint, read_checkpoint
 
@@ -191,7 +192,7 @@ def _cmd_reorder(ctx: Context) -> list[str]:
     path = os.path.join(ctx.out, f"reorder-{which}.csv")
     emit_csv(path, ctx.provenance,
              ["layer", "expert_a", "expert_b", "which", "sim_before", "sim_after", "tau"],
-             rows, extra_comments=[f"mean_tau: {np.mean(taus):.6f}"])
+             rows, extra_comments=[f"mean_tau: {format_cell(np.mean(taus))}"])
     return [path]
 
 
@@ -231,7 +232,7 @@ def _cmd_pca(ctx: Context) -> list[str]:
         if args.eps is not None:
             proj = sta.filter_outliers(proj, eps=args.eps, min_pts=args.min_pts)
         comments = [
-            "explained_variance: " + " ".join(f"{v:.6f}" for v in proj.explained_variance),
+            "explained_variance: " + " ".join(map(format_cell, proj.explained_variance)),
             "outliers: " + (" ".join(proj.outliers) if proj.outliers else "-"),
             f"level: {args.level}",
         ]

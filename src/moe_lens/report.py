@@ -54,7 +54,10 @@ def file_digest(path) -> str:
 
 
 def format_cell(value) -> str:
-    """One CSV cell: floats get exactly six decimals, None/NaN become empty."""
+    """One CSV cell: floats get exactly six decimals, None/NaN become empty.
+
+    Every value that rounds to zero prints as ``0.000000``, so rounding noise
+    on either side of zero (and -0.0) gives the same bytes."""
     if value is None:
         return ""
     if isinstance(value, str):
@@ -64,9 +67,8 @@ def format_cell(value) -> str:
     v = float(value)
     if math.isnan(v):
         return ""
-    if v == 0.0:
-        v = 0.0  # normalize negative zero
-    return f"{v:.6f}"
+    text = f"{v:.6f}"
+    return "0.000000" if text == "-0.000000" else text
 
 
 def emit_csv(path, provenance: Provenance, columns: list[str], rows,
@@ -82,9 +84,9 @@ def emit_csv(path, provenance: Provenance, columns: list[str], rows,
 def matrix_comments(sim) -> list[str]:
     out = [f"metric: {sim.metric}"]
     if sim.s_ee is not None:
-        out.append(f"s_ee: {sim.s_ee:.6f}")
+        out.append(f"s_ee: {format_cell(sim.s_ee)}")
     if sim.s_ef is not None:
-        out.append(f"s_ef: {sim.s_ef:.6f}")
+        out.append(f"s_ef: {format_cell(sim.s_ef)}")
     if sim.selected_labels is not None:
         out.append(f"selected: {' '.join(sim.selected_labels)}")
     return out

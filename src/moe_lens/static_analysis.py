@@ -8,8 +8,11 @@ only inside ``solve_assignment``, so a command that does not reach it never
 loads scipy.  Reordering loads it only for an expert pair whose identity
 matching is not certified optimal (every a-neuron's best match is its own
 index, or every b-neuron's is); Kendall's tau counts discordant pairs by
-bottom-up merge levels.  DBSCAN counts its eps-balls over strip-sorted dense
-tiles in numpy.
+bottom-up merge levels.  PCA takes its few components from the eigenvectors
+of the smaller Gram matrix of the population (features x features for
+neurons, experts x experts for whole matrices), not from an SVD of the whole
+population.  DBSCAN counts its eps-balls over strip-sorted dense tiles in
+numpy.
 """
 
 from __future__ import annotations
@@ -292,18 +295,34 @@ def gate_embedding_sim(ckpt: Checkpoint, layer: int) -> SimilarityMatrix:
 
 
 def pearson_r(xs, ys) -> float | None:
-    """Pearson correlation; None (undefined) when either side has zero variance."""
+    """Pearson correlation; None (undefined) when either side is flat.
+
+    A side is flat when its spread, max - min, is within the rounding error
+    of its deviations from the mean, from which r is built.  Summing n
+    values errs by at most (n - 1)·u·Σ|x| (u the unit roundoff), so after the
+    division by n, itself off by u·|mean|, the mean is within n·u·max|x| of
+    the exact one; the subtraction x_i - mean adds at most
+    u·|x_i - mean| ≤ 2u·max|x|.  Each computed deviation is thus within
+    (n + 2)·u·max|x| of the exact one.  A spread of at most twice that,
+    (n + 2)·eps·max|x| with eps = 2u, lets rounding move every deviation by
+    half the spread, so r would be rounding noise.  This also catches values
+    that are equal in exact arithmetic but were computed a few ulps apart,
+    such as the cosines of clones.
+    """
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("inputs must be 1-d and equal length")
     if x.size < 2:
         raise ValueError("need at least two points")
+    bound = (x.size + 2) * np.finfo(np.float64).eps
+    if any(np.ptp(side) <= bound * np.abs(side).max() for side in (x, y)):
+        return None
     xd = x - x.mean()
     yd = y - y.mean()
     vx = np.dot(xd, xd)
     vy = np.dot(yd, yd)
-    if vx == 0.0 or vy == 0.0:
+    if vx == 0.0 or vy == 0.0:  # squares that underflow
         return None
     return float(np.dot(xd, yd) / np.sqrt(vx * vy))
 
@@ -311,7 +330,7 @@ def pearson_r(xs, ys) -> float | None:
 @dataclass
 class RegressionReport:
     n_pairs: int
-    r: float | None  # None when either side has zero variance
+    r: float | None  # None when either side is flat (see pearson_r)
     r2: float | None
 
 
@@ -326,7 +345,8 @@ def gate_expert_regression(ckpt: Checkpoint, layer: int, which: str) -> Regressi
 
     Both sides are the upper triangle (i < j) over routed expert pairs of one
     layer.  Needs at least three experts so the triangle has spread; a side
-    with zero variance leaves ``r`` and ``r2`` undefined (None).
+    whose spread is within rounding (``pearson_r``) leaves ``r`` and ``r2``
+    undefined (None).
     """
     config = ckpt.config
     if config.is_dense(layer):
@@ -372,6 +392,32 @@ def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True,
     fixed convention (largest-magnitude entry positive), so output is
     deterministic.  A population in which no feature varies puts every point
     at the origin with zero explained variance.
+
+    The components come from the eigenvectors of the smaller Gram matrix of
+    the centered data ``work`` [n, m], never from an SVD of ``work`` itself
+    (Sirovich's method of snapshots, 1987).  A tall population (n >= m, the
+    neuron level) builds ``workᵀ·work`` [m, m], whose top eigenvectors are
+    the components.  A wide one (m > n, the matrix level) builds
+    ``work·workᵀ`` [n, n]; for its eigenvector u with eigenvalue λ,
+    ``uᵀ·work`` has length sqrt(λ) and, normalized, is the component.  Either
+    way the eigenproblem is min(n, m) square, and forming the Gram costs
+    n·m·min(n, m) multiply-adds where a thin SVD costs several times that.
+    Explained variance is λ / (n - 1).
+
+    An eigenvalue within rounding of zero has no direction.  Forming the
+    Gram sums max(n, m) products per entry, so entry (i, j) is off by at most
+    max(n, m)·u·|w_i|·|w_j| (u the unit roundoff, w_i rows or columns of
+    ``work``); by Cauchy-Schwarz the whole error has 2-norm at most
+    max(n, m)·u·‖work‖_F², and ‖work‖_F² is the Gram's trace.  ``eigh`` is
+    backward stable, adding at most min(n, m)·u·‖Gram‖₂ ≤ min(n, m)·u·trace.
+    By Weyl's inequality each computed eigenvalue is within
+    (n + m)·u·trace of the exact one, so one at or below (n + m)·eps·trace
+    (eps = 2u, a factor two of margin) may be exactly zero.  Its component
+    row and its explained variance are zero, so its coordinates are zero, as
+    the SVD's are to rounding.  Without this the wide route would normalize
+    a rounding-noise ``uᵀ·work``, which lies in the row space of ``work``,
+    and give a full-size coordinate along a direction the data lacks.  The
+    bound is scale invariant, at (n + m)·eps of the total variance.
     """
     data = np.asarray(vectors, dtype=np.float64)
     if data.ndim != 2:
@@ -403,13 +449,22 @@ def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True,
     elif work.shape[1] < dims:
         raise ValueError("fewer features than dims")
     else:
-        _, singular, vt = np.linalg.svd(work, full_matrices=False)
-        components = vt[:dims].copy()
+        tall = n >= work.shape[1]
+        gram = work.T @ work if tall else work @ work.T
+        values, basis = np.linalg.eigh(gram)
+        values, basis = values[::-1][:dims], basis[:, ::-1][:, :dims]
+        resolved = values > (n + work.shape[1]) * np.finfo(np.float64).eps * np.trace(gram)
+        components = np.zeros((dims, work.shape[1]))
+        if tall:
+            components[resolved] = basis[:, resolved].T
+        else:
+            rows = basis[:, resolved].T @ work
+            components[resolved] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
         for row in components:
             lead = np.argmax(np.abs(row))
             if row[lead] < 0:
                 row *= -1.0
-        explained = (singular[:dims] ** 2) / max(n - 1, 1)
+        explained = np.where(resolved, values, 0.0) / max(n - 1, 1)
     coords = work @ components.T
 
     return Projection(labels=list(labels), coords=coords, explained_variance=explained,

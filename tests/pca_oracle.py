@@ -1,0 +1,69 @@
+"""Thin-SVD PCA, the plainly correct oracle for ``pca_project``.
+
+It decomposes the whole standardized population with ``np.linalg.svd`` and
+keeps the leading right singular vectors.  The implementation under test
+takes the same components from the eigenvectors of the smaller Gram matrix;
+its standardization, sign rule and all-constant branch are the same code as
+here, so the two differ only in the decomposition.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from moe_lens.static_analysis import Projection
+
+
+def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True,
+                labels: list[str] | None = None) -> Projection:
+    """Project the rows of ``vectors`` [n, features] onto their leading
+    principal components.
+
+    With ``standardize``, features are shifted to zero mean and unit variance
+    first and zero-variance features are dropped.  Component signs follow a
+    fixed convention (largest-magnitude entry positive), so output is
+    deterministic.  A population in which no feature varies puts every point
+    at the origin with zero explained variance.
+    """
+    data = np.asarray(vectors, dtype=np.float64)
+    if data.ndim != 2:
+        raise ValueError("vectors must be a 2-D array")
+    n, n_features = data.shape
+    if labels is None:
+        labels = [str(i) for i in range(n)]
+    if len(labels) != n:
+        raise ValueError("labels length must match vector count")
+    if dims < 1:
+        raise ValueError("dims must be positive")
+    if n < dims + 1:
+        raise ValueError("fewer samples than dims")
+
+    center = data.mean(axis=0)
+    kept = np.arange(n_features)
+    scale = None
+    if standardize:
+        sd = data.std(axis=0)
+        kept = np.flatnonzero(sd > 0.0)
+        scale = sd[kept]
+        work = (data[:, kept] - center[kept]) / scale
+    else:
+        work = data - center
+    if not work.any():
+        # Nothing varies, so no direction explains anything.
+        components = np.zeros((dims, work.shape[1]))
+        explained = np.zeros(dims)
+    elif work.shape[1] < dims:
+        raise ValueError("fewer features than dims")
+    else:
+        _, singular, vt = np.linalg.svd(work, full_matrices=False)
+        components = vt[:dims].copy()
+        for row in components:
+            lead = np.argmax(np.abs(row))
+            if row[lead] < 0:
+                row *= -1.0
+        explained = (singular[:dims] ** 2) / max(n - 1, 1)
+    coords = work @ components.T
+
+    return Projection(labels=list(labels), coords=coords, explained_variance=explained,
+                      outliers=[], components=components, center=center, scale=scale,
+                      kept_features=kept)

@@ -68,6 +68,11 @@ def test_format_cell_floats():
     assert format_cell(-0.5) == "-0.500000"
     assert format_cell(0.1234567) == "0.123457"
     assert format_cell(-0.0) == "0.000000"
+    # Whatever rounds to zero at six decimals prints without a sign.
+    assert format_cell(-1e-12) == "0.000000"
+    assert format_cell(-4.9e-7) == "0.000000"
+    assert format_cell(4.9e-7) == "0.000000"
+    assert format_cell(-6e-7) == "-0.000001"
 
 
 def test_format_cell_empty_and_passthrough():
@@ -921,6 +926,10 @@ def test_report_completes_on_degenerate_models(tmp_path, synth_args, degenerate_
     flagged = {name: next((l for l in lines if l.startswith("# degenerate: ")), None)
                for name, lines in tables.items()}
     assert {name.split(os.sep)[0] for name, line in flagged.items() if line} == degenerate_steps
+    # Every neuron-averaged similarity of both models is 1 up to rounding, so
+    # every gate-corr table flags both layers.
+    assert {line for name, line in flagged.items() if name.startswith("gate-corr")} == \
+        {"# degenerate: zero variance in layers 0 1"}
     for name, lines in tables.items():
         if not name.startswith("gate-corr"):
             continue

@@ -7,6 +7,7 @@ import os
 import textwrap
 
 import numpy as np
+import pca_oracle
 import pytest
 from conftest import SCIPY_MODULES, run_isolated
 from dbscan_oracle import dbscan_noise
@@ -558,6 +559,35 @@ def test_pearson_affine_invariance(rng):
 def test_pearson_degenerate():
     assert pearson_r([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) is None
     assert pearson_r([1.0, 2.0, 3.0], [4.0, 4.0, 4.0]) is None
+    # Six equal values whose computed mean is not exactly their value.
+    assert pearson_r([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1.0 - 2.0 ** -52] * 6) is None
+
+
+def test_pearson_flat_side_is_judged_by_the_rounding_bound():
+    """Six values with spread s above 1: the bound is (6 + 2)·eps·max|x|,
+    just over 8 eps, so a spread of 8 eps is flat and one of 10 eps (two
+    ulps above 1 more) is a real spread."""
+    eps = np.finfo(np.float64).eps
+    y = [0.3, -1.2, 0.5, 2.0, -0.7, 1.1]
+    for ulps in (0, 1, 8):
+        assert pearson_r([1.0] * 5 + [1.0 + ulps * eps], y) is None
+    for ulps in (10, 12):
+        x = [1.0] * 5 + [1.0 + ulps * eps]
+        r = pearson_r(x, y)
+        assert r is not None and -1.0 <= r <= 1.0
+        assert pearson_r(y, x) == r
+
+
+def test_regression_flags_every_layer_of_a_permuted_clone():
+    """A permuted clone's neuron-averaged similarities are all 1 in exact
+    arithmetic; computed, they are one equal value whose mean is not exact,
+    which once gave r = -8.6e-17."""
+    cfg = ModelConfig(num_layers=2, experts_per_layer=[4, 4], num_shared=[0, 0], top_k=2,
+                      d_hid=8, d_mid=12, vocab=13)
+    model = synth_permuted_clone_model(SynthSpec(config=cfg, mode="permuted_clone", seed=2))[0]
+    for layer, which in itertools.product(range(2), ("up", "act", "down")):
+        rep = gate_expert_regression(model, layer, which)
+        assert (rep.r, rep.r2) == (None, None)
 
 
 def test_regression_perfect_when_gate_rows_are_act_means():
@@ -681,6 +711,118 @@ def test_pca_rejects_too_few_samples(rng):
         pca_project(rng.normal(size=(2, 4)), dims=2)
 
 
+def planted(n, features, spectrum, standardize, seed=0):
+    """Data whose working matrix (what ``pca_project`` decomposes after
+    centering and, with ``standardize``, scaling) has the Gram eigenvalues
+    n·λ and zeros, where λ is ``spectrum`` scaled to sum to ``features``.
+
+    A random correlation matrix C with eigenvalues λ has unit diagonal, so
+    Z = P·diag(sqrt(n·λ))·Wᵀ, with W the eigenvectors of C and P orthonormal
+    columns orthogonal to the all-ones vector, is centered with unit-variance
+    columns and ZᵀZ = n·C.  Per-column scales, under ``standardize``, and
+    offsets then change nothing the analysis sees.  ``spectrum`` is in
+    descending order.  Returns the data and the planted explained variances."""
+    from scipy.stats import random_correlation
+    rng = np.random.default_rng(seed)
+    lam = np.asarray(spectrum, dtype=np.float64)
+    lam = lam * features / lam.sum()
+    corr = random_correlation.rvs(np.concatenate([lam, np.zeros(features - len(lam))]),
+                                  random_state=rng)
+    w = np.linalg.eigh(corr)[1][:, ::-1][:, :len(lam)]
+    basis = np.linalg.qr(np.column_stack([np.ones(n), rng.normal(size=(n, len(lam)))]))[0]
+    z = basis[:, 1:] * np.sqrt(n * lam) @ w.T
+    scale = rng.uniform(0.5, 4.0, size=features) if standardize else 1.0
+    return z * scale + rng.normal(size=features), n * lam / (n - 1)
+
+
+SHAPES = {"tall": (64, 16), "wide": (16, 64)}
+
+
+@pytest.mark.parametrize("standardize", [True, False])
+@pytest.mark.parametrize("dims", [1, 2, 3])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_pca_matches_svd_oracle_on_a_clear_gap(shape, dims, standardize):
+    data, variances = planted(*SHAPES[shape], [16.0, 8.0, 4.0, 2.0, 1.0], standardize)
+    got = pca_project(data, dims=dims, standardize=standardize)
+    want = pca_oracle.pca_project(data, dims=dims, standardize=standardize)
+    np.testing.assert_allclose(got.explained_variance, variances[:dims], rtol=1e-12)
+    np.testing.assert_allclose(got.explained_variance, want.explained_variance, rtol=1e-12)
+    np.testing.assert_allclose(got.components, want.components, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.coords, want.coords, rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("standardize", [True, False])
+@pytest.mark.parametrize("dims", [1, 2, 3])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_pca_matches_svd_oracle_at_a_near_tie(shape, dims, standardize):
+    """The last kept and first dropped eigenvalues differ by one part in 1e9,
+    so neither route pins the last component; the variance each keeps, and
+    the variance the kept plane captures, still match the oracle."""
+    spectrum = [16.0, 8.0][:dims - 1] + [2.0 * (1 + 1e-9), 2.0, 1.0, 0.5]
+    data, variances = planted(*SHAPES[shape], spectrum, standardize, seed=dims)
+    got = pca_project(data, dims=dims, standardize=standardize)
+    want = pca_oracle.pca_project(data, dims=dims, standardize=standardize)
+    np.testing.assert_allclose(got.explained_variance, variances[:dims], rtol=1e-12)
+    np.testing.assert_allclose(got.explained_variance, want.explained_variance, rtol=1e-12)
+    captured = (got.coords ** 2).sum()
+    assert captured == pytest.approx((want.coords ** 2).sum(), rel=1e-12)
+    assert captured == pytest.approx((len(data) - 1) * variances[:dims].sum(), rel=1e-12)
+
+
+@pytest.mark.parametrize("standardize", [True, False])
+@pytest.mark.parametrize("dims", [2, 3])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_pca_rank_deficient_directions_are_zero(shape, dims, standardize):
+    """With rank dims - 1 the last kept eigenvalue is zero in exact
+    arithmetic: its component, coordinates and explained variance are exactly
+    zero, where the oracle's are rounding noise.  Standardized rank-one data
+    has every column equal to ± one vector, so the entries of its component
+    tie in magnitude and rounding picks its sign in either route; the
+    coordinates are compared up to each column's sign."""
+    data, variances = planted(*SHAPES[shape], [5.0, 1.0][:dims - 1], standardize, seed=7)
+    got = pca_project(data, dims=dims, standardize=standardize)
+    want = pca_oracle.pca_project(data, dims=dims, standardize=standardize)
+    assert got.explained_variance[-1] == 0.0
+    assert not got.components[-1].any() and not got.coords[:, -1].any()
+    np.testing.assert_allclose(got.explained_variance[:-1], variances, rtol=1e-12)
+    np.testing.assert_allclose(got.explained_variance, want.explained_variance,
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(np.abs(got.coords), np.abs(want.coords), rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("standardize", [True, False])
+def test_pca_duplicated_pairs_leave_the_second_component_empty(standardize):
+    """Four rows of 1,000 features made of two duplicated pairs have rank one
+    once centered.  Normalizing the rounding noise that ``uᵀ·work`` holds for
+    the second eigenvector would put those rows about ±20 apart on pc2.  (The
+    sign of pc1 is compared loosely, as in the rank-deficient test above.)"""
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=(2, 1000))
+    data = np.stack([a, a, b, b])
+    got = pca_project(data, dims=2, standardize=standardize)
+    want = pca_oracle.pca_project(data, dims=2, standardize=standardize)
+    assert got.coords[:, 1].tolist() == [0.0] * 4
+    assert got.explained_variance[1] == 0.0
+    np.testing.assert_allclose(np.abs(got.coords), np.abs(want.coords), rtol=0, atol=1e-9)
+    assert [format_cell(v) for v in got.coords[:, 1]] == \
+        [format_cell(v) for v in want.coords[:, 1]] == ["0.000000"] * 4
+
+
+@pytest.mark.parametrize("n", [9, 1000, 22528])
+def test_pca_drops_a_constant_float32_column(n):
+    """Checkpoint values are float32.  n copies of one sum exactly in float64
+    (24 significant bits times n < 2**29 fit in 53), so the mean is the value
+    itself and the standard deviation exactly 0: ``sd > 0.0`` drops the
+    column, with no tolerance needed."""
+    rng = np.random.default_rng(n)
+    data = rng.normal(size=(n, 4)).astype(np.float32)
+    for value in rng.normal(size=5).astype(np.float32):
+        data[:, 2] = value
+        assert data.astype(np.float64).std(axis=0)[2] == 0.0
+        proj = pca_project(data, dims=2, standardize=True)
+        assert proj.kept_features.tolist() == [0, 1, 3]
+
+
 def test_dbscan_flags_far_outlier(rng):
     pts = [rng.normal(size=2) * 0.3 for _ in range(10)]
     pts.append(np.array([1000.0, 0.0]))
@@ -770,25 +912,46 @@ def test_dbscan_noise_matches_bfs_oracle_across_many_tiles(seed):
         dbscan_noise(points, eps, min_pts)
 
 
+def package_nodes():
+    """(filename, node) for every syntax node of every module of the package."""
+    package = os.path.dirname(moe_lens.__file__)
+    for filename in sorted(os.listdir(package)):
+        if filename.endswith(".py"):
+            with open(os.path.join(package, filename), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            yield from ((filename, node) for node in ast.walk(tree))
+
+
 def test_no_module_imports_scipy_spatial():
     """DBSCAN counts its balls in numpy, so nothing in the package needs
     scipy.spatial and its import of scipy.sparse and scipy.linalg."""
-    package = os.path.dirname(moe_lens.__file__)
     found = []
-    for filename in sorted(os.listdir(package)):
-        if not filename.endswith(".py"):
+    for filename, node in package_nodes():
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+        else:
             continue
-        with open(os.path.join(package, filename), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
-            else:
-                continue
-            if any(name == "scipy.spatial" or name.startswith("scipy.spatial.")
-                   for name in names):
+        if any(name == "scipy.spatial" or name.startswith("scipy.spatial.")
+               for name in names):
+            found.append(f"{filename}:{node.lineno}")
+    assert found == []
+
+
+def test_no_module_calls_an_svd():
+    """PCA decomposes the smaller Gram matrix; the thin SVD of the whole
+    population lives only in the test oracle (``pca_oracle``).  Refuses
+    ``<anything>.linalg.svd`` and ``svd`` imported from a ``linalg`` module."""
+    found = []
+    for filename, node in package_nodes():
+        if isinstance(node, ast.Attribute) and node.attr == "svd":
+            owner = node.value
+            if (isinstance(owner, ast.Attribute) and owner.attr == "linalg") or \
+                    (isinstance(owner, ast.Name) and owner.id == "linalg"):
+                found.append(f"{filename}:{node.lineno}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            if any(alias.name == "svd" for alias in node.names):
                 found.append(f"{filename}:{node.lineno}")
     assert found == []
 
