@@ -7,6 +7,7 @@ same inputs reproduces files byte for byte.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import shlex
@@ -104,6 +105,14 @@ def colormap(value: float, lo: float, hi: float) -> bytes:
     return bytes(int(round(c)) for c in rgb)
 
 
+@functools.cache
+def _levels() -> np.ndarray:
+    """colormap's 256 levels, then the masked colour, as one uint8 lookup
+    table; built on first use, so commands that draw no heatmap skip it."""
+    return np.array([list(colormap(k, 0.0, 255.0)) for k in range(256)] + [list(_MASKED_RGB)],
+                    dtype=np.uint8)
+
+
 def emit_heatmap(path, provenance: Provenance, values: np.ndarray,
                  value_range: tuple[float, float], cell: int = 16,
                  extra_comments: list[str] | None = None) -> None:
@@ -119,14 +128,20 @@ def emit_heatmap(path, provenance: Provenance, values: np.ndarray,
         raise ValueError("cell size must be positive")
     lo, hi = value_range
     n_rows, n_cols = values.shape
-    width, height = n_cols * cell, n_rows * cell
-
-    rows_bytes = []
-    for i in range(n_rows):
-        row = b"".join(colormap(float(values[i, j]), lo, hi) * cell
-                       for j in range(n_cols))
-        rows_bytes.append(row * cell)
-    blob = b"P6\n%d %d\n255\n" % (width, height) + b"".join(rows_bytes)
+    masked = np.isnan(values)
+    if hi <= lo and not masked.all():
+        raise ValueError("empty value range")
+    # colormap's level, round(t * 255) with t clamped to [0, 1], in numpy:
+    # rint rounds half to even as round does.  NaN takes the masked entry.
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.clip((values - lo) / (hi - lo), 0.0, 1.0)
+    if np.isnan(t[~masked]).any():
+        raise ValueError(f"value range {lo}, {hi} overflows")
+    table = _levels()
+    level = np.rint(np.where(masked, 0.0, t) * 255).astype(np.intp)
+    level[masked] = len(table) - 1
+    pixels = np.repeat(np.repeat(table[level], cell, axis=0), cell, axis=1)
+    blob = b"P6\n%d %d\n255\n" % (n_cols * cell, n_rows * cell) + pixels.tobytes()
     atomic_write_bytes(path, blob)
 
     side = _comment_lines(provenance, extra_comments)

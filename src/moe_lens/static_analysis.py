@@ -5,10 +5,13 @@ whole-matrix cosine, per-neuron averaging, optimal neuron reordering, gate-row
 geometry, and low-dimensional projections of expert weights.  Behavioral
 (forward-pass) comparisons live in ``dynamic_analysis``.  scipy is imported
 only inside ``solve_assignment``, so a command that does not reach it never
-loads scipy.  Reordering loads it only for an expert pair whose identity
-matching is not certified optimal (every a-neuron's best match is its own
-index, or every b-neuron's is); Kendall's tau counts discordant pairs by
-bottom-up merge levels.  PCA takes its few components from the eigenvectors
+loads scipy.  Reordering makes one pass over a layer's [E, n, d] neuron
+stack: each expert's norm once, then one score matrix and one assignment per
+expert pair, loading scipy only for a pair whose identity matching is not
+certified optimal (every a-neuron's best match is its own index, or every
+b-neuron's is).  Only the pairs' permutations are stacked, [P, n], and one
+bottom-up merge pass counts every pair's discordant pairs for Kendall's tau.
+PCA takes its few components from the eigenvectors
 of the smaller Gram matrix of the population (features x features for
 neurons, experts x experts for whole matrices), not from an SVD of the whole
 population.  DBSCAN counts its eps-balls over strip-sorted dense tiles in
@@ -30,7 +33,8 @@ REFERENCE_LABEL = "F"
 
 
 def cosine_sim(u, v) -> float:
-    """Cosine of two equal-length vectors; zero vectors are undefined."""
+    """Cosine of two equal-length vectors; zero vectors are undefined (the
+    exact zero test is safe for the same reasons as ``pairwise_cosine``'s)."""
     u = np.asarray(u, dtype=np.float64).ravel()
     v = np.asarray(v, dtype=np.float64).ravel()
     if u.shape != v.shape:
@@ -62,7 +66,19 @@ class SimilarityMatrix:
 
 def pairwise_cosine(vectors: np.ndarray, allow_zero: bool) -> np.ndarray:
     """Cosine matrices [..., n, n] over the rows of ``vectors`` [..., n, d];
-    a zero row yields a NaN row and column."""
+    a zero row yields a NaN row and column.
+
+    The zero test is exact, and that is safe for each kind of row callers
+    pass.  Checkpoint values are float32, and a nonzero one squares to at
+    least 2**-298 in float64, so a row of them (a flattened matrix, a gate
+    row) has norm 0.0 only when every entry is 0.0.  Neuron means are
+    computed, so ``_neuron_means`` sets a mean that rounding could have made
+    nonzero to exactly zero.  Expert outputs are exactly zero when their
+    input or weights are: a product with 0.0, silu(0), gelu(0) and the RMS
+    normalization of 0 are all exactly 0.0.  Only an output that is zero in
+    exact arithmetic because nonzero products cancel would keep a
+    rounding-noise direction; weights that are not built to cancel never do.
+    """
     vectors = np.asarray(vectors, dtype=np.float64)
     norms = np.linalg.norm(vectors, axis=-1)
     zero = norms == 0.0
@@ -145,6 +161,26 @@ def _weight_sim(ckpt: Checkpoint, layer: int, which: str, reference: Checkpoint 
                              len(labels) - int(has_ref), has_ref)
 
 
+def _neuron_means(stack: np.ndarray, which: str) -> np.ndarray:
+    """Each expert's mean neuron vector [E, d_hid], exactly zero when every
+    entry is within the rounding error of a zero mean.
+
+    Summing n values errs by at most (n - 1)·u·Σ|x| (u the unit roundoff),
+    so a mean that is 0 in exact arithmetic can come out as up to about
+    n·u·max|x| in each entry.  Float32 neurons sum exactly in float64 only
+    while their magnitudes span less than about 2**29 / n; neurons that
+    cancel exactly but span more leave rounding noise, whose direction
+    ``pairwise_cosine`` would compare.  A mean whose every entry is within
+    n·eps·max|x|, max|x| the expert's largest weight magnitude (eps = 2u, a
+    factor two of margin), is therefore zero.
+    """
+    rows = neuron_rows(stack, which)
+    means = rows.mean(axis=1)
+    peak = np.maximum(rows.max(axis=(1, 2)), -rows.min(axis=(1, 2)))
+    noise = rows.shape[1] * np.finfo(np.float64).eps * peak
+    return np.where((np.abs(means) <= noise[:, None]).all(axis=-1, keepdims=True), 0.0, means)
+
+
 def matrix_level_sim(ckpt: Checkpoint, layer: int, which: str,
                      reference: Checkpoint | None = None) -> SimilarityMatrix:
     """Pairwise cosine over row-major flattened expert matrices."""
@@ -161,7 +197,7 @@ def neuron_average_sim(ckpt: Checkpoint, layer: int, which: str,
     and with it most of the signal that flattened comparison sees.
     """
     return _weight_sim(ckpt, layer, which, reference,
-                       lambda stack: neuron_rows(stack, which).mean(axis=1))
+                       lambda stack: _neuron_means(stack, which))
 
 
 def solve_assignment(score: np.ndarray) -> np.ndarray:
@@ -193,13 +229,43 @@ def solve_assignment(score: np.ndarray) -> np.ndarray:
     return perm
 
 
-def kendall_tau(seq_a, seq_b) -> float:
-    """Tie-free Kendall rank coefficient between two permutations of one set.
+def _kendall_taus(perms: np.ndarray) -> np.ndarray:
+    """Kendall's tau of each row of ``perms`` [P, n], every row a permutation
+    of range(n), against identity: concordant minus discordant position pairs
+    over n(n-1)/2, which is total - 2 * discordant exactly.
 
-    Counts concordant minus discordant position pairs over n(n-1)/2.  The
-    discordant pairs are the inversions of b's ranks listed in a's order,
-    counted exactly by bottom-up merge levels in O(n log n).
+    The discordant pairs are a row's inversions, counted exactly by bottom-up
+    merge levels in O(n log n), all rows at once.  Each row is padded up to a
+    power-of-two width m with larger, increasing values, which add no
+    inversion.  At run width w the flattened rows split into blocks of a
+    sorted left and right run (a block never straddles two rows); each
+    right-run entry counts the left-run entries of its block above it.
+    Offsetting block k's keys by k·m keeps them above every earlier block's,
+    so one searchsorted counts for every block of every row.  Sorting each
+    block then makes it one run of width 2w.
     """
+    p, n = perms.shape
+    if n < 2:
+        raise ValueError("need at least two elements")
+    m = 1 << (n - 1).bit_length()
+    ranks = np.concatenate([perms, np.broadcast_to(np.arange(n, m), (p, m - n))], axis=1)
+    discordant, width = np.zeros(p, dtype=np.int64), 1
+    while width < m:
+        runs = ranks.reshape(-1, 2, width)
+        block = np.arange(len(runs))
+        keys = runs + block[:, None, None] * m
+        below = (np.searchsorted(keys[:, 0].ravel(), keys[:, 1].ravel())
+                 - np.repeat(block * width, width))
+        discordant += (width - below).reshape(p, -1).sum(axis=1)
+        ranks = np.sort(runs.reshape(-1, 2 * width), axis=1)
+        width *= 2
+    total = n * (n - 1) // 2
+    return (total - 2 * discordant) / total
+
+
+def kendall_tau(seq_a, seq_b) -> float:
+    """Tie-free Kendall rank coefficient between two permutations of one set:
+    the tau of b's ranks listed in a's order, against identity."""
     a = list(seq_a)
     b = list(seq_b)
     n = len(a)
@@ -209,27 +275,9 @@ def kendall_tau(seq_a, seq_b) -> float:
         raise ValueError("need at least two elements")
     if len(set(a)) != n or sorted(a) != sorted(b):
         raise ValueError("inputs must be permutations of the same set")
-    # A pair is discordant when b, listed in a's order, is inverted there;
-    # concordant minus discordant is then total - 2 * discordant, exactly.
     rank_b = np.empty(n, dtype=np.int64)
     rank_b[np.argsort(b)] = np.arange(n)
-    # Padding up to a power of two with larger, increasing ranks adds no inversion.
-    m = 1 << (n - 1).bit_length()
-    ranks = np.concatenate([rank_b[np.argsort(a)], np.arange(n, m)])
-    discordant, width = 0, 1
-    while width < m:
-        runs = ranks.reshape(-1, 2, width)  # per block, a sorted left and right run
-        block = np.arange(len(runs))
-        # Block offsets keep the keys of each block above those of the ones before.
-        keys = runs + block[:, None, None] * m
-        # Per right-run entry, the left-run entries of its block below it.
-        below = (np.searchsorted(keys[:, 0].ravel(), keys[:, 1].ravel())
-                 - np.repeat(block * width, width))
-        discordant += int((width - below).sum())
-        ranks = np.sort(runs.reshape(-1, 2 * width), axis=1).ravel()
-        width *= 2
-    total = n * (n - 1) // 2
-    return (total - 2 * discordant) / total
+    return float(_kendall_taus(rank_b[np.argsort(a)][None])[0])
 
 
 @dataclass
@@ -241,6 +289,32 @@ class ReorderReport:
     sim_after: float
     tau: float
     pair: tuple[str, str] | None = None
+
+
+def _reorder_pairs(rows) -> list[ReorderReport]:
+    """``reorder_neurons`` for every pair i < j of ``rows``, equally shaped
+    experts: each norm once, an all-zero expert refused before any score
+    matrix, one score matrix at a time, and one ``_kendall_taus`` pass over
+    the stacked permutations (whose inverses, ``row_to_col``, have the same
+    inversions)."""
+    norms = [np.linalg.norm(expert) for expert in rows]
+    if any(norm == 0.0 for norm in norms):
+        raise ValueError("undefined similarity: zero vector")
+    pairs = list(itertools.combinations(range(len(rows)), 2))
+    idx = np.arange(len(rows[0]))
+    perms = np.empty((len(pairs), len(idx)), dtype=int)
+    sims = []
+    for perm, (i, j) in zip(perms, pairs):
+        score = rows[i] @ rows[j].T
+        row_to_col = solve_assignment(score)
+        perm[row_to_col] = idx  # b-neuron j -> a-neuron perm[j]
+        norm = norms[i] * norms[j]
+        sims.append((float(score[idx, idx].sum() / norm),
+                     float(score[idx, row_to_col].sum() / norm)))
+    return [ReorderReport(permutation=perm, sim_before=before, sim_after=after,
+                          tau=float(tau), pair=(str(i), str(j)))
+            for perm, (before, after), tau, (i, j)
+            in zip(perms, sims, _kendall_taus(perms), pairs)]
 
 
 def reorder_neurons(a: np.ndarray, b: np.ndarray,
@@ -261,24 +335,12 @@ def reorder_neurons(a: np.ndarray, b: np.ndarray,
     and assigned sums over the product of the two matrices' norms.  ``tau`` is
     the Kendall coefficient of the recovered permutation against identity.
     Because the assignment optimizes the same objective it is scored by,
-    ``sim_after`` can never fall below ``sim_before``.
+    ``sim_after`` can never fall below ``sim_before``.  This is the one-pair
+    case of ``pairwise_reorder_reports``.
     """
     if a.shape != b.shape:
         raise ValueError("experts have different neuron dimensions")
-    score = a @ b.T
-    row_to_col = solve_assignment(score)
-    n = len(row_to_col)
-    perm = np.empty(n, dtype=int)
-    perm[row_to_col] = np.arange(n)  # b-neuron j -> a-neuron perm[j]
-    norms = np.linalg.norm(a) * np.linalg.norm(b)
-    if norms == 0.0:
-        raise ValueError("undefined similarity: zero vector")
-    idx = np.arange(n)
-    sim_before = float(score[idx, idx].sum() / norms)
-    sim_after = float(score[idx, row_to_col].sum() / norms)
-    tau = kendall_tau(perm.tolist(), list(range(n)))
-    return ReorderReport(permutation=perm, sim_before=sim_before,
-                         sim_after=sim_after, tau=tau, pair=pair)
+    return replace(_reorder_pairs((a, b))[0], pair=pair)
 
 
 def gate_embedding_sim(ckpt: Checkpoint, layer: int) -> SimilarityMatrix:
@@ -382,6 +444,36 @@ class Projection:
     kept_features: np.ndarray
 
 
+def _orient_components(components: np.ndarray, values: np.ndarray, tie: float) -> None:
+    """Flip, in place, each row of ``components`` so that its lead entry is
+    positive: the first entry whose magnitude is within rounding of the
+    row's largest.  Row k belongs to the Gram eigenvalue ``values[k]``; a
+    zero row stays as it is.
+
+    Taking the largest entry alone lets rounding pick the sign when entries
+    tie in magnitude, as every entry of the first component does for
+    standardized rank-one data.  The rounding bound: with ‖E‖ ≤ (n + m)·u·T
+    the Gram's error (see ``pca_project``; T its trace, u the unit roundoff),
+    Davis-Kahan puts the computed eigenvector within sqrt(2)·‖E‖/g of the
+    exact one, g the gap from λ_k to the rest of the spectrum.  A gap far
+    below λ_k leaves the component itself uncertain by ‖E‖/g, which no sign
+    rule can fix, so the bound takes g = λ_k: it covers a component that is
+    well separated.  The wide route maps it through ``work``, which magnifies
+    its error by at most sqrt(λ_1/λ_k) and adds n·u·sqrt(T/λ_k) from the
+    product.  With λ_1 ≤ T, each entry is then within
+    2.5·(n + m)·u·(T/λ_k)^1.5 of the exact one, so two entries of equal exact
+    magnitude differ by at most 2.5·(n + m)·eps·(T/λ_k)^1.5 (eps = 2u).  The
+    caller passes ``tie`` = 3·(n + m)·eps·T^1.5, and an entry ties the
+    largest when their difference times λ_k^1.5 is at most ``tie``; for
+    rank-one data, λ_1 = T, that is a difference of 3·(n + m)·eps.
+    """
+    for row, value in zip(components, values):
+        magnitude = np.abs(row)
+        near = (magnitude.max() - magnitude) * max(value, 0.0) ** 1.5 <= tie
+        if row[np.argmax(near)] < 0:
+            row *= -1.0
+
+
 def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True,
                 labels: list[str] | None = None) -> Projection:
     """Project the rows of ``vectors`` [n, features] onto their leading
@@ -389,9 +481,14 @@ def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True,
 
     With ``standardize``, features are shifted to zero mean and unit variance
     first and zero-variance features are dropped.  Component signs follow a
-    fixed convention (largest-magnitude entry positive), so output is
+    fixed convention (the first entry within rounding of the largest
+    magnitude is positive, see ``_orient_components``), so output is
     deterministic.  A population in which no feature varies puts every point
-    at the origin with zero explained variance.
+    at the origin with zero explained variance.  Its inputs are checkpoint
+    values, so the exact tests ``sd > 0.0`` and ``work.any()`` are safe:
+    n copies of one float32 value sum exactly in float64 while n < 2**29
+    (24 significant bits times n fit in 53), so a constant column's mean is
+    its value and its deviations, and sd, are exactly 0.
 
     The components come from the eigenvectors of the smaller Gram matrix of
     the centered data ``work`` [n, m], never from an SVD of ``work`` itself
@@ -453,17 +550,16 @@ def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True,
         gram = work.T @ work if tall else work @ work.T
         values, basis = np.linalg.eigh(gram)
         values, basis = values[::-1][:dims], basis[:, ::-1][:, :dims]
-        resolved = values > (n + work.shape[1]) * np.finfo(np.float64).eps * np.trace(gram)
+        trace = np.trace(gram)
+        rounding = (n + work.shape[1]) * np.finfo(np.float64).eps * trace
+        resolved = values > rounding
         components = np.zeros((dims, work.shape[1]))
         if tall:
             components[resolved] = basis[:, resolved].T
         else:
             rows = basis[:, resolved].T @ work
             components[resolved] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-        for row in components:
-            lead = np.argmax(np.abs(row))
-            if row[lead] < 0:
-                row *= -1.0
+        _orient_components(components, values, 3 * rounding * np.sqrt(trace))
         explained = np.where(resolved, values, 0.0) / max(n - 1, 1)
     coords = work @ components.T
 
@@ -584,5 +680,4 @@ def pairwise_reorder_reports(ckpt: Checkpoint, layer: int, which: str) -> list[R
     if ckpt.config.is_dense(layer):
         raise ValueError(f"layer {layer} is dense; nothing to reorder")
     rows = neuron_rows(layer_weights(ckpt, layer, which)[0], which)
-    return [reorder_neurons(rows[i], rows[j], pair=(str(i), str(j)))
-            for i, j in itertools.combinations(range(len(rows)), 2)]
+    return _reorder_pairs(rows)

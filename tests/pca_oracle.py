@@ -3,15 +3,17 @@
 It decomposes the whole standardized population with ``np.linalg.svd`` and
 keeps the leading right singular vectors.  The implementation under test
 takes the same components from the eigenvectors of the smaller Gram matrix;
-its standardization, sign rule and all-constant branch are the same code as
-here, so the two differ only in the decomposition.
+its standardization and all-constant branch are the same code as here, and
+both orient their components with the one sign rule
+(``static_analysis._orient_components``, fed the squared singular values as
+the Gram eigenvalues), so the two differ only in the decomposition.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from moe_lens.static_analysis import Projection
+from moe_lens.static_analysis import Projection, _orient_components
 
 
 def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True,
@@ -21,9 +23,10 @@ def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True,
 
     With ``standardize``, features are shifted to zero mean and unit variance
     first and zero-variance features are dropped.  Component signs follow a
-    fixed convention (largest-magnitude entry positive), so output is
-    deterministic.  A population in which no feature varies puts every point
-    at the origin with zero explained variance.
+    fixed convention (the first entry within rounding of the largest
+    magnitude is positive), so output is deterministic.  A population in
+    which no feature varies puts every point at the origin with zero
+    explained variance.
     """
     data = np.asarray(vectors, dtype=np.float64)
     if data.ndim != 2:
@@ -57,10 +60,9 @@ def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True,
     else:
         _, singular, vt = np.linalg.svd(work, full_matrices=False)
         components = vt[:dims].copy()
-        for row in components:
-            lead = np.argmax(np.abs(row))
-            if row[lead] < 0:
-                row *= -1.0
+        trace = (singular ** 2).sum()
+        rounding = (n + work.shape[1]) * np.finfo(np.float64).eps * trace
+        _orient_components(components, singular[:dims] ** 2, 3 * rounding * np.sqrt(trace))
         explained = (singular[:dims] ** 2) / max(n - 1, 1)
     coords = work @ components.T
 

@@ -206,6 +206,37 @@ def test_emit_heatmap_rerun_byte_identical(tmp_path, rng):
         assert fh.read() == first
 
 
+@pytest.mark.parametrize("value_range", [(0.0, 1.0), (-1.0, 1.0), (0.0, 37.0)])
+def test_emit_heatmap_matches_per_cell_colormap(tmp_path, rng, value_range):
+    """The lookup-table heatmap gives colormap's bytes cell by cell: random
+    values, exact half steps (which round half to even), ±inf, out-of-range
+    values and NaN."""
+    lo, hi = value_range
+    halves = lo + (hi - lo) * (np.arange(255) + 0.5) / 255
+    if value_range == (0.0, 1.0):
+        assert np.all(halves * 255 % 1 == 0.5)
+    special = [np.nan, np.inf, -np.inf, lo - 1.0, hi + 1.0, lo, hi, -0.0]
+    values = np.concatenate([rng.uniform(lo - 0.1, hi + 0.1, 249), halves, special])
+    values = rng.permutation(values).reshape(16, 32)
+    path = tmp_path / "m.ppm"
+    emit_heatmap(path, Provenance(command=["c"]), values, value_range, cell=3)
+    want = b"".join(b"".join(colormap(float(v), lo, hi) * 3 for v in row) * 3
+                    for row in values)
+    with open(path, "rb") as fh:
+        assert fh.read() == b"P6\n96 48\n255\n" + want
+
+
+def test_emit_heatmap_empty_range(tmp_path):
+    """An empty range is refused, as colormap refuses it, unless every cell
+    is masked and so needs no range."""
+    prov = Provenance(command=["c"])
+    with pytest.raises(ValueError, match="empty value range"):
+        emit_heatmap(tmp_path / "x.ppm", prov, np.array([[np.nan, 0.0]]), (1.0, 1.0))
+    emit_heatmap(tmp_path / "n.ppm", prov, np.full((1, 2), np.nan), (1.0, 1.0), cell=1)
+    with open(tmp_path / "n.ppm", "rb") as fh:
+        assert fh.read() == b"P6\n2 1\n255\n" + bytes(6)
+
+
 def test_emit_heatmap_rejects_bad_input(tmp_path):
     prov = Provenance(command=["c"])
     with pytest.raises(ValueError, match="non-empty 2-d"):

@@ -5,10 +5,12 @@ import itertools
 import math
 import os
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pca_oracle
 import pytest
+import reorder_oracle
 from conftest import SCIPY_MODULES, run_isolated
 from dbscan_oracle import dbscan_noise
 from hypothesis import assume, given
@@ -17,17 +19,18 @@ from hypothesis import strategies as st
 import moe_lens
 from moe_lens import ModelConfig
 from moe_lens.moe_core import Expert
-from moe_lens.static_analysis import (aggregate_r2, cosine_sim, dbscan_outliers,
-                                      filter_outliers, gate_embedding_sim,
-                                      gate_expert_regression, kendall_tau,
-                                      layer_weights, matrix_level_sim,
-                                      neuron_average_sim, neuron_rows, pca_project, pearson_r,
-                                      reconstruct, reorder_neurons, similarity_matrix,
-                                      solve_assignment)
+from moe_lens.static_analysis import (WHICH_MATRICES, _orient_components, aggregate_r2,
+                                      cosine_sim, dbscan_outliers, filter_outliers,
+                                      gate_embedding_sim, gate_expert_regression, kendall_tau,
+                                      layer_weights, matrix_level_sim, neuron_average_sim,
+                                      neuron_rows, pairwise_reorder_reports, pca_project,
+                                      pearson_r, reconstruct, reorder_neurons,
+                                      similarity_matrix, solve_assignment)
 from moe_lens.synth import (SynthSpec, synth_permuted_clone,
                             synth_permuted_clone_model, synth_scratch, synth_upcycled)
 from moe_lens.report import format_cell
-from moe_lens.tensor_store import build_checkpoint, read_checkpoint, required_tensor_shapes
+from moe_lens.tensor_store import (build_checkpoint, ffn_prefixes, read_checkpoint,
+                                  required_tensor_shapes)
 
 
 # --- oracles -----------------------------------------------------------------
@@ -297,6 +300,25 @@ def test_neuron_average_matches_direct_computation(small_checkpoint):
                                                  abs=1e-12)
 
 
+def test_neuron_average_refuses_a_mean_that_is_rounding_noise():
+    """Expert 1's neurons come in ± pairs, so its mean is 0 in exact
+    arithmetic; their magnitudes span 2**-40 to 1, so the float64 sum leaves
+    rounding noise.  That mean has no direction and is refused like an exact
+    zero.  Lifting one neuron pair out of balance gives a real mean again."""
+    rng = np.random.default_rng(5)
+    n, d = 64, 6
+    half = (rng.normal(size=(n // 2, d)) * 2.0 ** -rng.uniform(0, 40, size=(n // 2, 1)))
+    stack = rng.normal(size=(3, n, d))
+    stack[1] = np.concatenate([half, -half])[rng.permutation(n)]
+    stack = stack.astype(np.float32)
+    assert np.abs(stack[1].astype(np.float64).mean(axis=0)).max() > 0.0
+    with pytest.raises(ValueError, match="zero vector"):
+        neuron_average_sim(stack_checkpoint(stack), 0, "up")
+    stack[1, np.argmax(np.abs(stack[1]).max(axis=1))] *= 2
+    sim = neuron_average_sim(stack_checkpoint(stack), 0, "up")
+    assert not np.isnan(sim.values).any()
+
+
 # --- assignment solver -----------------------------------------------------------
 
 def test_assignment_two_neuron_toy():
@@ -466,6 +488,97 @@ def test_reorder_all_zero_expert_rejected(rng):
     for pair in ((a, np.zeros_like(a)), (np.zeros_like(a), a)):
         with pytest.raises(ValueError, match="zero vector"):
             reorder_neurons(*pair)
+
+
+def stack_checkpoint(stack):
+    """A one-layer checkpoint whose experts' w_up hold ``stack`` [E, n, d]
+    (stored as float32), so their ``up`` neuron rows are the stack's rows."""
+    n_experts, n, d = stack.shape
+    cfg = ModelConfig(num_layers=1, experts_per_layer=[n_experts], num_shared=[0], top_k=1,
+                      d_hid=d, d_mid=n, vocab=3)
+    rng = np.random.default_rng(0)
+    tensors = {name: rng.normal(size=shape)
+               for name, shape in required_tensor_shapes(cfg).items()}
+    for e, prefix in enumerate(ffn_prefixes(cfg, 0)[0]):
+        tensors[f"{prefix}.w_up"] = stack[e]
+    return build_checkpoint(cfg, tensors)
+
+
+def reorder_stacks():
+    """Seeded [E, n, d] stacks: certified near-clones, independent draws that
+    need the solver, zero-norm neurons, and n = 2, odd and power-of-two n."""
+    rng = np.random.default_rng(11)
+    for n in (2, 7, 8, 33, 64):
+        base = rng.normal(size=(n, 5))
+        yield f"near-clones-{n}", base + 1e-3 * rng.normal(size=(6, n, 5))
+        yield f"independent-{n}", rng.normal(size=(5, n, 5))
+        mixed = np.concatenate([base + 0.5 * rng.normal(size=(3, n, 5)),
+                                rng.normal(size=(3, n, 5))])
+        mixed[1, rng.integers(n)] = 0.0
+        mixed[4, :n // 2] = 0.0
+        yield f"zero-neurons-{n}", mixed
+
+
+def assert_reports_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g.permutation, w.permutation)
+        assert (g.sim_before, g.sim_after, g.tau, g.pair) == \
+            (w.sim_before, w.sim_after, w.tau, w.pair)
+
+
+@pytest.mark.parametrize("name, stack", list(reorder_stacks()))
+def test_reorder_pass_matches_per_pair_oracle(name, stack):
+    ckpt = stack_checkpoint(stack)
+    rows = neuron_rows(layer_weights(ckpt, 0, "up")[0], "up")
+    got = pairwise_reorder_reports(ckpt, 0, "up")
+    assert_reports_equal(got, reorder_oracle.pairwise_reorder_reports(rows))
+    for rep in got:
+        perm = rep.permutation.tolist()
+        assert rep.tau == kendall_ref(perm, sorted(perm))
+
+
+def test_reorder_pass_matches_oracle_on_permuted_clones():
+    cfg = ModelConfig(num_layers=2, experts_per_layer=[5, 4], num_shared=[0, 0], top_k=2,
+                      d_hid=9, d_mid=21, vocab=7)
+    model, perms = synth_permuted_clone_model(SynthSpec(config=cfg, mode="permuted_clone",
+                                                        seed=5))
+    for layer, which in itertools.product(range(2), WHICH_MATRICES):
+        rows = neuron_rows(layer_weights(model, layer, which)[0], which)
+        got = pairwise_reorder_reports(model, layer, which)
+        assert_reports_equal(got, reorder_oracle.pairwise_reorder_reports(rows))
+        for rep in got[:len(rows) - 1]:  # expert 0 against each of its clones
+            np.testing.assert_array_equal(rep.permutation, perms[(layer, int(rep.pair[1]))])
+
+
+def test_reorder_pass_refuses_an_all_zero_expert_before_any_score():
+    stack = np.random.default_rng(4).normal(size=(4, 6, 3))
+    stack[2] = 0.0
+    ckpt = stack_checkpoint(stack)
+    with pytest.raises(ValueError, match="zero vector"):
+        pairwise_reorder_reports(ckpt, 0, "up")
+
+
+def test_reorder_pass_holds_one_score_matrix_at_a_time():
+    """16 experts of n = 128 neurons make P = 120 pairs.  The pass may hold
+    the stack, the [P, n] permutations and a few single-pair score matrices;
+    stacking every pair's [n, n] scores would take 120 of them (15.7 MB)."""
+    n_experts, n, d = 16, 128, 8
+    rng = np.random.default_rng(9)
+    ckpt = stack_checkpoint(rng.normal(size=(n, d)) + 1e-3 * rng.normal(size=(n_experts, n, d)))
+    pairs = n_experts * (n_experts - 1) // 2
+    # Two copies of the stack (float32 as read, float64), the permutations and
+    # their padded copy, and eight single-pair score matrices.
+    budget = 2 * n_experts * n * d * 8 + 2 * pairs * n * 8 + 8 * n * n * 8
+    import scipy.optimize  # noqa: F401  (a pair may need the solver; its import is not the pass)
+    tracemalloc.start()
+    try:
+        reports = pairwise_reorder_reports(ckpt, 0, "up")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == pairs
+    assert peak < budget, (peak, budget)
 
 
 def old_reorder_rows(model_path, which):
@@ -777,8 +890,8 @@ def test_pca_rank_deficient_directions_are_zero(shape, dims, standardize):
     arithmetic: its component, coordinates and explained variance are exactly
     zero, where the oracle's are rounding noise.  Standardized rank-one data
     has every column equal to ± one vector, so the entries of its component
-    tie in magnitude and rounding picks its sign in either route; the
-    coordinates are compared up to each column's sign."""
+    tie in magnitude; the sign rule takes the first of the tied entries, so
+    both routes give the same signed coordinates."""
     data, variances = planted(*SHAPES[shape], [5.0, 1.0][:dims - 1], standardize, seed=7)
     got = pca_project(data, dims=dims, standardize=standardize)
     want = pca_oracle.pca_project(data, dims=dims, standardize=standardize)
@@ -787,15 +900,15 @@ def test_pca_rank_deficient_directions_are_zero(shape, dims, standardize):
     np.testing.assert_allclose(got.explained_variance[:-1], variances, rtol=1e-12)
     np.testing.assert_allclose(got.explained_variance, want.explained_variance,
                                rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(np.abs(got.coords), np.abs(want.coords), rtol=0, atol=1e-11)
+    np.testing.assert_allclose(got.coords, want.coords, rtol=0, atol=1e-11)
 
 
 @pytest.mark.parametrize("standardize", [True, False])
 def test_pca_duplicated_pairs_leave_the_second_component_empty(standardize):
     """Four rows of 1,000 features made of two duplicated pairs have rank one
     once centered.  Normalizing the rounding noise that ``uᵀ·work`` holds for
-    the second eigenvector would put those rows about ±20 apart on pc2.  (The
-    sign of pc1 is compared loosely, as in the rank-deficient test above.)"""
+    the second eigenvector would put those rows about ±20 apart on pc2.  The
+    entries of pc1 tie in magnitude, as in the rank-deficient test above."""
     rng = np.random.default_rng(3)
     a, b = rng.normal(size=(2, 1000))
     data = np.stack([a, a, b, b])
@@ -803,9 +916,23 @@ def test_pca_duplicated_pairs_leave_the_second_component_empty(standardize):
     want = pca_oracle.pca_project(data, dims=2, standardize=standardize)
     assert got.coords[:, 1].tolist() == [0.0] * 4
     assert got.explained_variance[1] == 0.0
-    np.testing.assert_allclose(np.abs(got.coords), np.abs(want.coords), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(got.coords, want.coords, rtol=0, atol=1e-9)
     assert [format_cell(v) for v in got.coords[:, 1]] == \
         [format_cell(v) for v in want.coords[:, 1]] == ["0.000000"] * 4
+
+
+def test_pca_sign_rule_takes_the_first_entry_within_rounding_of_the_largest():
+    """With λ = T = 1 (rank one) and n + m = 6 an entry ties the largest
+    within 3·6·eps.  One ulp short ties, and the first of the tied entries
+    decides the sign; 40 bounds short does not.  A smaller λ widens the
+    bound by (T/λ)^1.5, and a zero row stays zero."""
+    tie = 3 * 6 * np.finfo(np.float64).eps
+    close = np.nextafter(0.5, 0.0)
+    rows = np.array([[-close, 0.5, 0.5, -0.5], [-(0.5 - 40 * tie), 0.5, 0.1, 0.1],
+                     [-(0.5 - 40 * tie), 0.5, 0.1, 0.1], [0.0, 0.0, 0.0, 0.0]])
+    oriented = rows.copy()
+    _orient_components(oriented, np.array([1.0, 1.0, 0.01, 0.0]), tie)
+    np.testing.assert_array_equal(oriented, [-rows[0], rows[1], -rows[2], rows[3]])
 
 
 @pytest.mark.parametrize("n", [9, 1000, 22528])
