@@ -180,19 +180,26 @@ def _token_sims(ctx: Context):
     return functools.partial(dyn.output_sim_per_token, trace)
 
 
+def _layer_weights(ctx: Context, layer: int) -> tuple[np.ndarray, list[str]]:
+    """``sta.layer_weights`` of ``--which``, with ``--ref`` where the command takes it."""
+    return sta.layer_weights(ctx.model, layer, ctx.args.which, ctx.reference)
+
+
 def _cmd_reorder(ctx: Context) -> list[str]:
     which = ctx.args.which
-    rows = []
-    taus = []
-    for layer in _select_layers(ctx.args.layer, ctx.model):
-        for rep in sta.pairwise_reorder_reports(ctx.model, layer, which):
-            rows.append([layer, rep.pair[0], rep.pair[1], which,
-                         rep.sim_before, rep.sim_after, rep.tau])
-            taus.append(rep.tau)
+    rows = [[layer, *rep.pair, which, rep.sim_before, rep.sim_after, rep.tau]
+            for layer in _select_layers(ctx.args.layer, ctx.model)
+            for rep in sta.pairwise_reorder_reports(
+                sta.neuron_rows(_layer_weights(ctx, layer)[0], which))]
+    taus = [row[-1] for row in rows if row[-1] is not None]
+    undefined = dict.fromkeys(str(row[0]) for row in rows if row[-1] is None)
+    comments = [f"mean_tau: {format_cell(np.mean(taus) if taus else None)}"]
+    if undefined:
+        comments.append(f"degenerate: fewer than two neurons in layers {' '.join(undefined)}")
     path = os.path.join(ctx.out, f"reorder-{which}.csv")
     emit_csv(path, ctx.provenance,
              ["layer", "expert_a", "expert_b", "which", "sim_before", "sim_after", "tau"],
-             rows, extra_comments=[f"mean_tau: {format_cell(np.mean(taus))}"])
+             rows, extra_comments=comments)
     return [path]
 
 
@@ -202,7 +209,9 @@ def _cmd_gate_corr(ctx: Context) -> list[str]:
     layers = [i for i in config.moe_layers() if config.experts_per_layer[i] >= 3]
     if not layers:
         raise ValueError("no gated layer has enough experts for regression")
-    reports = [sta.gate_expert_regression(ctx.model, layer, which) for layer in layers]
+    reports = [sta.gate_expert_regression(
+        sta.gate_embedding_sim(ctx.model, layer),
+        sta.neuron_average_sim(*_layer_weights(ctx, layer), which)) for layer in layers]
     rows = [[layer, which, rep.n_pairs, rep.r, rep.r2] for layer, rep in zip(layers, reports)]
     rows.append(["avg", which, None, None, sta.aggregate_r2(reports)])
     flat = [str(layer) for layer, rep in zip(layers, reports) if rep.r is None]
@@ -217,9 +226,7 @@ def _cmd_pca(ctx: Context) -> list[str]:
     args = ctx.args
     written = []
     for layer in _select_layers(args.layer, ctx.model):
-        if ctx.model.config.is_dense(layer):
-            raise ValueError(f"layer {layer} is dense; no expert population")
-        stack, experts = sta.layer_weights(ctx.model, layer, args.which)
+        stack, experts = _layer_weights(ctx, layer)
         if args.level == "matrix":
             vectors = stack.reshape(len(stack), -1)
             labels = experts
@@ -372,14 +379,13 @@ ANALYSES = {
     "matrix-sim": Analysis(
         "matrix-sim over expert weights",
         _layer_sims("{command}-layer{layer}-{which}",
-                    lambda ctx: functools.partial(sta.matrix_level_sim, ctx.model,
-                                                  which=ctx.args.which, reference=ctx.reference)),
+                    lambda ctx: lambda layer: sta.matrix_level_sim(*_layer_weights(ctx, layer))),
         ref=True, layer=True, which=True),
     "neuron-avg-sim": Analysis(
         "neuron-avg-sim over expert weights",
         _layer_sims("{command}-layer{layer}-{which}",
-                    lambda ctx: functools.partial(sta.neuron_average_sim, ctx.model,
-                                                  which=ctx.args.which, reference=ctx.reference)),
+                    lambda ctx: lambda layer: sta.neuron_average_sim(*_layer_weights(ctx, layer),
+                                                                     ctx.args.which)),
         ref=True, layer=True, which=True),
     "reorder": Analysis("neuron alignment between expert pairs", _cmd_reorder,
                         layer=True, which=True),

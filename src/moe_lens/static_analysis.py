@@ -3,7 +3,12 @@
 Everything here compares experts through their parameters alone: flattened
 whole-matrix cosine, per-neuron averaging, optimal neuron reordering, gate-row
 geometry, and low-dimensional projections of expert weights.  Behavioral
-(forward-pass) comparisons live in ``dynamic_analysis``.  scipy is imported
+(forward-pass) comparisons live in ``dynamic_analysis``.  One reader,
+``layer_weights``, reads a layer's expert matrices as one [E, rows, cols]
+array and owns the rule that a dense layer is read only with a reference;
+the expert analyses reduce its arrays.  ``gate_embedding_sim`` reads the
+gate, and ``gate_expert_regression`` correlates its matrix with an expert
+one.  scipy is imported
 only inside ``solve_assignment``, so a command that does not reach it never
 loads scipy.  Reordering makes one pass over a layer's [E, n, d] neuron
 stack: each expert's norm once, then one score matrix and one assignment per
@@ -125,7 +130,10 @@ def layer_weights(ckpt: Checkpoint, layer: int, which: str,
     """The chosen matrix of every expert of one layer as one float64
     [E, rows, cols] stack in stored orientation, with the experts' labels.
 
-    A dense layer is its one FFN.  The reference FFN, when given (see
+    This is the one reader of expert weights, and every other weight analysis
+    reduces what it returns.  It owns the dense-layer rule: a dense layer is
+    its one FFN, no population of experts, so it is read only together with
+    a reference.  The reference FFN, when given (see
     ``ModelConfig.check_reference``), comes last, labelled ``F``.
     """
     if which not in WHICH_MATRICES:
@@ -133,6 +141,8 @@ def layer_weights(ckpt: Checkpoint, layer: int, which: str,
     config = ckpt.config
     if not 0 <= layer < config.num_layers:
         raise ValueError(f"layer {layer} out of range")
+    if reference is None and config.is_dense(layer):
+        raise ValueError(f"layer {layer} is dense: no experts to compare without a reference")
     mats = [ckpt.get_tensor(f"{prefix}.w_{which}") for prefix in ffn_prefixes(config, layer)[0]]
     labels = [str(e) for e in range(len(mats))]
     if reference is not None:
@@ -150,14 +160,11 @@ def neuron_rows(stack: np.ndarray, which: str) -> np.ndarray:
     return np.swapaxes(stack, -1, -2) if which == "down" else stack
 
 
-def _weight_sim(ckpt: Checkpoint, layer: int, which: str, reference: Checkpoint | None,
-                vectors_of) -> SimilarityMatrix:
-    """Pairwise cosine over one vector per expert (and reference) of a layer."""
-    stack, labels = layer_weights(ckpt, layer, which, reference)
-    if ckpt.config.is_dense(layer) and reference is None:
-        raise ValueError(f"layer {layer} is dense; a reference checkpoint is required")
-    has_ref = reference is not None
-    return similarity_matrix(pairwise_cosine(vectors_of(stack), allow_zero=False), labels,
+def _weight_sim(vectors: np.ndarray, labels: list[str]) -> SimilarityMatrix:
+    """Pairwise cosine over one vector per ``layer_weights`` entry; a last
+    label ``F`` marks the reference."""
+    has_ref = labels[-1] == REFERENCE_LABEL
+    return similarity_matrix(pairwise_cosine(vectors, allow_zero=False), labels,
                              len(labels) - int(has_ref), has_ref)
 
 
@@ -181,23 +188,21 @@ def _neuron_means(stack: np.ndarray, which: str) -> np.ndarray:
     return np.where((np.abs(means) <= noise[:, None]).all(axis=-1, keepdims=True), 0.0, means)
 
 
-def matrix_level_sim(ckpt: Checkpoint, layer: int, which: str,
-                     reference: Checkpoint | None = None) -> SimilarityMatrix:
-    """Pairwise cosine over row-major flattened expert matrices."""
-    return _weight_sim(ckpt, layer, which, reference,
-                       lambda stack: stack.reshape(len(stack), -1))
+def matrix_level_sim(stack: np.ndarray, labels: list[str]) -> SimilarityMatrix:
+    """Pairwise cosine over the row-major flattened matrices of
+    ``layer_weights``' ``stack`` and ``labels``."""
+    return _weight_sim(stack.reshape(len(stack), -1), labels)
 
 
-def neuron_average_sim(ckpt: Checkpoint, layer: int, which: str,
-                       reference: Checkpoint | None = None) -> SimilarityMatrix:
-    """Pairwise cosine over per-expert mean neuron vectors.
+def neuron_average_sim(stack: np.ndarray, labels: list[str], which: str) -> SimilarityMatrix:
+    """Pairwise cosine over the per-expert mean neuron vectors of
+    ``layer_weights``' ``stack`` and ``labels`` of matrix ``which``.
 
     A neuron's vector is a row of w_up/w_act or a column of w_down; averaging
     collapses each expert to one d_hid vector, which discards neuron identity
     and with it most of the signal that flattened comparison sees.
     """
-    return _weight_sim(ckpt, layer, which, reference,
-                       lambda stack: _neuron_means(stack, which))
+    return _weight_sim(_neuron_means(stack, which), labels)
 
 
 def solve_assignment(score: np.ndarray) -> np.ndarray:
@@ -231,8 +236,8 @@ def solve_assignment(score: np.ndarray) -> np.ndarray:
 
 def _kendall_taus(perms: np.ndarray) -> np.ndarray:
     """Kendall's tau of each row of ``perms`` [P, n], every row a permutation
-    of range(n), against identity: concordant minus discordant position pairs
-    over n(n-1)/2, which is total - 2 * discordant exactly.
+    of range(n) with n >= 2, against identity: concordant minus discordant
+    position pairs over n(n-1)/2, which is total - 2 * discordant exactly.
 
     The discordant pairs are a row's inversions, counted exactly by bottom-up
     merge levels in O(n log n), all rows at once.  Each row is padded up to a
@@ -245,8 +250,6 @@ def _kendall_taus(perms: np.ndarray) -> np.ndarray:
     block then makes it one run of width 2w.
     """
     p, n = perms.shape
-    if n < 2:
-        raise ValueError("need at least two elements")
     m = 1 << (n - 1).bit_length()
     ranks = np.concatenate([perms, np.broadcast_to(np.arange(n, m), (p, m - n))], axis=1)
     discordant, width = np.zeros(p, dtype=np.int64), 1
@@ -287,16 +290,17 @@ class ReorderReport:
     permutation: np.ndarray  # permutation[j] = a-neuron index matched to b-neuron j
     sim_before: float
     sim_after: float
-    tau: float
+    tau: float | None  # None with fewer than two neurons
     pair: tuple[str, str] | None = None
 
 
-def _reorder_pairs(rows) -> list[ReorderReport]:
-    """``reorder_neurons`` for every pair i < j of ``rows``, equally shaped
-    experts: each norm once, an all-zero expert refused before any score
-    matrix, one score matrix at a time, and one ``_kendall_taus`` pass over
-    the stacked permutations (whose inverses, ``row_to_col``, have the same
-    inversions)."""
+def pairwise_reorder_reports(rows) -> list[ReorderReport]:
+    """``reorder_neurons`` for every expert pair i < j of a layer's neuron
+    stack ``rows`` [E, n, d] (``neuron_rows`` of ``layer_weights``): each
+    norm once, an all-zero expert refused before any score matrix, one score
+    matrix at a time, and one ``_kendall_taus`` pass over the stacked
+    permutations (whose inverses, ``row_to_col``, have the same inversions).
+    With fewer than two neurons every tau is undefined (None)."""
     norms = [np.linalg.norm(expert) for expert in rows]
     if any(norm == 0.0 for norm in norms):
         raise ValueError("undefined similarity: zero vector")
@@ -311,10 +315,10 @@ def _reorder_pairs(rows) -> list[ReorderReport]:
         norm = norms[i] * norms[j]
         sims.append((float(score[idx, idx].sum() / norm),
                      float(score[idx, row_to_col].sum() / norm)))
+    taus = _kendall_taus(perms).tolist() if len(idx) >= 2 else [None] * len(pairs)
     return [ReorderReport(permutation=perm, sim_before=before, sim_after=after,
-                          tau=float(tau), pair=(str(i), str(j)))
-            for perm, (before, after), tau, (i, j)
-            in zip(perms, sims, _kendall_taus(perms), pairs)]
+                          tau=tau, pair=(str(i), str(j)))
+            for perm, (before, after), tau, (i, j) in zip(perms, sims, taus, pairs)]
 
 
 def reorder_neurons(a: np.ndarray, b: np.ndarray,
@@ -340,7 +344,7 @@ def reorder_neurons(a: np.ndarray, b: np.ndarray,
     """
     if a.shape != b.shape:
         raise ValueError("experts have different neuron dimensions")
-    return replace(_reorder_pairs((a, b))[0], pair=pair)
+    return replace(pairwise_reorder_reports((a, b))[0], pair=pair)
 
 
 def gate_embedding_sim(ckpt: Checkpoint, layer: int) -> SimilarityMatrix:
@@ -396,29 +400,23 @@ class RegressionReport:
     r2: float | None
 
 
-def _upper_triangle(values: np.ndarray) -> np.ndarray:
-    n = values.shape[0]
-    iu = np.triu_indices(n, k=1)
-    return values[iu]
+def gate_expert_regression(gate: SimilarityMatrix, experts: SimilarityMatrix) -> RegressionReport:
+    """Correlate a layer's gate-row similarities (``gate_embedding_sim``)
+    with its expert similarities (in ``gate-corr``, ``neuron_average_sim``).
 
-
-def gate_expert_regression(ckpt: Checkpoint, layer: int, which: str) -> RegressionReport:
-    """Correlate gate-row similarities with neuron-averaged expert similarities.
-
-    Both sides are the upper triangle (i < j) over routed expert pairs of one
-    layer.  Needs at least three experts so the triangle has spread; a side
-    whose spread is within rounding (``pearson_r``) leaves ``r`` and ``r2``
-    undefined (None).
+    Both sides are the upper triangle (i < j) of the routed block: the gate's
+    experts, which lead both matrices.  Needs at least three experts so the
+    triangle has spread; a side whose spread is within rounding
+    (``pearson_r``) leaves ``r`` and ``r2`` undefined (None).
     """
-    config = ckpt.config
-    if config.is_dense(layer):
-        raise ValueError(f"layer {layer} is dense and has no gate")
-    if config.experts_per_layer[layer] < 3:
+    if [label for label in experts.labels if label != REFERENCE_LABEL] != gate.labels:
+        raise ValueError("gate and expert similarities label different experts")
+    n = len(gate.labels)
+    if n < 3:
         raise ValueError("regression needs at least 3 experts")
-    x = _upper_triangle(gate_embedding_sim(ckpt, layer).values)
-    y = _upper_triangle(neuron_average_sim(ckpt, layer, which).values)
-    r = pearson_r(x, y)
-    return RegressionReport(n_pairs=x.size, r=r, r2=None if r is None else r * r)
+    upper = np.triu_indices(n, k=1)
+    r = pearson_r(gate.values[upper], experts.values[upper])
+    return RegressionReport(n_pairs=len(upper[0]), r=r, r2=None if r is None else r * r)
 
 
 def aggregate_r2(reports: list[RegressionReport]) -> float | None:
@@ -484,7 +482,9 @@ def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True,
     fixed convention (the first entry within rounding of the largest
     magnitude is positive, see ``_orient_components``), so output is
     deterministic.  A population in which no feature varies puts every point
-    at the origin with zero explained variance.  Its inputs are checkpoint
+    at the origin with zero explained variance.  n points span at most n - 1
+    directions, so with n = dims the last component is one that rounding
+    cannot resolve, and is zero (see below).  Its inputs are checkpoint
     values, so the exact tests ``sd > 0.0`` and ``work.any()`` are safe:
     n copies of one float32 value sum exactly in float64 while n < 2**29
     (24 significant bits times n fit in 53), so a constant column's mean is
@@ -526,7 +526,7 @@ def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True,
         raise ValueError("labels length must match vector count")
     if dims < 1:
         raise ValueError("dims must be positive")
-    if n < dims + 1:
+    if n < dims:
         raise ValueError("fewer samples than dims")
 
     center = data.mean(axis=0)
@@ -673,11 +673,3 @@ def filter_outliers(projection: Projection, eps: float, min_pts: int = 2) -> Pro
     return replace(projection, coords=projection.coords[keep],
                    labels=[lab for lab, k in zip(projection.labels, keep) if k],
                    outliers=[lab for lab, k in zip(projection.labels, keep) if not k])
-
-
-def pairwise_reorder_reports(ckpt: Checkpoint, layer: int, which: str) -> list[ReorderReport]:
-    """Reorder reports for every routed expert pair (i < j) of one layer."""
-    if ckpt.config.is_dense(layer):
-        raise ValueError(f"layer {layer} is dense; nothing to reorder")
-    rows = neuron_rows(layer_weights(ckpt, layer, which)[0], which)
-    return _reorder_pairs(rows)

@@ -38,7 +38,7 @@ def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True,
         raise ValueError("labels length must match vector count")
     if dims < 1:
         raise ValueError("dims must be positive")
-    if n < dims + 1:
+    if n < dims:
         raise ValueError("fewer samples than dims")
 
     center = data.mean(axis=0)

@@ -18,17 +18,16 @@ from moe_lens.dynamic_analysis import (activation_ratio, angular_sim,
                                        avg_output_sim, rank_count_matrix)
 from moe_lens.moe_core import (CorpusTrace, LayerTrace, gate_from_logits,
                                recombined_output, trace_all_experts)
-from moe_lens.static_analysis import (dbscan_outliers, kendall_tau,
-                                      matrix_level_sim, gate_expert_regression,
-                                      pca_project, reconstruct, reorder_neurons,
-                                      solve_assignment)
+from moe_lens.static_analysis import (dbscan_outliers, kendall_tau, layer_weights,
+                                      matrix_level_sim, pca_project, reconstruct,
+                                      reorder_neurons, solve_assignment)
 from moe_lens.synth import (SynthSpec, synth_permuted_clone, synth_scratch,
                             synth_upcycled)
 from moe_lens.tensor_store import (build_checkpoint, dump_checkpoint,
                                    parse_checkpoint, read_checkpoint,
                                    serialize_checkpoint)
 from test_static_analysis import (brute_force_assignment, expert_rows, kendall_ref,
-                                  random_expert)
+                                  random_expert, regression)
 
 
 def scratch_model(seed, layers=2, n=4, d_hid=32, d_mid=64, vocab=59, k=2):
@@ -80,8 +79,8 @@ def test_c02_upcycled_vs_scratch_separation():
         sc = synth_scratch(SynthSpec(config=cfg, mode="scratch", seed=seed))
         for layer in range(2):
             for which in ("up", "act", "down"):
-                up_mean = matrix_level_sim(up, layer, which).s_ee
-                sc_mean = matrix_level_sim(sc, layer, which).s_ee
+                up_mean = matrix_level_sim(*layer_weights(up, layer, which)).s_ee
+                sc_mean = matrix_level_sim(*layer_weights(sc, layer, which)).s_ee
                 assert up_mean >= 0.85
                 assert abs(sc_mean) <= 0.05
                 assert up_mean - sc_mean >= 0.3
@@ -140,10 +139,10 @@ def test_c05_gate_correlation_construction():
                 np.stack(rows).astype(np.float32)
         wired = build_checkpoint(cfg, tensors)
         for layer in range(2):
-            assert gate_expert_regression(wired, layer, "act").r == \
+            assert regression(wired, layer, "act").r == \
                 pytest.approx(1.0, abs=1e-6)
-            assert abs(gate_expert_regression(wired, layer, "up").r) < 0.5
-            assert abs(gate_expert_regression(wired, layer, "down").r) < 0.5
+            assert abs(regression(wired, layer, "up").r) < 0.5
+            assert abs(regression(wired, layer, "down").r) < 0.5
 
 
 def test_c06_angular_similarity():

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import itertools
 import json
 import math
 import os
@@ -748,35 +749,60 @@ def test_report_rerun_byte_identical(workspace, tmp_path, capsys):
     assert capsys.readouterr().out == first_stdout
 
 
+# Shapes beside the workspace's: a dense middle layer among gated ones with
+# shared experts, gelu and softmax-then-top-k; and the two smallest shapes a
+# report takes, two experts per layer and one neuron per expert.
+SMALL_SHAPES = {
+    "mixed": ["--layers", "3", "--experts", "6,1,6", "--shared", "2,0,2",
+              "--activation", "gelu", "--gating-order", "softmax_then_topk"],
+    "two-experts": ["--experts", "2", "--top-k", "1"],
+    "one-neuron": ["--d-mid", "1"],
+}
+
+
+def synth_shape(root, name):
+    """The upcycled model of ``SMALL_SHAPES[name]`` and its reference, as paths."""
+    assert run_command(["synth", "--mode", "upcycled", "--seed", "3", "--noise", "0.3",
+                        "--d-hid", "8", "--d-mid", "12", "--vocab", "13", *SMALL_SHAPES[name],
+                        "--out", str(root / name)]) == 0
+    return str(root / name / "model.moel"), str(root / name / "reference.moel")
+
+
 def test_report_steps_match_standalone_commands(workspace, tmp_path):
-    out = tmp_path / "bundle"
-    assert run_command(report_argv(workspace, out)) == 0
-    bundle = snapshot(out)
-    model = ["--model", workspace["up"]]
-    ref = ["--ref", workspace["ref"]]
+    models = {"up": (workspace["up"], workspace["ref"]),
+              **{name: synth_shape(tmp_path, name) for name in SMALL_SHAPES}}
     corpus = ["--corpus", workspace["corpus"]]
     which = [["--which", w] for w in ("up", "act", "down")]
-    steps = {
-        "matrix-sim": [["matrix-sim", *model, *ref, "--layer", "all", *w] for w in which],
-        "neuron-avg-sim": [["neuron-avg-sim", *model, *ref, "--layer", "all", *w]
-                           for w in which],
-        "reorder": [["reorder", *model, "--layer", "all", *w] for w in which],
-        "pca": [["pca", *model, "--layer", "all", *w] for w in which],
-        "gate-sim": [["gate-sim", *model, "--layer", "all"]],
-        "gate-corr": [["gate-corr", *model, *w] for w in which],
-        "out-sim": [["out-sim", *model, *ref, *corpus, "--layer", "all"]],
-        "avg-out-sim": [["avg-out-sim", *model, *ref, *corpus, "--layer", "all"]],
-        "norm-rank": [["norm-rank", *model, *corpus, "--layer", "all"]],
-        "route-log": [["route-log", *model, *corpus]],
-        "trace": [["trace", *model, *ref, *corpus]],
-        "act-ratio": [["act-ratio", *model, *corpus]],
-    }
-    assert sorted(steps) == sorted(os.listdir(out))
-    for name, invocations in steps.items():
-        shutil.rmtree(out / name)
-        for argv in invocations:
-            assert run_command([*argv, "--out", str(out / name)]) == 0
-    assert snapshot(out) == bundle
+    for name, (path, ref_path) in models.items():
+        out = tmp_path / f"bundle-{name}"
+        assert run_command(["report", "--model", path, "--ref", ref_path, *corpus,
+                            "--out", str(out)]) == 0
+        bundle = snapshot(out)
+        model = ["--model", path]
+        ref = ["--ref", ref_path]
+        steps = {
+            "matrix-sim": [["matrix-sim", *model, *ref, "--layer", "all", *w] for w in which],
+            "neuron-avg-sim": [["neuron-avg-sim", *model, *ref, "--layer", "all", *w]
+                               for w in which],
+            "reorder": [["reorder", *model, "--layer", "all", *w] for w in which],
+            "pca": [["pca", *model, "--layer", "all", *w] for w in which],
+            "gate-sim": [["gate-sim", *model, "--layer", "all"]],
+            "gate-corr": [["gate-corr", *model, *w] for w in which],
+            "out-sim": [["out-sim", *model, *ref, *corpus, "--layer", "all"]],
+            "avg-out-sim": [["avg-out-sim", *model, *ref, *corpus, "--layer", "all"]],
+            "norm-rank": [["norm-rank", *model, *corpus, "--layer", "all"]],
+            "route-log": [["route-log", *model, *corpus]],
+            "trace": [["trace", *model, *ref, *corpus]],
+            "act-ratio": [["act-ratio", *model, *corpus]],
+        }
+        if name == "two-experts":  # regression needs three experts
+            del steps["gate-corr"]
+        assert sorted(steps) == sorted(os.listdir(out)), name
+        for step, invocations in steps.items():
+            shutil.rmtree(out / step)
+            for argv in invocations:
+                assert run_command([*argv, "--out", str(out / step)]) == 0, argv
+        assert snapshot(out) == bundle, name
 
 
 def test_report_loads_and_traces_inputs_once(workspace, tmp_path, monkeypatch):
@@ -969,6 +995,40 @@ def test_report_completes_on_degenerate_models(tmp_path, synth_args, degenerate_
         assert flagged[name] == (f"# degenerate: zero variance in layers {' '.join(empty)}"
                                  if empty else None)
         assert (rows[-1][4] == "") == (len(empty) == len(rows) - 1)
+
+
+def test_report_completes_on_two_experts(workspace, tmp_path):
+    """Two experts span one direction: the matrix-level PCA's second
+    component has zero coordinates and zero explained variance."""
+    model, ref = synth_shape(tmp_path, "two-experts")
+    out = tmp_path / "bundle"
+    assert run_command(["report", "--model", model, "--ref", ref,
+                        "--corpus", workspace["corpus"], "--out", str(out)]) == 0
+    for layer, which in itertools.product((0, 1), ("up", "act", "down")):
+        lines = read_lines(out / "pca" / f"pca-layer{layer}-{which}-matrix.csv")
+        variance = next(l for l in lines if l.startswith("# explained_variance: ")).split()
+        assert float(variance[2]) > 0.0 and variance[3] == "0.000000"
+        rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
+        assert [row[0] for row in rows] == ["0", "1"]
+        assert [row[2] for row in rows] == ["0.000000", "0.000000"]
+    assert not (out / "gate-corr").exists()
+
+
+def test_report_completes_on_one_neuron(workspace, tmp_path):
+    """With one neuron per expert Kendall's tau is undefined: every reorder
+    row has an empty tau cell, mean_tau is empty, and a ``degenerate:``
+    comment names the layers."""
+    model, ref = synth_shape(tmp_path, "one-neuron")
+    out = tmp_path / "bundle"
+    assert run_command(["report", "--model", model, "--ref", ref,
+                        "--corpus", workspace["corpus"], "--out", str(out)]) == 0
+    for which in ("up", "act", "down"):
+        lines = read_lines(out / "reorder" / f"reorder-{which}.csv")
+        assert "# mean_tau: " in lines
+        assert "# degenerate: fewer than two neurons in layers 0 1" in lines
+        rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
+        assert len(rows) == 2 * 6
+        assert all(row[6] == "" and row[4] == row[5] for row in rows)
 
 
 # --- imports -----------------------------------------------------------------

@@ -101,6 +101,12 @@ def expert_rows(expert, which):
     return neuron_rows(np.asarray(getattr(expert, f"w_{which}"), dtype=np.float64), which)
 
 
+def regression(ckpt, layer, which):
+    """gate-corr's regression of one layer, on the matrices the command builds."""
+    return gate_expert_regression(gate_embedding_sim(ckpt, layer),
+                                  neuron_average_sim(*layer_weights(ckpt, layer, which), which))
+
+
 def upcycled_pair(seed=0, noise=0.3, n=4):
     cfg = ModelConfig(num_layers=1, experts_per_layer=[n], num_shared=[0], top_k=2,
                       d_hid=16, d_mid=24, vocab=7)
@@ -176,7 +182,7 @@ def test_similarity_matrix_summaries():
 
 def test_matrix_sim_identical_experts_all_one():
     model, _ = upcycled_pair(noise=0.0)
-    sim = matrix_level_sim(model, 0, "act")
+    sim = matrix_level_sim(*layer_weights(model, 0, "act"))
     off = sim.values[~np.eye(4, dtype=bool)]
     np.testing.assert_allclose(off, 1.0, atol=1e-6)
     assert sim.s_ee == pytest.approx(1.0, abs=1e-6)
@@ -186,7 +192,7 @@ def test_matrix_sim_scratch_near_zero():
     cfg = ModelConfig(num_layers=1, experts_per_layer=[4], num_shared=[0], top_k=2,
                       d_hid=32, d_mid=64, vocab=7)
     ck = synth_scratch(SynthSpec(config=cfg, mode="scratch", seed=31))
-    sim = matrix_level_sim(ck, 0, "up")
+    sim = matrix_level_sim(*layer_weights(ck, 0, "up"))
     off = sim.values[~np.eye(4, dtype=bool)]
     assert np.all(np.abs(off) <= 0.15)
     assert abs(sim.s_ee) <= 0.05
@@ -198,13 +204,13 @@ def test_matrix_sim_scale_invariant_per_expert():
     tensors = {name: np.array(model.get_tensor(name)) for name in model.tensors}
     tensors["layers.0.experts.1.w_act"] = 2.0 * tensors["layers.0.experts.0.w_act"]
     ck = build_checkpoint(model.config, tensors)
-    sim = matrix_level_sim(ck, 0, "act")
+    sim = matrix_level_sim(*layer_weights(ck, 0, "act"))
     assert sim.values[0, 1] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_matrix_sim_reference_column():
     model, ref = upcycled_pair(noise=0.3)
-    sim = matrix_level_sim(model, 0, "down", reference=ref)
+    sim = matrix_level_sim(*layer_weights(model, 0, "down", reference=ref))
     assert sim.labels == ["0", "1", "2", "3", "F"]
     assert sim.s_ef is not None
     # Experts sit closer to the shared base than to each other on average.
@@ -216,7 +222,7 @@ def test_matrix_sim_dense_layer_needs_reference():
                       d_hid=8, d_mid=12, vocab=7)
     ck = synth_scratch(SynthSpec(config=cfg, mode="scratch", seed=1))
     with pytest.raises(ValueError, match="dense"):
-        matrix_level_sim(ck, 0, "up")
+        matrix_level_sim(*layer_weights(ck, 0, "up"))
 
 
 def test_matrix_sim_rejects_mismatched_reference():
@@ -225,11 +231,11 @@ def test_matrix_sim_rejects_mismatched_reference():
                           top_k=1, d_hid=16, d_mid=48, vocab=7)
     ref_bad = synth_scratch(SynthSpec(config=cfg_big, mode="scratch", seed=2))
     with pytest.raises(ValueError, match="reference dimensions differ from model"):
-        matrix_level_sim(model, 0, "up", reference=ref_bad)
+        matrix_level_sim(*layer_weights(model, 0, "up", reference=ref_bad))
 
 
 def test_matrix_sim_diagonal_is_one(small_checkpoint):
-    sim = matrix_level_sim(small_checkpoint, 0, "act")
+    sim = matrix_level_sim(*layer_weights(small_checkpoint, 0, "act"))
     np.testing.assert_allclose(np.diag(sim.values), 1.0, atol=1e-6)
     np.testing.assert_allclose(sim.values, sim.values.T, atol=0)
 
@@ -244,8 +250,8 @@ def test_neuron_average_collapses_permutation():
                       d_hid=16, d_mid=24, vocab=7)
     model, perms = synth_permuted_clone_model(
         SynthSpec(config=cfg, mode="permuted_clone", seed=12))
-    avg = neuron_average_sim(model, 0, "act")
-    flat = matrix_level_sim(model, 0, "act")
+    avg = neuron_average_sim(*layer_weights(model, 0, "act"), "act")
+    flat = matrix_level_sim(*layer_weights(model, 0, "act"))
     off = ~np.eye(3, dtype=bool)
     np.testing.assert_allclose(avg.values[off], 1.0, atol=1e-6)
     assert np.all(flat.values[off] < 0.99)
@@ -279,8 +285,8 @@ def test_neuron_average_reversal_example():
     ref_tensors["layers.0.ffn.w_down"] = f.T.copy()
     reference = build_checkpoint(ref_cfg, ref_tensors)
 
-    flat = matrix_level_sim(model, 0, "act", reference=reference)
-    avg = neuron_average_sim(model, 0, "act", reference=reference)
+    flat = matrix_level_sim(*layer_weights(model, 0, "act", reference=reference))
+    avg = neuron_average_sim(*layer_weights(model, 0, "act", reference=reference), "act")
     assert flat.values[0, 1] == pytest.approx(0.0, abs=1e-9)     # e1 vs e2
     assert flat.values[0, 2] == pytest.approx(0.5, abs=1e-9)     # e1 vs F
     assert avg.values[0, 1] == pytest.approx(1.0, abs=1e-9)      # averaged e1 vs e2
@@ -290,7 +296,7 @@ def test_neuron_average_reversal_example():
 
 
 def test_neuron_average_matches_direct_computation(small_checkpoint):
-    sim = neuron_average_sim(small_checkpoint, 1, "down")
+    sim = neuron_average_sim(*layer_weights(small_checkpoint, 1, "down"), "down")
     mats = [np.asarray(small_checkpoint.get_tensor(f"layers.1.experts.{e}.w_down"),
                        dtype=np.float64) for e in range(4)]
     means = [m.mean(axis=1) for m in mats]
@@ -313,9 +319,9 @@ def test_neuron_average_refuses_a_mean_that_is_rounding_noise():
     stack = stack.astype(np.float32)
     assert np.abs(stack[1].astype(np.float64).mean(axis=0)).max() > 0.0
     with pytest.raises(ValueError, match="zero vector"):
-        neuron_average_sim(stack_checkpoint(stack), 0, "up")
+        neuron_average_sim(*layer_weights(stack_checkpoint(stack), 0, "up"), "up")
     stack[1, np.argmax(np.abs(stack[1]).max(axis=1))] *= 2
-    sim = neuron_average_sim(stack_checkpoint(stack), 0, "up")
+    sim = neuron_average_sim(*layer_weights(stack_checkpoint(stack), 0, "up"), "up")
     assert not np.isnan(sim.values).any()
 
 
@@ -531,7 +537,7 @@ def assert_reports_equal(got, want):
 def test_reorder_pass_matches_per_pair_oracle(name, stack):
     ckpt = stack_checkpoint(stack)
     rows = neuron_rows(layer_weights(ckpt, 0, "up")[0], "up")
-    got = pairwise_reorder_reports(ckpt, 0, "up")
+    got = pairwise_reorder_reports(rows)
     assert_reports_equal(got, reorder_oracle.pairwise_reorder_reports(rows))
     for rep in got:
         perm = rep.permutation.tolist()
@@ -545,7 +551,7 @@ def test_reorder_pass_matches_oracle_on_permuted_clones():
                                                         seed=5))
     for layer, which in itertools.product(range(2), WHICH_MATRICES):
         rows = neuron_rows(layer_weights(model, layer, which)[0], which)
-        got = pairwise_reorder_reports(model, layer, which)
+        got = pairwise_reorder_reports(rows)
         assert_reports_equal(got, reorder_oracle.pairwise_reorder_reports(rows))
         for rep in got[:len(rows) - 1]:  # expert 0 against each of its clones
             np.testing.assert_array_equal(rep.permutation, perms[(layer, int(rep.pair[1]))])
@@ -556,7 +562,19 @@ def test_reorder_pass_refuses_an_all_zero_expert_before_any_score():
     stack[2] = 0.0
     ckpt = stack_checkpoint(stack)
     with pytest.raises(ValueError, match="zero vector"):
-        pairwise_reorder_reports(ckpt, 0, "up")
+        pairwise_reorder_reports(neuron_rows(layer_weights(ckpt, 0, "up")[0], "up"))
+
+
+def test_reorder_of_one_neuron_leaves_tau_undefined():
+    """One neuron has one matching, so the similarities stay and tau, over
+    no pair of positions, is undefined; ``kendall_tau`` itself refuses it."""
+    rows = np.random.default_rng(6).normal(size=(3, 1, 4))
+    reports = pairwise_reorder_reports(rows)
+    assert [rep.pair for rep in reports] == [("0", "1"), ("0", "2"), ("1", "2")]
+    for rep in reports:
+        assert (rep.permutation.tolist(), rep.tau) == ([0], None)
+        assert rep.sim_after == rep.sim_before
+    assert reorder_neurons(rows[0], rows[1]).tau is None
 
 
 def test_reorder_pass_holds_one_score_matrix_at_a_time():
@@ -573,7 +591,7 @@ def test_reorder_pass_holds_one_score_matrix_at_a_time():
     import scipy.optimize  # noqa: F401  (a pair may need the solver; its import is not the pass)
     tracemalloc.start()
     try:
-        reports = pairwise_reorder_reports(ckpt, 0, "up")
+        reports = pairwise_reorder_reports(neuron_rows(layer_weights(ckpt, 0, "up")[0], "up"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -699,7 +717,7 @@ def test_regression_flags_every_layer_of_a_permuted_clone():
                       d_hid=8, d_mid=12, vocab=13)
     model = synth_permuted_clone_model(SynthSpec(config=cfg, mode="permuted_clone", seed=2))[0]
     for layer, which in itertools.product(range(2), ("up", "act", "down")):
-        rep = gate_expert_regression(model, layer, which)
+        rep = regression(model, layer, which)
         assert (rep.r, rep.r2) == (None, None)
 
 
@@ -712,11 +730,11 @@ def test_regression_perfect_when_gate_rows_are_act_means():
                        dtype=np.float64).mean(axis=0) for e in range(6)]
     tensors["layers.0.gate.weight"] = np.stack(rows).astype(np.float32)
     wired = build_checkpoint(cfg, tensors)
-    rep = gate_expert_regression(wired, 0, "act")
+    rep = regression(wired, 0, "act")
     assert rep.r == pytest.approx(1.0, abs=1e-6)
     assert rep.r2 == pytest.approx(rep.r * rep.r, abs=1e-9)
     assert rep.n_pairs == 15
-    other = gate_expert_regression(wired, 0, "up")
+    other = regression(wired, 0, "up")
     assert abs(other.r) < 0.9  # unrelated matrices should not correlate strongly
 
 
@@ -725,7 +743,22 @@ def test_regression_needs_three_experts():
                       d_hid=8, d_mid=8, vocab=3)
     ck = synth_scratch(SynthSpec(config=cfg, mode="scratch", seed=0))
     with pytest.raises(ValueError, match="at least 3"):
-        gate_expert_regression(ck, 0, "act")
+        regression(ck, 0, "act")
+
+
+def test_regression_refuses_matrices_of_other_experts():
+    """The gate matrix names the routed experts, which must lead the expert
+    matrix too; a trailing reference entry is allowed and left out."""
+    model, ref = upcycled_pair(n=4)
+    gate = gate_embedding_sim(model, 0)
+    with_ref = neuron_average_sim(*layer_weights(model, 0, "up", reference=ref), "up")
+    got, want = gate_expert_regression(gate, with_ref), regression(model, 0, "up")
+    assert (got.n_pairs, got.r) == (want.n_pairs, pytest.approx(want.r, abs=1e-12))
+    six = ModelConfig(num_layers=1, experts_per_layer=[6], num_shared=[0], top_k=2,
+                      d_hid=16, d_mid=24, vocab=7)
+    other = synth_scratch(SynthSpec(config=six, mode="scratch", seed=1))
+    with pytest.raises(ValueError, match="label different experts"):
+        gate_expert_regression(gate, neuron_average_sim(*layer_weights(other, 0, "up"), "up"))
 
 
 def test_regression_degenerate_identical_gate_rows():
@@ -736,7 +769,7 @@ def test_regression_degenerate_identical_gate_rows():
     tensors["layers.0.gate.weight"] = np.tile(tensors["layers.0.gate.weight"][0],
                                               (4, 1))
     wired = build_checkpoint(cfg, tensors)
-    rep = gate_expert_regression(wired, 0, "act")
+    rep = regression(wired, 0, "act")
     assert (rep.n_pairs, rep.r, rep.r2) == (6, None, None)
 
 
@@ -821,7 +854,19 @@ def test_pca_of_identical_points_sits_at_the_origin(standardize):
 
 def test_pca_rejects_too_few_samples(rng):
     with pytest.raises(ValueError, match="fewer samples"):
-        pca_project(rng.normal(size=(2, 4)), dims=2)
+        pca_project(rng.normal(size=(1, 4)), dims=2)
+
+
+@pytest.mark.parametrize("standardize", [True, False])
+def test_pca_of_two_points_resolves_one_direction(rng, standardize):
+    """Two points span one direction: the second component is one rounding
+    cannot resolve, so its coordinates and explained variance are zero."""
+    data = rng.normal(size=(2, 5))
+    proj = pca_project(data, dims=2, standardize=standardize)
+    assert proj.coords[:, 1].tolist() == [0.0, 0.0]
+    assert proj.explained_variance[1] == 0.0
+    spread = np.linalg.norm(np.diff(data, axis=0) / (proj.scale if standardize else 1.0))
+    assert abs(proj.coords[0, 0] - proj.coords[1, 0]) == pytest.approx(spread, rel=1e-12)
 
 
 def planted(n, features, spectrum, standardize, seed=0):
@@ -1080,6 +1125,24 @@ def test_no_module_calls_an_svd():
         elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
             if any(alias.name == "svd" for alias in node.names):
                 found.append(f"{filename}:{node.lineno}")
+    assert found == []
+
+
+def test_only_the_readers_touch_a_checkpoint():
+    """``layer_weights`` reads expert matrices and ``gate_embedding_sim`` the
+    gate; every other weight analysis reduces their arrays, so in
+    ``static_analysis`` only these two call ``get_tensor`` or ``is_dense``."""
+    readers = {"layer_weights", "gate_embedding_sim"}
+    path = os.path.join(os.path.dirname(moe_lens.__file__), "static_analysis.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("get_tensor", "is_dense")
+                    and getattr(top, "name", None) not in readers):
+                found.append(f"{getattr(top, 'name', 'module')}:{node.lineno}")
     assert found == []
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from moe_lens import ModelConfig
-from moe_lens.static_analysis import cosine_sim, matrix_level_sim
+from moe_lens.static_analysis import cosine_sim, layer_weights, matrix_level_sim
 from moe_lens.synth import (SynthSpec, synth_permuted_clone, synth_permuted_clone_model,
                             synth_scratch, synth_upcycled)
 from moe_lens.tensor_store import CheckpointError, serialize_checkpoint
@@ -20,7 +20,7 @@ def make_config(**overrides):
 
 
 def mean_pairwise_cos(ckpt, layer, which):
-    sim = matrix_level_sim(ckpt, layer, which)
+    sim = matrix_level_sim(*layer_weights(ckpt, layer, which))
     return sim.s_ee
 
 
@@ -154,7 +154,7 @@ def test_permuted_clone_model_flattened_sim_below_one():
     model, perms = synth_permuted_clone_model(
         SynthSpec(config=cfg, mode="permuted_clone", seed=9))
     assert set(perms) == {(0, 1), (0, 2)}
-    sim = matrix_level_sim(model, 0, "up")
+    sim = matrix_level_sim(*layer_weights(model, 0, "up"))
     # A nontrivial permutation decorrelates the flattened views.
     for i, j in itertools.combinations(range(3), 2):
         assert sim.values[i, j] < 0.99
