@@ -100,18 +100,9 @@ class ModelConfig:
             raise ValueError("reference dimensions differ from model")
 
     def to_dict(self) -> dict:
-        return {
-            "num_layers": self.num_layers,
-            "experts_per_layer": list(self.experts_per_layer),
-            "num_shared": list(self.num_shared),
-            "top_k": self.top_k,
-            "d_hid": self.d_hid,
-            "d_mid": self.d_mid,
-            "vocab": self.vocab,
-            "activation": self.activation,
-            "gating_order": self.gating_order,
-            "use_prenorm": self.use_prenorm,
-        }
+        """The JSON form: every field, tuples as lists."""
+        return {f.name: list(value) if isinstance(value := getattr(self, f.name), tuple)
+                else value for f in fields(self)}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":

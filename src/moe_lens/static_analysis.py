@@ -604,8 +604,17 @@ def _balls_hold(points: np.ndarray, centers: np.ndarray, eps: float,
     reach = max(eps * (1.0 + 2.0 ** -20), 2.0 ** -510)
     y = min(1, points.shape[1] - 1)
 
+    def strip_of(x):
+        # x / eps overflows to +-inf once |x| passes about 1e308 * eps (past
+        # about 1e-12 at a subnormal eps).  Division rounds monotonically
+        # through the overflow, so strips still sort as coordinates do and a
+        # bound shifted by ``reach`` still spans every strip that can hold an
+        # eps-neighbour: none is lost.
+        with np.errstate(over="ignore"):
+            return np.floor(x / eps)
+
     def strip_sorted(data):
-        strip = np.floor(data[:, 0] / eps)
+        strip = strip_of(data[:, 0])
         order = np.lexsort((data[:, y], strip))
         return order, strip[order], np.ascontiguousarray(data[order].T)
 
@@ -617,9 +626,8 @@ def _balls_hold(points: np.ndarray, centers: np.ndarray, eps: float,
     order, point_strip, point_cols = strip_sorted(points)
     for lo in range(0, len(points), _BALL_BLOCK):
         block = point_cols[:, lo:lo + _BALL_BLOCK]
-        ranks = np.arange(np.searchsorted(strips, np.floor((block[0].min() - reach) / eps)),
-                          np.searchsorted(strips, np.floor((block[0].max() + reach) / eps),
-                                          "right"))
+        ranks = np.arange(np.searchsorted(strips, strip_of(block[0].min() - reach)),
+                          np.searchsorted(strips, strip_of(block[0].max() + reach), "right"))
         low, high = block[y].min(), block[y].max()
         start = np.searchsorted(key, ranks + 1j * (low - reach))
         mid = np.searchsorted(key, ranks + 1j * low)

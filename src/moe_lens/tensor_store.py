@@ -15,10 +15,8 @@ The JSON header holds the model config and a tensor directory::
                                           "shape": [8, 64],
                                           "offsets": [0, 2048]}, ...}}
 
-The header holds no other key, and a tensor entry no other than these three.
 Tensor payloads are finite float32, little-endian, row-major.  ``offsets``
-are byte positions relative to the start of the data section; the range
-length must be exactly ``4 * prod(shape)``.
+are byte positions relative to the start of the data section.
 
 Tensor names are derived from the config, and this module is the only one
 that spells them.  Every model has ``embed.weight`` of shape
@@ -29,9 +27,13 @@ experts use the same three suffixes under ``layers.{i}.shared.{m}``.  A dense
 layer stores a single ``layers.{i}.ffn.w_up`` / ``.w_act`` / ``.w_down``
 triple and no gate.  ``ffn_prefixes`` gives a layer's FFN name prefixes.
 
-The writer lays tensors out consecutively in sorted-name order and serializes
-the header with sorted keys and no whitespace.  The reader accepts exactly
-those bytes, so a file round-trips bit-exactly and one model has one file.
+The config alone fixes the directory: ``_layout`` places the tensors in
+sorted-name order, each range right after the last, 4 bytes per value.  The
+header is the canonical dump (sorted keys, no whitespace) of the config and
+that directory.  The reader accepts a file exactly when its header bytes
+equal that dump, its payload is exactly the layout's length, and every
+weight is finite, so a file round-trips bit-exactly and one model has one
+file.
 """
 
 from __future__ import annotations
@@ -42,10 +44,11 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .config import ModelConfig, _is_int
+from .config import ModelConfig
 
 MAGIC = b"MOEL"
 FORMAT_VERSION = 1
@@ -66,18 +69,18 @@ class TensorMeta:
     start: int
     end: int
 
-    @property
-    def nbytes(self) -> int:
-        return 4 * math.prod(self.shape)
-
 
 @dataclass
 class Checkpoint:
-    """Parsed checkpoint: config, tensor directory, and the raw data section."""
+    """Parsed checkpoint: config and the raw data section."""
 
     config: ModelConfig
-    tensors: dict[str, TensorMeta]
     data: bytes
+
+    @cached_property
+    def tensors(self) -> dict[str, TensorMeta]:
+        """The tensor directory, which the config fixes."""
+        return _layout(self.config)
 
     def get_tensor(self, name: str) -> np.ndarray:
         """Read-only float32 view of one tensor, reshaped row-major."""
@@ -117,18 +120,27 @@ def required_tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _check_tensor_set(config: ModelConfig, shapes: dict[str, tuple[int, ...]]) -> None:
-    """Raise unless ``shapes`` names exactly the tensors the config requires,
-    each with its required shape."""
-    required = required_tensor_shapes(config)
-    for name, want in required.items():
-        if name not in shapes:
+def _layout(config: ModelConfig) -> dict[str, TensorMeta]:
+    """Where each tensor's bytes lie: sorted-name order, each range right
+    after the last, 4 bytes per value."""
+    layout: dict[str, TensorMeta] = {}
+    cursor = 0
+    for name, shape in sorted(required_tensor_shapes(config).items()):
+        layout[name] = TensorMeta(shape=shape, start=cursor, end=cursor + 4 * math.prod(shape))
+        cursor = layout[name].end
+    return layout
+
+
+def _match_tensors(got: dict, want: dict, what: str) -> None:
+    """Raise for the first name, in name order, that ``got`` lacks, holds
+    beyond ``want``, or maps to another value than ``want`` does."""
+    for name in sorted(got.keys() | want.keys()):
+        if name not in got:
             raise CheckpointError(f"missing tensor: {name}")
-        if shapes[name] != want:
-            raise CheckpointError(f"shape mismatch for {name}: got {shapes[name]}, want {want}")
-    for name in shapes:
-        if name not in required:
+        if name not in want:
             raise CheckpointError(f"unexpected tensor: {name}")
+        if got[name] != want[name]:
+            raise CheckpointError(f"{what} mismatch for {name}: got {got[name]}, want {want[name]}")
 
 
 def build_checkpoint(config: ModelConfig, tensors: dict[str, np.ndarray]) -> Checkpoint:
@@ -138,18 +150,10 @@ def build_checkpoint(config: ModelConfig, tensors: dict[str, np.ndarray]) -> Che
     exact shape; values are cast to float32.
     """
     tensors = {name: np.asarray(arr) for name, arr in tensors.items()}
-    _check_tensor_set(config, {name: arr.shape for name, arr in tensors.items()})
-
-    metas: dict[str, TensorMeta] = {}
-    chunks: list[bytes] = []
-    cursor = 0
-    for name in sorted(tensors):
-        raw = np.ascontiguousarray(tensors[name], dtype=_F32).tobytes()
-        metas[name] = TensorMeta(shape=tensors[name].shape, start=cursor,
-                                 end=cursor + len(raw))
-        chunks.append(raw)
-        cursor += len(raw)
-    ckpt = Checkpoint(config=config, tensors=metas, data=b"".join(chunks))
+    _match_tensors({name: arr.shape for name, arr in tensors.items()},
+                   required_tensor_shapes(config), "shape")
+    ckpt = Checkpoint(config, b"".join(np.ascontiguousarray(tensors[name], dtype=_F32).tobytes()
+                                       for name in _layout(config)))
     _check_finite(ckpt)
     return ckpt
 
@@ -162,15 +166,19 @@ def _check_finite(ckpt: Checkpoint) -> None:
             raise CheckpointError(f"non-finite value in {name}")
 
 
+def _dump(obj) -> str:
+    """Canonical JSON: sorted keys, no whitespace."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _entries(ckpt: Checkpoint) -> dict[str, dict]:
+    """The header's tensor directory."""
+    return {name: {"dtype": "f32", "shape": list(meta.shape), "offsets": [meta.start, meta.end]}
+            for name, meta in ckpt.tensors.items()}
+
+
 def _header_bytes(ckpt: Checkpoint) -> bytes:
-    """The canonical JSON header: sorted keys, no whitespace."""
-    directory = {
-        name: {"dtype": "f32", "shape": list(meta.shape),
-               "offsets": [meta.start, meta.end]}
-        for name, meta in ckpt.tensors.items()
-    }
-    header_obj = {"__config__": ckpt.config.to_dict(), "tensors": directory}
-    return json.dumps(header_obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _dump({"__config__": ckpt.config.to_dict(), "tensors": _entries(ckpt)}).encode("utf-8")
 
 
 def serialize_checkpoint(ckpt: Checkpoint) -> bytes:
@@ -228,9 +236,10 @@ def parse_checkpoint(blob: bytes) -> Checkpoint:
     header_len = int.from_bytes(blob[8:16], "little")
     if 16 + header_len > len(blob):
         raise CheckpointError("header/payload length mismatch")
+    raw, data = blob[16:16 + header_len], blob[16 + header_len:]
     try:
-        header = json.loads(blob[16:16 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        header = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"malformed header: {exc}") from exc
     if not isinstance(header, dict) or header.keys() != {"__config__", "tensors"}:
         raise CheckpointError("malformed header: keys must be __config__ and tensors")
@@ -238,44 +247,21 @@ def parse_checkpoint(blob: bytes) -> Checkpoint:
         config = ModelConfig.from_dict(header["__config__"])
     except ValueError as exc:
         raise CheckpointError(f"bad config: {exc}") from exc
-
-    data = blob[16 + header_len:]
-    directory = header["tensors"]
-    if not isinstance(directory, dict):
-        raise CheckpointError("malformed header: tensors must be an object")
-
-    metas: dict[str, TensorMeta] = {}
-    for name, entry in directory.items():
-        if not isinstance(entry, dict) or entry.keys() != {"dtype", "shape", "offsets"}:
-            raise CheckpointError(f"malformed entry for {name}: keys must be dtype, "
-                                  "shape and offsets")
-        if entry.get("dtype") != "f32":
-            raise CheckpointError(f"unsupported dtype for {name}: {entry.get('dtype')!r}")
-        shape = entry.get("shape")
-        if (not isinstance(shape, list) or
-                not all(_is_int(d) and d > 0 for d in shape)):
-            raise CheckpointError(f"bad shape for {name}")
-        offsets = entry.get("offsets")
-        if (not isinstance(offsets, list) or len(offsets) != 2 or
-                not all(_is_int(o) and o >= 0 for o in offsets)):
-            raise CheckpointError(f"bad offsets for {name}")
-        start, end = offsets
-        meta = TensorMeta(shape=tuple(shape), start=start, end=end)
-        if end - start != meta.nbytes:
-            raise CheckpointError(f"payload length mismatch for {name}")
-        metas[name] = meta
-
-    cursor = 0
-    for name in sorted(metas):
-        if metas[name].start != cursor:
-            raise CheckpointError(f"tensor byte ranges not consecutive in name order at {name}")
-        cursor = metas[name].end
-    if len(data) != cursor:
+    # A few header bytes can claim any number of experts; refuse before the
+    # layout names them all when the payload cannot hold one value per matrix.
+    ffns = sum(config.experts_per_layer) + sum(config.num_shared)
+    if len(data) < 4 * len(FFN_MATRICES) * ffns:
         raise CheckpointError("header/payload length mismatch")
 
-    _check_tensor_set(config, {name: meta.shape for name, meta in metas.items()})
-    ckpt = Checkpoint(config=config, tensors=metas, data=data)
-    _check_finite(ckpt)
-    if _header_bytes(ckpt) != blob[16:16 + header_len]:
+    ckpt = Checkpoint(config, data)
+    if raw != _header_bytes(ckpt):
+        if not isinstance(header["tensors"], dict):
+            raise CheckpointError("malformed header: tensors must be an object")
+        got = {name: _dump(entry) for name, entry in header["tensors"].items()}
+        _match_tensors(got, {name: _dump(entry) for name, entry in _entries(ckpt).items()},
+                       "entry")
         raise CheckpointError("malformed header: not in canonical form")
+    if len(data) != max(meta.end for meta in ckpt.tensors.values()):
+        raise CheckpointError("header/payload length mismatch")
+    _check_finite(ckpt)
     return ckpt

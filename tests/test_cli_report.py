@@ -955,6 +955,45 @@ def test_empty_model_fails_cleanly(tmp_path, capsys, command, synth_args, messag
     assert snapshot(tmp_path / "out") == {}
 
 
+@pytest.fixture(scope="module")
+def refusal_inputs(tmp_path_factory):
+    """A 2-expert model with d_hid 2, a corpus of blanks, and a checkpoint
+    whose header nests 100,000 arrays deep."""
+    root = tmp_path_factory.mktemp("refusals")
+    assert run_command(["synth", "--mode", "scratch", "--seed", "5", "--out", str(root),
+                        "--layers", "1", "--experts", "2", "--top-k", "1", "--d-hid", "2",
+                        "--d-mid", "4", "--vocab", "7"]) == 0
+    (root / "blank.txt").write_text("  \n\t\n", encoding="utf-8")
+    header = b'{"__config__":' + b"[" * 100_000
+    (root / "deep.moel").write_bytes(b"MOEL" + (1).to_bytes(4, "little")
+                                     + len(header).to_bytes(8, "little") + header)
+    return {"model": str(root / "model.moel"), "blank": str(root / "blank.txt"),
+            "deep": str(root / "deep.moel")}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["trace", "--model", "{model}", "--corpus", "{blank}"], "corpus holds no tokens"),
+    (["gate-corr", "--model", "{model}", "--which", "up"],
+     "no gated layer has enough experts for regression"),
+    (["matrix-sim", "--model", "{model}", "--layer", "abc", "--which", "up"],
+     "--layer expects an index or 'all': 'abc'"),
+    (["synth", "--mode", "scratch", "--seed", "5", "--experts", "a"],
+     "--experts expects integers: invalid literal for int() with base 10: 'a'"),
+    (["pca", "--model", "{model}", "--level", "neuron", "--dims", "3", "--which", "up"],
+     "fewer features than dims"),
+    (["matrix-sim", "--model", "{deep}", "--which", "up"],
+     "malformed header: maximum recursion depth exceeded while decoding a JSON array"),
+], ids=["blank-corpus", "gate-corr-two-experts", "layer-abc", "synth-experts-a",
+        "pca-dims-above-features", "deeply-nested-header"])
+def test_refusal_is_one_error_line(refusal_inputs, tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    code = run_command([arg.format(**refusal_inputs) for arg in argv] + ["--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert not out.exists() or snapshot(out) == {}
+
+
 @pytest.mark.parametrize("synth_args, degenerate_steps", [
     (["--mode", "upcycled", "--noise", "0"], {"pca", "gate-corr"}),
     (["--mode", "permuted-clone"], {"gate-corr"}),

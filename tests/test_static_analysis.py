@@ -1084,6 +1084,21 @@ def test_dbscan_noise_matches_bfs_oracle_across_many_tiles(seed):
         dbscan_noise(points, eps, min_pts)
 
 
+@pytest.mark.parametrize("eps", [1e-320, 1e-310])
+@pytest.mark.parametrize("dims", [1, 2, 3])
+def test_dbscan_noise_matches_bfs_oracle_at_subnormal_eps(eps, dims):
+    """At a subnormal eps, x / eps overflows to +-inf for every coordinate
+    past about 1e-12: the strips must still hold every neighbour, with no
+    overflow warning."""
+    rng = np.random.default_rng(dims)
+    spread = rng.normal(size=(60, dims))
+    near_zero = rng.integers(-3, 4, size=(60, dims)) * eps
+    points = np.concatenate([spread, near_zero, spread[:15], near_zero[:15]])
+    for min_pts in (1, 2, 3):
+        assert dbscan_outliers(points, eps=eps, min_pts=min_pts) == \
+            dbscan_noise(points, eps, min_pts)
+
+
 def package_nodes():
     """(filename, node) for every syntax node of every module of the package."""
     package = os.path.dirname(moe_lens.__file__)

@@ -4,14 +4,17 @@ import ast
 import copy
 import json
 import os
+import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import checkpoint_oracle
 import moe_lens
-from moe_lens import ModelConfig
+from moe_lens import ModelConfig, tensor_store
 from moe_lens.report import Provenance, emit_csv
 from moe_lens.tensor_store import (MAGIC, CheckpointError, atomic_write_bytes,
                                    build_checkpoint, dump_checkpoint, parse_checkpoint,
@@ -184,9 +187,16 @@ def _header_and_data(blob):
     return header, blob[16 + header_len:]
 
 
+def _dump(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _blob_with_header(raw: bytes, payload: bytes = b"") -> bytes:
+    return MAGIC + (1).to_bytes(4, "little") + len(raw).to_bytes(8, "little") + raw + payload
+
+
 def _reassemble(header, data):
-    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return MAGIC + (1).to_bytes(4, "little") + len(raw).to_bytes(8, "little") + raw + data
+    return _blob_with_header(_dump(header).encode("utf-8"), data)
 
 
 def test_read_rejects_unsupported_dtype():
@@ -194,7 +204,8 @@ def test_read_rejects_unsupported_dtype():
     blob = serialize_checkpoint(build_checkpoint(config, full_tensor_map(config)))
     header, data = _header_and_data(blob)
     header["tensors"]["embed.weight"]["dtype"] = "f64"
-    with pytest.raises(CheckpointError, match="unsupported dtype"):
+    with pytest.raises(CheckpointError, match='entry mismatch for embed.weight: '
+                                              'got {"dtype":"f64",.*}, want {"dtype":"f32",'):
         parse_checkpoint(_reassemble(header, data))
 
 
@@ -209,7 +220,7 @@ def test_read_rejects_overlapping_ranges():
     size = entries[first]["offsets"][1] - entries[first]["offsets"][0]
     entries[first]["offsets"] = [entries[second]["offsets"][0],
                                  entries[second]["offsets"][0] + size]
-    with pytest.raises(CheckpointError, match="not consecutive in name order at "):
+    with pytest.raises(CheckpointError, match=f"entry mismatch for {re.escape(first)}: "):
         parse_checkpoint(_reassemble(header, data))
 
 
@@ -218,7 +229,9 @@ def test_read_rejects_offset_length_mismatch():
     blob = serialize_checkpoint(build_checkpoint(config, full_tensor_map(config)))
     header, data = _header_and_data(blob)
     header["tensors"]["embed.weight"]["offsets"][1] += 4
-    with pytest.raises(CheckpointError, match="length mismatch"):
+    with pytest.raises(CheckpointError, match=re.escape(
+            'entry mismatch for embed.weight: got {"dtype":"f32","offsets":[0,44],"shape":[5,2]}, '
+            'want {"dtype":"f32","offsets":[0,40],"shape":[5,2]}')):
         parse_checkpoint(_reassemble(header, data))
 
 
@@ -300,7 +313,7 @@ def test_read_rejects_gap_in_data_section():
     end = header["tensors"][first]["offsets"][1]
     for name in rest:
         header["tensors"][name]["offsets"] = [o + 4 for o in header["tensors"][name]["offsets"]]
-    with pytest.raises(CheckpointError, match=f"not consecutive in name order at {rest[0]}"):
+    with pytest.raises(CheckpointError, match=f"entry mismatch for {re.escape(rest[0])}: "):
         parse_checkpoint(_reassemble(header, data[:end] + bytes(4) + data[end:]))
 
 
@@ -350,7 +363,7 @@ def test_read_rejects_unknown_tensor_entry_key():
     header, data = _header_and_data(blob)
     header["tensors"]["embed.weight"]["stride"] = [2, 1]
     with pytest.raises(CheckpointError,
-                       match="malformed entry for embed.weight: keys must be dtype, shape"):
+                       match='entry mismatch for embed.weight: got {.*"stride":\\[2,1\\]}'):
         parse_checkpoint(_reassemble(header, data))
 
 
@@ -391,13 +404,9 @@ _JSON_VALUES = st.recursive(
     max_leaves=6)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(_FUZZ_PATHS), st.sampled_from(["replace", "delete", "add"]),
-       _JSON_VALUES | st.sampled_from(_FUZZ_PATHS).map(lambda p: _at(_FUZZ_HEADER, p)),
-       st.text(max_size=8))
-def test_parser_fuzz_header_mutations(path, op, value, new_key):
-    """Replace, delete or add one node of the header JSON, with a drawn value
-    or one copied from elsewhere in the header."""
+def _mutated_header(path, op, value, new_key):
+    """The fuzz blob with one node of its header JSON replaced, deleted or
+    added, by a drawn value or one copied from elsewhere in the header."""
     header = copy.deepcopy(_FUZZ_HEADER)
     value = copy.deepcopy(value)
     if not path:
@@ -413,17 +422,108 @@ def test_parser_fuzz_header_mutations(path, op, value, new_key):
             target.append(value)
         else:
             parent[last] = value
-    _assert_rejected_or_round_trips(_reassemble(header, _FUZZ_PAYLOAD))
+    return _reassemble(header, _FUZZ_PAYLOAD)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, len(_FUZZ_BLOB) - 1), st.integers(1, 255)),
-                min_size=1, max_size=3))
-def test_parser_fuzz_byte_flips(flips):
+def _flipped_bytes(flips):
     blob = bytearray(_FUZZ_BLOB)
     for position, mask in flips:
         blob[position] ^= mask
-    _assert_rejected_or_round_trips(bytes(blob))
+    return bytes(blob)
+
+
+HEADER_MUTATIONS = st.builds(
+    _mutated_header, st.sampled_from(_FUZZ_PATHS), st.sampled_from(["replace", "delete", "add"]),
+    _JSON_VALUES | st.sampled_from(_FUZZ_PATHS).map(lambda p: _at(_FUZZ_HEADER, p)),
+    st.text(max_size=8))
+BYTE_FLIPS = st.builds(_flipped_bytes, st.lists(
+    st.tuples(st.integers(0, len(_FUZZ_BLOB) - 1), st.integers(1, 255)), min_size=1, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(HEADER_MUTATIONS)
+def test_parser_fuzz_header_mutations(blob):
+    _assert_rejected_or_round_trips(blob)
+
+
+@settings(max_examples=200, deadline=None)
+@given(BYTE_FLIPS)
+def test_parser_fuzz_byte_flips(blob):
+    _assert_rejected_or_round_trips(blob)
+
+
+def _oracle_verdict(blob):
+    try:
+        return checkpoint_oracle.serialize_checkpoint(checkpoint_oracle.parse_checkpoint(blob))
+    except CheckpointError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(HEADER_MUTATIONS | BYTE_FLIPS)
+def test_parser_matches_field_by_field_oracle(blob):
+    """The layout reader refuses exactly the blobs the field-by-field reader
+    refuses, and writes back the same bytes for the rest."""
+    try:
+        got = serialize_checkpoint(parse_checkpoint(blob))
+    except CheckpointError:
+        got = None
+    assert got == _oracle_verdict(blob)
+
+
+def test_oracle_and_reader_accept_canonical_files(small_checkpoint):
+    """The two readers agree on accepted files too, not only on refusals."""
+    for ckpt in (small_checkpoint, build_checkpoint(tiny_config(num_shared=[2]),
+                                                    full_tensor_map(tiny_config(num_shared=[2])))):
+        blob = serialize_checkpoint(ckpt)
+        assert serialize_checkpoint(parse_checkpoint(blob)) == _oracle_verdict(blob) == blob
+
+
+def test_read_rejects_deeply_nested_header():
+    blob = _blob_with_header(b'{"__config__":' + b"[" * 100_000)
+    with pytest.raises(CheckpointError, match="malformed header: maximum recursion depth"):
+        parse_checkpoint(blob)
+
+
+def test_read_rejects_entries_nested_near_the_recursion_limit():
+    """Whatever depth json.loads still reads, the entry check refuses with
+    CheckpointError: an entry sits two levels below the header's root, so
+    json.dumps can always write back an entry that json.loads could read."""
+    header, data = _canonical_parts()
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 60, limit + 5):
+        header["tensors"]["embed.weight"] = "__deep__"
+        raw = _dump(header).replace('"__deep__"', "[" * depth + "]" * depth)
+        with pytest.raises(CheckpointError, match="entry mismatch for embed.weight|malformed header"):
+            parse_checkpoint(_blob_with_header(raw.encode("utf-8"), data))
+
+
+def test_read_refuses_a_huge_expert_count_before_naming_tensors(monkeypatch):
+    """A few header bytes claiming 10**9 experts are refused by the payload
+    length, before the layout would name three billion tensors."""
+    def refuse(config):
+        raise AssertionError("the reader named the tensors")
+
+    monkeypatch.setattr(tensor_store, "required_tensor_shapes", refuse)
+    config = dict(tiny_config().to_dict(), experts_per_layer=[10 ** 9])
+    raw = _dump({"__config__": config, "tensors": {}}).encode("utf-8")
+    with pytest.raises(CheckpointError, match="^header/payload length mismatch$"):
+        parse_checkpoint(_blob_with_header(raw))
+
+
+def test_header_is_the_dump_of_the_config_layout():
+    """Offsets follow sorted names, each range right after the last."""
+    config = tiny_config(num_shared=[1])
+    header, data = _header_and_data(serialize_checkpoint(
+        build_checkpoint(config, full_tensor_map(config))))
+    cursor = 0
+    for name in sorted(header["tensors"]):
+        entry = header["tensors"][name]
+        assert entry == {"dtype": "f32", "shape": list(required_tensor_shapes(config)[name]),
+                         "offsets": [cursor, cursor + 4 * int(np.prod(entry["shape"]))]}
+        cursor = entry["offsets"][1]
+    assert cursor == len(data)
+    assert header["__config__"] == config.to_dict()
 
 
 def test_config_validation_round_trip():
@@ -452,7 +552,9 @@ def test_read_rejects_boolean_tensor_directory(field, value):
     blob = serialize_checkpoint(build_checkpoint(config, full_tensor_map(config)))
     header, data = _header_and_data(blob)
     header["tensors"]["embed.weight"][field] = value
-    with pytest.raises(CheckpointError, match=f"bad {field} for embed.weight"):
+    with pytest.raises(CheckpointError,
+                       match=f'entry mismatch for embed.weight: got {{.*"{field}":'
+                             + re.escape(json.dumps(value, separators=(",", ":")))):
         parse_checkpoint(_reassemble(header, data))
 
 
