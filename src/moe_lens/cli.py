@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 from collections.abc import Callable
@@ -187,10 +188,12 @@ def _layer_weights(ctx: Context, layer: int) -> tuple[np.ndarray, list[str]]:
 
 def _cmd_reorder(ctx: Context) -> list[str]:
     which = ctx.args.which
-    rows = [[layer, *rep.pair, which, rep.sim_before, rep.sim_after, rep.tau]
-            for layer in _select_layers(ctx.args.layer, ctx.model)
-            for rep in sta.pairwise_reorder_reports(
-                sta.neuron_rows(_layer_weights(ctx, layer)[0], which))]
+    rows = []
+    for layer in _select_layers(ctx.args.layer, ctx.model):
+        stack, experts = _layer_weights(ctx, layer)
+        reports = sta.pairwise_reorder_reports(sta.neuron_rows(stack, which))
+        rows += [[layer, *pair, which, rep.sim_before, rep.sim_after, rep.tau]
+                 for pair, rep in zip(itertools.combinations(experts, 2), reports)]
     taus = [row[-1] for row in rows if row[-1] is not None]
     undefined = dict.fromkeys(str(row[0]) for row in rows if row[-1] is None)
     comments = [f"mean_tau: {format_cell(np.mean(taus) if taus else None)}"]
@@ -234,21 +237,20 @@ def _cmd_pca(ctx: Context) -> list[str]:
             neurons = sta.neuron_rows(stack, args.which)
             vectors = neurons.reshape(-1, neurons.shape[-1])
             labels = [f"{e}.{j}" for e in experts for j in range(neurons.shape[1])]
-        proj = sta.pca_project(vectors, dims=args.dims,
-                               standardize=not args.no_standardize, labels=labels)
-        if args.eps is not None:
-            proj = sta.filter_outliers(proj, eps=args.eps, min_pts=args.min_pts)
+        proj = sta.pca_project(vectors, dims=args.dims, standardize=not args.no_standardize)
+        noise = set() if args.eps is None else sta.dbscan_outliers(
+            proj.coords, eps=args.eps, min_pts=args.min_pts)
         comments = [
             "explained_variance: " + " ".join(map(format_cell, proj.explained_variance)),
-            "outliers: " + (" ".join(proj.outliers) if proj.outliers else "-"),
+            "outliers: " + (" ".join(labels[i] for i in sorted(noise)) if noise else "-"),
             f"level: {args.level}",
         ]
         if not proj.explained_variance.any():
             comments.append("degenerate: no feature varies; every point is at the origin")
-        rows = [[label, *coords] for label, coords in zip(proj.labels, proj.coords)]
+        rows = [[label, *coords] for i, (label, coords) in enumerate(zip(labels, proj.coords))
+                if i not in noise]
         path = os.path.join(ctx.out, f"pca-layer{layer}-{args.which}-{args.level}.csv")
-        emit_csv(path, ctx.provenance,
-                 ["label", *[f"pc{d + 1}" for d in range(args.dims)]],
+        emit_csv(path, ctx.provenance, ["label", *[f"pc{d + 1}" for d in range(args.dims)]],
                  rows, extra_comments=comments)
         written.append(path)
     return written
@@ -501,7 +503,7 @@ def run_command(argv: list[str], loaded: Context | None = None) -> int:
             written = _cmd_synth(args)
         else:
             written = args.func(_load_context(args, argv, loaded))
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for path in written:

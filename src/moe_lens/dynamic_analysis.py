@@ -13,17 +13,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moe_core import CorpusTrace, LayerTrace
-from .static_analysis import (REFERENCE_LABEL, SimilarityMatrix, angular, cosine_sim,
-                              pairwise_cosine, similarity_matrix)
+from .static_analysis import (REFERENCE_LABEL, SimilarityMatrix, angular, pairwise_cosine,
+                              similarity_matrix)
 
 
 def angular_sim(u, v) -> float:
     """Cosine folded onto [0, 1]: 1 parallel, 0.5 orthogonal, 0 opposite.
 
     Unlike raw cosine this is a bounded, sign-free scale, which makes corpus
-    averages comparable across layers and models.
+    averages comparable across layers and models.  The two-row case of
+    ``pairwise_cosine``: a zero vector is undefined.
     """
-    return float(angular(np.clip(cosine_sim(u, v), -1.0, 1.0)))
+    u, v = (np.asarray(x, dtype=np.float64).ravel() for x in (u, v))
+    if u.shape != v.shape:
+        raise ValueError("undefined similarity: length mismatch")
+    return float(angular(pairwise_cosine(np.stack([u, v]), allow_zero=False)[0, 1]))
 
 
 def _layer_trace(trace: CorpusTrace, layer: int) -> LayerTrace:

@@ -226,17 +226,22 @@ def native_output(ckpt: Checkpoint, layer: int, trace: LayerTrace,
 
 def read_corpus(path, vocab: int) -> list[int]:
     """Parse a corpus file into its token stream: the whitespace-separated
-    token ids of every line, in file order, each below ``vocab``."""
+    token ids of every line, in file order, each below ``vocab``.  An id is
+    ASCII digits alone, where ``int`` also takes signs, ``_`` and other digits."""
     tokens = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             fields = line.split()
-            try:
-                ids = [int(f) for f in fields]
-            except ValueError as exc:
-                raise ValueError(f"bad token id on line {lineno}: {exc}") from exc
-            if any(t < 0 for t in ids):
+            digits = [f.removeprefix("-") for f in fields]
+            bad = [f for f, d in zip(fields, digits) if not (d.isascii() and d.isdigit())]
+            if bad:
+                raise ValueError(f"bad token id on line {lineno}: {bad[0]!r}")
+            if digits != fields:
                 raise ValueError(f"negative token id on line {lineno}")
+            try:
+                ids = [int(d) for d in digits]
+            except ValueError as exc:  # more digits than int() converts
+                raise ValueError(f"bad token id on line {lineno}: {exc}") from exc
             bad = [t for t in ids if t >= vocab]
             if bad:
                 raise ValueError(f"token id out of range on line {lineno}: {bad[0]} "

@@ -1,8 +1,9 @@
 """Deterministic report artifacts: provenance-stamped CSV tables and P6 heatmaps.
 
-Every artifact is written atomically (temp file, then rename) and carries no
-timestamps or machine-specific state, so re-running the same command over the
-same inputs reproduces files byte for byte.
+``emit_heatmap`` alone maps values to colours.  Every artifact is written
+atomically (temp file, then rename) and carries no timestamps or
+machine-specific state, so re-running the same command over the same inputs
+reproduces files byte for byte.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ import numpy as np
 from . import __version__
 from .tensor_store import atomic_write_bytes
 
-# Colormap endpoints, linearly interpolated over 256 steps.
+# Ramp endpoints, linearly interpolated over 256 levels.
 _DARK = np.array([8, 8, 32], dtype=np.float64)
 _LIGHT = np.array([255, 244, 160], dtype=np.float64)
-_MASKED_RGB = bytes((0, 0, 0))
 
 
 @dataclass
@@ -93,24 +93,12 @@ def matrix_comments(sim) -> list[str]:
     return out
 
 
-def colormap(value: float, lo: float, hi: float) -> bytes:
-    """Map a value to an RGB triple on the dark-to-light ramp; NaN is black."""
-    if math.isnan(value):
-        return _MASKED_RGB
-    if hi <= lo:
-        raise ValueError("empty value range")
-    t = min(max((value - lo) / (hi - lo), 0.0), 1.0)
-    level = round(t * 255) / 255
-    rgb = _DARK + (_LIGHT - _DARK) * level
-    return bytes(int(round(c)) for c in rgb)
-
-
 @functools.cache
 def _levels() -> np.ndarray:
-    """colormap's 256 levels, then the masked colour, as one uint8 lookup
-    table; built on first use, so commands that draw no heatmap skip it."""
-    return np.array([list(colormap(k, 0.0, 255.0)) for k in range(256)] + [list(_MASKED_RGB)],
-                    dtype=np.uint8)
+    """The ramp's 256 levels, then the masked colour, black, as one uint8
+    lookup table; built on first use, so commands that draw no heatmap skip it."""
+    ramp = np.rint(_DARK + (_LIGHT - _DARK) * (np.arange(256)[:, None] / 255))
+    return np.vstack([ramp, np.zeros(3)]).astype(np.uint8)
 
 
 def emit_heatmap(path, provenance: Provenance, values: np.ndarray,
@@ -118,8 +106,10 @@ def emit_heatmap(path, provenance: Provenance, values: np.ndarray,
                  extra_comments: list[str] | None = None) -> None:
     """Render a matrix as a binary P6 image, one ``cell`` x ``cell`` block per entry.
 
-    The value range is recorded in a ``<path>.range.txt`` sidecar since the
-    pixels alone cannot recover it.
+    A value's level on the ramp is round(t * 255), half to even, with t its
+    place in ``value_range`` clamped to [0, 1]; NaN is black.  The value range
+    is recorded in a ``<path>.range.txt`` sidecar since the pixels alone
+    cannot recover it.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.size == 0:
@@ -128,11 +118,11 @@ def emit_heatmap(path, provenance: Provenance, values: np.ndarray,
         raise ValueError("cell size must be positive")
     lo, hi = value_range
     n_rows, n_cols = values.shape
+    if n_rows * n_cols * int(cell) ** 2 * 3 > np.iinfo(np.intp).max:
+        raise ValueError(f"heatmap of {n_cols * cell} x {n_rows * cell} pixels is too large")
     masked = np.isnan(values)
     if hi <= lo and not masked.all():
         raise ValueError("empty value range")
-    # colormap's level, round(t * 255) with t clamped to [0, 1], in numpy:
-    # rint rounds half to even as round does.  NaN takes the masked entry.
     with np.errstate(over="ignore", invalid="ignore"):
         t = np.clip((values - lo) / (hi - lo), 0.0, 1.0)
     if np.isnan(t[~masked]).any():

@@ -5,20 +5,21 @@ whole-matrix cosine, per-neuron averaging, optimal neuron reordering, gate-row
 geometry, and low-dimensional projections of expert weights.  Behavioral
 (forward-pass) comparisons live in ``dynamic_analysis``.  One reader,
 ``layer_weights``, reads a layer's expert matrices as one [E, rows, cols]
-array and owns the rule that a dense layer is read only with a reference;
-the expert analyses reduce its arrays.  ``gate_embedding_sim`` reads the
-gate, and ``gate_expert_regression`` correlates its matrix with an expert
-one.  scipy is imported
-only inside ``solve_assignment``, so a command that does not reach it never
-loads scipy.  Reordering makes one pass over a layer's [E, n, d] neuron
-stack: each expert's norm once, then one score matrix and one assignment per
-expert pair, loading scipy only for a pair whose identity matching is not
-certified optimal (every a-neuron's best match is its own index, or every
-b-neuron's is).  Only the pairs' permutations are stacked, [P, n], and one
-bottom-up merge pass counts every pair's discordant pairs for Kendall's tau.
-PCA takes its few components from the eigenvectors
-of the smaller Gram matrix of the population (features x features for
-neurons, experts x experts for whole matrices), not from an SVD of the whole
+array and owns the rule that a dense layer is read only with a reference; the
+expert analyses reduce its arrays.  ``gate_embedding_sim`` reads the gate, and
+``gate_expert_regression`` correlates its matrix with an expert one.
+``pairwise_cosine`` is the one cosine kernel.  Reordering, PCA and DBSCAN
+return arrays in the order of their input rows, and the commands name, filter
+and tabulate those rows.  scipy is imported only inside ``solve_assignment``,
+so a command that does not reach it never loads scipy.  Reordering makes one
+pass over a layer's [E, n, d] neuron stack: each expert's norm once, then one
+score matrix and one assignment per expert pair, loading scipy only for a pair
+whose identity matching is not certified optimal (every a-neuron's best match
+is its own index, or every b-neuron's is).  Only the pairs' permutations are
+stacked, [P, n], and one bottom-up merge pass counts every pair's discordant
+pairs for Kendall's tau.  PCA takes its few components from the eigenvectors
+of the smaller Gram matrix of the population (features x features for neurons,
+experts x experts for whole matrices), not from an SVD of the whole
 population.  DBSCAN counts its eps-balls over strip-sorted dense tiles in
 numpy.
 """
@@ -26,7 +27,7 @@ numpy.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,20 +36,6 @@ from .tensor_store import Checkpoint, ffn_prefixes, gate_name
 WHICH_MATRICES = ("up", "act", "down")
 
 REFERENCE_LABEL = "F"
-
-
-def cosine_sim(u, v) -> float:
-    """Cosine of two equal-length vectors; zero vectors are undefined (the
-    exact zero test is safe for the same reasons as ``pairwise_cosine``'s)."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if u.shape != v.shape:
-        raise ValueError("undefined similarity: length mismatch")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("undefined similarity: zero vector")
-    return float(np.dot(u, v) / (nu * nv))
 
 
 @dataclass
@@ -291,12 +278,12 @@ class ReorderReport:
     sim_before: float
     sim_after: float
     tau: float | None  # None with fewer than two neurons
-    pair: tuple[str, str] | None = None
 
 
 def pairwise_reorder_reports(rows) -> list[ReorderReport]:
     """``reorder_neurons`` for every expert pair i < j of a layer's neuron
-    stack ``rows`` [E, n, d] (``neuron_rows`` of ``layer_weights``): each
+    stack ``rows`` [E, n, d] (``neuron_rows`` of ``layer_weights``), in
+    ``itertools.combinations`` order, so the caller names the pairs: each
     norm once, an all-zero expert refused before any score matrix, one score
     matrix at a time, and one ``_kendall_taus`` pass over the stacked
     permutations (whose inverses, ``row_to_col``, have the same inversions).
@@ -316,13 +303,11 @@ def pairwise_reorder_reports(rows) -> list[ReorderReport]:
         sims.append((float(score[idx, idx].sum() / norm),
                      float(score[idx, row_to_col].sum() / norm)))
     taus = _kendall_taus(perms).tolist() if len(idx) >= 2 else [None] * len(pairs)
-    return [ReorderReport(permutation=perm, sim_before=before, sim_after=after,
-                          tau=tau, pair=(str(i), str(j)))
-            for perm, (before, after), tau, (i, j) in zip(perms, sims, taus, pairs)]
+    return [ReorderReport(permutation=perm, sim_before=before, sim_after=after, tau=tau)
+            for perm, (before, after), tau in zip(perms, sims, taus)]
 
 
-def reorder_neurons(a: np.ndarray, b: np.ndarray,
-                    pair: tuple[str, str] | None = None) -> ReorderReport:
+def reorder_neurons(a: np.ndarray, b: np.ndarray) -> ReorderReport:
     """Match b's neurons to a's so the flattened cosine is maximized.
 
     ``a`` and ``b`` hold one neuron per row (see ``neuron_rows``).  The
@@ -344,7 +329,7 @@ def reorder_neurons(a: np.ndarray, b: np.ndarray,
     """
     if a.shape != b.shape:
         raise ValueError("experts have different neuron dimensions")
-    return replace(pairwise_reorder_reports((a, b))[0], pair=pair)
+    return pairwise_reorder_reports((a, b))[0]
 
 
 def gate_embedding_sim(ckpt: Checkpoint, layer: int) -> SimilarityMatrix:
@@ -430,12 +415,10 @@ def aggregate_r2(reports: list[RegressionReport]) -> float | None:
 
 @dataclass
 class Projection:
-    """PCA projection with enough context to reconstruct or replot."""
+    """PCA projection with enough context to reconstruct it."""
 
-    labels: list[str]
-    coords: np.ndarray  # [n, dims]
+    coords: np.ndarray  # [n, dims], one row per input row
     explained_variance: np.ndarray
-    outliers: list[str]
     components: np.ndarray  # [dims, n_kept_features]
     center: np.ndarray
     scale: np.ndarray | None
@@ -472,8 +455,7 @@ def _orient_components(components: np.ndarray, values: np.ndarray, tie: float) -
             row *= -1.0
 
 
-def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True,
-                labels: list[str] | None = None) -> Projection:
+def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True) -> Projection:
     """Project the rows of ``vectors`` [n, features] onto their leading
     principal components.
 
@@ -520,10 +502,6 @@ def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True,
     if data.ndim != 2:
         raise ValueError("vectors must be a 2-D array")
     n, n_features = data.shape
-    if labels is None:
-        labels = [str(i) for i in range(n)]
-    if len(labels) != n:
-        raise ValueError("labels length must match vector count")
     if dims < 1:
         raise ValueError("dims must be positive")
     if n < dims:
@@ -563,9 +541,8 @@ def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True,
         explained = np.where(resolved, values, 0.0) / max(n - 1, 1)
     coords = work @ components.T
 
-    return Projection(labels=list(labels), coords=coords, explained_variance=explained,
-                      outliers=[], components=components, center=center, scale=scale,
-                      kept_features=kept)
+    return Projection(coords=coords, explained_variance=explained, components=components,
+                      center=center, scale=scale, kept_features=kept)
 
 
 def reconstruct(projection: Projection) -> np.ndarray:
@@ -673,11 +650,3 @@ def dbscan_outliers(points, eps: float, min_pts: int = 2) -> set:
     rest = np.flatnonzero(~core)
     return set(rest[~_balls_hold(data[rest], data[core], eps, 1)].tolist())
 
-
-def filter_outliers(projection: Projection, eps: float, min_pts: int = 2) -> Projection:
-    """Drop DBSCAN-noise points from a projection, recording their labels."""
-    keep = np.ones(len(projection.labels), dtype=bool)
-    keep[list(dbscan_outliers(projection.coords, eps=eps, min_pts=min_pts))] = False
-    return replace(projection, coords=projection.coords[keep],
-                   labels=[lab for lab, k in zip(projection.labels, keep) if k],
-                   outliers=[lab for lab, k in zip(projection.labels, keep) if not k])

@@ -75,7 +75,7 @@ class Checkpoint:
     """Parsed checkpoint: config and the raw data section."""
 
     config: ModelConfig
-    data: bytes
+    data: bytes | memoryview
 
     @cached_property
     def tensors(self) -> dict[str, TensorMeta]:
@@ -236,7 +236,7 @@ def parse_checkpoint(blob: bytes) -> Checkpoint:
     header_len = int.from_bytes(blob[8:16], "little")
     if 16 + header_len > len(blob):
         raise CheckpointError("header/payload length mismatch")
-    raw, data = blob[16:16 + header_len], blob[16 + header_len:]
+    raw, data = blob[16:16 + header_len], memoryview(blob)[16 + header_len:]  # not a copy
     try:
         header = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:

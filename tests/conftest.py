@@ -1,5 +1,6 @@
 """Shared fixtures and helpers plus a terminal summary line per acceptance criterion."""
 
+import math
 import os
 import re
 import subprocess
@@ -31,6 +32,15 @@ def small_checkpoint(small_config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240816)
+
+
+def cosine_ref(u, v):
+    """Cosine of two flat sequences by plain Python sums, apart from the
+    implementation."""
+    dot = sum(a * b for a, b in zip(u, v))
+    nu = math.sqrt(sum(a * a for a in u))
+    nv = math.sqrt(sum(b * b for b in v))
+    return dot / (nu * nv)
 
 
 def write_corpus(path, sequences):

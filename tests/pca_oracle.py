@@ -16,8 +16,7 @@ import numpy as np
 from moe_lens.static_analysis import Projection, _orient_components
 
 
-def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True,
-                labels: list[str] | None = None) -> Projection:
+def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True) -> Projection:
     """Project the rows of ``vectors`` [n, features] onto their leading
     principal components.
 
@@ -32,10 +31,6 @@ def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True,
     if data.ndim != 2:
         raise ValueError("vectors must be a 2-D array")
     n, n_features = data.shape
-    if labels is None:
-        labels = [str(i) for i in range(n)]
-    if len(labels) != n:
-        raise ValueError("labels length must match vector count")
     if dims < 1:
         raise ValueError("dims must be positive")
     if n < dims:
@@ -66,6 +61,5 @@ def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True,
         explained = (singular[:dims] ** 2) / max(n - 1, 1)
     coords = work @ components.T
 
-    return Projection(labels=list(labels), coords=coords, explained_variance=explained,
-                      outliers=[], components=components, center=center, scale=scale,
-                      kept_features=kept)
+    return Projection(coords=coords, explained_variance=explained, components=components,
+                      center=center, scale=scale, kept_features=kept)

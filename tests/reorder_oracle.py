@@ -57,8 +57,7 @@ def kendall_tau(seq_a, seq_b) -> float:
     return (total - 2 * discordant) / total
 
 
-def reorder_neurons(a: np.ndarray, b: np.ndarray,
-                    pair: tuple[str, str] | None = None) -> ReorderReport:
+def reorder_neurons(a: np.ndarray, b: np.ndarray) -> ReorderReport:
     """Match b's neurons to a's so the flattened cosine is maximized.
 
     ``a`` and ``b`` hold one neuron per row (see ``neuron_rows``).  The
@@ -92,11 +91,11 @@ def reorder_neurons(a: np.ndarray, b: np.ndarray,
     sim_after = float(score[idx, row_to_col].sum() / norms)
     tau = kendall_tau(perm.tolist(), list(range(n)))
     return ReorderReport(permutation=perm, sim_before=sim_before,
-                         sim_after=sim_after, tau=tau, pair=pair)
+                         sim_after=sim_after, tau=tau)
 
 
 def pairwise_reorder_reports(rows: np.ndarray) -> list[ReorderReport]:
     """Reorder reports for every expert pair (i < j) of a layer's neuron stack
-    ``rows`` [E, n, d], one pair at a time."""
-    return [reorder_neurons(rows[i], rows[j], pair=(str(i), str(j)))
+    ``rows`` [E, n, d], one pair at a time, in ``itertools.combinations`` order."""
+    return [reorder_neurons(rows[i], rows[j])
             for i, j in itertools.combinations(range(len(rows)), 2)]

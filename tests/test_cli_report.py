@@ -16,12 +16,29 @@ import numpy as np
 import pytest
 from conftest import SCIPY_MODULES, run_isolated, write_corpus
 
+from moe_lens import ModelConfig
 from moe_lens.cli import build_parser, run_command
-from moe_lens.report import (Provenance, colormap, emit_csv, emit_heatmap,
-                             file_digest, format_cell, metric_range)
+from moe_lens.report import (Provenance, emit_csv, emit_heatmap, file_digest, format_cell,
+                             metric_range)
+from moe_lens.tensor_store import (build_checkpoint, dump_checkpoint, ffn_prefixes,
+                                   required_tensor_shapes)
 
 DARK = bytes((8, 8, 32))
 LIGHT = bytes((255, 244, 160))
+
+
+def colormap(value: float, lo: float, hi: float) -> bytes:
+    """The heatmap's colour of one value, the oracle for ``emit_heatmap``:
+    the scalar dark-to-light ramp, with NaN black."""
+    if math.isnan(value):
+        return bytes((0, 0, 0))
+    if hi <= lo:
+        raise ValueError("empty value range")
+    t = min(max((value - lo) / (hi - lo), 0.0), 1.0)
+    level = round(t * 255) / 255
+    dark, light = np.array(list(DARK), float), np.array(list(LIGHT), float)
+    rgb = dark + (light - dark) * level
+    return bytes(int(round(c)) for c in rgb)
 
 
 def read_lines(path):
@@ -490,6 +507,9 @@ def test_reorder_table(workspace, tmp_path):
     data = [l for l in lines if not l.startswith("#")]
     assert data[0] == "layer,expert_a,expert_b,which,sim_before,sim_after,tau"
     assert len(data) == 1 + 2 * 6  # 2 layers x C(4,2) pairs
+    pairs = [tuple(row.split(",")[:3]) for row in data[1:]]
+    assert pairs == [(str(layer), str(a), str(b))
+                     for layer in range(2) for a, b in itertools.combinations(range(4), 2)]
 
 
 def test_gate_sim_artifacts(workspace, tmp_path):
@@ -533,6 +553,29 @@ def test_pca_neuron_level_with_outlier_filter(workspace, tmp_path):
     data = data_lines(out / "pca-layer0-act-neuron.csv")
     assert data[1].split(",")[0] == "0.0"
     assert len(data) <= 1 + 4 * 12
+
+
+def test_pca_eps_names_and_drops_planted_outliers(tmp_path):
+    """Two far neurons planted in a tight cloud: ``pca --eps`` names them in
+    point order (expert, then neuron) and drops exactly their rows."""
+    cfg = ModelConfig(num_layers=1, experts_per_layer=[4], num_shared=[0], top_k=1,
+                      d_hid=3, d_mid=6, vocab=5)
+    rng = np.random.default_rng(3)
+    tensors = {name: 0.01 * rng.normal(size=shape)
+               for name, shape in required_tensor_shapes(cfg).items()}
+    prefixes = ffn_prefixes(cfg, 0)[0]
+    tensors[f"{prefixes[3]}.w_up"][1] = [0.0, 50.0, 0.0]
+    tensors[f"{prefixes[0]}.w_up"][5] = [50.0, 0.0, 0.0]
+    dump_checkpoint(build_checkpoint(cfg, tensors), tmp_path / "model.moel")
+    out = tmp_path / "out"
+    assert run_command(["pca", "--model", str(tmp_path / "model.moel"), "--which", "up",
+                        "--level", "neuron", "--no-standardize", "--eps", "1.0",
+                        "--min-pts", "2", "--out", str(out)]) == 0
+    lines = read_lines(out / "pca-layer0-up-neuron.csv")
+    assert "# outliers: 0.5 3.1" in lines
+    kept = [f"{e}.{j}" for e in range(4) for j in range(6) if (e, j) not in {(0, 5), (3, 1)}]
+    assert [row.split(",")[0] for row in data_lines(out / "pca-layer0-up-neuron.csv")[1:]] \
+        == kept
 
 
 def test_trace_consistency_table(workspace, tmp_path):
@@ -983,8 +1026,10 @@ def refusal_inputs(tmp_path_factory):
      "fewer features than dims"),
     (["matrix-sim", "--model", "{deep}", "--which", "up"],
      "malformed header: maximum recursion depth exceeded while decoding a JSON array"),
+    (["gate-sim", "--model", "{model}", "--cell", "2305843009213693952"],
+     "heatmap of 4611686018427387904 x 4611686018427387904 pixels is too large"),
 ], ids=["blank-corpus", "gate-corr-two-experts", "layer-abc", "synth-experts-a",
-        "pca-dims-above-features", "deeply-nested-header"])
+        "pca-dims-above-features", "deeply-nested-header", "heatmap-bytes-overflow"])
 def test_refusal_is_one_error_line(refusal_inputs, tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     code = run_command([arg.format(**refusal_inputs) for arg in argv] + ["--out", str(out)])
@@ -992,6 +1037,26 @@ def test_refusal_is_one_error_line(refusal_inputs, tmp_path, capsys, argv, messa
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
     assert not out.exists() or snapshot(out) == {}
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["gate-sim", "--model", "{model}"], "moe_lens.static_analysis.gate_embedding_sim"),
+    (["synth", "--mode", "scratch", "--seed", "1"], "moe_lens.cli.synth_scratch"),
+], ids=["gate-sim", "synth"])
+def test_allocation_failure_is_one_error_line(refusal_inputs, tmp_path, capsys, monkeypatch,
+                                              argv, target):
+    """A step that cannot allocate ends in one ``error:`` line and exit 1;
+    the step is patched to raise, so the test allocates nothing."""
+    message = "Unable to allocate 447. GiB for an array with shape (400000, 400000, 3)"
+
+    def fail(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(target, fail)
+    code = run_command([arg.format(**refusal_inputs) for arg in argv]
+                       + ["--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("synth_args, degenerate_steps", [

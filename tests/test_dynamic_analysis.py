@@ -4,13 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import cosine_ref
 
 from moe_lens import ModelConfig
 from moe_lens.dynamic_analysis import (activation_ratio, angular_sim,
                                        avg_output_sim, output_sim_per_token,
                                        rank_count_matrix, routing_pattern)
 from moe_lens.moe_core import CorpusTrace, LayerTrace, trace_all_experts
-from moe_lens.static_analysis import cosine_sim
 from moe_lens.synth import SynthSpec, synth_scratch, synth_upcycled
 
 
@@ -102,7 +102,7 @@ def test_output_sim_matches_direct_cosine():
         for j in range(4):
             if i == j:
                 continue
-            want = cosine_sim(lt.expert_outputs[3, i], lt.expert_outputs[3, j])
+            want = cosine_ref(lt.expert_outputs[3, i], lt.expert_outputs[3, j])
             assert sim.values[i, j] == pytest.approx(want, abs=1e-12)
 
 

@@ -5,11 +5,14 @@ tests pin the corpus-wide engine to that oracle.
 """
 
 import math
+import re
 import textwrap
 
 import numpy as np
 import pytest
 from conftest import SCIPY_MODULES, run_isolated
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moe_lens import ModelConfig
 from moe_lens.moe_core import (Expert, activation_fn, expert_forward, gate_from_logits,
@@ -436,6 +439,31 @@ def test_read_corpus_rejects_negative(tmp_path):
     path.write_text("1 -2\n", encoding="utf-8")
     with pytest.raises(ValueError, match="negative"):
         read_corpus(path, 9)
+
+
+@pytest.mark.parametrize("field", ["1_0", "+3", "\u0663", "\uff14", "3.0", "0x1", "-"])
+def test_read_corpus_refuses_ids_int_would_take(tmp_path, field):
+    """``int`` reads these as 10, 3, 3, 4, ...; an id is ASCII digits alone."""
+    path = tmp_path / "corpus.txt"
+    path.write_text(f"1 2\n4 {field} 5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^bad token id on line 2"):
+        read_corpus(path, 100)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.from_regex(r"-?[0-9]{1,4}", fullmatch=True),
+                          st.text(st.characters(blacklist_categories=("Zs", "Zl", "Zp",
+                                                                      "Cc", "Cs")),
+                                  min_size=1, max_size=4)),
+                max_size=6))
+def test_read_corpus_accepts_exactly_ascii_digits(tmp_path_factory, fields):
+    path = tmp_path_factory.mktemp("corpus") / "corpus.txt"
+    path.write_text(" ".join(fields) + "\n", encoding="utf-8")
+    if all(re.fullmatch(r"[0-9]+", f) for f in fields):
+        assert read_corpus(path, 10_000) == [int(f) for f in fields]
+    else:
+        with pytest.raises(ValueError, match="^(bad|negative) token id on line 1"):
+            read_corpus(path, 10_000)
 
 
 def test_read_corpus_rejects_ids_outside_vocab(tmp_path):

@@ -2,7 +2,6 @@
 
 import ast
 import itertools
-import math
 import os
 import textwrap
 import tracemalloc
@@ -11,19 +10,20 @@ import numpy as np
 import pca_oracle
 import pytest
 import reorder_oracle
-from conftest import SCIPY_MODULES, run_isolated
+from conftest import SCIPY_MODULES, cosine_ref, run_isolated
 from dbscan_oracle import dbscan_noise
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import moe_lens
 from moe_lens import ModelConfig
+from moe_lens.dynamic_analysis import angular_sim
 from moe_lens.moe_core import Expert
 from moe_lens.static_analysis import (WHICH_MATRICES, _orient_components, aggregate_r2,
-                                      cosine_sim, dbscan_outliers, filter_outliers,
-                                      gate_embedding_sim, gate_expert_regression, kendall_tau,
-                                      layer_weights, matrix_level_sim, neuron_average_sim,
-                                      neuron_rows, pairwise_reorder_reports, pca_project,
+                                      dbscan_outliers, gate_embedding_sim,
+                                      gate_expert_regression, kendall_tau, layer_weights,
+                                      matrix_level_sim, neuron_average_sim, neuron_rows,
+                                      pairwise_cosine, pairwise_reorder_reports, pca_project,
                                       pearson_r, reconstruct, reorder_neurons,
                                       similarity_matrix, solve_assignment)
 from moe_lens.synth import (SynthSpec, synth_permuted_clone,
@@ -34,13 +34,6 @@ from moe_lens.tensor_store import (build_checkpoint, ffn_prefixes, read_checkpoi
 
 
 # --- oracles -----------------------------------------------------------------
-
-def cosine_ref(u, v):
-    dot = sum(a * b for a, b in zip(u, v))
-    nu = math.sqrt(sum(a * a for a in u))
-    nv = math.sqrt(sum(b * b for b in v))
-    return dot / (nu * nv)
-
 
 def kendall_ref(a, b):
     """Exhaustive pair counting, kept separate from the implementation."""
@@ -116,35 +109,41 @@ def upcycled_pair(seed=0, noise=0.3, n=4):
 
 # --- cosine ------------------------------------------------------------------
 
+def cosine(u, v):
+    """The two-row case of ``pairwise_cosine``."""
+    return pairwise_cosine(np.stack([np.asarray(u, float), np.asarray(v, float)]),
+                           allow_zero=False)[0, 1]
+
+
 def test_cosine_frozen_values():
-    assert cosine_sim([1, 0], [1, 0]) == pytest.approx(1.0)
-    assert cosine_sim([1, 0], [0, 1]) == pytest.approx(0.0)
-    assert cosine_sim([1, 0], [-1, 0]) == pytest.approx(-1.0)
-    assert cosine_sim([1, 1], [1, 0]) == pytest.approx(0.7071067811865475, abs=1e-9)
+    assert cosine([1, 0], [1, 0]) == pytest.approx(1.0)
+    assert cosine([1, 0], [0, 1]) == pytest.approx(0.0)
+    assert cosine([1, 0], [-1, 0]) == pytest.approx(-1.0)
+    assert cosine([1, 1], [1, 0]) == pytest.approx(0.7071067811865475, abs=1e-9)
 
 
 def test_cosine_matches_reference(rng):
     for _ in range(50):
         u = rng.normal(size=9)
         v = rng.normal(size=9)
-        assert cosine_sim(u, v) == pytest.approx(cosine_ref(u.tolist(), v.tolist()),
-                                                 abs=1e-12)
+        assert cosine(u, v) == pytest.approx(cosine_ref(u.tolist(), v.tolist()),
+                                             abs=1e-12)
 
 
 def test_cosine_scale_invariance(rng):
     u = rng.normal(size=5)
     v = rng.normal(size=5)
-    assert cosine_sim(3.7 * u, 0.2 * v) == pytest.approx(cosine_sim(u, v), abs=1e-12)
+    assert cosine(3.7 * u, 0.2 * v) == pytest.approx(cosine(u, v), abs=1e-12)
 
 
 def test_cosine_zero_vector_rejected():
     with pytest.raises(ValueError, match="undefined similarity"):
-        cosine_sim([0.0, 0.0], [1.0, 0.0])
+        cosine([0.0, 0.0], [1.0, 0.0])
 
 
 def test_cosine_length_mismatch_rejected():
     with pytest.raises(ValueError, match="undefined similarity"):
-        cosine_sim([1.0], [1.0, 2.0])
+        angular_sim([1.0], [1.0, 2.0])
 
 
 # --- similarity summaries ------------------------------------------------------
@@ -484,8 +483,10 @@ def test_reorder_similarities_match_flattened_cosine(rng):
             b[rng.integers(7)] = 0.0
         rep = reorder_neurons(a, b)
         row_to_col = np.argsort(rep.permutation)
-        assert rep.sim_before == pytest.approx(cosine_sim(a, b), rel=0, abs=1e-12)
-        assert rep.sim_after == pytest.approx(cosine_sim(a, b[row_to_col]), rel=0, abs=1e-12)
+        assert rep.sim_before == pytest.approx(cosine_ref(a.ravel(), b.ravel()),
+                                               rel=0, abs=1e-12)
+        assert rep.sim_after == pytest.approx(cosine_ref(a.ravel(), b[row_to_col].ravel()),
+                                              rel=0, abs=1e-12)
         assert rep.sim_after >= rep.sim_before
 
 
@@ -529,8 +530,7 @@ def assert_reports_equal(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g.permutation, w.permutation)
-        assert (g.sim_before, g.sim_after, g.tau, g.pair) == \
-            (w.sim_before, w.sim_after, w.tau, w.pair)
+        assert (g.sim_before, g.sim_after, g.tau) == (w.sim_before, w.sim_after, w.tau)
 
 
 @pytest.mark.parametrize("name, stack", list(reorder_stacks()))
@@ -553,8 +553,9 @@ def test_reorder_pass_matches_oracle_on_permuted_clones():
         rows = neuron_rows(layer_weights(model, layer, which)[0], which)
         got = pairwise_reorder_reports(rows)
         assert_reports_equal(got, reorder_oracle.pairwise_reorder_reports(rows))
-        for rep in got[:len(rows) - 1]:  # expert 0 against each of its clones
-            np.testing.assert_array_equal(rep.permutation, perms[(layer, int(rep.pair[1]))])
+        # The first len(rows) - 1 pairs are expert 0 against each of its clones.
+        for clone, rep in enumerate(got[:len(rows) - 1], start=1):
+            np.testing.assert_array_equal(rep.permutation, perms[(layer, clone)])
 
 
 def test_reorder_pass_refuses_an_all_zero_expert_before_any_score():
@@ -570,7 +571,7 @@ def test_reorder_of_one_neuron_leaves_tau_undefined():
     no pair of positions, is undefined; ``kendall_tau`` itself refuses it."""
     rows = np.random.default_rng(6).normal(size=(3, 1, 4))
     reports = pairwise_reorder_reports(rows)
-    assert [rep.pair for rep in reports] == [("0", "1"), ("0", "2"), ("1", "2")]
+    assert len(reports) == 3
     for rep in reports:
         assert (rep.permutation.tolist(), rep.tau) == ([0], None)
         assert rep.sim_after == rep.sim_before
@@ -610,8 +611,8 @@ def old_reorder_rows(model_path, which):
             a, b = stack[i], stack[j]
             row_to_col = assignment_old_rule(a @ b.T)
             tau = kendall_ref(np.argsort(row_to_col).tolist(), list(range(len(a))))
-            cells = [layer, str(i), str(j), which, cosine_sim(a, b),
-                     cosine_sim(a, b[row_to_col]), tau]
+            cells = [layer, str(i), str(j), which, cosine_ref(a.ravel(), b.ravel()),
+                     cosine_ref(a.ravel(), b[row_to_col].ravel()), tau]
             rows.append(",".join(format_cell(c) for c in cells))
     return rows
 
@@ -831,9 +832,7 @@ def test_pca_deterministic(rng):
     data = rng.normal(size=(8, 5))
     a = pca_project(data, dims=2)
     b = pca_project(data, dims=2)
-    for (la, ca), (lb, cb) in zip(zip(a.labels, a.coords), zip(b.labels, b.coords)):
-        assert la == lb
-        np.testing.assert_array_equal(ca, cb)
+    np.testing.assert_array_equal(a.coords, b.coords)
 
 
 def test_pca_standardize_drops_constant_feature(rng):
@@ -1159,12 +1158,3 @@ def test_only_the_readers_touch_a_checkpoint():
                     and getattr(top, "name", None) not in readers):
                 found.append(f"{getattr(top, 'name', 'module')}:{node.lineno}")
     assert found == []
-
-
-def test_filter_outliers_records_labels(rng):
-    vel = [rng.normal(size=3) for _ in range(8)]
-    vel.append(np.array([500.0, 500.0, 500.0]))
-    proj = pca_project(vel, dims=2, standardize=False)
-    filtered = filter_outliers(proj, eps=50.0, min_pts=2)
-    assert filtered.outliers == ["8"]
-    assert len(filtered.coords) == 8

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from moe_lens import ModelConfig
-from moe_lens.static_analysis import cosine_sim, layer_weights, matrix_level_sim
+from moe_lens.static_analysis import layer_weights, matrix_level_sim
 from moe_lens.synth import (SynthSpec, synth_permuted_clone, synth_permuted_clone_model,
                             synth_scratch, synth_upcycled)
 from moe_lens.tensor_store import CheckpointError, serialize_checkpoint

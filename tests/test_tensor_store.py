@@ -6,6 +6,7 @@ import json
 import os
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -607,3 +608,21 @@ def test_failed_rename_leaves_no_tmp(tmp_path, monkeypatch, write):
     with pytest.raises(OSError, match="rename refused"):
         write(tmp_path / "out")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_read_holds_the_file_once(tmp_path):
+    """The payload is a view of the file's bytes, not a copy of them: reading
+    a checkpoint peaks within 10% above its size."""
+    config = ModelConfig(num_layers=2, experts_per_layer=[8, 8], num_shared=[0, 0], top_k=2,
+                         d_hid=64, d_mid=256, vocab=64)
+    path = tmp_path / "model.moel"
+    dump_checkpoint(build_checkpoint(config, full_tensor_map(config)), path)
+    size = os.path.getsize(path)
+    tracemalloc.start()
+    try:
+        ckpt = read_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert serialize_checkpoint(ckpt) == path.read_bytes()
+    assert peak <= 1.1 * size, (peak, size)
