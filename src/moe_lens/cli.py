@@ -4,6 +4,12 @@ Every analysis subcommand reads a checkpoint (plus a corpus for the
 trace-based ones) and writes provenance-stamped CSV tables and P6 heatmaps
 under ``--out``.  Outputs are deterministic: the same invocation over the same
 inputs reproduces every artifact byte for byte.
+
+Each command loads only the ``moe_lens`` modules it runs.  ``config``,
+``tensor_store``, ``static_analysis`` and ``report`` load with this module;
+the forward engine (``moe_core``) and the trace analyses (``dynamic_analysis``)
+load inside the code that reads or traces a corpus, and the generators
+(``synth``) inside ``synth``.  So the weight commands never load them.
 """
 
 from __future__ import annotations
@@ -15,17 +21,18 @@ import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import dynamic_analysis as dyn
 from . import static_analysis as sta
 from .config import ACTIVATIONS, GATING_ORDERS, ModelConfig
-from .moe_core import CorpusTrace, native_output, read_corpus, trace_all_experts
 from .report import (Provenance, emit_csv, emit_matrix, file_digest, format_cell,
                      matrix_comments, metric_range)
-from .synth import SynthSpec, synth_permuted_clone_model, synth_scratch, synth_upcycled
 from .tensor_store import Checkpoint, dump_checkpoint, read_checkpoint
+
+if TYPE_CHECKING:
+    from .moe_core import CorpusTrace
 
 
 def _int_list(text: str, n: int, flag: str) -> tuple[int, ...]:
@@ -61,6 +68,7 @@ class Context:
     def corpus_trace(self) -> CorpusTrace:
         """The shared corpus trace, else a new one; steps without ``--ref``
         never read the reference outputs a shared trace carries."""
+        from .moe_core import trace_all_experts
         k_override_all = self.args.k_override == "all"
         if self.trace is not None and not k_override_all:
             return self.trace
@@ -82,6 +90,7 @@ def _load_context(args, argv: list[str], loaded: Context | None) -> Context:
             reference = read_checkpoint(ref_path)
         tokens = None
         if corpus_path:
+            from .moe_core import read_corpus
             digests["corpus"] = file_digest(corpus_path)
             tokens = read_corpus(corpus_path, model.config.vocab)
             if not tokens:
@@ -92,8 +101,7 @@ def _load_context(args, argv: list[str], loaded: Context | None) -> Context:
             *(["corpus"] if corpus_path else [])]
     os.makedirs(args.out, exist_ok=True)
     prov = Provenance(command=["moe-lens", *argv],
-                      inputs={name: loaded.digests[name] for name in used},
-                      seed=getattr(args, "seed", None))
+                      inputs={name: loaded.digests[name] for name in used})
     return replace(loaded, args=args, provenance=prov,
                    reference=loaded.reference if ref_path else None)
 
@@ -118,6 +126,7 @@ def _select_layers(arg: str, model: Checkpoint) -> list[int]:
 # --- subcommands -----------------------------------------------------------
 
 def _cmd_synth(args) -> list[str]:
+    from .synth import SynthSpec, synth_permuted_clone_model, synth_scratch, synth_upcycled
     config = ModelConfig(
         num_layers=args.layers,
         experts_per_layer=_int_list(args.experts, args.layers, "--experts"),
@@ -172,6 +181,8 @@ def _layer_sims(stem: str, layer_sim: Callable[[Context], Callable[[int], sta.Si
 
 def _token_sims(ctx: Context):
     """out-sim's per-layer analysis, on the ``--token`` traced alone."""
+    from . import dynamic_analysis as dyn
+    from .moe_core import trace_all_experts
     token = ctx.args.token
     if not 0 <= token < len(ctx.tokens):
         raise ValueError(f"--token {token} out of range for corpus of "
@@ -179,6 +190,12 @@ def _token_sims(ctx: Context):
     trace = trace_all_experts(ctx.model, [ctx.tokens[token]], ctx.reference,
                               ctx.args.k_override == "all")
     return functools.partial(dyn.output_sim_per_token, trace)
+
+
+def _corpus_sims(ctx: Context):
+    """avg-out-sim's per-layer analysis, on the corpus trace."""
+    from . import dynamic_analysis as dyn
+    return functools.partial(dyn.avg_output_sim, ctx.corpus_trace())
 
 
 def _layer_weights(ctx: Context, layer: int) -> tuple[np.ndarray, list[str]]:
@@ -257,6 +274,7 @@ def _cmd_pca(ctx: Context) -> list[str]:
 
 
 def _cmd_trace(ctx: Context) -> list[str]:
+    from .moe_core import native_output
     if not ctx.model.config.num_layers:
         raise ValueError("nothing to trace: the model has no layers")
     trace = ctx.corpus_trace()
@@ -277,6 +295,7 @@ def _cmd_trace(ctx: Context) -> list[str]:
 
 
 def _cmd_norm_rank(ctx: Context) -> list[str]:
+    from . import dynamic_analysis as dyn
     trace = ctx.corpus_trace()
     layers = _select_layers(ctx.args.layer, ctx.model)
     config = ctx.model.config
@@ -299,6 +318,7 @@ def _cmd_norm_rank(ctx: Context) -> list[str]:
 
 
 def _cmd_act_ratio(ctx: Context) -> list[str]:
+    from . import dynamic_analysis as dyn
     report = dyn.activation_ratio(ctx.corpus_trace(), threshold=ctx.args.threshold)
     rows = [[layer, expert, ratio]
             for (layer, expert), ratio in report.per_expert.items()]
@@ -310,6 +330,7 @@ def _cmd_act_ratio(ctx: Context) -> list[str]:
 
 
 def _cmd_route_log(ctx: Context) -> list[str]:
+    from . import dynamic_analysis as dyn
     if not ctx.model.config.moe_layers():
         raise ValueError("model has no gated layers")
     columns = [c.tolist() for c in dyn.routing_pattern(ctx.corpus_trace())]
@@ -322,6 +343,7 @@ def _cmd_route_log(ctx: Context) -> list[str]:
 def _cmd_report(ctx: Context) -> list[str]:
     """Run the full analysis suite into subdirectories of --out, every step
     through ``run_command`` on inputs read, hashed and traced once here."""
+    from .moe_core import trace_all_experts
     config = ctx.model.config
     if not config.num_layers:
         raise ValueError("no intermediates to count: the model has no layers")
@@ -415,8 +437,7 @@ ANALYSES = {
         options=(("--token", dict(type=int, default=0, help="flattened corpus token index")),)),
     "avg-out-sim": Analysis(
         "corpus-averaged angular output similarity",
-        _layer_sims("avg-out-sim-layer{layer}",
-                    lambda ctx: functools.partial(dyn.avg_output_sim, ctx.corpus_trace())),
+        _layer_sims("avg-out-sim-layer{layer}", _corpus_sims),
         ref=True, corpus=True, layer=True),
     "norm-rank": Analysis("output-norm rank vs gate-score rank counts", _cmd_norm_rank,
                           corpus=True, layer=True),

@@ -24,20 +24,30 @@ _DARK = np.array([8, 8, 32], dtype=np.float64)
 _LIGHT = np.array([255, 244, 160], dtype=np.float64)
 
 
+def _shell_word(arg: str) -> str:
+    """``shlex.quote(arg)``, except that a word with a line break is written
+    ANSI-C quoted (``$'a\\nb'``), so that a command stays on one line."""
+    if "\n" not in arg and "\r" not in arg:
+        return shlex.quote(arg)
+    escaped = (arg.replace("\\", "\\\\").replace("'", "\\'")
+               .replace("\n", "\\n").replace("\r", "\\r"))
+    return f"$'{escaped}'"
+
+
 @dataclass
 class Provenance:
-    """What produced an artifact: the command line, input digests, and seed."""
+    """What produced an artifact: the command line and input digests.  The
+    analyses draw no random numbers, so the ``seed:`` line is always ``-``."""
 
     command: list[str]
     inputs: dict[str, str] = field(default_factory=dict)
-    seed: int | None = None
 
     def lines(self) -> list[str]:
         out = [f"moe-lens {__version__}",
-               f"command: {shlex.join(self.command)}"]
+               f"command: {' '.join(map(_shell_word, self.command))}"]
         for name in sorted(self.inputs):
             out.append(f"{name}: sha256:{self.inputs[name]}")
-        out.append(f"seed: {self.seed if self.seed is not None else '-'}")
+        out.append("seed: -")
         return out
 
 

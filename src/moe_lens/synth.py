@@ -47,6 +47,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.mode not in SYNTH_MODES:
             raise ValueError(f"unknown synth mode: {self.mode!r}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64): {self.seed}")
         if not 0 < self.init_std < math.inf:
             raise ValueError(f"init_std must be positive and finite: {self.init_std}")
         if not 0 <= self.upcycle_noise_std < math.inf:
@@ -57,7 +59,7 @@ class SynthSpec:
 def _tensor_rng(seed: int, name: str) -> np.random.Generator:
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i:i + 8], "little") for i in range(0, 32, 8)]
-    ss = np.random.SeedSequence([seed & 0xFFFF_FFFF_FFFF_FFFF, *words])
+    ss = np.random.SeedSequence([seed, *words])
     return np.random.Generator(np.random.Philox(ss))
 
 

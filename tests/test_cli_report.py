@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import shlex
 import textwrap
 from pathlib import Path
 
@@ -112,13 +113,13 @@ def test_metric_range():
 
 def test_provenance_lines_order_and_seed():
     prov = Provenance(command=["moe-lens", "synth", "--seed", "5"],
-                      inputs={"model": "ab" * 32, "corpus": "cd" * 32}, seed=5)
+                      inputs={"model": "ab" * 32, "corpus": "cd" * 32})
     lines = prov.lines()
     assert lines[0] == "moe-lens 0.1.0"
     assert lines[1] == "command: moe-lens synth --seed 5"
     assert lines[2].startswith("corpus: sha256:")  # sorted input names
     assert lines[3].startswith("model: sha256:")
-    assert lines[-1] == "seed: 5"
+    assert lines[-1] == "seed: -"
 
 
 def test_provenance_seedless_dash():
@@ -130,17 +131,49 @@ def test_provenance_quotes_awkward_arguments():
     assert "'a dir'" in prov.lines()[1]
 
 
+def test_provenance_command_without_line_break_keeps_shlex_bytes():
+    command = ["moe-lens", "pca", "--out", "a dir", "it's", "back\\slash", "$'x'", "\t"]
+    assert Provenance(command=command).lines()[1] == f"command: {shlex.join(command)}"
+
+
+def test_provenance_command_with_line_breaks_stays_one_line():
+    command = ["moe-lens", "gate-sim", "--out", "nl\nx", "a'b\\c\r\nd"]
+    line = Provenance(command=command).lines()[1]
+    assert line == "command: moe-lens gate-sim --out $'nl\\nx' $'a\\'b\\\\c\\r\\nd'"
+    if shutil.which("bash"):  # the ANSI-C quoting gives the words back
+        shell = subprocess.run(["bash", "-c", "printf '%s\\0' " + line[len("command: "):]],
+                               capture_output=True, check=True).stdout
+        assert shell.decode().split("\0")[:-1] == command
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r"], ids=["lf", "cr"])
+def test_line_break_in_out_keeps_every_header_line_a_comment(workspace, tmp_path, newline):
+    """A line break in an argument neither splits the ``# command:`` line of
+    a table nor of a heatmap's range sidecar."""
+    out = str(tmp_path / f"nl{newline}x")
+    assert run_command(["gate-sim", "--model", workspace["model"], "--layer", "0",
+                        "--out", out]) == 0
+    escaped = "\\n" if newline == "\n" else "\\r"
+    for name in ("gate-sim-layer0.csv", "gate-sim-layer0.ppm.range.txt"):
+        with open(os.path.join(out, name), "rb") as fh:
+            lines = fh.read().decode().split("\n")
+        assert lines[1].endswith(f" --out $'{str(tmp_path)}/nl{escaped}x'"), lines[1]
+        assert "\r" not in "".join(lines)
+        header = lines[:lines.index("# seed: -") + 1]
+        assert [line for line in header if not line.startswith("# ")] == []
+
+
 # --- CSV emission -------------------------------------------------------------
 
 def test_emit_csv_layout(tmp_path):
     path = tmp_path / "t.csv"
-    prov = Provenance(command=["moe-lens", "x"], seed=1)
+    prov = Provenance(command=["moe-lens", "x"])
     emit_csv(path, prov, ["a", "b"], [[1, 0.5], ["z", None]],
              extra_comments=["note: hi"])
     lines = read_lines(path)
     assert lines[0] == "# moe-lens 0.1.0"
     assert lines[1] == "# command: moe-lens x"
-    assert lines[2] == "# seed: 1"
+    assert lines[2] == "# seed: -"
     assert lines[3] == "# note: hi"
     assert lines[4] == "a,b"
     assert lines[5] == "1,0.500000"
@@ -286,6 +319,30 @@ def test_synth_seed_changes_output(tmp_path):
     run_command([*argv, "--seed", "2", "--out", str(tmp_path / "b")])
     assert (file_digest(tmp_path / "a" / "model.moel")
             != file_digest(tmp_path / "b" / "model.moel"))
+
+
+TINY_SYNTH = ["synth", "--mode", "scratch", "--layers", "1", "--experts", "2", "--top-k", "1",
+              "--d-hid", "4", "--d-mid", "4", "--vocab", "5"]
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"], ids=["minus-one", "two-to-64"])
+def test_synth_refuses_seed_outside_64_bits(tmp_path, capsys, seed):
+    """-1 and 2**64 would write the checkpoints of seeds 2**64 - 1 and 0."""
+    code = run_command([*TINY_SYNTH, f"--seed={seed}", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: seed must be in [0, 2**64): {seed}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_synth_seeds_at_both_ends_of_the_range(tmp_path):
+    digests = {}
+    for seed in ("0", "18446744073709551615"):
+        assert run_command([*TINY_SYNTH, "--seed", seed, "--out", str(tmp_path / seed)]) == 0
+        digests[seed] = file_digest(tmp_path / seed / "model.moel")
+    assert digests == {
+        "0": "a8a4e586a3e5ba730a9db311fc3217be310018122b701da83ca41eb28b36b74f",
+        "18446744073709551615": "25f2049702db8d84f29e02ffb2cc8cb58d434823c5f7adc6fbc2d9711be04b0f",
+    }
 
 
 def test_synth_upcycled_writes_reference(tmp_path):
@@ -850,19 +907,20 @@ def test_report_steps_match_standalone_commands(workspace, tmp_path):
 
 def test_report_loads_and_traces_inputs_once(workspace, tmp_path, monkeypatch):
     import moe_lens.cli as cli
+    import moe_lens.moe_core as moe_core
     calls = {"trace_all_experts": [], "read_checkpoint": [], "file_digest": []}
 
-    def count(name, key):
-        fn = getattr(cli, name)
+    def count(module, name, key):
+        fn = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls[name].append(key(*args))
             return fn(*args, **kwargs)
-        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
-    count("trace_all_experts", lambda ckpt, tokens, *rest: len(tokens))
-    count("read_checkpoint", lambda path: path)
-    count("file_digest", lambda path: path)
+    count(moe_core, "trace_all_experts", lambda ckpt, tokens, *rest: len(tokens))
+    count(cli, "read_checkpoint", lambda path: path)
+    count(cli, "file_digest", lambda path: path)
     assert run_command(report_argv(workspace, tmp_path / "bundle")) == 0
     # The whole corpus once, then out-sim's single token.
     assert calls["trace_all_experts"] == [10, 1]
@@ -1041,7 +1099,7 @@ def test_refusal_is_one_error_line(refusal_inputs, tmp_path, capsys, argv, messa
 
 @pytest.mark.parametrize("argv, target", [
     (["gate-sim", "--model", "{model}"], "moe_lens.static_analysis.gate_embedding_sim"),
-    (["synth", "--mode", "scratch", "--seed", "1"], "moe_lens.cli.synth_scratch"),
+    (["synth", "--mode", "scratch", "--seed", "1"], "moe_lens.synth.synth_scratch"),
 ], ids=["gate-sim", "synth"])
 def test_allocation_failure_is_one_error_line(refusal_inputs, tmp_path, capsys, monkeypatch,
                                               argv, target):
@@ -1136,6 +1194,64 @@ def test_report_completes_on_one_neuron(workspace, tmp_path):
 
 
 # --- imports -----------------------------------------------------------------
+
+# Python source, for ``run_isolated``, naming the moe_lens modules loaded so far.
+MOE_LENS_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'moe_lens')"
+ENGINE_TRACES_GENERATORS = ["moe_lens.dynamic_analysis", "moe_lens.moe_core", "moe_lens.synth"]
+
+
+def test_cli_import_and_weight_commands_load_no_engine_traces_or_generators(workspace,
+                                                                           tmp_path):
+    model, up, ref = workspace["model"], workspace["up"], workspace["ref"]
+    out = str(tmp_path)
+    run_isolated(textwrap.dedent(f"""
+        import sys
+        from moe_lens.cli import run_command
+
+        def unwanted():
+            return sorted(set({MOE_LENS_MODULES}) & set({ENGINE_TRACES_GENERATORS!r}))
+
+        assert unwanted() == [], unwanted()
+        for argv in (["matrix-sim", "--model", {up!r}, "--ref", {ref!r}, "--which", "up"],
+                     ["neuron-avg-sim", "--model", {model!r}, "--which", "act"],
+                     ["reorder", "--model", {model!r}, "--which", "down"],
+                     ["pca", "--model", {model!r}, "--which", "up", "--level", "neuron",
+                      "--eps", "0.5"],
+                     ["gate-sim", "--model", {model!r}],
+                     ["gate-corr", "--model", {model!r}, "--which", "up"]):
+            assert run_command([*argv, "--out", {out!r} + "/" + argv[0]]) == 0, argv
+            assert unwanted() == [], (argv, unwanted())
+        """))
+    assert sorted(os.listdir(tmp_path)) == sorted(["matrix-sim", "neuron-avg-sim", "reorder",
+                                                   "pca", "gate-sim", "gate-corr"])
+
+
+def test_out_sim_and_report_load_no_generators(workspace, tmp_path):
+    up, ref, corpus = workspace["up"], workspace["ref"], workspace["corpus"]
+    out = str(tmp_path)
+    run_isolated(textwrap.dedent(f"""
+        import sys
+        from moe_lens.cli import run_command
+        for argv in (["out-sim", "--model", {up!r}, "--ref", {ref!r}, "--token", "3"],
+                     ["report", "--model", {up!r}, "--ref", {ref!r}]):
+            assert run_command([*argv, "--corpus", {corpus!r},
+                                "--out", {out!r} + "/" + argv[0]]) == 0, argv
+            loaded = {MOE_LENS_MODULES}
+            assert "moe_lens.synth" not in loaded, (argv, loaded)
+        """))
+    assert (tmp_path / "out-sim" / "out-sim-layer1-token3.csv").exists()
+
+
+def test_synth_loads_no_trace_analyses(tmp_path):
+    out = str(tmp_path)
+    run_isolated(textwrap.dedent(f"""
+        import sys
+        from moe_lens.cli import run_command
+        assert run_command({TINY_SYNTH!r} + ["--seed", "1", "--out", {out!r}]) == 0
+        loaded = {MOE_LENS_MODULES}
+        assert "moe_lens.dynamic_analysis" not in loaded, loaded
+        """))
+    assert (tmp_path / "model.moel").exists()
 
 def test_cli_import_loads_no_scipy():
     run_isolated(f"import sys, moe_lens.cli\nassert {SCIPY_MODULES} == [], {SCIPY_MODULES}")
