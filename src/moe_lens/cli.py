@@ -78,7 +78,9 @@ class Context:
 def _load_context(args, argv: list[str], loaded: Context | None) -> Context:
     """Read and hash the inputs the command's parser takes (``--model``, and
     ``--ref``/``--corpus`` where it has them), or take them from a report's
-    ``loaded``."""
+    ``loaded``; a ``--cell`` below 1 is refused first, before any file exists."""
+    if getattr(args, "cell", 1) < 1:
+        raise ValueError("cell size must be positive")
     ref_path = getattr(args, "ref", None)
     corpus_path = getattr(args, "corpus", None)
     if loaded is None:

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moe_core import CorpusTrace, LayerTrace
-from .static_analysis import (REFERENCE_LABEL, SimilarityMatrix, angular, pairwise_cosine,
-                              similarity_matrix)
+from .static_analysis import REFERENCE_LABEL, SimilarityMatrix, angular, pairwise_cosine
 
 
 def angular_sim(u, v) -> float:
@@ -36,18 +35,16 @@ def _layer_trace(trace: CorpusTrace, layer: int) -> LayerTrace:
     return trace.layers[layer]
 
 
-def _output_entities(lt: LayerTrace) -> tuple[np.ndarray, list[str], int, bool]:
-    """All output vectors of one block as [T, entities, d_hid]: routed experts,
-    then shared experts, then the reference when the trace has one."""
+def _output_entities(lt: LayerTrace) -> tuple[np.ndarray, list[str]]:
+    """All output vectors of one block as [T, entities, d_hid], and their
+    labels, in ``SimilarityMatrix``'s layout."""
     parts = [lt.expert_outputs, lt.shared_outputs]
-    n_experts = lt.expert_outputs.shape[1]
-    labels = [str(n) for n in range(n_experts)]
+    labels = [str(n) for n in range(lt.expert_outputs.shape[1])]
     labels += [f"S{m}" for m in range(lt.shared_outputs.shape[1])]
-    has_ref = lt.reference_output is not None
-    if has_ref:
+    if lt.reference_output is not None:
         parts.append(lt.reference_output[:, None])
         labels.append(REFERENCE_LABEL)
-    return np.concatenate(parts, axis=1), labels, n_experts, has_ref
+    return np.concatenate(parts, axis=1), labels
 
 
 def output_sim_per_token(trace: CorpusTrace, layer: int, token: int = 0) -> SimilarityMatrix:
@@ -57,10 +54,9 @@ def output_sim_per_token(trace: CorpusTrace, layer: int, token: int = 0) -> Simi
     Zero output vectors mask their cells rather than raising.
     """
     lt = _layer_trace(trace, layer)
-    vectors, labels, n_experts, has_ref = _output_entities(lt)
-    selected = [str(n) for n in lt.selected[token]]
-    return similarity_matrix(pairwise_cosine(vectors[token], allow_zero=True), labels,
-                             n_experts, has_ref, selected_labels=selected)
+    vectors, labels = _output_entities(lt)
+    return SimilarityMatrix(labels, pairwise_cosine(vectors[token], allow_zero=True),
+                            selected_labels=[str(n) for n in lt.selected[token]])
 
 
 def avg_output_sim(trace: CorpusTrace, layer: int) -> SimilarityMatrix:
@@ -71,12 +67,12 @@ def avg_output_sim(trace: CorpusTrace, layer: int) -> SimilarityMatrix:
     """
     if trace.token_ids.size == 0:
         raise ValueError("no traces given: the trace holds no tokens")
-    vectors, labels, n_experts, has_ref = _output_entities(_layer_trace(trace, layer))
+    vectors, labels = _output_entities(_layer_trace(trace, layer))
     sims = angular(pairwise_cosine(vectors, allow_zero=True))
     count = (~np.isnan(sims)).sum(axis=0)
     with np.errstate(invalid="ignore"):
         mean = np.where(count > 0, np.nansum(sims, axis=0) / np.maximum(count, 1), np.nan)
-    return similarity_matrix(mean, labels, n_experts, has_ref, metric="angular")
+    return SimilarityMatrix(labels, mean, metric="angular")
 
 
 @dataclass

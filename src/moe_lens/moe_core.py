@@ -182,7 +182,10 @@ def trace_all_experts(ckpt: Checkpoint, tokens: list[int],
     Routing follows the configured top-k (every expert with
     ``k_override_all``).  With ``reference`` given (see
     ``ModelConfig.check_reference``), each block trace also carries the
-    reference FFN's output on the block's input.
+    reference FFN's output on the block's input.  A block is refused when a
+    row of one of its arrays or of its output has a sum of squares that is
+    not finite, which a deep model without prenorm can reach: every norm of
+    such a row would be wrong.
     """
     config = ckpt.config
     if reference is not None:
@@ -194,14 +197,18 @@ def trace_all_experts(ckpt: Checkpoint, tokens: list[int],
     z = [np.asarray(ckpt.get_tensor(EMBED)[ids], dtype=np.float64)]
     layers = []
     for i in range(config.num_layers):
-        h = rmsnorm(z[i]) if config.use_prenorm else z[i]
-        lt = _trace_block(ckpt, i, h, k_override_all)
-        if reference is not None:
-            (ffn,), _ = ffn_prefixes(reference.config, i)
-            lt.reference_output = expert_forward(
-                load_expert(reference, ffn), h, config.activation)[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = rmsnorm(z[i]) if config.use_prenorm else z[i]
+            lt = _trace_block(ckpt, i, h, k_override_all)
+            if reference is not None:
+                (ffn,), _ = ffn_prefixes(reference.config, i)
+                lt.reference_output = expert_forward(
+                    load_expert(reference, ffn), h, config.activation)[0]
+            z.append(recombined_output(lt, z[i]))
+            arrays = [a for a in (*vars(lt).values(), z[-1]) if a is not None]
+            if not all(np.isfinite(np.einsum("...i,...i", a, a)).all() for a in arrays):
+                raise ValueError(f"layer {i} overflows float64: a sum of squares is not finite")
         layers.append(lt)
-        z.append(recombined_output(lt, z[i]))
     return CorpusTrace(token_ids=ids, z=np.stack(z), layers=layers)
 
 

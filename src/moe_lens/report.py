@@ -94,10 +94,8 @@ def emit_csv(path, provenance: Provenance, columns: list[str], rows,
 
 def matrix_comments(sim) -> list[str]:
     out = [f"metric: {sim.metric}"]
-    if sim.s_ee is not None:
-        out.append(f"s_ee: {format_cell(sim.s_ee)}")
-    if sim.s_ef is not None:
-        out.append(f"s_ef: {format_cell(sim.s_ef)}")
+    out += [f"{name}: {format_cell(value)}"
+            for name, value in (("s_ee", sim.s_ee), ("s_ef", sim.s_ef)) if value is not None]
     if sim.selected_labels is not None:
         out.append(f"selected: {' '.join(sim.selected_labels)}")
     return out

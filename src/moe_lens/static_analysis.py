@@ -42,18 +42,38 @@ REFERENCE_LABEL = "F"
 class SimilarityMatrix:
     """Symmetric pairwise similarity with labeled rows/columns.
 
-    ``values`` holds NaN for masked (undefined) cells.  Routed experts come
-    first; shared experts and a reference entry may follow.  ``s_ee`` is the
-    mean off-diagonal value among routed experts, ``s_ef`` the mean
-    expert-vs-reference value when a reference entity is present.
+    ``values`` holds NaN for masked (undefined) cells.  One layout rule holds
+    for every matrix: the routed experts come first, labelled by their index,
+    then any shared experts (``S0``, ...), then the reference (``F``) last if
+    there is one.  ``s_ee`` and ``s_ef`` read the routed entries by that rule.
     """
 
     labels: list[str]
     values: np.ndarray
-    metric: str  # "cosine" or "angular"
-    s_ee: float | None = None
-    s_ef: float | None = None
+    metric: str = "cosine"  # or "angular"
     selected_labels: list[str] | None = None
+
+    def _routed(self) -> int:
+        """How many routed experts lead the matrix: the labels that are indices."""
+        return sum(label.isdigit() for label in self.labels)
+
+    @property
+    def s_ee(self) -> float | None:
+        """Mean defined off-diagonal cell of the routed experts, or None."""
+        n = self._routed()
+        if n < 2:
+            return None
+        off = self.values[:n, :n][~np.eye(n, dtype=bool)]
+        return None if np.all(np.isnan(off)) else float(np.nanmean(off))
+
+    @property
+    def s_ef(self) -> float | None:
+        """Mean defined cell of the routed experts' reference column, or None."""
+        n = self._routed()
+        if n < 1 or self.labels[-1] != REFERENCE_LABEL:
+            return None
+        col = self.values[:n, -1]
+        return None if np.all(np.isnan(col)) else float(np.nanmean(col))
 
 
 def pairwise_cosine(vectors: np.ndarray, allow_zero: bool) -> np.ndarray:
@@ -87,40 +107,16 @@ def angular(cosine):
         return 1.0 - np.arccos(cosine) / np.pi
 
 
-def similarity_matrix(values: np.ndarray, labels: list[str], n_experts: int,
-                      has_reference: bool, metric: str = "cosine",
-                      selected_labels: list[str] | None = None) -> SimilarityMatrix:
-    """Label an [n, n] similarity matrix and summarize it.
-
-    The first ``n_experts`` entries are the routed experts and, with
-    ``has_reference``, the last one is the reference.  ``s_ee`` and ``s_ef``
-    average the defined cells of the routed block's off-diagonal and of the
-    routed entries' reference column; a block with no defined cell gives None.
-    """
-    s_ee = None
-    s_ef = None
-    if n_experts >= 2:
-        block = values[:n_experts, :n_experts]
-        off = block[~np.eye(n_experts, dtype=bool)]
-        if not np.all(np.isnan(off)):
-            s_ee = float(np.nanmean(off))
-    if has_reference and n_experts >= 1:
-        col = values[:n_experts, -1]
-        if not np.all(np.isnan(col)):
-            s_ef = float(np.nanmean(col))
-    return SimilarityMatrix(labels=list(labels), values=values, metric=metric,
-                            s_ee=s_ee, s_ef=s_ef, selected_labels=selected_labels)
-
-
 def layer_weights(ckpt: Checkpoint, layer: int, which: str,
                   reference: Checkpoint | None = None) -> tuple[np.ndarray, list[str]]:
     """The chosen matrix of every expert of one layer as one float64
     [E, rows, cols] stack in stored orientation, with the experts' labels.
 
-    This is the one reader of expert weights, and every other weight analysis
-    reduces what it returns.  It owns the dense-layer rule: a dense layer is
-    its one FFN, no population of experts, so it is read only together with
-    a reference.  The reference FFN, when given (see
+    This is the weight analyses' one reader of expert weights (the engine
+    reads its own through ``moe_core.load_expert``), and every other weight
+    analysis reduces what it returns.  It owns the dense-layer rule: a dense
+    layer is its one FFN, no population of experts, so it is read only
+    together with a reference.  The reference FFN, when given (see
     ``ModelConfig.check_reference``), comes last, labelled ``F``.
     """
     if which not in WHICH_MATRICES:
@@ -147,14 +143,6 @@ def neuron_rows(stack: np.ndarray, which: str) -> np.ndarray:
     return np.swapaxes(stack, -1, -2) if which == "down" else stack
 
 
-def _weight_sim(vectors: np.ndarray, labels: list[str]) -> SimilarityMatrix:
-    """Pairwise cosine over one vector per ``layer_weights`` entry; a last
-    label ``F`` marks the reference."""
-    has_ref = labels[-1] == REFERENCE_LABEL
-    return similarity_matrix(pairwise_cosine(vectors, allow_zero=False), labels,
-                             len(labels) - int(has_ref), has_ref)
-
-
 def _neuron_means(stack: np.ndarray, which: str) -> np.ndarray:
     """Each expert's mean neuron vector [E, d_hid], exactly zero when every
     entry is within the rounding error of a zero mean.
@@ -178,7 +166,8 @@ def _neuron_means(stack: np.ndarray, which: str) -> np.ndarray:
 def matrix_level_sim(stack: np.ndarray, labels: list[str]) -> SimilarityMatrix:
     """Pairwise cosine over the row-major flattened matrices of
     ``layer_weights``' ``stack`` and ``labels``."""
-    return _weight_sim(stack.reshape(len(stack), -1), labels)
+    return SimilarityMatrix(labels, pairwise_cosine(stack.reshape(len(stack), -1),
+                                                    allow_zero=False))
 
 
 def neuron_average_sim(stack: np.ndarray, labels: list[str], which: str) -> SimilarityMatrix:
@@ -189,7 +178,8 @@ def neuron_average_sim(stack: np.ndarray, labels: list[str], which: str) -> Simi
     collapses each expert to one d_hid vector, which discards neuron identity
     and with it most of the signal that flattened comparison sees.
     """
-    return _weight_sim(_neuron_means(stack, which), labels)
+    return SimilarityMatrix(labels, pairwise_cosine(_neuron_means(stack, which),
+                                                    allow_zero=False))
 
 
 def solve_assignment(score: np.ndarray) -> np.ndarray:
@@ -341,8 +331,7 @@ def gate_embedding_sim(ckpt: Checkpoint, layer: int) -> SimilarityMatrix:
         raise ValueError(f"layer {layer} is dense and has no gate")
     rows = np.asarray(ckpt.get_tensor(gate_name(layer)), dtype=np.float64)
     labels = [str(e) for e in range(rows.shape[0])]
-    return similarity_matrix(pairwise_cosine(rows, allow_zero=False), labels, rows.shape[0],
-                             has_reference=False)
+    return SimilarityMatrix(labels, pairwise_cosine(rows, allow_zero=False))
 
 
 def pearson_r(xs, ys) -> float | None:
@@ -382,7 +371,10 @@ def pearson_r(xs, ys) -> float | None:
 class RegressionReport:
     n_pairs: int
     r: float | None  # None when either side is flat (see pearson_r)
-    r2: float | None
+
+    @property
+    def r2(self) -> float | None:
+        return None if self.r is None else self.r * self.r
 
 
 def gate_expert_regression(gate: SimilarityMatrix, experts: SimilarityMatrix) -> RegressionReport:
@@ -401,7 +393,7 @@ def gate_expert_regression(gate: SimilarityMatrix, experts: SimilarityMatrix) ->
         raise ValueError("regression needs at least 3 experts")
     upper = np.triu_indices(n, k=1)
     r = pearson_r(gate.values[upper], experts.values[upper])
-    return RegressionReport(n_pairs=len(upper[0]), r=r, r2=None if r is None else r * r)
+    return RegressionReport(n_pairs=len(upper[0]), r=r)
 
 
 def aggregate_r2(reports: list[RegressionReport]) -> float | None:

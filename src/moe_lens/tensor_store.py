@@ -18,14 +18,17 @@ The JSON header holds the model config and a tensor directory::
 Tensor payloads are finite float32, little-endian, row-major.  ``offsets``
 are byte positions relative to the start of the data section.
 
-Tensor names are derived from the config, and this module is the only one
-that spells them.  Every model has ``embed.weight`` of shape
-``[vocab, d_hid]``.  Gated layer ``i`` contributes ``layers.{i}.gate.weight``
-``[N_i, d_hid]`` plus, per routed expert ``n``, ``layers.{i}.experts.{n}.w_up``
-and ``.w_act`` ``[d_mid, d_hid]`` and ``.w_down`` ``[d_hid, d_mid]``; shared
-experts use the same three suffixes under ``layers.{i}.shared.{m}``.  A dense
-layer stores a single ``layers.{i}.ffn.w_up`` / ``.w_act`` / ``.w_down``
-triple and no gate.  ``ffn_prefixes`` gives a layer's FFN name prefixes.
+Tensor names are derived from the config.  This module spells every name or
+name prefix (``EMBED``, ``gate_name``, ``ffn_prefixes``) and the FFN matrix
+suffixes (``FFN_MATRICES``); ``moe_core``, ``static_analysis`` and ``synth``
+join a prefix and a matrix as ``{prefix}.{matrix}``.  Every model has
+``embed.weight`` of shape ``[vocab, d_hid]``.  Gated layer ``i`` contributes
+``layers.{i}.gate.weight`` ``[N_i, d_hid]`` plus, per routed expert ``n``,
+``layers.{i}.experts.{n}.w_up`` and ``.w_act`` ``[d_mid, d_hid]`` and
+``.w_down`` ``[d_hid, d_mid]``; shared experts use the same three suffixes
+under ``layers.{i}.shared.{m}``.  A dense layer stores a single
+``layers.{i}.ffn.w_up`` / ``.w_act`` / ``.w_down`` triple and no gate.
+``ffn_prefixes`` gives a layer's FFN name prefixes.
 
 The config alone fixes the directory: ``_layout`` places the tensors in
 sorted-name order, each range right after the last, 4 bytes per value.  The

@@ -18,7 +18,7 @@ import pytest
 from conftest import SCIPY_MODULES, run_isolated, write_corpus
 
 from moe_lens import ModelConfig
-from moe_lens.cli import build_parser, run_command
+from moe_lens.cli import ANALYSES, build_parser, run_command
 from moe_lens.report import (Provenance, emit_csv, emit_heatmap, file_digest, format_cell,
                              metric_range)
 from moe_lens.tensor_store import (build_checkpoint, dump_checkpoint, ffn_prefixes,
@@ -529,13 +529,43 @@ def test_every_reference_reader_rejects_a_partly_gated_reference(workspace, tmp_
 
 @pytest.mark.parametrize("cell", ["0", "-1"])
 def test_cell_below_one_writes_nothing(workspace, tmp_path, capsys, cell):
-    for argv in (["matrix-sim", "--which", "up"], ["norm-rank", "--corpus", workspace["corpus"]]):
+    for name, entry in ANALYSES.items():
+        argv = [name, *(["--which", "up"] if entry.which else []),
+                *(["--corpus", workspace["corpus"]] if entry.corpus else [])]
         out = tmp_path / argv[0]
         code = run_command([*argv, "--model", workspace["model"], "--cell", cell,
                             "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == "error: cell size must be positive\n"
         assert snapshot(out) == {}
+
+
+@pytest.mark.parametrize("layers", [6, 7, 8])
+def test_deep_model_without_prenorm_is_refused_where_it_overflows(tmp_path, capsys, layers):
+    """Without prenorm a block's output grows with the square of its input:
+    this model's block 6 writes vectors near 1e296, finite but with squares
+    past float64, which once made every unit vector zero and every cell of a
+    table 0.5.  Every command that traces refuses that block, and a model
+    that stops one block short runs warning-free."""
+    assert run_command(["synth", "--mode", "scratch", "--seed", "3", "--no-prenorm",
+                        "--init-std", "1", "--layers", str(layers), "--experts", "4",
+                        "--top-k", "2", "--d-hid", "32", "--d-mid", "64", "--vocab", "11",
+                        "--out", str(tmp_path / "m")]) == 0
+    write_corpus(tmp_path / "corpus.txt", [[0, 1, 2, 3]])
+    capsys.readouterr()
+    common = ["--model", str(tmp_path / "m" / "model.moel"),
+              "--corpus", str(tmp_path / "corpus.txt")]
+    commands = [["report"], *([name] for name, entry in ANALYSES.items() if entry.corpus)]
+    for argv in commands:
+        out = tmp_path / argv[0]
+        code = run_command([*argv, *common, "--out", str(out)])
+        err = capsys.readouterr().err
+        if layers == 6:
+            assert (code, err) == (0, ""), argv[0]
+        else:
+            assert (code, err) == (
+                1, "error: layer 6 overflows float64: a sum of squares is not finite\n"), argv[0]
+            assert snapshot(out) == {}
 
 
 def test_matrix_sim_rejects_unknown_which(workspace, tmp_path, capsys):

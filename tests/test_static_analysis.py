@@ -17,15 +17,15 @@ from hypothesis import strategies as st
 
 import moe_lens
 from moe_lens import ModelConfig
-from moe_lens.dynamic_analysis import angular_sim
-from moe_lens.moe_core import Expert
-from moe_lens.static_analysis import (WHICH_MATRICES, _orient_components, aggregate_r2,
-                                      dbscan_outliers, gate_embedding_sim,
+from moe_lens.dynamic_analysis import angular_sim, avg_output_sim, output_sim_per_token
+from moe_lens.moe_core import Expert, trace_all_experts
+from moe_lens.static_analysis import (WHICH_MATRICES, SimilarityMatrix, _orient_components,
+                                      aggregate_r2, dbscan_outliers, gate_embedding_sim,
                                       gate_expert_regression, kendall_tau, layer_weights,
                                       matrix_level_sim, neuron_average_sim, neuron_rows,
                                       pairwise_cosine, pairwise_reorder_reports, pca_project,
                                       pearson_r, reconstruct, reorder_neurons,
-                                      similarity_matrix, solve_assignment)
+                                      solve_assignment)
 from moe_lens.synth import (SynthSpec, synth_permuted_clone,
                             synth_permuted_clone_model, synth_scratch, synth_upcycled)
 from moe_lens.report import format_cell
@@ -157,24 +157,83 @@ def test_similarity_matrix_summaries():
                        [0.9, 0.9, 1.0, 0.9],
                        [0.4, nan, 0.9, 1.0]])
     labels = ["0", "1", "S0", "F"]
-    sim = similarity_matrix(values, labels, 2, has_reference=True)
+    sim = SimilarityMatrix(labels, values)
     assert (sim.labels, sim.metric, sim.selected_labels) == (labels, "cosine", None)
     assert sim.values is values
     assert (sim.s_ee, sim.s_ef) == (0.2, 0.4)
 
     # Without a reference the last column is the shared expert's, and unread.
-    no_ref = similarity_matrix(values[:3, :3], labels[:3], 2, has_reference=False)
+    no_ref = SimilarityMatrix(labels[:3], values[:3, :3])
     assert (no_ref.s_ee, no_ref.s_ef) == (0.2, None)
 
     masked = values.copy()
     masked[0, 1] = masked[1, 0] = masked[0, 3] = masked[3, 0] = nan
-    sim = similarity_matrix(masked, labels, 2, has_reference=True, metric="angular",
-                            selected_labels=["1"])
+    sim = SimilarityMatrix(labels, masked, metric="angular", selected_labels=["1"])
     assert (sim.s_ee, sim.s_ef) == (None, None)
     assert (sim.metric, sim.selected_labels) == ("angular", ["1"])
 
-    one = similarity_matrix(values[[0, 3]][:, [0, 3]], ["0", "F"], 1, has_reference=True)
+    one = SimilarityMatrix(["0", "F"], values[[0, 3]][:, [0, 3]])
     assert (one.s_ee, one.s_ef) == (None, 0.4)
+
+
+@pytest.fixture(scope="module")
+def mixed_layers():
+    """``synth --mode upcycled --layers 3 --experts 4,1,6 --shared 1,0,2``
+    with noise 0.3: a gated layer with one shared expert, a dense layer and
+    a gated layer with two, and the dense reference."""
+    cfg = ModelConfig(num_layers=3, experts_per_layer=[4, 1, 6], num_shared=[1, 0, 2],
+                      top_k=2, d_hid=16, d_mid=24, vocab=13)
+    return synth_upcycled(SynthSpec(config=cfg, mode="upcycled", seed=3,
+                                    upcycle_noise_std=0.3))
+
+
+def layout_cases(model, ref, source):
+    """``(matrix, routed, shared, with_ref)`` of each layer that ``source``
+    reads, the counts taken from the model's config."""
+    config = model.config
+    layers = range(config.num_layers)
+    gated = config.moe_layers()
+    if source in ("weights", "weights-ref", "dense-ref"):
+        reference = None if source == "weights" else ref
+        picked = {"weights": gated, "weights-ref": gated,
+                  "dense-ref": [i for i in layers if config.is_dense(i)]}[source]
+        for layer, which in itertools.product(picked, WHICH_MATRICES):
+            stack, labels = layer_weights(model, layer, which, reference)
+            for sim in (matrix_level_sim(stack, labels),
+                        neuron_average_sim(stack, labels, which)):
+                yield sim, config.experts_per_layer[layer], 0, reference is not None
+    elif source == "gate":
+        for layer in gated:
+            yield gate_embedding_sim(model, layer), config.experts_per_layer[layer], 0, False
+    else:
+        reference = ref if source.endswith("-ref") else None
+        trace = trace_all_experts(model, [0, 5, 12, 3, 9, 4, 7, 7, 2], reference)
+        for layer in layers:
+            sim = (avg_output_sim(trace, layer) if source.startswith("avg")
+                   else output_sim_per_token(trace, layer, token=7))
+            yield (sim, config.experts_per_layer[layer], config.num_shared[layer],
+                   reference is not None)
+
+
+@pytest.mark.parametrize("source", ["weights", "weights-ref", "dense-ref", "gate", "avg-out",
+                                    "avg-out-ref", "out-token", "out-token-ref"])
+def test_summaries_follow_the_layout_of_the_config(mixed_layers, source):
+    """Every source of labels lays its matrix out by one rule, and ``s_ee``
+    and ``s_ef`` are the nanmeans of the cells that the config's expert and
+    shared counts and the presence of a reference index."""
+    model, ref = mixed_layers
+    cases = list(layout_cases(model, ref, source))
+    assert cases
+    for sim, routed, shared, with_ref in cases:
+        assert sim.labels == ([str(e) for e in range(routed)] + [f"S{m}" for m in range(shared)]
+                              + ["F"] * with_ref)
+        off = sim.values[:routed, :routed][~np.eye(routed, dtype=bool)]
+        column = sim.values[:routed, -1]
+        want_ee = None if routed < 2 or np.isnan(off).all() else float(np.nanmean(off))
+        want_ef = None if not with_ref or np.isnan(column).all() else float(np.nanmean(column))
+        assert (sim.s_ee, sim.s_ef) == (want_ee, want_ef)
+        assert (want_ee is not None) == (routed >= 2)
+        assert (want_ef is not None) == with_ref
 
 
 # --- matrix-level similarity ---------------------------------------------------
