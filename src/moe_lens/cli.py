@@ -2,8 +2,10 @@
 
 Every analysis subcommand reads a checkpoint (plus a corpus for the
 trace-based ones) and writes provenance-stamped CSV tables and P6 heatmaps
-under ``--out``.  Outputs are deterministic: the same invocation over the same
-inputs reproduces every artifact byte for byte.
+under ``--out``.  Handlers compute and declare their artifacts on the
+``Context``; ``run_command`` writes them once the whole command (a whole
+``report`` too) has returned, so a command that fails writes nothing.  The
+same invocation over the same inputs reproduces every artifact byte for byte.
 
 Each command loads only the ``moe_lens`` modules it runs.  ``config``,
 ``tensor_store``, ``static_analysis`` and ``report`` load with this module;
@@ -20,7 +22,7 @@ import itertools
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -50,8 +52,11 @@ def _int_list(text: str, n: int, flag: str) -> tuple[int, ...]:
 
 @dataclass
 class Context:
-    """A command's inputs, each read and hashed once, and its provenance stamp;
-    ``trace`` is the corpus trace that a report shares with its steps."""
+    """A command's inputs, each read and hashed once, its provenance stamp,
+    its corpus trace once traced, and the artifact writes it has declared.
+
+    A report's steps share its inputs, trace and ``writes`` through
+    ``replace``; ``run_command`` runs the writes in declaration order."""
 
     args: argparse.Namespace
     model: Checkpoint
@@ -60,25 +65,34 @@ class Context:
     digests: dict[str, str]
     provenance: Provenance | None = None
     trace: CorpusTrace | None = None
-
-    @property
-    def out(self) -> str:
-        return self.args.out
+    writes: list[Callable[[], list[str]]] = field(default_factory=list)
 
     def corpus_trace(self) -> CorpusTrace:
-        """The shared corpus trace, else a new one; steps without ``--ref``
-        never read the reference outputs a shared trace carries."""
-        from .moe_core import trace_all_experts
-        k_override_all = self.args.k_override == "all"
-        if self.trace is not None and not k_override_all:
-            return self.trace
-        return trace_all_experts(self.model, self.tokens, self.reference, k_override_all)
+        """The corpus, traced on first use and kept; a report's steps
+        without ``--ref`` never read the reference outputs it carries."""
+        if self.trace is None:
+            from .moe_core import trace_all_experts
+            self.trace = trace_all_experts(self.model, self.tokens, self.reference,
+                                           getattr(self.args, "k_override", None) == "all")
+        return self.trace
+
+    def table(self, name: str, columns: list[str], rows, comments: list[str] | None = None):
+        """Declare the CSV table ``name`` under ``--out``."""
+        self.writes.append(functools.partial(emit_csv, os.path.join(self.args.out, name),
+                                             self.provenance, columns, rows, comments))
+
+    def matrix(self, stem: str, labels: list[str], values: np.ndarray,
+               value_range: tuple[float, float], comments: list[str]):
+        """Declare the labelled matrix ``stem`` under ``--out``: its CSV and heatmap."""
+        self.writes.append(functools.partial(emit_matrix, os.path.join(self.args.out, stem),
+                                             self.provenance, labels, values, value_range,
+                                             comments, self.args.cell))
 
 
 def _load_context(args, argv: list[str], loaded: Context | None) -> Context:
     """Read and hash the inputs the command's parser takes (``--model``, and
     ``--ref``/``--corpus`` where it has them), or take them from a report's
-    ``loaded``; a ``--cell`` below 1 is refused first, before any file exists."""
+    ``loaded``; a ``--cell`` below 1 is refused first."""
     if getattr(args, "cell", 1) < 1:
         raise ValueError("cell size must be positive")
     ref_path = getattr(args, "ref", None)
@@ -101,7 +115,6 @@ def _load_context(args, argv: list[str], loaded: Context | None) -> Context:
                          digests=digests)
     used = ["model", *(["reference"] if ref_path else []),
             *(["corpus"] if corpus_path else [])]
-    os.makedirs(args.out, exist_ok=True)
     prov = Provenance(command=["moe-lens", *argv],
                       inputs={name: loaded.digests[name] for name in used})
     return replace(loaded, args=args, provenance=prov,
@@ -144,40 +157,32 @@ def _cmd_synth(args) -> list[str]:
     mode = args.mode.replace("-", "_")
     spec = SynthSpec(config=config, mode=mode, seed=args.seed,
                      init_std=args.init_std, upcycle_noise_std=args.noise)
-    os.makedirs(args.out, exist_ok=True)
-    written = []
-    model_path = os.path.join(args.out, "model.moel")
     if mode == "scratch":
-        dump_checkpoint(synth_scratch(spec), model_path)
+        checkpoints = [synth_scratch(spec)]
     elif mode == "upcycled":
-        model, reference = synth_upcycled(spec)
-        dump_checkpoint(model, model_path)
-        ref_path = os.path.join(args.out, "reference.moel")
-        dump_checkpoint(reference, ref_path)
-        written.append(ref_path)
+        checkpoints = synth_upcycled(spec)
     else:
-        dump_checkpoint(synth_permuted_clone_model(spec)[0], model_path)
-    written.insert(0, model_path)
+        checkpoints = [synth_permuted_clone_model(spec)[0]]
+    written = []
+    for ckpt, name in zip(checkpoints, ["model.moel", "reference.moel"]):
+        written.append(os.path.join(args.out, name))
+        dump_checkpoint(ckpt, written[-1])
     for path in written:
         print(f"digest {os.path.basename(path)} sha256:{file_digest(path)}")
     return written
 
 
 def _layer_sims(stem: str, layer_sim: Callable[[Context], Callable[[int], sta.SimilarityMatrix]]
-                ) -> Callable[[Context], list[str]]:
-    """A handler that writes one similarity matrix per selected layer:
+                ) -> Callable[[Context], None]:
+    """A handler that declares one similarity matrix per selected layer:
     ``layer_sim(ctx)`` gives the analysis of a layer index, and ``stem``
     formats with the arguments and ``layer`` into the file stem."""
-    def handler(ctx: Context) -> list[str]:
+    def handler(ctx: Context) -> None:
         analyse = layer_sim(ctx)
-        written = []
         for layer in _select_layers(ctx.args.layer, ctx.model):
-            path = os.path.join(ctx.out, stem.format_map({**vars(ctx.args), "layer": layer}))
             sim = analyse(layer)
-            written += emit_matrix(path, ctx.provenance, sim.labels, sim.values,
-                                   metric_range(sim.metric), matrix_comments(sim),
-                                   ctx.args.cell)
-        return written
+            ctx.matrix(stem.format_map({**vars(ctx.args), "layer": layer}), sim.labels,
+                       sim.values, metric_range(sim.metric), matrix_comments(sim))
     return handler
 
 
@@ -205,7 +210,7 @@ def _layer_weights(ctx: Context, layer: int) -> tuple[np.ndarray, list[str]]:
     return sta.layer_weights(ctx.model, layer, ctx.args.which, ctx.reference)
 
 
-def _cmd_reorder(ctx: Context) -> list[str]:
+def _cmd_reorder(ctx: Context) -> None:
     which = ctx.args.which
     rows = []
     for layer in _select_layers(ctx.args.layer, ctx.model):
@@ -218,14 +223,12 @@ def _cmd_reorder(ctx: Context) -> list[str]:
     comments = [f"mean_tau: {format_cell(np.mean(taus) if taus else None)}"]
     if undefined:
         comments.append(f"degenerate: fewer than two neurons in layers {' '.join(undefined)}")
-    path = os.path.join(ctx.out, f"reorder-{which}.csv")
-    emit_csv(path, ctx.provenance,
-             ["layer", "expert_a", "expert_b", "which", "sim_before", "sim_after", "tau"],
-             rows, extra_comments=comments)
-    return [path]
+    ctx.table(f"reorder-{which}.csv",
+              ["layer", "expert_a", "expert_b", "which", "sim_before", "sim_after", "tau"],
+              rows, comments)
 
 
-def _cmd_gate_corr(ctx: Context) -> list[str]:
+def _cmd_gate_corr(ctx: Context) -> None:
     which = ctx.args.which
     config = ctx.model.config
     layers = [i for i in config.moe_layers() if config.experts_per_layer[i] >= 3]
@@ -237,16 +240,12 @@ def _cmd_gate_corr(ctx: Context) -> list[str]:
     rows = [[layer, which, rep.n_pairs, rep.r, rep.r2] for layer, rep in zip(layers, reports)]
     rows.append(["avg", which, None, None, sta.aggregate_r2(reports)])
     flat = [str(layer) for layer, rep in zip(layers, reports) if rep.r is None]
-    path = os.path.join(ctx.out, f"gate-corr-{which}.csv")
-    emit_csv(path, ctx.provenance, ["layer", "which", "n_pairs", "r", "r2"], rows,
-             extra_comments=[f"degenerate: zero variance in layers {' '.join(flat)}"]
-             if flat else None)
-    return [path]
+    ctx.table(f"gate-corr-{which}.csv", ["layer", "which", "n_pairs", "r", "r2"], rows,
+              [f"degenerate: zero variance in layers {' '.join(flat)}"] if flat else None)
 
 
-def _cmd_pca(ctx: Context) -> list[str]:
+def _cmd_pca(ctx: Context) -> None:
     args = ctx.args
-    written = []
     for layer in _select_layers(args.layer, ctx.model):
         stack, experts = _layer_weights(ctx, layer)
         if args.level == "matrix":
@@ -268,14 +267,11 @@ def _cmd_pca(ctx: Context) -> list[str]:
             comments.append("degenerate: no feature varies; every point is at the origin")
         rows = [[label, *coords] for i, (label, coords) in enumerate(zip(labels, proj.coords))
                 if i not in noise]
-        path = os.path.join(ctx.out, f"pca-layer{layer}-{args.which}-{args.level}.csv")
-        emit_csv(path, ctx.provenance, ["label", *[f"pc{d + 1}" for d in range(args.dims)]],
-                 rows, extra_comments=comments)
-        written.append(path)
-    return written
+        ctx.table(f"pca-layer{layer}-{args.which}-{args.level}.csv",
+                  ["label", *[f"pc{d + 1}" for d in range(args.dims)]], rows, comments)
 
 
-def _cmd_trace(ctx: Context) -> list[str]:
+def _cmd_trace(ctx: Context) -> None:
     from .moe_core import native_output
     if not ctx.model.config.num_layers:
         raise ValueError("nothing to trace: the model has no layers")
@@ -290,13 +286,11 @@ def _cmd_trace(ctx: Context) -> list[str]:
             for idx, token_id in enumerate(trace.token_ids.tolist())
             for layer in range(errs.shape[1]))
     worst = errs.max(initial=0.0)
-    path = os.path.join(ctx.out, "trace-consistency.csv")
-    emit_csv(path, ctx.provenance, ["token_index", "token_id", "layer", "rel_err"],
-             rows, extra_comments=[f"max_rel_err: {worst:.6e}"])
-    return [path]
+    ctx.table("trace-consistency.csv", ["token_index", "token_id", "layer", "rel_err"],
+              rows, [f"max_rel_err: {worst:.6e}"])
 
 
-def _cmd_norm_rank(ctx: Context) -> list[str]:
+def _cmd_norm_rank(ctx: Context) -> None:
     from . import dynamic_analysis as dyn
     trace = ctx.corpus_trace()
     layers = _select_layers(ctx.args.layer, ctx.model)
@@ -304,7 +298,6 @@ def _cmd_norm_rank(ctx: Context) -> list[str]:
     groups: dict[int, list[int]] = {}
     for layer in layers:
         groups.setdefault(config.experts_per_layer[layer], []).append(layer)
-    written = []
     for n in sorted(groups):
         rc = dyn.rank_count_matrix(trace, groups[n])
         labels = [str(r + 1) for r in range(rc.counts.shape[0])]
@@ -314,42 +307,36 @@ def _cmd_norm_rank(ctx: Context) -> list[str]:
                     f"events: {rc.total_events}",
                     "rows: output-norm rank (1 = smallest); "
                     "columns: gate-score rank (1 = smallest)"]
-        written += emit_matrix(os.path.join(ctx.out, stem), ctx.provenance, labels, rc.counts,
-                               (0.0, float(rc.counts.max())), comments, ctx.args.cell)
-    return written
+        ctx.matrix(stem, labels, rc.counts, (0.0, float(rc.counts.max())), comments)
 
 
-def _cmd_act_ratio(ctx: Context) -> list[str]:
+def _cmd_act_ratio(ctx: Context) -> None:
     from . import dynamic_analysis as dyn
     report = dyn.activation_ratio(ctx.corpus_trace(), threshold=ctx.args.threshold)
     rows = [[layer, expert, ratio]
             for (layer, expert), ratio in report.per_expert.items()]
     rows.append(["overall", None, report.overall])
-    path = os.path.join(ctx.out, "act-ratio.csv")
-    emit_csv(path, ctx.provenance, ["layer", "expert", "ratio"], rows,
-             extra_comments=[f"threshold: {ctx.args.threshold}"])
-    return [path]
+    ctx.table("act-ratio.csv", ["layer", "expert", "ratio"], rows,
+              [f"threshold: {ctx.args.threshold}"])
 
 
-def _cmd_route_log(ctx: Context) -> list[str]:
+def _cmd_route_log(ctx: Context) -> None:
     from . import dynamic_analysis as dyn
     if not ctx.model.config.moe_layers():
         raise ValueError("model has no gated layers")
     columns = [c.tolist() for c in dyn.routing_pattern(ctx.corpus_trace())]
-    path = os.path.join(ctx.out, "route-log.csv")
-    emit_csv(path, ctx.provenance,
-             ["token_index", "token_id", "layer", "slot", "expert", "score"], zip(*columns))
-    return [path]
+    ctx.table("route-log.csv", ["token_index", "token_id", "layer", "slot", "expert", "score"],
+              zip(*columns))
 
 
-def _cmd_report(ctx: Context) -> list[str]:
+def _cmd_report(ctx: Context) -> None:
     """Run the full analysis suite into subdirectories of --out, every step
-    through ``run_command`` on inputs read, hashed and traced once here."""
-    from .moe_core import trace_all_experts
+    through ``run_command`` on inputs read, hashed and traced once here; the
+    steps' artifacts join the report's writes."""
     config = ctx.model.config
     if not config.num_layers:
         raise ValueError("no intermediates to count: the model has no layers")
-    ctx.trace = trace_all_experts(ctx.model, ctx.tokens, ctx.reference)
+    ctx.corpus_trace()
     gated = config.moe_layers()
     steps: list[tuple[str, str | None]] = []
     if gated:
@@ -376,7 +363,6 @@ def _cmd_report(ctx: Context) -> list[str]:
         argv += ["--out", os.path.join(args.out, name)]
         if run_command(argv, ctx) != 0:
             raise ValueError(f"report step failed: {name}")
-    return []
 
 
 # --- the analysis table ----------------------------------------------------
@@ -391,7 +377,7 @@ class Analysis:
     """
 
     help: str
-    handler: Callable[[Context], list[str]]
+    handler: Callable[[Context], None]
     ref: bool = False
     corpus: bool = False
     layer: bool = False
@@ -514,7 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
 def run_command(argv: list[str], loaded: Context | None = None) -> int:
     """Parse and execute one invocation; returns the process exit code.
 
-    A report passes its ``loaded`` inputs; without them a command loads its own.
+    A report passes its ``loaded`` inputs to each step, whose writes join the
+    report's.  Without them a command loads its own inputs and, once it has
+    returned, runs the writes it declared, so a command that fails writes nothing.
     """
     parser = build_parser()
     try:
@@ -525,7 +513,9 @@ def run_command(argv: list[str], loaded: Context | None = None) -> int:
         if args.command == "synth":
             written = _cmd_synth(args)
         else:
-            written = args.func(_load_context(args, argv, loaded))
+            ctx = _load_context(args, argv, loaded)
+            args.func(ctx)
+            written = [p for write in ctx.writes for p in write()] if loaded is None else []
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

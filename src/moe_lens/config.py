@@ -91,13 +91,16 @@ class ModelConfig:
 
     def check_reference(self, ref: "ModelConfig") -> None:
         """Raise unless ``ref`` can be this model's reference: the same depth,
-        dense in every layer, and the same ``d_hid`` and ``d_mid``."""
+        dense in every layer, the same ``d_hid`` and ``d_mid``, and the same
+        activation, since the engine runs the reference with the model's."""
         if ref.num_layers != self.num_layers:
             raise ValueError("reference layer count differs from model")
         if ref.moe_layers():
             raise ValueError("reference checkpoint must be dense in every layer")
         if (ref.d_hid, ref.d_mid) != (self.d_hid, self.d_mid):
             raise ValueError("reference dimensions differ from model")
+        if ref.activation != self.activation:
+            raise ValueError("reference activation differs from model")
 
     def to_dict(self) -> dict:
         """The JSON form: every field, tuples as lists."""

@@ -83,13 +83,15 @@ def format_cell(value) -> str:
 
 
 def emit_csv(path, provenance: Provenance, columns: list[str], rows,
-             extra_comments: list[str] | None = None) -> None:
-    """Write a table with ``# ``-prefixed provenance comments and a label header."""
+             extra_comments: list[str] | None = None) -> list[str]:
+    """Write a table with ``# ``-prefixed provenance comments and a label
+    header; returns ``[path]``."""
     lines = _comment_lines(provenance, extra_comments)
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(format_cell(cell) for cell in row))
     atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    return [path]
 
 
 def matrix_comments(sim) -> list[str]:

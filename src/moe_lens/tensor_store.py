@@ -200,7 +200,7 @@ def dump_checkpoint(ckpt: Checkpoint, path) -> None:
 
 def atomic_write_bytes(path, blob: bytes) -> None:
     """Write ``blob`` to a temp file of this writer's own in ``path``'s
-    directory, then rename it over ``path``.
+    directory, which is created if missing, then rename it over ``path``.
 
     Readers never see a partly written file, two writers of one path never
     share a temp file, and the temp file is removed if the write or the
@@ -208,6 +208,8 @@ def atomic_write_bytes(path, blob: bytes) -> None:
     ``0o666 & ~umask``, not ``mkstemp``'s 0o600.
     """
     directory, name = os.path.split(os.fspath(path))
+    if directory:
+        os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory or ".")
     try:
         with os.fdopen(fd, "wb") as fh:

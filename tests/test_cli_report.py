@@ -22,7 +22,7 @@ from moe_lens.cli import ANALYSES, build_parser, run_command
 from moe_lens.report import (Provenance, emit_csv, emit_heatmap, file_digest, format_cell,
                              metric_range)
 from moe_lens.tensor_store import (build_checkpoint, dump_checkpoint, ffn_prefixes,
-                                   required_tensor_shapes)
+                                   read_checkpoint, required_tensor_shapes)
 
 DARK = bytes((8, 8, 32))
 LIGHT = bytes((255, 244, 160))
@@ -510,21 +510,28 @@ def test_weight_sim_rejects_reference_of_other_depth(workspace, tmp_path, capsys
         assert capsys.readouterr().err == "error: reference layer count differs from model\n"
 
 
-def test_every_reference_reader_rejects_a_partly_gated_reference(workspace, tmp_path, capsys):
+@pytest.mark.parametrize("synth_args, reference, message", [
     # Layer 1 of this reference is dense, layer 0 is not.
-    assert run_command(["synth", "--mode", "scratch", "--seed", "7", "--layers", "2",
-                        "--experts", "4,1", "--d-hid", "8", "--d-mid", "12", "--vocab", "13",
-                        "--out", str(tmp_path / "partial")]) == 0
+    (["--mode", "scratch", "--experts", "4,1"], "model.moel",
+     "reference checkpoint must be dense in every layer"),
+    # The dense base of the workspace's upcycled model, but with gelu experts.
+    (["--mode", "upcycled", "--noise", "0.3", "--experts", "4", "--activation", "gelu"],
+     "reference.moel", "reference activation differs from model"),
+], ids=["partly-gated", "gelu"])
+def test_every_reference_reader_rejects_a_partly_gated_reference(workspace, tmp_path, capsys,
+                                                                 synth_args, reference, message):
+    assert run_command(["synth", "--seed", "7", "--layers", "2", *synth_args, "--d-hid", "8",
+                        "--d-mid", "12", "--vocab", "13", "--out", str(tmp_path / "ref")]) == 0
     capsys.readouterr()
-    ref = ["--ref", str(tmp_path / "partial" / "model.moel")]
+    ref = ["--ref", str(tmp_path / "ref" / reference)]
     for argv in (["matrix-sim", "--layer", "1", "--which", "up"],
                  ["neuron-avg-sim", "--layer", "1", "--which", "up"],
-                 ["trace", "--corpus", workspace["corpus"]]):
+                 ["trace", "--corpus", workspace["corpus"]],
+                 ["avg-out-sim", "--corpus", workspace["corpus"]]):
         out = tmp_path / argv[0]
         assert run_command([*argv, "--model", workspace["up"], *ref, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == \
-            "error: reference checkpoint must be dense in every layer\n", argv[0]
-        assert snapshot(out) == {}
+        assert capsys.readouterr().err == f"error: {message}\n", argv[0]
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("cell", ["0", "-1"])
@@ -537,7 +544,7 @@ def test_cell_below_one_writes_nothing(workspace, tmp_path, capsys, cell):
                             "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == "error: cell size must be positive\n"
-        assert snapshot(out) == {}
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("layers", [6, 7, 8])
@@ -565,7 +572,7 @@ def test_deep_model_without_prenorm_is_refused_where_it_overflows(tmp_path, caps
         else:
             assert (code, err) == (
                 1, "error: layer 6 overflows float64: a sum of squares is not finite\n"), argv[0]
-            assert snapshot(out) == {}
+            assert not out.exists()
 
 
 def test_matrix_sim_rejects_unknown_which(workspace, tmp_path, capsys):
@@ -768,6 +775,35 @@ def test_out_sim_k_override_selects_everyone(workspace, tmp_path):
     lines = read_lines(out / "out-sim-layer0-token0.csv")
     sel = [l for l in lines if l.startswith("# selected: ")][0]
     assert sorted(sel.split()[2:]) == ["0", "1", "2", "3"]
+
+
+def test_k_override_reaches_the_corpus_trace(tmp_path, capsys):
+    """``--k-override all`` routes every expert of the corpus trace: 4 slots
+    per token in layer 0 and 6 in layer 2 (layer 1 is dense), a native pass
+    that still agrees, and averaged outputs that change only past layer 0,
+    whose input routing cannot reach."""
+    assert run_command(["synth", "--mode", "upcycled", "--seed", "3", "--noise", "0.3",
+                        "--layers", "3", "--experts", "4,1,6", "--shared", "1,0,2",
+                        "--d-hid", "16", "--d-mid", "24", "--out", str(tmp_path / "m")]) == 0
+    write_corpus(tmp_path / "corpus.txt", [list(range(1, 11))])
+    inputs = ["--model", str(tmp_path / "m" / "model.moel"),
+              "--corpus", str(tmp_path / "corpus.txt")]
+    for command in ("route-log", "trace", "avg-out-sim"):
+        for k in ("all", None):
+            assert run_command([command, *inputs, *(["--k-override", k] if k else []),
+                                "--out", str(tmp_path / f"{command}-{k}")]) == 0
+    capsys.readouterr()
+    rows = data_lines(tmp_path / "route-log-all" / "route-log.csv")[1:]
+    layers = [row.split(",")[2] for row in rows]
+    assert len(layers) == 100 and (layers.count("0"), layers.count("2")) == (40, 60)
+    assert "# max_rel_err: 0.000000e+00" in read_lines(
+        tmp_path / "trace-all" / "trace-consistency.csv")
+
+    def table(k, layer):
+        lines = read_lines(tmp_path / f"avg-out-sim-{k}" / f"avg-out-sim-layer{layer}.csv")
+        return [line for line in lines if not line.startswith("# command:")]
+    assert table("all", 0) == table(None, 0)
+    assert table("all", 2) != table(None, 2)
 
 
 def test_avg_out_sim_angular_metric(workspace, tmp_path):
@@ -1006,7 +1042,46 @@ def test_report_bad_corpus_writes_nothing(workspace, tmp_path, capsys):
                         "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: token id out of range")
-    assert not out.exists() or snapshot(out) == {}
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def failing_inputs(tmp_path_factory):
+    """A model of 6 and 2 experts, a model whose ``layers.1.experts.2.w_down``
+    is all zero, and a corpus."""
+    root = tmp_path_factory.mktemp("failing")
+    base = ["--layers", "2", "--top-k", "2", "--d-hid", "8", "--d-mid", "12", "--vocab", "11"]
+    assert run_command(["synth", "--mode", "scratch", "--seed", "1", "--experts", "6,2",
+                        *base, "--out", str(root / "six-two")]) == 0
+    assert run_command(["synth", "--mode", "scratch", "--seed", "5", "--experts", "4",
+                        *base, "--out", str(root / "zero")]) == 0
+    ckpt = read_checkpoint(root / "zero" / "model.moel")
+    tensors = {name: ckpt.get_tensor(name) for name in ckpt.tensors}
+    tensors["layers.1.experts.2.w_down"] = np.zeros_like(tensors["layers.1.experts.2.w_down"])
+    dump_checkpoint(build_checkpoint(ckpt.config, tensors), root / "zero" / "model.moel")
+    write_corpus(root / "corpus.txt", [[1, 2, 3, 4]])
+    return {"six-two": str(root / "six-two" / "model.moel"),
+            "zero": str(root / "zero" / "model.moel"), "corpus": str(root / "corpus.txt")}
+
+
+@pytest.mark.parametrize("argv, errors", [
+    (["pca", "--model", "{six-two}", "--which", "up", "--dims", "3"],
+     ["fewer samples than dims"]),
+    (["report", "--model", "{zero}", "--corpus", "{corpus}"],
+     ["undefined similarity: zero vector", "report step failed: matrix-sim"]),
+    (["gate-sim", "--model", "{six-two}", "--layer", "5"], ["layer 5 out of range"]),
+    (["matrix-sim", "--model", "{six-two}", "--which", "up", "--layer", "9"],
+     ["layer 9 out of range"]),
+], ids=["pca-after-layer-0", "report-step", "gate-sim-layer", "matrix-sim-layer"])
+def test_a_failed_command_writes_nothing(failing_inputs, tmp_path, capsys, argv, errors):
+    """Artifacts are written only once the whole command has succeeded, so a
+    failure after some layers, or after some report steps, leaves no table
+    that looks like a result, and no ``--out`` directory either."""
+    out = tmp_path / "out"
+    code = run_command([arg.format_map(failing_inputs) for arg in argv] + ["--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr() == ("", "".join(f"error: {e}\n" for e in errors))
+    assert not out.exists()
 
 
 def test_zero_layer_model_fails_cleanly(tmp_path, capsys):
