@@ -133,8 +133,7 @@ def _select_layers(arg: str, model: Checkpoint) -> list[int]:
         layer = int(arg)
     except ValueError as exc:
         raise ValueError(f"--layer expects an index or 'all': {arg!r}") from exc
-    if not 0 <= layer < config.num_layers:
-        raise ValueError(f"layer {layer} out of range")
+    config.is_dense(layer)  # refuses a layer the model lacks
     return [layer]
 
 

@@ -83,6 +83,9 @@ class ModelConfig:
             raise ValueError(f"unknown gating order: {self.gating_order!r}")
 
     def is_dense(self, layer: int) -> bool:
+        """Whether ``layer`` is dense; every reader asks, so a missing layer is refused here."""
+        if not 0 <= layer < self.num_layers:
+            raise ValueError(f"layer {layer} out of range")
         return self.experts_per_layer[layer] == 1
 
     def moe_layers(self) -> list[int]:

@@ -19,18 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import GATING_ORDERS
-from .tensor_store import EMBED, FFN_MATRICES, Checkpoint, ffn_prefixes, gate_name
+from .tensor_store import EMBED, Checkpoint, Expert
 
 RMSNORM_EPS = 1e-6
-
-
-@dataclass
-class Expert:
-    """One FFN expert: w_up and w_act are [d_mid, d_hid], w_down is [d_hid, d_mid]."""
-
-    w_up: np.ndarray
-    w_act: np.ndarray
-    w_down: np.ndarray
 
 
 @dataclass
@@ -86,11 +77,12 @@ def rmsnorm(x: np.ndarray) -> np.ndarray:
 
 
 def expert_forward(expert: Expert, x, kind: str = "silu") -> tuple[np.ndarray, np.ndarray]:
-    """Run one expert on ``x`` [..., d_hid]; returns (output [..., d_hid],
-    intermediate [..., d_mid])."""
+    """Run one expert on ``x`` [..., d_hid], its weights cast to float64;
+    returns (output [..., d_hid], intermediate [..., d_mid])."""
     x = np.asarray(x, dtype=np.float64)
-    inter = activation_fn(kind, x @ expert.w_act.T)
-    y = ((x @ expert.w_up.T) * inter) @ expert.w_down.T
+    w_up, w_act, w_down = (np.asarray(w, dtype=np.float64) for w in vars(expert).values())
+    inter = activation_fn(kind, x @ w_act.T)
+    y = ((x @ w_up.T) * inter) @ w_down.T
     return y, inter
 
 
@@ -138,12 +130,6 @@ def recombined_output(trace: LayerTrace, z_in: np.ndarray) -> np.ndarray:
     return z_in + y
 
 
-def load_expert(ckpt: Checkpoint, prefix: str) -> Expert:
-    """The FFN whose tensors are named under ``prefix`` (see ``ffn_prefixes``)."""
-    return Expert(*(np.asarray(ckpt.get_tensor(f"{prefix}.{matrix}"), dtype=np.float64)
-                    for matrix in FFN_MATRICES))
-
-
 def _trace_block(ckpt: Checkpoint, layer: int, h: np.ndarray,
                  k_override_all: bool) -> LayerTrace:
     """Every expert of one block on the normalized inputs ``h`` [T, d_hid].
@@ -153,25 +139,22 @@ def _trace_block(ckpt: Checkpoint, layer: int, h: np.ndarray,
     """
     config = ckpt.config
     t = h.shape[0]
-    routed, shared_prefixes = ffn_prefixes(config, layer)
+    routed, shared = ckpt.ffns(layer)
     if config.is_dense(layer):
         scores, full = np.ones((t, 1)), np.ones((t, 1))
         selected = np.zeros((t, 1), dtype=np.int64)
     else:
-        w_g = np.asarray(ckpt.get_tensor(gate_name(layer)), dtype=np.float64)
-        logits = h @ w_g.T
+        logits = h @ np.asarray(ckpt.gate(layer), dtype=np.float64).T
         scores, selected = gate_from_logits(
             logits, len(routed) if k_override_all else config.top_k, config.gating_order)
         full = full_softmax(logits)
-    pairs = [expert_forward(load_expert(ckpt, prefix), h, config.activation)
-             for prefix in routed]
-    shared = [expert_forward(load_expert(ckpt, prefix), h, config.activation)[0]
-              for prefix in shared_prefixes]
+    pairs = [expert_forward(expert, h, config.activation) for expert in routed]
+    outputs = [expert_forward(expert, h, config.activation)[0] for expert in shared]
     return LayerTrace(
         gate_scores=scores, full_scores=full, selected=selected,
         expert_outputs=np.stack([y for y, _ in pairs], axis=1),
         intermediates=np.stack([inter for _, inter in pairs], axis=1),
-        shared_outputs=np.stack(shared, axis=1) if shared else np.zeros((t, 0, config.d_hid)))
+        shared_outputs=np.stack(outputs, axis=1) if outputs else np.zeros((t, 0, config.d_hid)))
 
 
 def trace_all_experts(ckpt: Checkpoint, tokens: list[int],
@@ -201,9 +184,8 @@ def trace_all_experts(ckpt: Checkpoint, tokens: list[int],
             h = rmsnorm(z[i]) if config.use_prenorm else z[i]
             lt = _trace_block(ckpt, i, h, k_override_all)
             if reference is not None:
-                (ffn,), _ = ffn_prefixes(reference.config, i)
-                lt.reference_output = expert_forward(
-                    load_expert(reference, ffn), h, config.activation)[0]
+                (ffn,), _ = reference.ffns(i)
+                lt.reference_output = expert_forward(ffn, h, config.activation)[0]
             z.append(recombined_output(lt, z[i]))
             arrays = [a for a in (*vars(lt).values(), z[-1]) if a is not None]
             if not all(np.isfinite(np.einsum("...i,...i", a, a)).all() for a in arrays):
@@ -221,13 +203,13 @@ def native_output(ckpt: Checkpoint, layer: int, trace: LayerTrace,
     config = ckpt.config
     h = rmsnorm(z_in) if config.use_prenorm else z_in
     y = np.zeros_like(z_in)
-    routed, shared = ffn_prefixes(config, layer)
-    for n, prefix in enumerate(routed):
+    routed, shared = ckpt.ffns(layer)
+    for n, expert in enumerate(routed):
         rows = np.flatnonzero((trace.selected == n).any(axis=1))
         y[rows] += (trace.gate_scores[rows, n, None]
-                    * expert_forward(load_expert(ckpt, prefix), h[rows], config.activation)[0])
-    for prefix in shared:
-        y += expert_forward(load_expert(ckpt, prefix), h, config.activation)[0]
+                    * expert_forward(expert, h[rows], config.activation)[0])
+    for expert in shared:
+        y += expert_forward(expert, h, config.activation)[0]
     return z_in + y
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_store import Checkpoint, ffn_prefixes, gate_name
+from .tensor_store import Checkpoint
 
 WHICH_MATRICES = ("up", "act", "down")
 
@@ -112,28 +112,24 @@ def layer_weights(ckpt: Checkpoint, layer: int, which: str,
     """The chosen matrix of every expert of one layer as one float64
     [E, rows, cols] stack in stored orientation, with the experts' labels.
 
-    This is the weight analyses' one reader of expert weights (the engine
-    reads its own through ``moe_core.load_expert``), and every other weight
-    analysis reduces what it returns.  It owns the dense-layer rule: a dense
-    layer is its one FFN, no population of experts, so it is read only
-    together with a reference.  The reference FFN, when given (see
-    ``ModelConfig.check_reference``), comes last, labelled ``F``.
+    The weight analyses read expert weights here alone, through
+    ``Checkpoint.ffns``, and every other weight analysis reduces what it
+    returns.  It owns the dense-layer rule: a dense layer is its one FFN, no
+    population of experts, so it is read only together with a reference.
+    The reference FFN, when given (see ``ModelConfig.check_reference``),
+    comes last, labelled ``F``.
     """
     if which not in WHICH_MATRICES:
         raise ValueError(f"unknown matrix selector: {which!r}")
-    config = ckpt.config
-    if not 0 <= layer < config.num_layers:
-        raise ValueError(f"layer {layer} out of range")
-    if reference is None and config.is_dense(layer):
+    if reference is None and ckpt.config.is_dense(layer):
         raise ValueError(f"layer {layer} is dense: no experts to compare without a reference")
-    mats = [ckpt.get_tensor(f"{prefix}.w_{which}") for prefix in ffn_prefixes(config, layer)[0]]
-    labels = [str(e) for e in range(len(mats))]
+    ffns = ckpt.ffns(layer)[0]
+    labels = [str(e) for e in range(len(ffns))]
     if reference is not None:
-        config.check_reference(reference.config)
-        (ffn,), _ = ffn_prefixes(reference.config, layer)
-        mats.append(reference.get_tensor(f"{ffn}.w_{which}"))
+        ckpt.config.check_reference(reference.config)
+        ffns += reference.ffns(layer)[0]
         labels.append(REFERENCE_LABEL)
-    return np.stack(mats).astype(np.float64), labels
+    return np.stack([getattr(ffn, f"w_{which}") for ffn in ffns]).astype(np.float64), labels
 
 
 def neuron_rows(stack: np.ndarray, which: str) -> np.ndarray:
@@ -324,12 +320,7 @@ def reorder_neurons(a: np.ndarray, b: np.ndarray) -> ReorderReport:
 
 def gate_embedding_sim(ckpt: Checkpoint, layer: int) -> SimilarityMatrix:
     """Pairwise cosine over the gate's per-expert rows."""
-    config = ckpt.config
-    if not 0 <= layer < config.num_layers:
-        raise ValueError(f"layer {layer} out of range")
-    if config.is_dense(layer):
-        raise ValueError(f"layer {layer} is dense and has no gate")
-    rows = np.asarray(ckpt.get_tensor(gate_name(layer)), dtype=np.float64)
+    rows = np.asarray(ckpt.gate(layer), dtype=np.float64)
     labels = [str(e) for e in range(rows.shape[0])]
     return SimilarityMatrix(labels, pairwise_cosine(rows, allow_zero=False))
 
@@ -458,11 +449,13 @@ def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True) ->
     deterministic.  A population in which no feature varies puts every point
     at the origin with zero explained variance.  n points span at most n - 1
     directions, so with n = dims the last component is one that rounding
-    cannot resolve, and is zero (see below).  Its inputs are checkpoint
-    values, so the exact tests ``sd > 0.0`` and ``work.any()`` are safe:
-    n copies of one float32 value sum exactly in float64 while n < 2**29
-    (24 significant bits times n fit in 53), so a constant column's mean is
-    its value and its deviations, and sd, are exactly 0.
+    cannot resolve, and is zero (see below); m varying features span at
+    most m, so with m < dims the components past the m-th are zero too.
+    Its inputs are checkpoint values, so the exact tests ``sd > 0.0`` and
+    ``work.any()`` are safe: n copies of one float32 value sum exactly in
+    float64 while n < 2**29 (24 significant bits times n fit in 53), so a
+    constant column's mean is its value and its deviations, and sd, are
+    exactly 0.
 
     The components come from the eigenvectors of the smaller Gram matrix of
     the centered data ``work`` [n, m], never from an SVD of ``work`` itself
@@ -513,13 +506,14 @@ def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True) ->
         # Nothing varies, so no direction explains anything.
         components = np.zeros((dims, work.shape[1]))
         explained = np.zeros(dims)
-    elif work.shape[1] < dims:
-        raise ValueError("fewer features than dims")
     else:
         tall = n >= work.shape[1]
         gram = work.T @ work if tall else work @ work.T
         values, basis = np.linalg.eigh(gram)
         values, basis = values[::-1][:dims], basis[:, ::-1][:, :dims]
+        # A tall Gram of fewer than dims features: the missing pairs are zero.
+        missing = dims - len(values)
+        values, basis = np.pad(values, (0, missing)), np.pad(basis, ((0, 0), (0, missing)))
         trace = np.trace(gram)
         rounding = (n + work.shape[1]) * np.finfo(np.float64).eps * trace
         resolved = values > rounding

@@ -29,8 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ModelConfig
-from .moe_core import Expert
-from .tensor_store import (FFN_MATRICES, Checkpoint, build_checkpoint, ffn_prefixes,
+from .tensor_store import (FFN_MATRICES, Checkpoint, Expert, build_checkpoint, ffn_prefixes,
                            required_tensor_shapes)
 
 SYNTH_MODES = ("scratch", "upcycled", "permuted_clone")

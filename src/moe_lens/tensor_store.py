@@ -20,15 +20,15 @@ are byte positions relative to the start of the data section.
 
 Tensor names are derived from the config.  This module spells every name or
 name prefix (``EMBED``, ``gate_name``, ``ffn_prefixes``) and the FFN matrix
-suffixes (``FFN_MATRICES``); ``moe_core``, ``static_analysis`` and ``synth``
-join a prefix and a matrix as ``{prefix}.{matrix}``.  Every model has
+suffixes (``FFN_MATRICES``).  Readers take a layer's weights through
+``Checkpoint.ffns`` and ``Checkpoint.gate``; only ``synth``, a writer, joins
+a prefix and a matrix as ``{prefix}.{matrix}`` itself.  Every model has
 ``embed.weight`` of shape ``[vocab, d_hid]``.  Gated layer ``i`` contributes
 ``layers.{i}.gate.weight`` ``[N_i, d_hid]`` plus, per routed expert ``n``,
 ``layers.{i}.experts.{n}.w_up`` and ``.w_act`` ``[d_mid, d_hid]`` and
 ``.w_down`` ``[d_hid, d_mid]``; shared experts use the same three suffixes
 under ``layers.{i}.shared.{m}``.  A dense layer stores a single
 ``layers.{i}.ffn.w_up`` / ``.w_act`` / ``.w_down`` triple and no gate.
-``ffn_prefixes`` gives a layer's FFN name prefixes.
 
 The config alone fixes the directory: ``_layout`` places the tensors in
 sorted-name order, each range right after the last, 4 bytes per value.  The
@@ -66,6 +66,15 @@ class CheckpointError(ValueError):
     """Raised for any malformed checkpoint file or tensor map."""
 
 
+@dataclass
+class Expert:
+    """One FFN expert: w_up and w_act are [d_mid, d_hid], w_down is [d_hid, d_mid]."""
+
+    w_up: np.ndarray
+    w_act: np.ndarray
+    w_down: np.ndarray
+
+
 @dataclass(frozen=True)
 class TensorMeta:
     shape: tuple[int, ...]
@@ -93,6 +102,19 @@ class Checkpoint:
         flat = np.frombuffer(self.data, dtype=_F32, count=math.prod(meta.shape),
                              offset=meta.start)
         return flat.reshape(meta.shape)
+
+    def ffns(self, layer: int) -> tuple[list[Expert], list[Expert]]:
+        """A layer's ``(routed, shared)`` FFNs in ``ffn_prefixes`` order, as read-only views."""
+        def read(prefix: str) -> Expert:
+            return Expert(*(self.get_tensor(f"{prefix}.{matrix}") for matrix in FFN_MATRICES))
+        routed, shared = ffn_prefixes(self.config, layer)
+        return [read(prefix) for prefix in routed], [read(prefix) for prefix in shared]
+
+    def gate(self, layer: int) -> np.ndarray:
+        """Read-only float32 view of one gated layer's gate [N, d_hid]."""
+        if self.config.is_dense(layer):
+            raise ValueError(f"layer {layer} is dense and has no gate")
+        return self.get_tensor(gate_name(layer))
 
 
 def gate_name(layer: int) -> str:

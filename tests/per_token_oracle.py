@@ -14,9 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from moe_lens.config import ModelConfig
-from moe_lens.moe_core import Expert, activation_fn, load_expert
+from moe_lens.moe_core import Expert, activation_fn
 
 RMSNORM_EPS = 1e-6
+
+
+def load_expert(ckpt, prefix: str) -> Expert:
+    """The float64 FFN whose tensors are named under ``prefix``, spelled here
+    apart from the package's reader."""
+    return Expert(*(np.asarray(ckpt.get_tensor(f"{prefix}.{matrix}"), dtype=np.float64)
+                    for matrix in ("w_up", "w_act", "w_down")))
 
 
 @dataclass

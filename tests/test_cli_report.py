@@ -288,6 +288,14 @@ def test_emit_heatmap_empty_range(tmp_path):
         assert fh.read() == b"P6\n2 1\n255\n" + bytes(6)
 
 
+def test_emit_heatmap_refuses_a_range_whose_width_overflows(tmp_path):
+    """The width of (-1e308, 1e308) is inf, so 1e308 has no place on the ramp."""
+    with pytest.raises(ValueError, match=r"^value range -1e\+308, 1e\+308 overflows$"):
+        emit_heatmap(tmp_path / "x.ppm", Provenance(command=["c"]), np.array([[1e308, 0.0]]),
+                     (-1e308, 1e308))
+    assert os.listdir(tmp_path) == []
+
+
 def test_emit_heatmap_rejects_bad_input(tmp_path):
     prov = Provenance(command=["c"])
     with pytest.raises(ValueError, match="non-empty 2-d"):
@@ -1161,20 +1169,43 @@ def test_empty_model_fails_cleanly(tmp_path, capsys, command, synth_args, messag
     assert snapshot(tmp_path / "out") == {}
 
 
+def moel_bytes(header: bytes, data: bytes = b"") -> bytes:
+    return b"MOEL" + (1).to_bytes(4, "little") + len(header).to_bytes(8, "little") + header + data
+
+
+# Config edits that ``ModelConfig.from_dict`` refuses, each applied to a
+# canonically re-encoded header: name -> edit of the config dict.
+BAD_CONFIGS = {
+    "experts-length": lambda config: {**config, "experts_per_layer": [2, 2]},
+    "shared-length": lambda config: {**config, "num_shared": [0, 0]},
+    "relu": lambda config: {**config, "activation": "relu"},
+    "config-list": lambda config: [config],
+}
+
+
 @pytest.fixture(scope="module")
 def refusal_inputs(tmp_path_factory):
-    """A 2-expert model with d_hid 2, a corpus of blanks, and a checkpoint
-    whose header nests 100,000 arrays deep."""
+    """A 2-expert model with d_hid 2, a corpus of blanks, a corpus whose id
+    has 5,000 digits, a checkpoint whose header nests 100,000 arrays deep,
+    and the model under each config of ``BAD_CONFIGS``."""
     root = tmp_path_factory.mktemp("refusals")
     assert run_command(["synth", "--mode", "scratch", "--seed", "5", "--out", str(root),
                         "--layers", "1", "--experts", "2", "--top-k", "1", "--d-hid", "2",
                         "--d-mid", "4", "--vocab", "7"]) == 0
     (root / "blank.txt").write_text("  \n\t\n", encoding="utf-8")
-    header = b'{"__config__":' + b"[" * 100_000
-    (root / "deep.moel").write_bytes(b"MOEL" + (1).to_bytes(4, "little")
-                                     + len(header).to_bytes(8, "little") + header)
-    return {"model": str(root / "model.moel"), "blank": str(root / "blank.txt"),
-            "deep": str(root / "deep.moel")}
+    (root / "long.txt").write_text("9" * 5000 + "\n", encoding="utf-8")
+    (root / "deep.moel").write_bytes(moel_bytes(b'{"__config__":' + b"[" * 100_000))
+    blob = (root / "model.moel").read_bytes()
+    end = 16 + int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16:end])
+    inputs = {"model": str(root / "model.moel"), "blank": str(root / "blank.txt"),
+              "long": str(root / "long.txt"), "deep": str(root / "deep.moel")}
+    for name, edit in BAD_CONFIGS.items():
+        text = json.dumps({**header, "__config__": edit(header["__config__"])},
+                          sort_keys=True, separators=(",", ":"))
+        (root / f"{name}.moel").write_bytes(moel_bytes(text.encode("utf-8"), blob[end:]))
+        inputs[name] = str(root / f"{name}.moel")
+    return inputs
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1185,14 +1216,39 @@ def refusal_inputs(tmp_path_factory):
      "--layer expects an index or 'all': 'abc'"),
     (["synth", "--mode", "scratch", "--seed", "5", "--experts", "a"],
      "--experts expects integers: invalid literal for int() with base 10: 'a'"),
-    (["pca", "--model", "{model}", "--level", "neuron", "--dims", "3", "--which", "up"],
-     "fewer features than dims"),
+    (["synth", "--mode", "scratch", "--seed", "5", "--layers", "-1"],
+     "num_layers must be nonnegative"),
+    (["synth", "--mode", "scratch", "--seed", "5", "--top-k", "0"], "top_k must be positive"),
+    (["synth", "--mode", "scratch", "--seed", "5", "--d-hid", "0"], "d_hid must be positive"),
+    (["synth", "--mode", "scratch", "--seed", "5", "--shared", "-1"],
+     "num_shared entries must be nonnegative"),
+    (["synth", "--mode", "scratch", "--seed", "5", "--experts", "0"],
+     "every layer needs at least one expert"),
+    (["pca", "--model", "{model}", "--level", "matrix", "--dims", "3", "--which", "up"],
+     "fewer samples than dims"),
+    (["pca", "--model", "{model}", "--dims", "0", "--which", "up"], "dims must be positive"),
+    (["pca", "--model", "{model}", "--eps", "0.5", "--min-pts", "0", "--which", "up"],
+     "min_pts must be at least 1"),
+    (["trace", "--model", "{model}", "--corpus", "{long}"],
+     "bad token id on line 1: Exceeds the limit (4300 digits)"),
     (["matrix-sim", "--model", "{deep}", "--which", "up"],
      "malformed header: maximum recursion depth exceeded while decoding a JSON array"),
+    (["matrix-sim", "--model", "{experts-length}", "--which", "up"],
+     "bad config: experts_per_layer length must equal num_layers"),
+    (["matrix-sim", "--model", "{shared-length}", "--which", "up"],
+     "bad config: num_shared length must equal num_layers"),
+    (["matrix-sim", "--model", "{relu}", "--which", "up"],
+     "bad config: unknown activation: 'relu'"),
+    (["matrix-sim", "--model", "{config-list}", "--which", "up"],
+     "bad config: config must be a JSON object"),
     (["gate-sim", "--model", "{model}", "--cell", "2305843009213693952"],
      "heatmap of 4611686018427387904 x 4611686018427387904 pixels is too large"),
 ], ids=["blank-corpus", "gate-corr-two-experts", "layer-abc", "synth-experts-a",
-        "pca-dims-above-features", "deeply-nested-header", "heatmap-bytes-overflow"])
+        "synth-layers-negative", "synth-top-k-zero", "synth-d-hid-zero", "synth-shared-negative",
+        "synth-experts-zero", "pca-dims-above-samples", "pca-dims-zero", "pca-min-pts-zero",
+        "corpus-id-past-int-limit", "deeply-nested-header", "config-experts-length",
+        "config-shared-length", "config-activation-relu", "config-not-an-object",
+        "heatmap-bytes-overflow"])
 def test_refusal_is_one_error_line(refusal_inputs, tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     code = run_command([arg.format(**refusal_inputs) for arg in argv] + ["--out", str(out)])
@@ -1298,6 +1354,39 @@ def test_report_completes_on_one_neuron(workspace, tmp_path):
         assert all(row[6] == "" and row[4] == row[5] for row in rows)
 
 
+def test_pca_components_past_the_varying_features_are_zero(refusal_inputs, tmp_path):
+    """Neurons of d_hid 2 vary in two features, so a third component is
+    unresolved: its coordinates and explained variance are zero."""
+    out = tmp_path / "pca"
+    assert run_command(["pca", "--model", refusal_inputs["model"], "--level", "neuron",
+                        "--dims", "3", "--which", "up", "--out", str(out)]) == 0
+    lines = read_lines(out / "pca-layer0-up-neuron.csv")
+    assert "# explained_variance: 1.464266 0.821448 0.000000" in lines
+    rows = [l.split(",") for l in lines if not l.startswith("#")]
+    assert rows[0] == ["label", "pc1", "pc2", "pc3"]
+    assert len(rows) == 9 and all(row[3] == "0.000000" for row in rows[1:])
+
+
+def test_report_completes_on_one_hidden_feature(tmp_path):
+    """With d_hid = d_mid = 1 every matrix is one value: the matrix-level PCA
+    of four experts has one feature, so its second component is zero, and
+    the report still writes every step."""
+    assert run_command(["synth", "--mode", "scratch", "--seed", "1", "--layers", "1",
+                        "--experts", "4", "--top-k", "2", "--d-hid", "1", "--d-mid", "1",
+                        "--vocab", "3", "--out", str(tmp_path / "model")]) == 0
+    write_corpus(tmp_path / "corpus.txt", [[0, 1, 2]])
+    out = tmp_path / "bundle"
+    assert run_command(["report", "--model", str(tmp_path / "model" / "model.moel"),
+                        "--corpus", str(tmp_path / "corpus.txt"), "--out", str(out)]) == 0
+    assert len(snapshot(out)) == 42
+    for which in ("up", "act", "down"):
+        lines = read_lines(out / "pca" / f"pca-layer0-{which}-matrix.csv")
+        variance = next(l for l in lines if l.startswith("# explained_variance: ")).split()
+        assert variance[2:] == ["1.333333", "0.000000"]
+        rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
+        assert [row[2] for row in rows] == ["0.000000"] * 4
+
+
 # --- imports -----------------------------------------------------------------
 
 # Python source, for ``run_isolated``, naming the moe_lens modules loaded so far.
@@ -1355,6 +1444,7 @@ def test_synth_loads_no_trace_analyses(tmp_path):
         assert run_command({TINY_SYNTH!r} + ["--seed", "1", "--out", {out!r}]) == 0
         loaded = {MOE_LENS_MODULES}
         assert "moe_lens.dynamic_analysis" not in loaded, loaded
+        assert "moe_lens.moe_core" not in loaded, loaded
         """))
     assert (tmp_path / "model.moel").exists()
 

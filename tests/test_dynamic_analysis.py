@@ -234,6 +234,13 @@ def test_rank_count_rejects_mixed_widths():
         rank_count_matrix(mixed_trace, [0, 1])
 
 
+def test_rank_count_needs_a_token_and_a_layer():
+    ck, ref, trace = traced_model()
+    for empty, layers in ((first_tokens(trace, 0), [0]), (trace, [])):
+        with pytest.raises(ValueError, match="need at least one trace and one layer"):
+            rank_count_matrix(empty, layers)
+
+
 def test_rank_count_accumulates_across_layers():
     ck, ref, trace = traced_model()
     both = rank_count_matrix(trace, [0, 1])
@@ -285,6 +292,12 @@ def test_activation_ratio_keys_cover_layers_and_experts():
     ck, ref, trace = traced_model(layers=2, n=3)
     rep = activation_ratio(trace, threshold=0.01)
     assert set(rep.per_expert) == {(l, e) for l in range(2) for e in range(3)}
+
+
+def test_activation_ratio_refuses_a_trace_without_tokens():
+    ck, ref, trace = traced_model()
+    with pytest.raises(ValueError, match="no traces given: the trace holds no tokens"):
+        activation_ratio(first_tokens(trace, 0))
 
 
 def test_activation_ratio_rejects_negative_threshold():

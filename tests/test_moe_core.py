@@ -193,6 +193,11 @@ def test_gate_k_out_of_range():
         gate_from_logits(np.array([1.0, 2.0]), 3, "topk_then_softmax")
 
 
+def test_gate_unknown_order_rejected():
+    with pytest.raises(ValueError, match="unknown gating order: 'bogus'"):
+        gate_from_logits(np.array([1.0, 2.0]), 1, "bogus")
+
+
 # --- layer forward -----------------------------------------------------------
 
 def layer_from(config, rng, n_experts, shared=0):
@@ -406,6 +411,13 @@ def test_trace_matches_per_token_oracle(with_ref, k_override_all):
         want = np.stack([per_layer[i].z_out for per_layer in oracle])
         np.testing.assert_allclose(native_output(model, i, lt, trace.z[i]), want,
                                    rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("layer", [2, -1])
+def test_native_output_refuses_a_layer_the_model_lacks(small_checkpoint, layer):
+    trace = trace_all_experts(small_checkpoint, [1, 2])
+    with pytest.raises(ValueError, match=f"^layer {layer} out of range$"):
+        native_output(small_checkpoint, layer, trace.layers[0], trace.z[0])
 
 
 def test_trace_identical_experts_give_equal_outputs():

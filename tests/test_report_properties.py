@@ -1,0 +1,117 @@
+"""Whole-pipeline property: ``report`` on random small models either writes a
+finite bundle whose every step a standalone rerun reproduces, or refuses
+with ``error:`` lines and writes nothing."""
+
+import contextlib
+import io
+import math
+import os
+import shlex
+import tempfile
+from pathlib import Path
+
+from conftest import write_corpus
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from moe_lens.cli import run_command
+from moe_lens.config import ACTIVATIONS, GATING_ORDERS
+
+
+@st.composite
+def small_models(draw):
+    """``synth`` arguments of a small model, with dense layers among the
+    gated ones, and a corpus of 1-6 of its token ids."""
+    # sampled_from draws evenly, where integers() favours the bounds.
+    layers = draw(st.sampled_from(range(5)))
+    experts = draw(st.lists(st.sampled_from(range(1, 6)), min_size=layers, max_size=layers))
+    shared = [0 if n == 1 else draw(st.integers(0, 2)) for n in experts]
+    gated = [n for n in experts if n > 1]
+    vocab = draw(st.integers(1, 7))
+    mode = draw(st.sampled_from(["scratch", "upcycled", "permuted-clone"]))
+    argv = ["synth", "--mode", mode, "--seed", str(draw(st.integers(0, 2**16))),
+            "--layers", str(layers),
+            "--experts", ",".join(map(str, experts)) or "1",
+            "--shared", ",".join(map(str, shared)) or "0",
+            "--top-k", str(draw(st.integers(1, min(gated, default=1)))),
+            "--d-hid", str(draw(st.integers(1, 8))), "--d-mid", str(draw(st.integers(1, 8))),
+            "--vocab", str(vocab),
+            "--activation", draw(st.sampled_from(ACTIVATIONS)),
+            "--gating-order", draw(st.sampled_from(GATING_ORDERS))]
+    if draw(st.booleans()):
+        argv.append("--no-prenorm")
+    if mode == "upcycled":
+        argv += ["--noise", draw(st.sampled_from(["0", "0.3"]))]
+    tokens = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=6))
+    return argv, layers, tokens
+
+
+def run_quietly(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def snapshot(root: Path) -> dict[str, bytes]:
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def assert_cells_finite(name: str, text: str) -> None:
+    """Every cell of a table is a label, empty, or a finite number."""
+    for line in text.splitlines():
+        if line.startswith("#"):
+            continue
+        for cell in line.split(","):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            assert math.isfinite(value), (name, line)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(small_models(), st.randoms(use_true_random=False))
+def test_report_on_random_models_is_finite_and_steps_rerun_alone(model, random):
+    synth_argv, layers, tokens = model
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        code, _, err = run_quietly([*synth_argv, "--out", str(root / "model")])
+        assert code == 0, err
+        write_corpus(root / "corpus.txt", [tokens])
+        ref = root / "model" / "reference.moel"
+        out = root / "bundle"
+        code, stdout, err = run_quietly(
+            ["report", "--model", str(root / "model" / "model.moel"),
+             *(["--ref", str(ref)] if ref.exists() else []),
+             "--corpus", str(root / "corpus.txt"), "--out", str(out)])
+        if code == 1:
+            assert stdout == "" and err and all(line.startswith("error: ")
+                                                for line in err.splitlines()), err
+            assert not out.exists()
+            assert layers == 0, err
+            return
+        assert code == 0 and err == "", err
+        bundle = snapshot(out)
+        for name, blob in bundle.items():
+            if name.endswith(".csv"):
+                assert_cells_finite(name, blob.decode("utf-8"))
+        # One step, rerun alone with the argv its tables record, writes the
+        # report's bytes.
+        step = random.choice(sorted(os.listdir(out)))
+        commands = {line.removeprefix("# command: ")
+                    for name, blob in bundle.items()
+                    if name.startswith(step + os.sep) and name.endswith(".csv")
+                    for line in blob.decode("utf-8").splitlines()
+                    if line.startswith("# command: ")}
+        before = {name: blob for name, blob in bundle.items() if name.startswith(step + os.sep)}
+        for path in (out / step).iterdir():
+            path.unlink()
+        for command in sorted(commands):
+            argv = shlex.split(command)
+            assert argv[0] == "moe-lens"
+            code, _, err = run_quietly(argv[1:])
+            assert code == 0, (command, err)
+        assert {name: blob for name, blob in snapshot(out).items()
+                if name.startswith(step + os.sep)} == before, step

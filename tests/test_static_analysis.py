@@ -283,6 +283,18 @@ def test_matrix_sim_dense_layer_needs_reference():
         matrix_level_sim(*layer_weights(ck, 0, "up"))
 
 
+def test_layer_weights_refuses_an_unknown_selector(small_checkpoint):
+    with pytest.raises(ValueError, match="unknown matrix selector: 'w'"):
+        layer_weights(small_checkpoint, 0, "w")
+
+
+@pytest.mark.parametrize("layer, with_ref", [(9, False), (-1, True)])
+def test_layer_weights_refuses_a_layer_the_model_lacks(mixed_layers, layer, with_ref):
+    model, ref = mixed_layers
+    with pytest.raises(ValueError, match=f"^layer {layer} out of range$"):
+        layer_weights(model, layer, "up", ref if with_ref else None)
+
+
 def test_matrix_sim_rejects_mismatched_reference():
     model, _ = upcycled_pair()
     cfg_big = ModelConfig(num_layers=1, experts_per_layer=[1], num_shared=[0],
@@ -735,6 +747,11 @@ def test_gate_sim_dense_layer_rejected():
         gate_embedding_sim(ck, 0)
 
 
+def test_gate_sim_refuses_a_layer_the_model_lacks(mixed_layers):
+    with pytest.raises(ValueError, match="^layer -1 out of range$"):
+        gate_embedding_sim(mixed_layers[0], -1)
+
+
 def test_pearson_frozen_example():
     assert pearson_r([1, 2, 3], [1, 3, 2]) == pytest.approx(0.5, abs=1e-12)
 
@@ -752,6 +769,18 @@ def test_pearson_degenerate():
     assert pearson_r([1.0, 2.0, 3.0], [4.0, 4.0, 4.0]) is None
     # Six equal values whose computed mean is not exactly their value.
     assert pearson_r([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1.0 - 2.0 ** -52] * 6) is None
+
+
+def test_pearson_refuses_unequal_lengths_and_one_point():
+    with pytest.raises(ValueError, match="1-d and equal length"):
+        pearson_r([1.0, 2.0, 3.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="need at least two points"):
+        pearson_r([1.0], [2.0])
+
+
+def test_pearson_undefined_when_squared_deviations_underflow():
+    """Deviations near 1e-200 are a real spread, but their squares are 0.0."""
+    assert pearson_r([1e-200, 2e-200, 3e-200], [1, 3, 2]) is None
 
 
 def test_pearson_flat_side_is_judged_by_the_rounding_bound():
@@ -913,6 +942,24 @@ def test_pca_of_identical_points_sits_at_the_origin(standardize):
 def test_pca_rejects_too_few_samples(rng):
     with pytest.raises(ValueError, match="fewer samples"):
         pca_project(rng.normal(size=(1, 4)), dims=2)
+
+
+def test_pca_rejects_a_vector():
+    with pytest.raises(ValueError, match="vectors must be a 2-D array"):
+        pca_project(np.zeros(3))
+
+
+@pytest.mark.parametrize("standardize", [True, False])
+def test_pca_components_past_the_features_are_zero(rng, standardize):
+    """Six points of two features give two components; a third is zero, and
+    the first two are those of ``dims=2``."""
+    data = rng.normal(size=(6, 2))
+    proj = pca_project(data, dims=3, standardize=standardize)
+    two = pca_project(data, dims=2, standardize=standardize)
+    np.testing.assert_array_equal(proj.components[:2], two.components)
+    np.testing.assert_array_equal(proj.explained_variance[:2], two.explained_variance)
+    assert proj.components[2].tolist() == [0.0, 0.0]
+    assert proj.explained_variance[2] == 0.0 and proj.coords[:, 2].tolist() == [0.0] * 6
 
 
 @pytest.mark.parametrize("standardize", [True, False])
@@ -1201,19 +1248,38 @@ def test_no_module_calls_an_svd():
     assert found == []
 
 
+def calls_by_function(tree: ast.Module, methods) -> list[str]:
+    """``function:line`` of each call of one of ``methods`` on an object, by
+    the top-level definition it sits in."""
+    return [f"{getattr(top, 'name', 'module')}:{node.lineno}"
+            for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in methods]
+
+
 def test_only_the_readers_touch_a_checkpoint():
     """``layer_weights`` reads expert matrices and ``gate_embedding_sim`` the
     gate; every other weight analysis reduces their arrays, so in
-    ``static_analysis`` only these two call ``get_tensor`` or ``is_dense``."""
+    ``static_analysis`` only these two read a checkpoint or ask ``is_dense``.
+    The engine, too, reads a layer through ``Checkpoint.ffns`` and
+    ``Checkpoint.gate``: outside ``tensor_store`` only its embedding lookup
+    calls ``get_tensor``, and neither it nor the weight analyses import a
+    tensor name or suffix."""
+    package = os.path.dirname(moe_lens.__file__)
+    trees = {}
+    for filename in sorted(os.listdir(package)):
+        if filename.endswith(".py"):
+            with open(os.path.join(package, filename), encoding="utf-8") as fh:
+                trees[filename[:-3]] = ast.parse(fh.read())
     readers = {"layer_weights", "gate_embedding_sim"}
-    path = os.path.join(os.path.dirname(moe_lens.__file__), "static_analysis.py")
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    found = []
-    for top in tree.body:
-        for node in ast.walk(top):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("get_tensor", "is_dense")
-                    and getattr(top, "name", None) not in readers):
-                found.append(f"{getattr(top, 'name', 'module')}:{node.lineno}")
-    assert found == []
+    assert [call for call in calls_by_function(trees["static_analysis"],
+                                               ("get_tensor", "is_dense", "ffns", "gate"))
+            if call.split(":")[0] not in readers] == []
+    assert [f"{module}:{call.split(':')[0]}" for module, tree in trees.items()
+            if module != "tensor_store"
+            for call in calls_by_function(tree, ("get_tensor",))] == \
+        ["moe_core:trace_all_experts"]
+    for module in ("moe_core", "static_analysis"):
+        imported = {alias.name for node in ast.walk(trees[module])
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert imported.isdisjoint({"ffn_prefixes", "gate_name", "FFN_MATRICES"}), module

@@ -129,6 +129,32 @@ def test_get_tensor_unknown_name():
         ckpt.get_tensor("layers.9.gate.weight")
 
 
+def test_ffns_and_gate_are_read_only_views_in_name_order():
+    config = tiny_config(num_layers=2, experts_per_layer=[3, 1], num_shared=[2, 0])
+    tensors = full_tensor_map(config)
+    ckpt = build_checkpoint(config, tensors)
+    for layer, names in ((0, (["layers.0.experts.0", "layers.0.experts.1",
+                                "layers.0.experts.2"], ["layers.0.shared.0",
+                                                         "layers.0.shared.1"])),
+                         (1, (["layers.1.ffn"], []))):
+        for ffns, prefixes in zip(ckpt.ffns(layer), names):
+            assert len(ffns) == len(prefixes)
+            for ffn, prefix in zip(ffns, prefixes):
+                for matrix in ("w_up", "w_act", "w_down"):
+                    view = getattr(ffn, matrix)
+                    assert view.dtype == np.float32 and not view.flags.writeable
+                    np.testing.assert_array_equal(view, tensors[f"{prefix}.{matrix}"])
+    gate = ckpt.gate(0)
+    assert gate.dtype == np.float32 and not gate.flags.writeable
+    np.testing.assert_array_equal(gate, tensors["layers.0.gate.weight"])
+    with pytest.raises(ValueError, match="^layer 1 is dense and has no gate$"):
+        ckpt.gate(1)
+    for layer in (-1, 2):
+        for read in (ckpt.ffns, ckpt.gate):
+            with pytest.raises(ValueError, match=f"^layer {layer} out of range$"):
+                read(layer)
+
+
 def test_write_rejects_missing_tensor():
     config = tiny_config()
     tensors = full_tensor_map(config)
