@@ -53,6 +53,9 @@ def output_sim_per_token(trace: CorpusTrace, layer: int, token: int = 0) -> Simi
     Shared-expert and reference outputs are appended when the trace has them.
     Zero output vectors mask their cells rather than raising.
     """
+    if not 0 <= token < trace.token_ids.size:
+        raise ValueError(f"token {token} out of range for a trace of "
+                         f"{trace.token_ids.size} tokens")
     lt = _layer_trace(trace, layer)
     vectors, labels = _output_entities(lt)
     return SimilarityMatrix(labels, pairwise_cosine(vectors[token], allow_zero=True),

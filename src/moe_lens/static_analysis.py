@@ -412,7 +412,7 @@ def _orient_components(components: np.ndarray, values: np.ndarray, tie: float) -
     """Flip, in place, each row of ``components`` so that its lead entry is
     positive: the first entry whose magnitude is within rounding of the
     row's largest.  Row k belongs to the Gram eigenvalue ``values[k]``; a
-    zero row stays as it is.
+    zero row, or one with no entries (no feature kept), stays as it is.
 
     Taking the largest entry alone lets rounding pick the sign when entries
     tie in magnitude, as every entry of the first component does for
@@ -432,6 +432,8 @@ def _orient_components(components: np.ndarray, values: np.ndarray, tie: float) -
     rank-one data, λ_1 = T, that is a difference of 3·(n + m)·eps.
     """
     for row, value in zip(components, values):
+        if not row.size:
+            continue
         magnitude = np.abs(row)
         near = (magnitude.max() - magnitude) * max(value, 0.0) ** 1.5 <= tie
         if row[np.argmax(near)] < 0:
@@ -446,16 +448,14 @@ def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True) ->
     first and zero-variance features are dropped.  Component signs follow a
     fixed convention (the first entry within rounding of the largest
     magnitude is positive, see ``_orient_components``), so output is
-    deterministic.  A population in which no feature varies puts every point
-    at the origin with zero explained variance.  n points span at most n - 1
-    directions, so with n = dims the last component is one that rounding
-    cannot resolve, and is zero (see below); m varying features span at
-    most m, so with m < dims the components past the m-th are zero too.
-    Its inputs are checkpoint values, so the exact tests ``sd > 0.0`` and
-    ``work.any()`` are safe: n copies of one float32 value sum exactly in
-    float64 while n < 2**29 (24 significant bits times n fit in 53), so a
-    constant column's mean is its value and its deviations, and sd, are
-    exactly 0.
+    deterministic.  A direction the population cannot resolve is a zero
+    component with zero coordinates and zero explained variance: with n =
+    dims points the last (n points span n - 1 directions), with m < dims
+    varying features those past the m-th, and with none varying all of them.
+    Checkpoint values are float32, so ``sd > 0.0`` is exact and a population
+    that does not vary has a zero ``work`` and Gram: n copies of one float32
+    value sum exactly in float64 while n < 2**29 (24 significant bits times
+    n fit in 53), so a constant column's mean is its value.
 
     The components come from the eigenvectors of the smaller Gram matrix of
     the centered data ``work`` [n, m], never from an SVD of ``work`` itself
@@ -481,7 +481,8 @@ def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True) ->
     the SVD's are to rounding.  Without this the wide route would normalize
     a rounding-noise ``uᵀ·work``, which lies in the row space of ``work``,
     and give a full-size coordinate along a direction the data lacks.  The
-    bound is scale invariant, at (n + m)·eps of the total variance.
+    bound is scale invariant, at (n + m)·eps of the total variance, and is 0
+    for a zero Gram, none of whose eigenvalues is resolved.
     """
     data = np.asarray(vectors, dtype=np.float64)
     if data.ndim != 2:
@@ -502,29 +503,24 @@ def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True) ->
         work = (data[:, kept] - center[kept]) / scale
     else:
         work = data - center
-    if not work.any():
-        # Nothing varies, so no direction explains anything.
-        components = np.zeros((dims, work.shape[1]))
-        explained = np.zeros(dims)
+    tall = n >= work.shape[1]
+    gram = work.T @ work if tall else work @ work.T
+    values, basis = np.linalg.eigh(gram)
+    values, basis = values[::-1][:dims], basis[:, ::-1][:, :dims]
+    # A tall Gram of fewer than dims features: the missing pairs are zero.
+    missing = dims - len(values)
+    values, basis = np.pad(values, (0, missing)), np.pad(basis, ((0, 0), (0, missing)))
+    trace = np.trace(gram)
+    rounding = (n + work.shape[1]) * np.finfo(np.float64).eps * trace
+    resolved = values > rounding
+    components = np.zeros((dims, work.shape[1]))
+    if tall:
+        components[resolved] = basis[:, resolved].T
     else:
-        tall = n >= work.shape[1]
-        gram = work.T @ work if tall else work @ work.T
-        values, basis = np.linalg.eigh(gram)
-        values, basis = values[::-1][:dims], basis[:, ::-1][:, :dims]
-        # A tall Gram of fewer than dims features: the missing pairs are zero.
-        missing = dims - len(values)
-        values, basis = np.pad(values, (0, missing)), np.pad(basis, ((0, 0), (0, missing)))
-        trace = np.trace(gram)
-        rounding = (n + work.shape[1]) * np.finfo(np.float64).eps * trace
-        resolved = values > rounding
-        components = np.zeros((dims, work.shape[1]))
-        if tall:
-            components[resolved] = basis[:, resolved].T
-        else:
-            rows = basis[:, resolved].T @ work
-            components[resolved] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-        _orient_components(components, values, 3 * rounding * np.sqrt(trace))
-        explained = np.where(resolved, values, 0.0) / max(n - 1, 1)
+        rows = basis[:, resolved].T @ work
+        components[resolved] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    _orient_components(components, values, 3 * rounding * np.sqrt(trace))
+    explained = np.where(resolved, values, 0.0) / max(n - 1, 1)
     coords = work @ components.T
 
     return Projection(coords=coords, explained_variance=explained, components=components,

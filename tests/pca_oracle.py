@@ -3,10 +3,15 @@
 It decomposes the whole standardized population with ``np.linalg.svd`` and
 keeps the leading right singular vectors.  The implementation under test
 takes the same components from the eigenvectors of the smaller Gram matrix;
-its standardization and all-constant branch are the same code as here, and
-both orient their components with the one sign rule
+its standardization is the same code as here, both pad with zeros the
+components past the min(n, m) that the decomposition gives, and both orient
+their components with the one sign rule
 (``static_analysis._orient_components``, fed the squared singular values as
-the Gram eigenvalues), so the two differ only in the decomposition.
+the Gram eigenvalues).  The oracle has no rounding rule: a direction the
+population cannot resolve keeps the SVD's singular vector and a singular
+value that is rounding noise (or exactly 0 when nothing varies), where the
+implementation zeroes the component.  Coordinates and explained variance
+agree to rounding either way.
 """
 
 from __future__ import annotations
@@ -23,9 +28,8 @@ def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True) ->
     With ``standardize``, features are shifted to zero mean and unit variance
     first and zero-variance features are dropped.  Component signs follow a
     fixed convention (the first entry within rounding of the largest
-    magnitude is positive), so output is deterministic.  A population in
-    which no feature varies puts every point at the origin with zero
-    explained variance.
+    magnitude is positive), so output is deterministic.  Components past the
+    min(n, m) that the SVD gives, m the kept features, are zero.
     """
     data = np.asarray(vectors, dtype=np.float64)
     if data.ndim != 2:
@@ -46,19 +50,14 @@ def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True) ->
         work = (data[:, kept] - center[kept]) / scale
     else:
         work = data - center
-    if not work.any():
-        # Nothing varies, so no direction explains anything.
-        components = np.zeros((dims, work.shape[1]))
-        explained = np.zeros(dims)
-    elif work.shape[1] < dims:
-        raise ValueError("fewer features than dims")
-    else:
-        _, singular, vt = np.linalg.svd(work, full_matrices=False)
-        components = vt[:dims].copy()
-        trace = (singular ** 2).sum()
-        rounding = (n + work.shape[1]) * np.finfo(np.float64).eps * trace
-        _orient_components(components, singular[:dims] ** 2, 3 * rounding * np.sqrt(trace))
-        explained = (singular[:dims] ** 2) / max(n - 1, 1)
+    _, singular, vt = np.linalg.svd(work, full_matrices=False)
+    trace = (singular ** 2).sum()
+    missing = dims - min(len(singular), dims)
+    singular = np.pad(singular[:dims], (0, missing))
+    components = np.pad(vt[:dims], ((0, missing), (0, 0)))
+    rounding = (n + work.shape[1]) * np.finfo(np.float64).eps * trace
+    _orient_components(components, singular ** 2, 3 * rounding * np.sqrt(trace))
+    explained = singular ** 2 / max(n - 1, 1)
     coords = work @ components.T
 
     return Projection(coords=coords, explained_variance=explained, components=components,

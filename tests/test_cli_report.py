@@ -1056,20 +1056,22 @@ def test_report_bad_corpus_writes_nothing(workspace, tmp_path, capsys):
 @pytest.fixture(scope="module")
 def failing_inputs(tmp_path_factory):
     """A model of 6 and 2 experts, a model whose ``layers.1.experts.2.w_down``
-    is all zero, and a corpus."""
+    is all zero, one whose gate row 2 of layer 1 is all zero, and a corpus."""
     root = tmp_path_factory.mktemp("failing")
     base = ["--layers", "2", "--top-k", "2", "--d-hid", "8", "--d-mid", "12", "--vocab", "11"]
     assert run_command(["synth", "--mode", "scratch", "--seed", "1", "--experts", "6,2",
                         *base, "--out", str(root / "six-two")]) == 0
     assert run_command(["synth", "--mode", "scratch", "--seed", "5", "--experts", "4",
-                        *base, "--out", str(root / "zero")]) == 0
-    ckpt = read_checkpoint(root / "zero" / "model.moel")
-    tensors = {name: ckpt.get_tensor(name) for name in ckpt.tensors}
-    tensors["layers.1.experts.2.w_down"] = np.zeros_like(tensors["layers.1.experts.2.w_down"])
-    dump_checkpoint(build_checkpoint(ckpt.config, tensors), root / "zero" / "model.moel")
+                        *base, "--out", str(root / "source")]) == 0
+    ckpt = read_checkpoint(root / "source" / "model.moel")
+    for stem, name, zeroed in [("zero", "layers.1.experts.2.w_down", np.s_[:]),
+                               ("zero-gate", "layers.1.gate.weight", np.s_[2])]:
+        tensors = {name: ckpt.get_tensor(name).copy() for name in ckpt.tensors}
+        tensors[name][zeroed] = 0.0
+        dump_checkpoint(build_checkpoint(ckpt.config, tensors), root / f"{stem}.moel")
     write_corpus(root / "corpus.txt", [[1, 2, 3, 4]])
-    return {"six-two": str(root / "six-two" / "model.moel"),
-            "zero": str(root / "zero" / "model.moel"), "corpus": str(root / "corpus.txt")}
+    return {"six-two": str(root / "six-two" / "model.moel"), "zero": str(root / "zero.moel"),
+            "zero-gate": str(root / "zero-gate.moel"), "corpus": str(root / "corpus.txt")}
 
 
 @pytest.mark.parametrize("argv, errors", [
@@ -1077,10 +1079,13 @@ def failing_inputs(tmp_path_factory):
      ["fewer samples than dims"]),
     (["report", "--model", "{zero}", "--corpus", "{corpus}"],
      ["undefined similarity: zero vector", "report step failed: matrix-sim"]),
+    (["report", "--model", "{zero-gate}", "--corpus", "{corpus}"],
+     ["undefined similarity: zero vector", "report step failed: gate-sim"]),
     (["gate-sim", "--model", "{six-two}", "--layer", "5"], ["layer 5 out of range"]),
     (["matrix-sim", "--model", "{six-two}", "--which", "up", "--layer", "9"],
      ["layer 9 out of range"]),
-], ids=["pca-after-layer-0", "report-step", "gate-sim-layer", "matrix-sim-layer"])
+], ids=["pca-after-layer-0", "report-step", "report-gate-row", "gate-sim-layer",
+        "matrix-sim-layer"])
 def test_a_failed_command_writes_nothing(failing_inputs, tmp_path, capsys, argv, errors):
     """Artifacts are written only once the whole command has succeeded, so a
     failure after some layers, or after some report steps, leaves no table

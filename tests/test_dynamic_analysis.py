@@ -135,6 +135,16 @@ def test_output_sim_layer_out_of_range():
         output_sim_per_token(trace, 5, 0)
 
 
+@pytest.mark.parametrize("token", [-1, 3])
+def test_output_sim_token_out_of_range(token):
+    """A negative token would index from the end, and one past the trace would
+    raise a bare IndexError; both are refused by name."""
+    ck, ref, _ = traced_model()
+    trace = trace_all_experts(ck, [1, 2, 3])
+    with pytest.raises(ValueError, match=f"^token {token} out of range for a trace of 3 tokens$"):
+        output_sim_per_token(trace, 0, token)
+
+
 # --- averaged output similarity ----------------------------------------------------
 
 def test_avg_output_sim_single_token_equals_angular_of_per_token():

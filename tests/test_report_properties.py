@@ -11,30 +11,45 @@ import tempfile
 from pathlib import Path
 
 from conftest import write_corpus
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from moe_lens.cli import run_command
 from moe_lens.config import ACTIVATIONS, GATING_ORDERS
 
 
+# The layer counts a model may have: 1-4 three times each, and 0 once, since
+# a zero-layer model only reaches report's up-front refusal.
+LAYER_STRATA = (1, 2, 3, 4) * 3 + (0,)
+
+
 @st.composite
 def small_models(draw):
     """``synth`` arguments of a small model, with dense layers among the
-    gated ones, and a corpus of 1-6 of its token ids."""
-    # sampled_from draws evenly, where integers() favours the bounds.
-    layers = draw(st.sampled_from(range(5)))
-    experts = draw(st.lists(st.sampled_from(range(1, 6)), min_size=layers, max_size=layers))
+    gated ones, and a corpus of 1-6 of its token ids.
+
+    Hypothesis runs each fresh example with a few mutants that copy one drawn
+    value over another, so a layer count drawn directly repeats in runs and
+    leaves some counts undrawn.  The count is instead the stratum that a hash
+    of every other draw picks: those draws are made for four layers and cut
+    to the count, so a mutant of any of them may change it."""
+    seed = draw(st.integers(0, 2**16))
+    experts = draw(st.lists(st.sampled_from(range(1, 6)), min_size=4, max_size=4))
     shared = [0 if n == 1 else draw(st.integers(0, 2)) for n in experts]
-    gated = [n for n in experts if n > 1]
     vocab = draw(st.integers(1, 7))
+    d_hid, d_mid = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    tokens = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=6))
+    layers = LAYER_STRATA[hash((seed, *experts, *shared, vocab, d_hid, d_mid, *tokens))
+                          % len(LAYER_STRATA)]
+    experts, shared = experts[:layers], shared[:layers]
+    gated = [n for n in experts if n > 1]
     mode = draw(st.sampled_from(["scratch", "upcycled", "permuted-clone"]))
-    argv = ["synth", "--mode", mode, "--seed", str(draw(st.integers(0, 2**16))),
+    argv = ["synth", "--mode", mode, "--seed", str(seed),
             "--layers", str(layers),
             "--experts", ",".join(map(str, experts)) or "1",
             "--shared", ",".join(map(str, shared)) or "0",
             "--top-k", str(draw(st.integers(1, min(gated, default=1)))),
-            "--d-hid", str(draw(st.integers(1, 8))), "--d-mid", str(draw(st.integers(1, 8))),
+            "--d-hid", str(d_hid), "--d-mid", str(d_mid),
             "--vocab", str(vocab),
             "--activation", draw(st.sampled_from(ACTIVATIONS)),
             "--gating-order", draw(st.sampled_from(GATING_ORDERS))]
@@ -42,7 +57,6 @@ def small_models(draw):
         argv.append("--no-prenorm")
     if mode == "upcycled":
         argv += ["--noise", draw(st.sampled_from(["0", "0.3"]))]
-    tokens = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=6))
     return argv, layers, tokens
 
 
@@ -75,6 +89,7 @@ def assert_cells_finite(name: str, text: str) -> None:
 @given(small_models(), st.randoms(use_true_random=False))
 def test_report_on_random_models_is_finite_and_steps_rerun_alone(model, random):
     synth_argv, layers, tokens = model
+    event(f"layers: {layers}")
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         code, _, err = run_quietly([*synth_argv, "--out", str(root / "model")])

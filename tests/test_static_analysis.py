@@ -932,10 +932,16 @@ def test_pca_standardize_drops_constant_feature(rng):
 
 @pytest.mark.parametrize("standardize", [True, False])
 def test_pca_of_identical_points_sits_at_the_origin(standardize):
+    """Nothing varies: the Gram is zero (or, standardized, 0 x 0 with no
+    feature kept), so every component is zero, as the oracle's coordinates
+    and explained variance are."""
     data = np.tile([0.5, -2.0, 3.0], (5, 1))
     proj = pca_project(data, dims=2, standardize=standardize)
-    assert proj.coords.tolist() == [[0.0, 0.0]] * 5
-    assert proj.explained_variance.tolist() == [0.0, 0.0]
+    want = pca_oracle.pca_project(data, dims=2, standardize=standardize)
+    assert proj.coords.tolist() == want.coords.tolist() == [[0.0, 0.0]] * 5
+    assert proj.explained_variance.tolist() == want.explained_variance.tolist() == [0.0, 0.0]
+    assert not proj.components.any()
+    assert proj.components.shape == (2, 0 if standardize else 3)
     np.testing.assert_array_equal(reconstruct(proj), data[:, proj.kept_features])
 
 
@@ -951,15 +957,21 @@ def test_pca_rejects_a_vector():
 
 @pytest.mark.parametrize("standardize", [True, False])
 def test_pca_components_past_the_features_are_zero(rng, standardize):
-    """Six points of two features give two components; a third is zero, and
-    the first two are those of ``dims=2``."""
+    """Six points of two features give two components; a third is zero, the
+    first two are those of ``dims=2``, and all three match the oracle's
+    zero-padded SVD."""
     data = rng.normal(size=(6, 2))
     proj = pca_project(data, dims=3, standardize=standardize)
     two = pca_project(data, dims=2, standardize=standardize)
+    want = pca_oracle.pca_project(data, dims=3, standardize=standardize)
     np.testing.assert_array_equal(proj.components[:2], two.components)
     np.testing.assert_array_equal(proj.explained_variance[:2], two.explained_variance)
-    assert proj.components[2].tolist() == [0.0, 0.0]
+    assert proj.components[2].tolist() == want.components[2].tolist() == [0.0, 0.0]
     assert proj.explained_variance[2] == 0.0 and proj.coords[:, 2].tolist() == [0.0] * 6
+    np.testing.assert_allclose(proj.components, want.components, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(proj.coords, want.coords, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(proj.explained_variance, want.explained_variance,
+                               rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("standardize", [True, False])
