@@ -245,6 +245,8 @@ def _cmd_gate_corr(ctx: Context) -> None:
 
 def _cmd_pca(ctx: Context) -> None:
     args = ctx.args
+    if args.min_pts < 1:
+        raise ValueError("min_pts must be at least 1")
     for layer in _select_layers(args.layer, ctx.model):
         stack, experts = _layer_weights(ctx, layer)
         if args.level == "matrix":

@@ -20,8 +20,8 @@ stacked, [P, n], and one bottom-up merge pass counts every pair's discordant
 pairs for Kendall's tau.  PCA takes its few components from the eigenvectors
 of the smaller Gram matrix of the population (features x features for neurons,
 experts x experts for whole matrices), not from an SVD of the whole
-population.  DBSCAN counts its eps-balls over strip-sorted dense tiles in
-numpy.
+population.  DBSCAN counts its eps-balls in numpy, over dense tiles of points
+sorted by their first coordinate.
 """
 
 from __future__ import annotations
@@ -545,58 +545,30 @@ def _balls_hold(points: np.ndarray, centers: np.ndarray, eps: float,
     rows of ``centers``: a center is inside when sqrt(sum(d * d)) <= eps over
     the coordinate differences d, summed in coordinate order.
 
-    Both sets are sorted into eps-wide strips of the first coordinate, each
-    strip ordered by the second (the first again for 1-d points).  Each block
-    of _BALL_BLOCK sorted points meets, as dense tiles, the second-coordinate
-    window of every strip that its first-coordinate range reaches: its own
-    strip first, outward from the block's own height, then the nearer strips.
-    A block stops once every one of its points holds ``need`` centers.
-    Strips and windows only preselect.  Every rounded coordinate difference
-    of a pair the test accepts is below ``reach``, and the bounds are
-    coordinates shifted by ``reach``; rounding is monotone, so the bounds
-    never drop a center the test keeps.
+    Both sets are sorted by their first coordinate.  Each block of
+    _BALL_BLOCK sorted points meets, as dense tiles of doubling width, the
+    centers whose first coordinate lies within ``reach`` of the block's
+    range, up from its lowest coordinate and then down, and stops once every
+    point holds ``need`` centers.  The range only preselects: every rounded
+    coordinate difference of a pair the test accepts is below ``reach``, and
+    rounding is monotone, so bounds shifted by ``reach`` never drop a center
+    the test keeps.  A cloud thin along its first coordinate puts most
+    centers in every block's range and is counted nearly pair by pair; a
+    ``pca`` cloud's first coordinate is its direction of largest variance.
     """
     held = np.zeros(len(points), dtype=bool)
-    if not len(centers):
-        return held
     # The floor keeps ``reach`` conservative where eps * eps underflows.
     reach = max(eps * (1.0 + 2.0 ** -20), 2.0 ** -510)
-    y = min(1, points.shape[1] - 1)
-
-    def strip_of(x):
-        # x / eps overflows to +-inf once |x| passes about 1e308 * eps (past
-        # about 1e-12 at a subnormal eps).  Division rounds monotonically
-        # through the overflow, so strips still sort as coordinates do and a
-        # bound shifted by ``reach`` still spans every strip that can hold an
-        # eps-neighbour: none is lost.
-        with np.errstate(over="ignore"):
-            return np.floor(x / eps)
-
-    def strip_sorted(data):
-        strip = strip_of(data[:, 0])
-        order = np.lexsort((data[:, y], strip))
-        return order, strip[order], np.ascontiguousarray(data[order].T)
-
-    _, strip, cols = strip_sorted(centers)
-    strips, rank = np.unique(strip, return_inverse=True)
-    # Complex keys sort by strip rank, then by the second coordinate, so one
-    # searchsorted finds the window of every strip a block reaches.
-    key = rank + 1j * cols[y]
-    order, point_strip, point_cols = strip_sorted(points)
+    cols = np.ascontiguousarray(centers[np.argsort(centers[:, 0], kind="stable")].T)
+    order = np.argsort(points[:, 0], kind="stable")
+    point_cols = np.ascontiguousarray(points[order].T)
     for lo in range(0, len(points), _BALL_BLOCK):
         block = point_cols[:, lo:lo + _BALL_BLOCK]
-        ranks = np.arange(np.searchsorted(strips, strip_of(block[0].min() - reach)),
-                          np.searchsorted(strips, strip_of(block[0].max() + reach), "right"))
-        low, high = block[y].min(), block[y].max()
-        start = np.searchsorted(key, ranks + 1j * (low - reach))
-        mid = np.searchsorted(key, ranks + 1j * low)
-        stop = np.searchsorted(key, ranks + 1j * (high + reach), "right")
-        # Nearest strip first; in each, up from the block's lowest height, then down.
-        home = np.searchsorted(strips, point_strip[lo])
-        windows = [np.zeros(0, dtype=np.intp)]
-        for s in np.argsort(np.abs(ranks - home), kind="stable"):
-            windows += [np.arange(mid[s], stop[s]), np.arange(mid[s] - 1, start[s] - 1, -1)]
-        candidates = np.concatenate(windows)
+        low, high = block[0, 0], block[0, -1]
+        start = np.searchsorted(cols[0], low - reach)
+        mid = np.searchsorted(cols[0], low)
+        stop = np.searchsorted(cols[0], high + reach, "right")
+        candidates = np.concatenate([np.arange(mid, stop), np.arange(mid - 1, start - 1, -1)])
         count = np.zeros(block.shape[1], dtype=np.int64)
         done, width = 0, _BALL_BLOCK
         while done < len(candidates) and count.min() < need:

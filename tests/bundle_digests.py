@@ -18,6 +18,9 @@ artifact a change alters.  The runs:
 - a ``pca --eps 0.5`` grid on the identical-experts and upcycled-wide models:
   ``--which up|act|down``, ``--level matrix|neuron``, ``--dims 1|2|3``, with and
   without ``--no-standardize``
+- neuron-level ``pca`` of every layer of a fine-grained model (64 routed
+  experts of 88 neurons, 2 shared, top-6): ``--which up|act|down`` at
+  ``--dims 3 --eps 0.1`` and at ``--dims 2 --eps 0.5``
 
 pytest does not collect this file.  It takes about 5 s.
 """
@@ -50,6 +53,9 @@ MODELS = {
              "--d-hid", "128", "--d-mid", "256", "--vocab", "1024"],
     "long": [*UPCYCLED, "--seed", "5", "--noise", "0.3", "--experts", "4",
              "--d-hid", "32", "--d-mid", "64", "--vocab", "160"],
+    "fg": ["--mode", "upcycled", "--seed", "9", "--noise", "0.3", "--layers", "2",
+           "--experts", "64", "--shared", "2", "--top-k", "6", "--d-hid", "128",
+           "--d-mid", "88", "--vocab", "512"],
 }
 
 
@@ -85,6 +91,11 @@ def commands() -> list[list[str]]:
         runs.append(["pca", "--model", f"{name}/model.moel", "--which", which,
                      "--level", level, "--dims", str(dims), "--eps", "0.5",
                      *(["--no-standardize"] if raw else []), "--out", out])
+    for which, (dims, eps) in itertools.product(("up", "act", "down"),
+                                                 ((3, "0.1"), (2, "0.5"))):
+        runs.append(["pca", "--model", "fg/model.moel", "--which", which, "--level", "neuron",
+                     "--dims", str(dims), "--eps", eps,
+                     "--out", f"pca/fg/{which}-d{dims}-eps{eps}"])
     return runs
 
 

@@ -1,0 +1,138 @@
+"""Mutation runner: put one small fault into a copy of the package and require
+the named tests to catch it.
+
+    python tests/mutants.py [NAME ...]
+
+Each entry replaces one exact snippet of one module of ``src/moe_lens`` in a
+copy of ``src/`` made in a temporary directory, then runs the entry's tests
+against the copy (``PYTHONPATH`` points at it).  A mutant in ``MUTANTS`` is
+killed when its tests fail; a hang past ``TIMEOUT`` counts as killed too.
+An entry of ``EQUIVALENT`` changes no result, only the order or amount of
+work, and its reason says why; its tests must pass.  With names, only those
+entries run.  The script prints one line per entry and exits 1 when a mutant
+survives or an equivalent one fails.  pytest does not collect this file;
+``tests/test_mutant_snippets.py`` checks in the suite that every snippet
+occurs exactly once, so an edit that moves a snippet breaks the suite rather
+than this script.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 600  # seconds for one entry's tests
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    module: str  # file name under src/moe_lens
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+    reason: str
+
+
+DBSCAN_ORACLE = (
+    "tests/test_static_analysis.py::test_dbscan_noise_matches_bfs_oracle_across_many_tiles",
+    "tests/test_static_analysis.py::test_dbscan_noise_matches_bfs_oracle_at_subnormal_eps",
+)
+
+MUTANTS = [
+    Mutant("balls-lower-bound-without-reach", "static_analysis.py",
+           "start = np.searchsorted(cols[0], low - reach)",
+           "start = np.searchsorted(cols[0], low)", DBSCAN_ORACLE,
+           "a block no longer scans the centers just below its lowest point"),
+    Mutant("balls-upper-bound-from-lowest", "static_analysis.py",
+           'stop = np.searchsorted(cols[0], high + reach, "right")',
+           'stop = np.searchsorted(cols[0], low + reach, "right")', DBSCAN_ORACLE,
+           "the upper points of a block wider than reach lose the centers above them"),
+    Mutant("balls-no-downward-range", "static_analysis.py",
+           "np.concatenate([np.arange(mid, stop), np.arange(mid - 1, start - 1, -1)])",
+           "np.arange(mid, stop)", DBSCAN_ORACLE,
+           "centers below a block's lowest coordinate are never counted"),
+    Mutant("balls-strict-ball-test", "static_analysis.py",
+           "np.sqrt(total) <= eps", "np.sqrt(total) < eps", DBSCAN_ORACLE,
+           "lattice neighbours exactly eps apart leave the ball"),
+    Mutant("balls-count-above-need", "static_analysis.py",
+           "count >= need", "count > need", DBSCAN_ORACLE,
+           "a ball holding exactly min_pts points is no longer core"),
+    Mutant("balls-reach-without-floor", "static_analysis.py",
+           "max(eps * (1.0 + 2.0 ** -20), 2.0 ** -510)", "eps * (1.0 + 2.0 ** -20)",
+           DBSCAN_ORACLE,
+           "at a subnormal eps squares underflow, and the test accepts points several "
+           "eps apart that a range of eps misses"),
+]
+
+EQUIVALENT = [
+    Mutant("balls-downward-range-first", "static_analysis.py",
+           "np.concatenate([np.arange(mid, stop), np.arange(mid - 1, start - 1, -1)])",
+           "np.concatenate([np.arange(mid - 1, start - 1, -1), np.arange(mid, stop)])",
+           DBSCAN_ORACLE,
+           "the same candidates in another order: a block stops early only once every "
+           "point holds need centers, so the order moves the stop, never the result"),
+    Mutant("balls-no-early-stop", "static_analysis.py",
+           "while done < len(candidates) and count.min() < need:",
+           "while done < len(candidates):", DBSCAN_ORACLE,
+           "counting every candidate gives counts at least those of the early stop, "
+           "which stops only when every count has reached need"),
+    Mutant("balls-fixed-tile-width", "static_analysis.py",
+           "width = min(2 * width, _BALL_TILE_MAX)", "width = _BALL_BLOCK", DBSCAN_ORACLE,
+           "tiles of one width cover the same candidates, in more steps"),
+]
+
+
+def run(mutant: Mutant) -> tuple[str, float]:
+    """``killed``, ``timeout``, ``passed`` or ``error`` for one entry, and its seconds."""
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp, "src")
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / "moe_lens" / mutant.module
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutant.snippet) != 1:
+            return "error", 0.0
+        path.write_text(text.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        try:
+            proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p",
+                                   "no:cacheprovider", *mutant.tests],
+                                  cwd=ROOT, env=env, capture_output=True, timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            return "timeout", time.perf_counter() - start
+    # pytest exits 1 when a test failed, 0 when all passed; any other code
+    # (a collection error, an unknown test id) says nothing about the mutant.
+    outcome = {0: "passed", 1: "killed"}.get(proc.returncode, "error")
+    return outcome, time.perf_counter() - start
+
+
+def main(argv: list[str]) -> int:
+    entries = [(m, False) for m in MUTANTS] + [(m, True) for m in EQUIVALENT]
+    unknown = set(argv) - {m.name for m, _ in entries}
+    if unknown:
+        print(f"error: unknown mutants: {' '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    bad, start = 0, time.perf_counter()
+    for mutant, equivalent in entries:
+        if argv and mutant.name not in argv:
+            continue
+        outcome, seconds = run(mutant)
+        ok = outcome == "passed" if equivalent else outcome in ("killed", "timeout")
+        bad += not ok
+        kind = "equivalent" if equivalent else "mutant"
+        print(f"{'ok' if ok else 'BAD'}  {kind:10} {outcome:7} {seconds:6.1f} s  "
+              f"{mutant.name}: {mutant.reason}", flush=True)
+    print(f"{bad} bad; {time.perf_counter() - start:.1f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1234,6 +1234,8 @@ def refusal_inputs(tmp_path_factory):
     (["pca", "--model", "{model}", "--dims", "0", "--which", "up"], "dims must be positive"),
     (["pca", "--model", "{model}", "--eps", "0.5", "--min-pts", "0", "--which", "up"],
      "min_pts must be at least 1"),
+    (["pca", "--model", "{model}", "--min-pts", "0", "--which", "up"],
+     "min_pts must be at least 1"),
     (["trace", "--model", "{model}", "--corpus", "{long}"],
      "bad token id on line 1: Exceeds the limit (4300 digits)"),
     (["matrix-sim", "--model", "{deep}", "--which", "up"],
@@ -1251,9 +1253,9 @@ def refusal_inputs(tmp_path_factory):
 ], ids=["blank-corpus", "gate-corr-two-experts", "layer-abc", "synth-experts-a",
         "synth-layers-negative", "synth-top-k-zero", "synth-d-hid-zero", "synth-shared-negative",
         "synth-experts-zero", "pca-dims-above-samples", "pca-dims-zero", "pca-min-pts-zero",
-        "corpus-id-past-int-limit", "deeply-nested-header", "config-experts-length",
-        "config-shared-length", "config-activation-relu", "config-not-an-object",
-        "heatmap-bytes-overflow"])
+        "pca-min-pts-zero-without-eps", "corpus-id-past-int-limit", "deeply-nested-header",
+        "config-experts-length", "config-shared-length", "config-activation-relu",
+        "config-not-an-object", "heatmap-bytes-overflow"])
 def test_refusal_is_one_error_line(refusal_inputs, tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     code = run_command([arg.format(**refusal_inputs) for arg in argv] + ["--out", str(out)])

@@ -19,12 +19,12 @@ import moe_lens
 from moe_lens import ModelConfig
 from moe_lens.dynamic_analysis import angular_sim, avg_output_sim, output_sim_per_token
 from moe_lens.moe_core import Expert, trace_all_experts
-from moe_lens.static_analysis import (WHICH_MATRICES, SimilarityMatrix, _orient_components,
-                                      aggregate_r2, dbscan_outliers, gate_embedding_sim,
-                                      gate_expert_regression, kendall_tau, layer_weights,
-                                      matrix_level_sim, neuron_average_sim, neuron_rows,
-                                      pairwise_cosine, pairwise_reorder_reports, pca_project,
-                                      pearson_r, reconstruct, reorder_neurons,
+from moe_lens.static_analysis import (_BALL_BLOCK, WHICH_MATRICES, SimilarityMatrix,
+                                      _orient_components, aggregate_r2, dbscan_outliers,
+                                      gate_embedding_sim, gate_expert_regression, kendall_tau,
+                                      layer_weights, matrix_level_sim, neuron_average_sim,
+                                      neuron_rows, pairwise_cosine, pairwise_reorder_reports,
+                                      pca_project, pearson_r, reconstruct, reorder_neurons,
                                       solve_assignment)
 from moe_lens.synth import (SynthSpec, synth_permuted_clone,
                             synth_permuted_clone_model, synth_scratch, synth_upcycled)
@@ -1168,10 +1168,11 @@ def test_dbscan_noise_matches_bfs_oracle(cloud):
 
 def tiled_cloud(seed):
     """A seeded cloud of several hundred to about 3,000 points spread over
-    about 60 eps-wide strips, so it spans many tiles: a sparse scatter, a
-    lattice whose neighbours sit exactly eps apart, a dense cluster (every
-    point within eps of every other) with border points exactly eps beyond
-    its edge and others just farther, and duplicates of all of these.
+    about 60 eps along each coordinate, so it spans many tiles: a sparse
+    scatter, a lattice whose neighbours sit exactly eps apart, a dense
+    cluster (every point within eps of every other) with border points
+    exactly eps beyond its edge and others just farther, and duplicates of
+    all of these.
     Coordinates are integers times a power of two, so every squared distance
     is exact and both implementations see the same ties."""
     rng = np.random.default_rng(seed)
@@ -1194,26 +1195,51 @@ def tiled_cloud(seed):
     return ints[rng.permutation(len(ints))] * scale, step * scale, 1 + seed % 5
 
 
-@pytest.mark.parametrize("seed", range(15))
-def test_dbscan_noise_matches_bfs_oracle_across_many_tiles(seed):
-    points, eps, min_pts = tiled_cloud(seed)
-    assert dbscan_outliers(points, eps=eps, min_pts=min_pts) == \
-        dbscan_noise(points, eps, min_pts)
+def tied_cloud(shape):
+    """A shuffled cloud that ties in its first coordinate, and its eps: the
+    ``one-first-coordinate`` one puts its whole self in every block's range,
+    ``ties-across-blocks`` holds 150 points at one first coordinate across
+    two block boundaries, and ``one-dimensional`` has nothing but the first.
+    As in ``tiled_cloud``, coordinates are integers times a power of two and
+    lattice neighbours sit exactly eps apart."""
+    rng = np.random.default_rng(len(shape))
+    if shape == "one-first-coordinate":
+        ints = np.column_stack([np.full(300, 7), rng.integers(-20, 21, size=(300, 2))])
+    elif shape == "ties-across-blocks":
+        ints = np.column_stack([np.repeat([-3, 0, 2], [40, 150, 90]),
+                                rng.integers(-200, 201, size=280)])
+    else:
+        ints = rng.integers(-300, 301, size=(500, 1))
+    return ints[rng.permutation(len(ints))] * 0.5, 1.0
+
+
+@pytest.mark.parametrize("cloud", [*range(15), "one-first-coordinate", "ties-across-blocks",
+                                   "one-dimensional"])
+def test_dbscan_noise_matches_bfs_oracle_across_many_tiles(cloud):
+    cases = [tiled_cloud(cloud)] if isinstance(cloud, int) else \
+        [(*tied_cloud(cloud), min_pts) for min_pts in (1, 2, 3)]
+    for points, eps, min_pts in cases:
+        assert dbscan_outliers(points, eps=eps, min_pts=min_pts) == \
+            dbscan_noise(points, eps, min_pts)
 
 
 @pytest.mark.parametrize("eps", [1e-320, 1e-310])
 @pytest.mark.parametrize("dims", [1, 2, 3])
 def test_dbscan_noise_matches_bfs_oracle_at_subnormal_eps(eps, dims):
-    """At a subnormal eps, x / eps overflows to +-inf for every coordinate
-    past about 1e-12: the strips must still hold every neighbour, with no
-    overflow warning."""
+    """At a subnormal eps, every square of a difference near eps underflows
+    to 0, so the ball test accepts near-zero points several eps apart: the
+    range a block scans must still hold them, with no warning."""
     rng = np.random.default_rng(dims)
     spread = rng.normal(size=(60, dims))
     near_zero = rng.integers(-3, 4, size=(60, dims)) * eps
-    points = np.concatenate([spread, near_zero, spread[:15], near_zero[:15]])
-    for min_pts in (1, 2, 3):
-        assert dbscan_outliers(points, eps=eps, min_pts=min_pts) == \
-            dbscan_noise(points, eps, min_pts)
+    # A ladder below a near-zero pair 3 eps apart puts a block boundary
+    # between the two, so each block must scan past eps to find the other.
+    split = np.zeros((_BALL_BLOCK + 1, dims))
+    split[:, 0] = [*-np.arange(1.0, _BALL_BLOCK), 0.0, 3 * eps]
+    for points in (np.concatenate([spread, near_zero, spread[:15], near_zero[:15]]), split):
+        for min_pts in (1, 2, 3):
+            assert dbscan_outliers(points, eps=eps, min_pts=min_pts) == \
+                dbscan_noise(points, eps, min_pts)
 
 
 def package_nodes():

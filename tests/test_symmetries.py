@@ -1,7 +1,7 @@
-"""Metamorphic tests: two exact symmetries of a model and their known effect
-on every artifact of ``report --ref``.
+"""Metamorphic tests: three symmetries of a model and their known effect on
+the artifacts of ``report --ref``.
 
-Both act on layer 0 of a top-2 upcycled model.  Swapping two experts together
+All act on layer 0 of a top-2 upcycled model.  Swapping two experts together
 with their gate rows relabels them: each layer-0 similarity matrix has the two
 rows and columns swapped, the route log and activation ratios name the other
 expert, and the rest is byte-identical.  With two selected experts the layer
@@ -10,10 +10,16 @@ three or more it could, and the symmetry would no longer be exact.  Doubling
 an expert's ``w_up`` and halving its ``w_down`` is exact in floating point
 and changes what the expert computes nowhere; only the matrix-level PCA of
 ``up`` and ``down``, whose standardized population holds the raw weights,
-changes.  Trees are compared without the ``# command:`` and ``# model:``
-lines, which name the model file and its digest.
+changes.  Permuting one expert's neurons changes its sums only in order: the
+dynamic tables and reorder's aligned similarity agree to rounding, reorder
+recovers the permutation, and the neuron-level ``pca --eps`` outliers are the
+same neurons under their new indices, whatever order DBSCAN saw them in.
+Trees are compared without the ``# command:`` and ``# model:`` lines, which
+name the model file and its digest.
 """
 
+import itertools
+import re
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +27,7 @@ import pytest
 from conftest import write_corpus
 
 from moe_lens.cli import run_command
+from moe_lens.static_analysis import layer_weights, neuron_rows, pairwise_reorder_reports
 from moe_lens.tensor_store import build_checkpoint, dump_checkpoint, read_checkpoint
 
 SWAP = {"1": "3", "3": "1"}
@@ -49,7 +56,8 @@ def tree(root: Path) -> dict[str, bytes]:
 
 @pytest.fixture(scope="module")
 def upcycled(tmp_path_factory):
-    """A reporter of edited copies of one upcycled model, and the base report."""
+    """A reporter of edited copies of one upcycled model, the base report, and
+    the directory that holds the models."""
     root = tmp_path_factory.mktemp("symmetry")
     assert run_command(["synth", "--mode", "upcycled", "--seed", "7", "--noise", "0.3",
                         "--layers", "2", "--experts", "4", "--top-k", "2", "--d-hid", "16",
@@ -69,7 +77,7 @@ def upcycled(tmp_path_factory):
                             "--out", str(root / stem)]) == 0
         return tree(root / stem)
 
-    return report, report("base")
+    return report, report("base"), root
 
 
 def data_lines(blob: bytes) -> list[str]:
@@ -114,7 +122,7 @@ def swap_layer0_column(blob: bytes, column: str) -> list[str]:
 
 
 def test_swapping_two_experts_with_their_gate_rows_relabels_them(upcycled):
-    report, base = upcycled
+    report, base, _ = upcycled
 
     def swap(tensors):
         for matrix in ("w_up", "w_act", "w_down"):
@@ -145,7 +153,7 @@ def test_swapping_two_experts_with_their_gate_rows_relabels_them(upcycled):
 
 
 def test_rescaling_an_expert_changes_only_the_matrix_level_pca(upcycled):
-    report, base = upcycled
+    report, base, _ = upcycled
 
     def rescale(tensors):
         tensors["layers.0.experts.2.w_up"] *= 2
@@ -155,3 +163,68 @@ def test_rescaling_an_expert_changes_only_the_matrix_level_pca(upcycled):
     assert scaled.keys() == base.keys()
     assert sorted(name for name in base if scaled[name] != base[name]) == \
         ["pca/pca-layer0-down-matrix.csv", "pca/pca-layer0-up-matrix.csv"]
+
+
+def cells_agree(a: bytes, b: bytes, tol: float) -> bool:
+    """Two tables hold the same text cells and numbers within ``tol``."""
+    left, right = (re.split(r"[,\s]+", blob.decode()) for blob in (a, b))
+    if len(left) != len(right):
+        return False
+    for x, y in zip(left, right):
+        try:
+            if abs(float(x) - float(y)) > tol:
+                return False
+        except ValueError:
+            if x != y:
+                return False
+    return True
+
+
+def test_permuting_an_experts_neurons_changes_sums_only_in_order(upcycled):
+    report, base, root = upcycled
+    expert = 2
+    pi = np.random.default_rng(11).permutation(24)
+    inverse = np.argsort(pi)
+
+    def permute(tensors):
+        stem = f"layers.0.experts.{expert}"
+        for matrix in ("w_up", "w_act"):
+            tensors[f"{stem}.{matrix}"] = tensors[f"{stem}.{matrix}"][pi]
+        tensors[f"{stem}.w_down"] = tensors[f"{stem}.w_down"][:, pi]
+
+    permuted = report("permute", permute)
+    dynamic = [name for name in base if name.endswith(".csv") and name.startswith(
+        ("act-ratio/", "avg-out-sim/", "out-sim/", "norm-rank/", "route-log/", "trace/"))]
+    assert len(dynamic) == 8
+    for name in dynamic:
+        assert cells_agree(permuted[name], base[name], 1e-6), name
+
+    models = [read_checkpoint(root / f"{stem}.moel") for stem in ("model", "permute")]
+    reference = read_checkpoint(root / "reference.moel")
+    for which in ("up", "act", "down"):
+        name = f"reorder/reorder-{which}.csv"
+        after = [[float(row.split(",")[5]) for row in data_lines(tree[name])[1:]]
+                 for tree in (base, permuted)]
+        assert np.allclose(*after, rtol=0, atol=1e-6), name
+        stacks = [neuron_rows(layer_weights(model, 0, which, reference)[0], which)
+                  for model in models]
+        old, new = (pairwise_reorder_reports(rows) for rows in stacks)
+        for (a, b), was, now in zip(itertools.combinations(range(len(stacks[0])), 2), old, new):
+            # permutation[j] is the a-neuron matched to b-neuron j, and the
+            # permuted expert's neuron j is the original's neuron pi[j].
+            want = was.permutation[pi] if b == expert else \
+                inverse[was.permutation] if a == expert else was.permutation
+            assert np.array_equal(now.permutation, want), (which, a, b)
+
+        outliers = []
+        for stem in ("model", "permute"):
+            out = root / f"pca-{stem}-{which}"
+            assert run_command(["pca", "--model", str(root / f"{stem}.moel"), "--layer", "0",
+                                "--which", which, "--level", "neuron", "--eps", "0.5",
+                                "--out", str(out)]) == 0
+            text = (out / f"pca-layer0-{which}-neuron.csv").read_text()
+            outliers.append(set(re.search(r"# outliers: (.*)", text).group(1).split()))
+        moved = {f"{expert}.{inverse[int(label.split('.')[1])]}"
+                 if label.startswith(f"{expert}.") else label for label in outliers[0]}
+        assert any(label.startswith(f"{expert}.") for label in moved), which
+        assert outliers[1] == moved, which
