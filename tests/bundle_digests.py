@@ -13,7 +13,9 @@ artifact a change alters.  The runs:
 - ``report --ref`` on an identical-experts model (``upcycled --noise 0``), on
   a model of 2 and 4 experts, on the upcycled-wide benchmark shape and on the
   trace-long benchmark shape over a seeded 640-token corpus
-- ``report`` on a ``--d-hid 1 --d-mid 1`` model
+- ``report`` on a ``--d-hid 1 --d-mid 1`` model, on a permuted-clone model
+  and on a scratch model, whose reorder tables hold taus other than 1 and
+  whose scratch pairs need scipy's assignment solver
 - the README demo's ``report``, with and without ``--ref``
 - a ``pca --eps 0.5`` grid on the identical-experts and upcycled-wide models:
   ``--which up|act|down``, ``--level matrix|neuron``, ``--dims 1|2|3``, with and
@@ -53,6 +55,10 @@ MODELS = {
              "--d-hid", "128", "--d-mid", "256", "--vocab", "1024"],
     "long": [*UPCYCLED, "--seed", "5", "--noise", "0.3", "--experts", "4",
              "--d-hid", "32", "--d-mid", "64", "--vocab", "160"],
+    "permuted": ["--mode", "permuted-clone", "--seed", "6", "--layers", "2", "--experts", "4",
+                 "--top-k", "2", "--d-hid", "16", "--d-mid", "40", "--vocab", "11"],
+    "scratch": ["--mode", "scratch", "--seed", "8", "--layers", "2", "--experts", "5",
+                "--top-k", "2", "--d-hid", "16", "--d-mid", "24", "--vocab", "11"],
     "fg": ["--mode", "upcycled", "--seed", "9", "--noise", "0.3", "--layers", "2",
            "--experts", "64", "--shared", "2", "--top-k", "6", "--d-hid", "128",
            "--d-mid", "88", "--vocab", "512"],
@@ -65,8 +71,8 @@ def corpora() -> dict[str, list[list[int]]]:
     rng = random.Random("corpus-5")
     seeded = {name: [rng.randrange(vocab) for _ in range(n)]
               for name, n, vocab in (("wide", 64, 1024), ("long", 640, 160))}
-    return {"identical": [[0, 5, 7, 3, 9, 10], [2, 7, 7, 1]],
-            "two-four": [[0, 5, 7, 3, 9, 10], [2, 7, 7, 1]],
+    small = [[0, 5, 7, 3, 9, 10], [2, 7, 7, 1]]
+    return {**dict.fromkeys(("identical", "two-four", "permuted", "scratch"), small),
             "tiny": [[0, 1, 2]],
             "demo": [[0, 5, 17, 3, 99], [42, 7, 7, 23]],
             **{name: [tokens[i:i + 32] for i in range(0, len(tokens), 32)]
@@ -83,7 +89,8 @@ def commands() -> list[list[str]]:
                 "--corpus", f"corpora/{name}.txt", "--out", f"reports/{out or name}"]
 
     runs += [report(name) for name in ("identical", "two-four", "demo", "wide", "long")]
-    runs += [report("tiny", ref=False), report("demo", ref=False, out="demo-noref")]
+    runs += [report(name, ref=False) for name in ("tiny", "permuted", "scratch")]
+    runs.append(report("demo", ref=False, out="demo-noref"))
     for name, which, level, dims, raw in itertools.product(
             ("identical", "wide"), ("up", "act", "down"), ("matrix", "neuron"), (1, 2, 3),
             (False, True)):

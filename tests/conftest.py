@@ -1,5 +1,6 @@
 """Shared fixtures and helpers plus a terminal summary line per acceptance criterion."""
 
+import itertools
 import math
 import os
 import re
@@ -41,6 +42,20 @@ def cosine_ref(u, v):
     nu = math.sqrt(sum(a * a for a in u))
     nv = math.sqrt(sum(b * b for b in v))
     return dot / (nu * nv)
+
+
+def kendall_ref(a, b):
+    """Kendall's tau by exhaustive pair counting, kept separate from the
+    implementation."""
+    n = len(a)
+    concordant = discordant = 0
+    for i, j in itertools.combinations(range(n), 2):
+        agree = (a[i] < a[j]) == (b[i] < b[j])
+        if agree:
+            concordant += 1
+        else:
+            discordant += 1
+    return (concordant - discordant) / (n * (n - 1) // 2)
 
 
 def write_corpus(path, sequences):

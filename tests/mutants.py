@@ -37,7 +37,7 @@ class Mutant:
     module: str  # file name under src/moe_lens
     snippet: str
     replacement: str
-    tests: tuple[str, ...]
+    tests: tuple[str, ...]  # pytest arguments: test ids, or files and a -k expression
     reason: str
 
 
@@ -45,6 +45,14 @@ DBSCAN_ORACLE = (
     "tests/test_static_analysis.py::test_dbscan_noise_matches_bfs_oracle_across_many_tiles",
     "tests/test_static_analysis.py::test_dbscan_noise_matches_bfs_oracle_at_subnormal_eps",
 )
+
+# The Kendall, reorder, assignment and scipy-loading tests.
+REORDER_TESTS = ("tests/test_static_analysis.py", "tests/test_cli_report.py",
+                 "-k", "kendall or reorder or assignment or scipy")
+
+COUNT = "np.count_nonzero((perm[:, None] < perm) & later)"
+ROW_CERTIFICATE = "(score <= diagonal[:, None]).all()"
+EITHER_CERTIFICATE = "(score <= diagonal[:, None]).all() or (score <= diagonal).all()"
 
 MUTANTS = [
     Mutant("balls-lower-bound-without-reach", "static_analysis.py",
@@ -70,6 +78,25 @@ MUTANTS = [
            DBSCAN_ORACLE,
            "at a subnormal eps squares underflow, and the test accepts points several "
            "eps apart that a range of eps misses"),
+    Mutant("tau-count-flipped", "static_analysis.py", COUNT,
+           COUNT.replace("<", ">"), REORDER_TESTS,
+           "concordant pairs are counted as discordant, so every tau changes sign"),
+    Mutant("tau-later-inverted", "static_analysis.py", COUNT,
+           COUNT.replace("& later", "& ~later"), REORDER_TESTS,
+           "the count reads the positions j >= i, where it finds the concordant pairs"),
+    Mutant("tau-discordant-once", "static_analysis.py",
+           "return (pairs - 2 * discordant) / pairs", "return (pairs - 1 * discordant) / pairs",
+           REORDER_TESTS, "tau is concordant over pairs, not concordant minus discordant"),
+    Mutant("assignment-row-certificate-any", "static_analysis.py",
+           ROW_CERTIFICATE, ROW_CERTIFICATE.replace(".all()", ".any()"), REORDER_TESTS,
+           "one row whose best is its diagonal entry certifies a non-optimal identity"),
+    Mutant("assignment-certificates-strict", "static_analysis.py",
+           EITHER_CERTIFICATE, EITHER_CERTIFICATE.replace("<=", "<"), REORDER_TESTS,
+           "a diagonal entry is never below itself, so no certificate holds and an "
+           "upcycled report loads scipy"),
+    Mutant("assignment-tie-rule-strict", "static_analysis.py",
+           "if diagonal.sum() >= best:", "if diagonal.sum() > best:", REORDER_TESTS,
+           "a solver optimum that only ties identity replaces it"),
 ]
 
 EQUIVALENT = [
@@ -87,6 +114,20 @@ EQUIVALENT = [
     Mutant("balls-fixed-tile-width", "static_analysis.py",
            "width = min(2 * width, _BALL_TILE_MAX)", "width = _BALL_BLOCK", DBSCAN_ORACLE,
            "tiles of one width cover the same candidates, in more steps"),
+    Mutant("tau-count-with-diagonal", "static_analysis.py", COUNT,
+           COUNT.replace("<", "<="), REORDER_TESTS,
+           "<= differs from < only where perm[i] meets itself, on the diagonal, "
+           "which later leaves out"),
+    Mutant("tau-later-with-diagonal", "static_analysis.py",
+           "later = np.tri(len(idx), k=-1, dtype=bool)",
+           "later = np.tri(len(idx), k=0, dtype=bool)", REORDER_TESTS,
+           "the diagonal compares perm[i] with itself, which is never <"),
+    Mutant("assignment-without-row-certificate", "static_analysis.py",
+           EITHER_CERTIFICATE, "(score <= diagonal).all()", REORDER_TESTS,
+           "the solver and the tie rule still return identity whenever it is optimal"),
+    Mutant("assignment-without-column-certificate", "static_analysis.py",
+           EITHER_CERTIFICATE, ROW_CERTIFICATE, REORDER_TESTS,
+           "the solver and the tie rule still return identity whenever it is optimal"),
 ]
 
 

@@ -2,11 +2,12 @@
 ``static_analysis.pairwise_reorder_reports``.
 
 Each pair is aligned on its own: both experts' norms, one score matrix, one
-assignment and a scalar Kendall tau that walks its merge levels for that pair
-alone.  The implementation under test takes each expert's norm once per
-layer and counts the inversions of every pair's permutation together; it
-shares ``solve_assignment`` and ``ReorderReport`` with this module, so the two
-differ only in how the pass is batched.
+assignment, and ``kendall_ref``'s tau, which compares every pair of positions
+in plain Python.  The implementation under test takes each expert's norm once
+per layer and counts a permutation's discordant pairs against one boolean
+mask per layer.  It shares ``solve_assignment`` and ``ReorderReport`` with
+this module, so the two differ in how norms are taken and how tau is counted,
+not in the assignment.
 """
 
 from __future__ import annotations
@@ -14,47 +15,9 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from conftest import kendall_ref
 
 from moe_lens.static_analysis import ReorderReport, solve_assignment
-
-
-def kendall_tau(seq_a, seq_b) -> float:
-    """Tie-free Kendall rank coefficient between two permutations of one set.
-
-    Counts concordant minus discordant position pairs over n(n-1)/2.  The
-    discordant pairs are the inversions of b's ranks listed in a's order,
-    counted exactly by bottom-up merge levels in O(n log n).
-    """
-    a = list(seq_a)
-    b = list(seq_b)
-    n = len(a)
-    if n != len(b):
-        raise ValueError("sequences must have equal length")
-    if n < 2:
-        raise ValueError("need at least two elements")
-    if len(set(a)) != n or sorted(a) != sorted(b):
-        raise ValueError("inputs must be permutations of the same set")
-    # A pair is discordant when b, listed in a's order, is inverted there;
-    # concordant minus discordant is then total - 2 * discordant, exactly.
-    rank_b = np.empty(n, dtype=np.int64)
-    rank_b[np.argsort(b)] = np.arange(n)
-    # Padding up to a power of two with larger, increasing ranks adds no inversion.
-    m = 1 << (n - 1).bit_length()
-    ranks = np.concatenate([rank_b[np.argsort(a)], np.arange(n, m)])
-    discordant, width = 0, 1
-    while width < m:
-        runs = ranks.reshape(-1, 2, width)  # per block, a sorted left and right run
-        block = np.arange(len(runs))
-        # Block offsets keep the keys of each block above those of the ones before.
-        keys = runs + block[:, None, None] * m
-        # Per right-run entry, the left-run entries of its block below it.
-        below = (np.searchsorted(keys[:, 0].ravel(), keys[:, 1].ravel())
-                 - np.repeat(block * width, width))
-        discordant += int((width - below).sum())
-        ranks = np.sort(runs.reshape(-1, 2 * width), axis=1).ravel()
-        width *= 2
-    total = n * (n - 1) // 2
-    return (total - 2 * discordant) / total
 
 
 def reorder_neurons(a: np.ndarray, b: np.ndarray) -> ReorderReport:
@@ -89,7 +52,7 @@ def reorder_neurons(a: np.ndarray, b: np.ndarray) -> ReorderReport:
     idx = np.arange(n)
     sim_before = float(score[idx, idx].sum() / norms)
     sim_after = float(score[idx, row_to_col].sum() / norms)
-    tau = kendall_tau(perm.tolist(), list(range(n)))
+    tau = kendall_ref(perm.tolist(), list(range(n)))
     return ReorderReport(permutation=perm, sim_before=sim_before,
                          sim_after=sim_after, tau=tau)
 

@@ -15,12 +15,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import SCIPY_MODULES, run_isolated, write_corpus
+from conftest import SCIPY_MODULES, kendall_ref, run_isolated, write_corpus
 
 from moe_lens import ModelConfig
 from moe_lens.cli import ANALYSES, build_parser, run_command
 from moe_lens.report import (Provenance, emit_csv, emit_heatmap, file_digest, format_cell,
                              metric_range)
+from moe_lens.synth import SynthSpec, synth_permuted_clone_model
 from moe_lens.tensor_store import (build_checkpoint, dump_checkpoint, ffn_prefixes,
                                    read_checkpoint, required_tensor_shapes)
 
@@ -612,6 +613,34 @@ def test_reorder_table(workspace, tmp_path):
     pairs = [tuple(row.split(",")[:3]) for row in data[1:]]
     assert pairs == [(str(layer), str(a), str(b))
                      for layer in range(2) for a, b in itertools.combinations(range(4), 2)]
+
+
+def test_reorder_table_reads_the_planted_permutations(tmp_path):
+    """On a permuted-clone model, clone n is expert 0 with its neurons taken
+    in the planted order pi_n, so pair (i, j) aligns by pi_i^-1 o pi_j (pi_0
+    the identity): its sim_after is 1 and its tau is that permutation's."""
+    model = tmp_path / "model" / "model.moel"
+    assert run_command(["synth", "--mode", "permuted-clone", "--seed", "6", "--layers", "2",
+                        "--experts", "4", "--top-k", "2", "--d-hid", "16", "--d-mid", "40",
+                        "--vocab", "11", "--out", str(model.parent)]) == 0
+    config = read_checkpoint(model).config
+    _, planted = synth_permuted_clone_model(SynthSpec(config=config, mode="permuted_clone",
+                                                      seed=6))
+    want = []
+    for layer in range(2):
+        perms = [np.arange(40)] + [planted[(layer, n)] for n in range(1, 4)]
+        for i, j in itertools.combinations(range(4), 2):
+            aligned = np.argsort(perms[i])[perms[j]].tolist()
+            want.append((str(layer), str(i), str(j), "1.000000",
+                         format_cell(kendall_ref(aligned, range(40)))))
+    assert len({row[-1] for row in want}) > 2  # the taus are not all 1
+    for which in ("up", "act", "down"):
+        out = tmp_path / which
+        assert run_command(["reorder", "--model", str(model), "--layer", "all",
+                            "--which", which, "--out", str(out)]) == 0
+        rows = [row.split(",") for row in data_lines(out / f"reorder-{which}.csv")[1:]]
+        assert [(*row[:3], *row[5:]) for row in rows] == want
+        assert {row[3] for row in rows} == {which}
 
 
 def test_gate_sim_artifacts(workspace, tmp_path):
