@@ -3,9 +3,10 @@
 Every analysis subcommand reads a checkpoint (plus a corpus for the
 trace-based ones) and writes provenance-stamped CSV tables and P6 heatmaps
 under ``--out``.  Handlers compute and declare their artifacts on the
-``Context``; ``run_command`` writes them once the whole command (a whole
-``report`` too) has returned, so a command that fails writes nothing.  The
-same invocation over the same inputs reproduces every artifact byte for byte.
+``Context``, which renders them; ``run_command`` writes them once the whole
+command (a whole ``report`` too) has returned, so a command that fails writes
+nothing.  The same invocation over the same inputs reproduces every artifact
+byte for byte.
 
 Each command loads only the ``moe_lens`` modules it runs.  ``config``,
 ``tensor_store``, ``static_analysis`` and ``report`` load with this module;
@@ -31,7 +32,7 @@ from . import static_analysis as sta
 from .config import ACTIVATIONS, GATING_ORDERS, ModelConfig
 from .report import (Provenance, emit_csv, emit_matrix, file_digest, format_cell,
                      matrix_comments, metric_range)
-from .tensor_store import Checkpoint, dump_checkpoint, read_checkpoint
+from .tensor_store import Checkpoint, atomic_write_bytes, dump_checkpoint, read_checkpoint
 
 if TYPE_CHECKING:
     from .moe_core import CorpusTrace
@@ -53,10 +54,10 @@ def _int_list(text: str, n: int, flag: str) -> tuple[int, ...]:
 @dataclass
 class Context:
     """A command's inputs, each read and hashed once, its provenance stamp,
-    its corpus trace once traced, and the artifact writes it has declared.
+    its corpus trace once traced, and its artifacts as ``(path, bytes)`` pairs.
 
     A report's steps share its inputs, trace and ``writes`` through
-    ``replace``; ``run_command`` runs the writes in declaration order."""
+    ``replace``; ``run_command`` writes them in declaration order."""
 
     args: argparse.Namespace
     model: Checkpoint
@@ -65,7 +66,7 @@ class Context:
     digests: dict[str, str]
     provenance: Provenance | None = None
     trace: CorpusTrace | None = None
-    writes: list[Callable[[], list[str]]] = field(default_factory=list)
+    writes: list[tuple[str, bytes]] = field(default_factory=list)
 
     def corpus_trace(self) -> CorpusTrace:
         """The corpus, traced on first use and kept; a report's steps
@@ -78,15 +79,14 @@ class Context:
 
     def table(self, name: str, columns: list[str], rows, comments: list[str] | None = None):
         """Declare the CSV table ``name`` under ``--out``."""
-        self.writes.append(functools.partial(emit_csv, os.path.join(self.args.out, name),
-                                             self.provenance, columns, rows, comments))
+        self.writes += emit_csv(os.path.join(self.args.out, name), self.provenance, columns,
+                                rows, comments)
 
     def matrix(self, stem: str, labels: list[str], values: np.ndarray,
                value_range: tuple[float, float], comments: list[str]):
         """Declare the labelled matrix ``stem`` under ``--out``: its CSV and heatmap."""
-        self.writes.append(functools.partial(emit_matrix, os.path.join(self.args.out, stem),
-                                             self.provenance, labels, values, value_range,
-                                             comments, self.args.cell))
+        self.writes += emit_matrix(os.path.join(self.args.out, stem), self.provenance, labels,
+                                   values, value_range, comments, self.args.cell)
 
 
 def _load_context(args, argv: list[str], loaded: Context | None) -> Context:
@@ -501,9 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
 def run_command(argv: list[str], loaded: Context | None = None) -> int:
     """Parse and execute one invocation; returns the process exit code.
 
-    A report passes its ``loaded`` inputs to each step, whose writes join the
-    report's.  Without them a command loads its own inputs and, once it has
-    returned, runs the writes it declared, so a command that fails writes nothing.
+    A report passes its ``loaded`` inputs to each step, whose artifacts join
+    the report's.  Without them a command loads its own inputs and writes its
+    artifacts once it has returned, so a command that fails writes nothing.
     """
     parser = build_parser()
     try:
@@ -516,7 +516,10 @@ def run_command(argv: list[str], loaded: Context | None = None) -> int:
         else:
             ctx = _load_context(args, argv, loaded)
             args.func(ctx)
-            written = [p for write in ctx.writes for p in write()] if loaded is None else []
+            written = []
+            for path, blob in ctx.writes if loaded is None else []:
+                atomic_write_bytes(path, blob)
+                written.append(path)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

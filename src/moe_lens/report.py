@@ -1,9 +1,9 @@
 """Deterministic report artifacts: provenance-stamped CSV tables and P6 heatmaps.
 
-``emit_heatmap`` alone maps values to colours.  Every artifact is written
-atomically (temp file, then rename) and carries no timestamps or
-machine-specific state, so re-running the same command over the same inputs
-reproduces files byte for byte.
+``emit_csv``, ``emit_heatmap`` and ``emit_matrix`` render artifacts as
+``(path, bytes)`` pairs and write nothing.  ``emit_heatmap`` alone maps values
+to colours.  No artifact carries timestamps or machine-specific state, so
+re-running the same command over the same inputs reproduces files byte for byte.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .tensor_store import atomic_write_bytes
 
 # Ramp endpoints, linearly interpolated over 256 levels.
 _DARK = np.array([8, 8, 32], dtype=np.float64)
@@ -83,15 +82,14 @@ def format_cell(value) -> str:
 
 
 def emit_csv(path, provenance: Provenance, columns: list[str], rows,
-             extra_comments: list[str] | None = None) -> list[str]:
-    """Write a table with ``# ``-prefixed provenance comments and a label
-    header; returns ``[path]``."""
+             extra_comments: list[str] | None = None) -> list[tuple[str, bytes]]:
+    """Render a table with ``# ``-prefixed provenance comments and a label
+    header; returns ``[(path, bytes)]``."""
     lines = _comment_lines(provenance, extra_comments)
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(format_cell(cell) for cell in row))
-    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
-    return [path]
+    return [(path, ("\n".join(lines) + "\n").encode("utf-8"))]
 
 
 def matrix_comments(sim) -> list[str]:
@@ -113,13 +111,13 @@ def _levels() -> np.ndarray:
 
 def emit_heatmap(path, provenance: Provenance, values: np.ndarray,
                  value_range: tuple[float, float], cell: int = 16,
-                 extra_comments: list[str] | None = None) -> None:
-    """Render a matrix as a binary P6 image, one ``cell`` x ``cell`` block per entry.
+                 extra_comments: list[str] | None = None) -> list[tuple[str, bytes]]:
+    """Render a matrix as a binary P6 image, one ``cell`` x ``cell`` block per
+    entry; returns the image and its ``<path>.range.txt`` sidecar as pairs.
 
     A value's level on the ramp is round(t * 255), half to even, with t its
-    place in ``value_range`` clamped to [0, 1]; NaN is black.  The value range
-    is recorded in a ``<path>.range.txt`` sidecar since the pixels alone
-    cannot recover it.
+    place in ``value_range`` clamped to [0, 1]; NaN is black.  The sidecar
+    records the value range, since the pixels alone cannot recover it.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.size == 0:
@@ -142,27 +140,21 @@ def emit_heatmap(path, provenance: Provenance, values: np.ndarray,
     level[masked] = len(table) - 1
     pixels = np.repeat(np.repeat(table[level], cell, axis=0), cell, axis=1)
     blob = b"P6\n%d %d\n255\n" % (n_cols * cell, n_rows * cell) + pixels.tobytes()
-    atomic_write_bytes(path, blob)
-
     side = _comment_lines(provenance, extra_comments)
     side.append(f"range: {format_cell(lo)} {format_cell(hi)}")
     side.append(f"cell: {cell}")
     side.append(f"shape: {n_rows} {n_cols}")
-    atomic_write_bytes(f"{path}.range.txt", ("\n".join(side) + "\n").encode("utf-8"))
+    return [(path, blob), (f"{path}.range.txt", ("\n".join(side) + "\n").encode("utf-8"))]
 
 
 def emit_matrix(stem, provenance: Provenance, labels: list[str], values: np.ndarray,
                 value_range: tuple[float, float], comments: list[str],
-                cell: int) -> list[str]:
-    """Write a labeled square matrix as ``<stem>.csv`` (first column the row
-    label) and as the ``<stem>.ppm`` heatmap with its range sidecar; returns
-    the three paths.  The heatmap is written first, so that its input checks
-    run before any file exists."""
-    csv_path, ppm_path = f"{stem}.csv", f"{stem}.ppm"
-    emit_heatmap(ppm_path, provenance, values, value_range, cell=cell, extra_comments=comments)
-    emit_csv(csv_path, provenance, ["", *labels],
-             ([label, *row] for label, row in zip(labels, values)), extra_comments=comments)
-    return [csv_path, ppm_path, f"{ppm_path}.range.txt"]
+                cell: int) -> list[tuple[str, bytes]]:
+    """Render a labeled square matrix as ``<stem>.csv`` (first column the row
+    label) and as the ``<stem>.ppm`` heatmap with its range sidecar."""
+    return [*emit_csv(f"{stem}.csv", provenance, ["", *labels],
+                      ([label, *row] for label, row in zip(labels, values)), comments),
+            *emit_heatmap(f"{stem}.ppm", provenance, values, value_range, cell, comments)]
 
 
 def metric_range(metric: str) -> tuple[float, float]:

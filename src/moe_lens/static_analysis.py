@@ -20,7 +20,7 @@ pairs of its permutation, for Kendall's tau.  PCA takes its few components
 from the eigenvectors of the smaller Gram matrix of the population (features
 x features for neurons, experts x experts for whole matrices), not from an
 SVD of the whole population.  DBSCAN counts its eps-balls in numpy, over
-dense tiles of points sorted by their first coordinate.
+dense tiles of points sorted by their widest coordinate.
 """
 
 from __future__ import annotations
@@ -524,29 +524,30 @@ def _balls_hold(points: np.ndarray, centers: np.ndarray, eps: float,
     rows of ``centers``: a center is inside when sqrt(sum(d * d)) <= eps over
     the coordinate differences d, summed in coordinate order.
 
-    Both sets are sorted by their first coordinate.  Each block of
-    _BALL_BLOCK sorted points meets, as dense tiles of doubling width, the
-    centers whose first coordinate lies within ``reach`` of the block's
-    range, up from its lowest coordinate and then down, and stops once every
-    point holds ``need`` centers.  The range only preselects: every rounded
-    coordinate difference of a pair the test accepts is below ``reach``, and
+    Both sets are sorted by the coordinate along which the centers spread
+    widest (``np.ptp``, the first among ties).  Each block of _BALL_BLOCK
+    sorted points meets, as dense tiles of doubling width, the centers whose
+    sorted coordinate lies within ``reach`` of the block's range, up from its
+    lowest coordinate and then down, and stops once every point holds
+    ``need`` centers.  The range only preselects: every rounded difference,
+    along any coordinate, of a pair the test accepts is below ``reach``, and
     rounding is monotone, so bounds shifted by ``reach`` never drop a center
-    the test keeps.  A cloud thin along its first coordinate puts most
-    centers in every block's range and is counted nearly pair by pair; a
-    ``pca`` cloud's first coordinate is its direction of largest variance.
+    the test keeps.  The coordinate decides only the work: a cloud crowded
+    along it is counted nearly pair by pair.
     """
     held = np.zeros(len(points), dtype=bool)
     # The floor keeps ``reach`` conservative where eps * eps underflows.
     reach = max(eps * (1.0 + 2.0 ** -20), 2.0 ** -510)
-    cols = np.ascontiguousarray(centers[np.argsort(centers[:, 0], kind="stable")].T)
-    order = np.argsort(points[:, 0], kind="stable")
+    axis = int(np.ptp(centers, axis=0).argmax()) if len(centers) else 0
+    cols = np.ascontiguousarray(centers[np.argsort(centers[:, axis], kind="stable")].T)
+    order = np.argsort(points[:, axis], kind="stable")
     point_cols = np.ascontiguousarray(points[order].T)
     for lo in range(0, len(points), _BALL_BLOCK):
         block = point_cols[:, lo:lo + _BALL_BLOCK]
-        low, high = block[0, 0], block[0, -1]
-        start = np.searchsorted(cols[0], low - reach)
-        mid = np.searchsorted(cols[0], low)
-        stop = np.searchsorted(cols[0], high + reach, "right")
+        low, high = block[axis, 0], block[axis, -1]
+        start = np.searchsorted(cols[axis], low - reach)
+        mid = np.searchsorted(cols[axis], low)
+        stop = np.searchsorted(cols[axis], high + reach, "right")
         candidates = np.concatenate([np.arange(mid, stop), np.arange(mid - 1, start - 1, -1)])
         count = np.zeros(block.shape[1], dtype=np.int64)
         done, width = 0, _BALL_BLOCK

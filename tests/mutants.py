@@ -46,6 +46,9 @@ DBSCAN_ORACLE = (
     "tests/test_static_analysis.py::test_dbscan_noise_matches_bfs_oracle_at_subnormal_eps",
 )
 
+# The tests that a failed command, or a failed report step, writes nothing.
+WRITES_NOTHING = ("tests/test_cli_report.py", "-k", "writes_nothing")
+
 # The Kendall, reorder, assignment and scipy-loading tests.
 REORDER_TESTS = ("tests/test_static_analysis.py", "tests/test_cli_report.py",
                  "-k", "kendall or reorder or assignment or scipy")
@@ -53,15 +56,26 @@ REORDER_TESTS = ("tests/test_static_analysis.py", "tests/test_cli_report.py",
 COUNT = "np.count_nonzero((perm[:, None] < perm) & later)"
 ROW_CERTIFICATE = "(score <= diagonal[:, None]).all()"
 EITHER_CERTIFICATE = "(score <= diagonal[:, None]).all() or (score <= diagonal).all()"
+FLAT_BOUND = "bound = (x.size + 2) * np.finfo(np.float64).eps"
 
 MUTANTS = [
+    Mutant("write-after-return", "cli.py",
+           "for path, blob in ctx.writes if loaded is None else []:",
+           "for path, blob in ctx.writes:", WRITES_NOTHING,
+           "each report step writes the artifacts declared so far, so a later step's "
+           "failure leaves them behind"),
+    Mutant("balls-range-on-first-coordinate", "static_analysis.py",
+           "low, high = block[axis, 0], block[axis, -1]",
+           "low, high = block[0, 0], block[0, -1]", DBSCAN_ORACLE,
+           "a cloud sorted by another coordinate is searched with first-coordinate "
+           "bounds, which miss its neighbours"),
     Mutant("balls-lower-bound-without-reach", "static_analysis.py",
-           "start = np.searchsorted(cols[0], low - reach)",
-           "start = np.searchsorted(cols[0], low)", DBSCAN_ORACLE,
+           "start = np.searchsorted(cols[axis], low - reach)",
+           "start = np.searchsorted(cols[axis], low)", DBSCAN_ORACLE,
            "a block no longer scans the centers just below its lowest point"),
     Mutant("balls-upper-bound-from-lowest", "static_analysis.py",
-           'stop = np.searchsorted(cols[0], high + reach, "right")',
-           'stop = np.searchsorted(cols[0], low + reach, "right")', DBSCAN_ORACLE,
+           'stop = np.searchsorted(cols[axis], high + reach, "right")',
+           'stop = np.searchsorted(cols[axis], low + reach, "right")', DBSCAN_ORACLE,
            "the upper points of a block wider than reach lose the centers above them"),
     Mutant("balls-no-downward-range", "static_analysis.py",
            "np.concatenate([np.arange(mid, stop), np.arange(mid - 1, start - 1, -1)])",
@@ -97,9 +111,19 @@ MUTANTS = [
     Mutant("assignment-tie-rule-strict", "static_analysis.py",
            "if diagonal.sum() >= best:", "if diagonal.sum() > best:", REORDER_TESTS,
            "a solver optimum that only ties identity replaces it"),
+    Mutant("pearson-flat-bound-without-two", "static_analysis.py", FLAT_BOUND,
+           FLAT_BOUND.replace("(x.size + 2)", "x.size"),
+           ("tests/test_static_analysis.py", "-k", "pearson or regression"),
+           "a spread of a few ulps, which rounding alone can make, counts as real and "
+           "gives an r of rounding noise"),
 ]
 
 EQUIVALENT = [
+    Mutant("balls-sweep-first-coordinate", "static_analysis.py",
+           "axis = int(np.ptp(centers, axis=0).argmax()) if len(centers) else 0",
+           "axis = 0", DBSCAN_ORACLE,
+           "any coordinate bounds every pair the ball test accepts, so the sweep "
+           "coordinate moves the work, never the counts"),
     Mutant("balls-downward-range-first", "static_analysis.py",
            "np.concatenate([np.arange(mid, stop), np.arange(mid - 1, start - 1, -1)])",
            "np.concatenate([np.arange(mid - 1, start - 1, -1), np.arange(mid, stop)])",

@@ -166,12 +166,17 @@ def test_line_break_in_out_keeps_every_header_line_a_comment(workspace, tmp_path
 
 # --- CSV emission -------------------------------------------------------------
 
+def rendered(pairs, path) -> bytes:
+    """The bytes that an ``emit_*`` call rendered for ``path``."""
+    return dict(pairs)[path]
+
+
 def test_emit_csv_layout(tmp_path):
     path = tmp_path / "t.csv"
     prov = Provenance(command=["moe-lens", "x"])
-    emit_csv(path, prov, ["a", "b"], [[1, 0.5], ["z", None]],
-             extra_comments=["note: hi"])
-    lines = read_lines(path)
+    blob = rendered(emit_csv(path, prov, ["a", "b"], [[1, 0.5], ["z", None]],
+                             extra_comments=["note: hi"]), path)
+    lines = blob.decode("utf-8").splitlines()
     assert lines[0] == "# moe-lens 0.1.0"
     assert lines[1] == "# command: moe-lens x"
     assert lines[2] == "# seed: -"
@@ -179,14 +184,15 @@ def test_emit_csv_layout(tmp_path):
     assert lines[4] == "a,b"
     assert lines[5] == "1,0.500000"
     assert lines[6] == "z,"
-    with open(path, "rb") as fh:
-        assert fh.read().endswith(b"\n")
+    assert blob.endswith(b"\n")
 
 
 def test_emit_csv_atomic(tmp_path):
+    # emit_csv renders one artifact and writes nothing; run_command writes it.
     path = tmp_path / "t.csv"
-    emit_csv(path, Provenance(command=["c"]), ["a"], [[1]])
-    assert list(tmp_path.iterdir()) == [path]
+    pairs = emit_csv(path, Provenance(command=["c"]), ["a"], [[1]])
+    assert [p for p, _ in pairs] == [path]
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- colormap and heatmaps -----------------------------------------------------
@@ -214,15 +220,15 @@ def test_colormap_rejects_empty_range():
 
 def test_emit_heatmap_pixels(tmp_path):
     path = tmp_path / "m.ppm"
-    emit_heatmap(path, Provenance(command=["c"]), np.array([[0.0, 1.0]]),
-                 (0.0, 1.0), cell=2)
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    pairs = emit_heatmap(path, Provenance(command=["c"]), np.array([[0.0, 1.0]]),
+                         (0.0, 1.0), cell=2)
+    assert [p for p, _ in pairs] == [path, f"{path}.range.txt"]
+    blob = rendered(pairs, path)
     assert blob.startswith(b"P6\n4 2\n255\n")
     body = blob[len(b"P6\n4 2\n255\n"):]
     row = DARK * 2 + LIGHT * 2
     assert body == row * 2
-    side = read_lines(f"{path}.range.txt")
+    side = rendered(pairs, f"{path}.range.txt").decode("utf-8").splitlines()
     assert "range: 0.000000 1.000000" in side
     assert "cell: 2" in side
     assert "shape: 1 2" in side
@@ -230,9 +236,8 @@ def test_emit_heatmap_pixels(tmp_path):
 
 def test_emit_heatmap_identity_extremes(tmp_path):
     path = tmp_path / "i.ppm"
-    emit_heatmap(path, Provenance(command=["c"]), np.eye(2), (0.0, 1.0), cell=16)
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = rendered(emit_heatmap(path, Provenance(command=["c"]), np.eye(2), (0.0, 1.0),
+                                 cell=16), path)
     body = blob[len(b"P6\n32 32\n255\n"):]
     assert body[:3] == LIGHT            # top-left block is the diagonal
     assert body[16 * 3:16 * 3 + 3] == DARK  # off-diagonal block starts at pixel 16
@@ -240,22 +245,16 @@ def test_emit_heatmap_identity_extremes(tmp_path):
 
 def test_emit_heatmap_nan_is_black(tmp_path):
     path = tmp_path / "n.ppm"
-    emit_heatmap(path, Provenance(command=["c"]),
-                 np.array([[float("nan")]]), (0.0, 1.0), cell=1)
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = rendered(emit_heatmap(path, Provenance(command=["c"]),
+                                 np.array([[float("nan")]]), (0.0, 1.0), cell=1), path)
     assert blob == b"P6\n1 1\n255\n" + bytes((0, 0, 0))
 
 
 def test_emit_heatmap_rerun_byte_identical(tmp_path, rng):
     path = tmp_path / "r.ppm"
     vals = rng.normal(size=(3, 4))
-    emit_heatmap(path, Provenance(command=["c"]), vals, (-1.0, 1.0))
-    with open(path, "rb") as fh:
-        first = fh.read()
-    emit_heatmap(path, Provenance(command=["c"]), vals, (-1.0, 1.0))
-    with open(path, "rb") as fh:
-        assert fh.read() == first
+    first = emit_heatmap(path, Provenance(command=["c"]), vals, (-1.0, 1.0))
+    assert emit_heatmap(path, Provenance(command=["c"]), vals, (-1.0, 1.0)) == first
 
 
 @pytest.mark.parametrize("value_range", [(0.0, 1.0), (-1.0, 1.0), (0.0, 37.0)])
@@ -271,11 +270,11 @@ def test_emit_heatmap_matches_per_cell_colormap(tmp_path, rng, value_range):
     values = np.concatenate([rng.uniform(lo - 0.1, hi + 0.1, 249), halves, special])
     values = rng.permutation(values).reshape(16, 32)
     path = tmp_path / "m.ppm"
-    emit_heatmap(path, Provenance(command=["c"]), values, value_range, cell=3)
+    blob = rendered(emit_heatmap(path, Provenance(command=["c"]), values, value_range, cell=3),
+                    path)
     want = b"".join(b"".join(colormap(float(v), lo, hi) * 3 for v in row) * 3
                     for row in values)
-    with open(path, "rb") as fh:
-        assert fh.read() == b"P6\n96 48\n255\n" + want
+    assert blob == b"P6\n96 48\n255\n" + want
 
 
 def test_emit_heatmap_empty_range(tmp_path):
@@ -284,9 +283,9 @@ def test_emit_heatmap_empty_range(tmp_path):
     prov = Provenance(command=["c"])
     with pytest.raises(ValueError, match="empty value range"):
         emit_heatmap(tmp_path / "x.ppm", prov, np.array([[np.nan, 0.0]]), (1.0, 1.0))
-    emit_heatmap(tmp_path / "n.ppm", prov, np.full((1, 2), np.nan), (1.0, 1.0), cell=1)
-    with open(tmp_path / "n.ppm", "rb") as fh:
-        assert fh.read() == b"P6\n2 1\n255\n" + bytes(6)
+    blob = rendered(emit_heatmap(tmp_path / "n.ppm", prov, np.full((1, 2), np.nan), (1.0, 1.0),
+                                 cell=1), tmp_path / "n.ppm")
+    assert blob == b"P6\n2 1\n255\n" + bytes(6)
 
 
 def test_emit_heatmap_refuses_a_range_whose_width_overflows(tmp_path):
@@ -1123,6 +1122,38 @@ def test_a_failed_command_writes_nothing(failing_inputs, tmp_path, capsys, argv,
     code = run_command([arg.format_map(failing_inputs) for arg in argv] + ["--out", str(out)])
     assert code == 1
     assert capsys.readouterr() == ("", "".join(f"error: {e}\n" for e in errors))
+    assert not out.exists()
+
+
+def test_a_heatmap_too_large_to_allocate_writes_nothing(tmp_path):
+    """Every heatmap is rendered before the first file is written.  In a child
+    whose address space is capped at 2 GiB, layer 1's 32,000-pixel-square
+    image (2.86 GiB) cannot be allocated after layer 0's artifacts were
+    rendered, and the command leaves no file and no ``--out`` directory.
+    Where the ``resource`` module is missing (outside POSIX), no limit can be
+    set and the test is skipped."""
+    resource = pytest.importorskip("resource")
+    limit = 2 << 30
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    assert run_command(["synth", "--mode", "scratch", "--seed", "1", "--layers", "2",
+                        "--experts", "2,16", "--top-k", "2", "--d-hid", "8", "--d-mid", "8",
+                        "--vocab", "5", "--out", str(tmp_path)]) == 0
+    out = tmp_path / "out"
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "moe_lens.cli", "matrix-sim", "--model",
+         str(tmp_path / "model.moel"), "--layer", "all", "--which", "up", "--cell", "2000",
+         "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
+             "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: Unable to allocate ")
+    assert proc.stderr.count("\n") == 1
     assert not out.exists()
 
 

@@ -1191,6 +1191,9 @@ def tied_cloud(shape):
     ``one-first-coordinate`` one puts its whole self in every block's range,
     ``ties-across-blocks`` holds 150 points at one first coordinate across
     two block boundaries, and ``one-dimensional`` has nothing but the first.
+    The others spread widest along another coordinate, which the ball counts
+    sort by: ``tall`` is three columns, ``two-modes`` two pairs of columns
+    far apart, and ``widest-in-z`` a 3-d slab.
     As in ``tiled_cloud``, coordinates are integers times a power of two and
     lattice neighbours sit exactly eps apart."""
     rng = np.random.default_rng(len(shape))
@@ -1199,13 +1202,22 @@ def tied_cloud(shape):
     elif shape == "ties-across-blocks":
         ints = np.column_stack([np.repeat([-3, 0, 2], [40, 150, 90]),
                                 rng.integers(-200, 201, size=280)])
+    elif shape == "tall":
+        ints = np.column_stack([rng.integers(-1, 2, size=600),
+                                rng.integers(-300, 301, size=600)])
+    elif shape == "two-modes":
+        ints = np.column_stack([rng.choice([0, 1, 20, 21], size=600),
+                                rng.integers(-200, 201, size=600)])
+    elif shape == "widest-in-z":
+        ints = np.column_stack([rng.integers(-4, 5, size=(500, 2)),
+                                rng.integers(-150, 151, size=500)])
     else:
         ints = rng.integers(-300, 301, size=(500, 1))
     return ints[rng.permutation(len(ints))] * 0.5, 1.0
 
 
 @pytest.mark.parametrize("cloud", [*range(15), "one-first-coordinate", "ties-across-blocks",
-                                   "one-dimensional"])
+                                   "one-dimensional", "tall", "two-modes", "widest-in-z"])
 def test_dbscan_noise_matches_bfs_oracle_across_many_tiles(cloud):
     cases = [tiled_cloud(cloud)] if isinstance(cloud, int) else \
         [(*tied_cloud(cloud), min_pts) for min_pts in (1, 2, 3)]

@@ -624,7 +624,8 @@ def test_atomic_write_mode_follows_umask(tmp_path):
 @pytest.mark.parametrize("write", [
     lambda path: dump_checkpoint(build_checkpoint(tiny_config(),
                                                   full_tensor_map(tiny_config())), path),
-    lambda path: emit_csv(path, Provenance(command=["c"]), ["a"], [[1]]),
+    # emit_csv renders a table; run_command writes its pair with atomic_write_bytes.
+    lambda path: atomic_write_bytes(*emit_csv(path, Provenance(command=["c"]), ["a"], [[1]])[0]),
 ], ids=["dump_checkpoint", "emit_csv"])
 def test_failed_rename_leaves_no_tmp(tmp_path, monkeypatch, write):
     def refuse(src, dst):
