@@ -18,11 +18,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# JSON types accepted per field, checked before construction so that
-# ``__post_init__`` never coerces (``int("2")``) or fails with a TypeError.
+# The JSON types each field accepts, checked on every construction before
+# ``validate`` compares values, so every config the writer builds the reader accepts.
 _FIELD_TYPES = (
     ("an integer", _is_int, ("num_layers", "top_k", "d_hid", "d_mid", "vocab")),
-    ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    ("a list of integers", lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
      ("experts_per_layer", "num_shared")),
     ("a string", lambda v: isinstance(v, str), ("activation", "gating_order")),
     ("a boolean", lambda v: isinstance(v, bool), ("use_prenorm",)),
@@ -50,9 +50,13 @@ class ModelConfig:
     use_prenorm: bool = True
 
     def __post_init__(self):
+        for kind, accepts, names in _FIELD_TYPES:
+            for name in names:
+                if not accepts(value := getattr(self, name)):
+                    raise ValueError(f"{name} must be {kind}: {value!r}")
         # Accept lists for convenience; store tuples so instances stay hashable.
-        object.__setattr__(self, "experts_per_layer", tuple(int(n) for n in self.experts_per_layer))
-        object.__setattr__(self, "num_shared", tuple(int(s) for s in self.num_shared))
+        object.__setattr__(self, "experts_per_layer", tuple(self.experts_per_layer))
+        object.__setattr__(self, "num_shared", tuple(self.num_shared))
         self.validate()
 
     def validate(self) -> None:
@@ -121,9 +125,5 @@ class ModelConfig:
         extra = raw.keys() - known
         if extra:
             raise ValueError(f"config has unknown fields: {sorted(extra)}")
-        for kind, accepts, names in _FIELD_TYPES:
-            for name in names:
-                if not accepts(raw[name]):
-                    raise ValueError(f"{name} must be {kind}: {raw[name]!r}")
         return cls(**raw)
 

@@ -198,8 +198,8 @@ def solve_assignment(score: np.ndarray) -> np.ndarray:
     if (score <= diagonal[:, None]).all() or (score <= diagonal).all():
         return idx
     from scipy.optimize import linear_sum_assignment
-    rows, cols = linear_sum_assignment(score, maximize=True)
-    perm = cols[np.argsort(rows)]
+    # On a square matrix scipy returns the rows as arange(n), so cols is the permutation.
+    perm = linear_sum_assignment(score, maximize=True)[1]
     best = score[idx, perm].sum()
     if diagonal.sum() >= best:
         return idx

@@ -36,7 +36,8 @@ header is the canonical dump (sorted keys, no whitespace) of the config and
 that directory.  The reader accepts a file exactly when its header bytes
 equal that dump, its payload is exactly the layout's length, and every
 weight is finite, so a file round-trips bit-exactly and one model has one
-file.
+file.  A ``Checkpoint`` checks the last two rules whenever one is built, so
+the writer builds only what the reader accepts.
 """
 
 from __future__ import annotations
@@ -84,10 +85,18 @@ class TensorMeta:
 
 @dataclass
 class Checkpoint:
-    """Parsed checkpoint: config and the raw data section."""
+    """A config and its raw data section, which must be exactly the layout's
+    length and finite; the writer and the reader both build one."""
 
     config: ModelConfig
     data: bytes | memoryview
+
+    def __post_init__(self):
+        if len(self.data) != max(meta.end for meta in self.tensors.values()):
+            raise CheckpointError("header/payload length mismatch")
+        for name in self.tensors:
+            if not np.isfinite(self.get_tensor(name)).all():
+                raise CheckpointError(f"non-finite value in {name}")
 
     @cached_property
     def tensors(self) -> dict[str, TensorMeta]:
@@ -177,18 +186,8 @@ def build_checkpoint(config: ModelConfig, tensors: dict[str, np.ndarray]) -> Che
     tensors = {name: np.asarray(arr) for name, arr in tensors.items()}
     _match_tensors({name: arr.shape for name, arr in tensors.items()},
                    required_tensor_shapes(config), "shape")
-    ckpt = Checkpoint(config, b"".join(np.ascontiguousarray(tensors[name], dtype=_F32).tobytes()
+    return Checkpoint(config, b"".join(np.ascontiguousarray(tensors[name], dtype=_F32).tobytes()
                                        for name in _layout(config)))
-    _check_finite(ckpt)
-    return ckpt
-
-
-def _check_finite(ckpt: Checkpoint) -> None:
-    """Raise unless every payload value is finite; the writer and the reader
-    share this check, so they accept one set of models."""
-    for name in ckpt.tensors:
-        if not np.isfinite(ckpt.get_tensor(name)).all():
-            raise CheckpointError(f"non-finite value in {name}")
 
 
 def _dump(obj) -> str:
@@ -196,18 +195,18 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _entries(ckpt: Checkpoint) -> dict[str, dict]:
-    """The header's tensor directory."""
+def _entries(config: ModelConfig) -> dict[str, dict]:
+    """The header's tensor directory, which the config fixes."""
     return {name: {"dtype": "f32", "shape": list(meta.shape), "offsets": [meta.start, meta.end]}
-            for name, meta in ckpt.tensors.items()}
+            for name, meta in _layout(config).items()}
 
 
-def _header_bytes(ckpt: Checkpoint) -> bytes:
-    return _dump({"__config__": ckpt.config.to_dict(), "tensors": _entries(ckpt)}).encode("utf-8")
+def _header_bytes(config: ModelConfig) -> bytes:
+    return _dump({"__config__": config.to_dict(), "tensors": _entries(config)}).encode("utf-8")
 
 
 def serialize_checkpoint(ckpt: Checkpoint) -> bytes:
-    header = _header_bytes(ckpt)
+    header = _header_bytes(ckpt.config)
     parts = [MAGIC,
              FORMAT_VERSION.to_bytes(4, "little"),
              len(header).to_bytes(8, "little"),
@@ -280,15 +279,11 @@ def parse_checkpoint(blob: bytes) -> Checkpoint:
     if len(data) < 4 * len(FFN_MATRICES) * ffns:
         raise CheckpointError("header/payload length mismatch")
 
-    ckpt = Checkpoint(config, data)
-    if raw != _header_bytes(ckpt):
+    if raw != _header_bytes(config):
         if not isinstance(header["tensors"], dict):
             raise CheckpointError("malformed header: tensors must be an object")
         got = {name: _dump(entry) for name, entry in header["tensors"].items()}
-        _match_tensors(got, {name: _dump(entry) for name, entry in _entries(ckpt).items()},
+        _match_tensors(got, {name: _dump(entry) for name, entry in _entries(config).items()},
                        "entry")
         raise CheckpointError("malformed header: not in canonical form")
-    if len(data) != max(meta.end for meta in ckpt.tensors.values()):
-        raise CheckpointError("header/payload length mismatch")
-    _check_finite(ckpt)
-    return ckpt
+    return Checkpoint(config, data)

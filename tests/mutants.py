@@ -53,6 +53,9 @@ WRITES_NOTHING = ("tests/test_cli_report.py", "-k", "writes_nothing")
 REORDER_TESTS = ("tests/test_static_analysis.py", "tests/test_cli_report.py",
                  "-k", "kendall or reorder or assignment or scipy")
 
+# The config tests: its type and value rules, when built and when read.
+CONFIG_TESTS = ("tests/test_tensor_store.py", "-k", "config")
+
 COUNT = "np.count_nonzero((perm[:, None] < perm) & later)"
 ROW_CERTIFICATE = "(score <= diagonal[:, None]).all()"
 EITHER_CERTIFICATE = "(score <= diagonal[:, None]).all() or (score <= diagonal).all()"
@@ -116,6 +119,28 @@ MUTANTS = [
            ("tests/test_static_analysis.py", "-k", "pearson or regression"),
            "a spread of a few ulps, which rounding alone can make, counts as real and "
            "gives an r of rounding noise"),
+    Mutant("config-types-unchecked", "config.py",
+           "if not accepts(value := getattr(self, name)):", "if False:", CONFIG_TESTS,
+           "a config built with a bool, a float or a numpy int serializes to a header "
+           "the reader refuses, and a mistyped header fails with a TypeError"),
+    Mutant("is-int-accepts-bools", "config.py",
+           "return isinstance(value, int) and not isinstance(value, bool)",
+           "return isinstance(value, int)", CONFIG_TESTS,
+           "true and false pass as the integers 1 and 0"),
+    Mutant("checkpoint-finiteness-unchecked", "tensor_store.py",
+           "if not np.isfinite(self.get_tensor(name)).all():", "if False:",
+           ("tests/test_tensor_store.py", "-k", "non_finite"),
+           "the writer packs and the reader accepts NaN and infinite weights"),
+    Mutant("checkpoint-length-unchecked", "tensor_store.py",
+           "if len(self.data) != max(meta.end for meta in self.tensors.values()):", "if False:",
+           ("tests/test_tensor_store.py", "-k", "truncated or trailing"),
+           "a payload longer than the layout is accepted, and a shorter one fails "
+           "with numpy's error, not the reader's"),
+    Mutant("canonical-header-unchecked", "tensor_store.py",
+           "if raw != _header_bytes(config):", "if False:",
+           ("tests/test_tensor_store.py", "-k", "canonical"),
+           "a header with whitespace, reordered keys or a stray tensor entry is accepted, "
+           "so one model has many files"),
 ]
 
 EQUIVALENT = [

@@ -1,6 +1,7 @@
-"""Whole-pipeline property: ``report`` on random small models either writes a
-finite bundle whose every step a standalone rerun reproduces, or refuses
-with ``error:`` lines and writes nothing."""
+"""Whole-pipeline properties on random small models: ``report`` either
+writes a finite bundle whose every step a standalone rerun reproduces, or
+refuses with ``error:`` lines and writes nothing; and the corpus commands'
+tables match the per-token oracles."""
 
 import contextlib
 import io
@@ -10,12 +11,16 @@ import shlex
 import tempfile
 from pathlib import Path
 
+import trace_oracle
 from conftest import write_corpus
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from per_token_oracle import assert_trace_matches, trace_per_token
 
 from moe_lens.cli import run_command
 from moe_lens.config import ACTIVATIONS, GATING_ORDERS
+from moe_lens.moe_core import trace_all_experts
+from moe_lens.tensor_store import read_checkpoint
 
 
 # The layer counts a model may have: 1-4 three times each, and 0 once, since
@@ -130,3 +135,29 @@ def test_report_on_random_models_is_finite_and_steps_rerun_alone(model, random):
             assert code == 0, (command, err)
         assert {name: blob for name, blob in snapshot(out).items()
                 if name.startswith(step + os.sep)} == before, step
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(small_models(), st.booleans())
+def test_corpus_tables_on_random_models_match_the_per_token_oracles(model, k_all):
+    """The corpus trace of each random model against ``per_token_oracle``,
+    and its corpus commands' tables against ``trace_oracle``, over the drawn
+    corpus followed by its reverse, so that every id repeats."""
+    synth_argv, layers, tokens = model
+    if not layers:
+        return
+    tokens = tokens + tokens[::-1]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        code, _, err = run_quietly([*synth_argv, "--out", str(root / "model")])
+        assert code == 0, err
+        write_corpus(root / "corpus.txt", [tokens])
+        model_path, ref_path = root / "model" / "model.moel", root / "model" / "reference.moel"
+        checkpoint = read_checkpoint(model_path)
+        reference = read_checkpoint(ref_path) if ref_path.exists() else None
+        trace = trace_all_experts(checkpoint, tokens, reference, k_all)
+        assert_trace_matches(trace, trace_per_token(checkpoint, tokens, reference, k_all))
+        inputs = ["--model", str(model_path), "--corpus", str(root / "corpus.txt"),
+                  *(["--k-override", "all"] if k_all else [])]
+        trace_oracle.assert_tables_match(checkpoint, trace, inputs,
+                                         ["--ref", str(ref_path)] if reference else [], root)

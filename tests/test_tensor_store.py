@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import checkpoint_oracle
 import moe_lens
 from moe_lens import ModelConfig, tensor_store
+from moe_lens.config import ACTIVATIONS, GATING_ORDERS
 from moe_lens.report import Provenance, emit_csv
 from moe_lens.tensor_store import (MAGIC, CheckpointError, atomic_write_bytes,
                                    build_checkpoint, dump_checkpoint, parse_checkpoint,
@@ -593,6 +594,84 @@ def test_config_rejects_top_k_above_smallest_gated():
 def test_config_rejects_shared_on_dense():
     with pytest.raises(ValueError, match="dense"):
         tiny_config(experts_per_layer=[1], num_shared=[1])
+
+
+# --- the writer builds only what the reader accepts ---------------------------
+
+_SCALARS = (st.integers(-1, 3) | st.booleans() | st.floats() | st.sampled_from(["1", "2"])
+            | st.integers(0, 3).map(np.int64))
+_VALUES = (_SCALARS | st.lists(_SCALARS, max_size=3)
+           | st.lists(_SCALARS, max_size=3).map(tuple))
+
+
+def _retyped(value):
+    """``value``'s number under another type (float, string, numpy int, bool,
+    a tuple for a list) or a fraction off it, or any drawn value."""
+    if isinstance(value, list):
+        forms = [tuple(value), [n + 0.9 for n in value], [float(n) for n in value],
+                 [str(n) for n in value], [np.int64(n) for n in value],
+                 [bool(n) for n in value]]
+    elif isinstance(value, bool):
+        forms = [int(value), float(value), str(value).lower()]
+    elif isinstance(value, int):
+        forms = [float(value), value + 0.9, str(value), np.int64(value), bool(value)]
+    else:
+        forms = [value.upper()]
+    return st.sampled_from(forms) | _VALUES
+
+
+@st.composite
+def config_keywords(draw):
+    """The keywords of a valid small config, some of them retyped."""
+    layers = draw(st.integers(0, 3))
+    experts = draw(st.lists(st.integers(1, 3), min_size=layers, max_size=layers))
+    keywords = dict(
+        num_layers=layers, experts_per_layer=experts,
+        num_shared=[0 if n == 1 else draw(st.integers(0, 1)) for n in experts],
+        top_k=draw(st.integers(1, min([n for n in experts if n > 1], default=1))),
+        d_hid=draw(st.integers(1, 3)), d_mid=draw(st.integers(1, 3)),
+        vocab=draw(st.integers(1, 3)),
+        activation=draw(st.sampled_from(ACTIVATIONS)),
+        gating_order=draw(st.sampled_from(GATING_ORDERS)),
+        use_prenorm=draw(st.booleans()))
+    for name in draw(st.lists(st.sampled_from(sorted(keywords)), max_size=3, unique=True)):
+        keywords[name] = draw(_retyped(keywords[name]))
+    return keywords
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(config_keywords())
+def test_every_config_either_refuses_or_round_trips(keywords):
+    """A config is refused when built, or it holds the values it was given
+    and its checkpoint parses back to the same config and bytes."""
+    try:
+        config = ModelConfig(**keywords)
+    except ValueError:
+        return
+    assert config.to_dict() == {name: list(value) if isinstance(value, tuple) else value
+                                for name, value in keywords.items()}
+    blob = serialize_checkpoint(build_checkpoint(config, full_tensor_map(config)))
+    parsed = parse_checkpoint(blob)
+    assert parsed.config == config
+    assert serialize_checkpoint(parsed) == blob
+
+
+@pytest.mark.parametrize("field, value, kind", [
+    ("top_k", True, "an integer"), ("use_prenorm", 1, "a boolean"),
+    ("experts_per_layer", [2.9, 2], "a list of integers"), ("d_hid", np.int64(2), "an integer"),
+])
+def test_config_refuses_what_the_reader_refuses(field, value, kind):
+    """The constructor's message is the reader's, where JSON can hold the value."""
+    config = tiny_config(num_layers=2, experts_per_layer=[2, 2], num_shared=[0, 0])
+    message = re.escape(f"{field} must be {kind}: {value!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ModelConfig(**dict(config.to_dict(), **{field: value}))
+    if not isinstance(value, np.generic):
+        header, data = _header_and_data(serialize_checkpoint(
+            build_checkpoint(config, full_tensor_map(config))))
+        header["__config__"][field] = value
+        with pytest.raises(CheckpointError, match=f"^bad config: {message}$"):
+            parse_checkpoint(_reassemble(header, data))
 
 
 def test_dump_is_atomic_no_tmp_left(tmp_path):
