@@ -16,11 +16,11 @@ pass over a layer's [E, n, d] neuron stack: each expert's norm once, then one
 score matrix and one assignment per expert pair, loading scipy only for a pair
 whose identity matching is not certified optimal (every a-neuron's best match
 is its own index, or every b-neuron's is), and one count of the discordant
-pairs of its permutation, for Kendall's tau.  PCA takes its few components
-from the eigenvectors of the smaller Gram matrix of the population (features
-x features for neurons, experts x experts for whole matrices), not from an
-SVD of the whole population.  DBSCAN counts its eps-balls in numpy, over
-dense tiles of points sorted by their widest coordinate.
+pairs of a non-identity permutation, for Kendall's tau.  PCA takes its few
+components from the eigenvectors of the smaller Gram matrix of the population
+(features x features for neurons, experts x experts for whole matrices), not
+from an SVD of the whole population.  DBSCAN counts its eps-balls in numpy,
+over dense tiles of points sorted by their widest coordinate.
 """
 
 from __future__ import annotations
@@ -249,7 +249,8 @@ def pairwise_reorder_reports(rows) -> list[ReorderReport]:
     stack ``rows`` [E, n, d] (``neuron_rows`` of ``layer_weights``), in
     ``itertools.combinations`` order, so the caller names the pairs: each
     norm once, an all-zero expert refused before any score matrix, then per
-    pair one score matrix, one assignment and one ``_tau``.  The count is
+    pair one score matrix, one assignment and, unless it is identity (tau
+    exactly 1.0, ``sim_after`` = ``sim_before``), one ``_tau``.  The count is
     O(n²) like the score matrix, and its booleans are 3/8 of the matrix's
     bytes; at n = 1,024 it is slower than an O(n log n) inversion count.
     With fewer than two neurons every tau is undefined (None)."""
@@ -262,13 +263,13 @@ def pairwise_reorder_reports(rows) -> list[ReorderReport]:
     for i, j in itertools.combinations(range(len(rows)), 2):
         score = rows[i] @ rows[j].T
         row_to_col = solve_assignment(score)
-        perm = np.empty_like(idx)
-        perm[row_to_col] = idx  # b-neuron j -> a-neuron perm[j]
         norm = norms[i] * norms[j]
-        reports.append(ReorderReport(
-            permutation=perm, sim_before=float(score[idx, idx].sum() / norm),
-            sim_after=float(score[idx, row_to_col].sum() / norm),
-            tau=_tau(perm, later) if len(idx) >= 2 else None))
+        before = float(score[idx, idx].sum() / norm)
+        perm, after, tau = idx.copy(), before, 1.0 if len(idx) >= 2 else None
+        if not np.array_equal(row_to_col, idx):  # identity has no discordant pair
+            perm[row_to_col] = idx  # b-neuron j -> a-neuron perm[j]
+            after, tau = float(score[idx, row_to_col].sum() / norm), _tau(perm, later)
+        reports.append(ReorderReport(permutation=perm, sim_before=before, sim_after=after, tau=tau))
     return reports
 
 

@@ -46,7 +46,6 @@ import contextlib
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -220,23 +219,22 @@ def dump_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def atomic_write_bytes(path, blob: bytes) -> None:
-    """Write ``blob`` to a temp file of this writer's own in ``path``'s
+    """Write ``blob`` to a temp file ``.<name>.<16 hex>.tmp`` in ``path``'s
     directory, which is created if missing, then rename it over ``path``.
 
-    Readers never see a partly written file, two writers of one path never
-    share a temp file, and the temp file is removed if the write or the
-    rename fails.  The file gets the mode ``open`` would give it,
-    ``0o666 & ~umask``, not ``mkstemp``'s 0o600.
+    The temp file is created exclusively with mode 0o666 under the caller's
+    file-creation mask, which the kernel applies as it does for ``open``; the
+    helper never changes that process-wide mask.  Readers never see a partly
+    written file, two writers of one path never share a temp file, and the
+    temp file is removed if the write or the rename fails.
     """
     directory, name = os.path.split(os.fspath(path))
     if directory:
         os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory or ".")
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(blob)
         os.replace(tmp, path)
     except BaseException:

@@ -56,6 +56,9 @@ REORDER_TESTS = ("tests/test_static_analysis.py", "tests/test_cli_report.py",
 # The config tests: its type and value rules, when built and when read.
 CONFIG_TESTS = ("tests/test_tensor_store.py", "-k", "config")
 
+# The PCA tests: its bounds, sign rule and SVD-oracle comparisons.
+PCA_TESTS = ("tests/test_static_analysis.py", "-k", "pca")
+
 COUNT = "np.count_nonzero((perm[:, None] < perm) & later)"
 ROW_CERTIFICATE = "(score <= diagonal[:, None]).all()"
 EITHER_CERTIFICATE = "(score <= diagonal[:, None]).all() or (score <= diagonal).all()"
@@ -141,6 +144,29 @@ MUTANTS = [
            ("tests/test_tensor_store.py", "-k", "canonical"),
            "a header with whitespace, reordered keys or a stray tensor entry is accepted, "
            "so one model has many files"),
+    Mutant("pca-bound-at-zero", "static_analysis.py",
+           "resolved = values > rounding", "resolved = values > 0.0", PCA_TESTS,
+           "an eigenvalue of rounding noise gets a direction, and a rank-deficient "
+           "population a full-size coordinate along a direction the data lacks"),
+    Mutant("pca-sign-from-largest-alone", "static_analysis.py",
+           "near = (magnitude.max() - magnitude) * max(value, 0.0) ** 1.5 <= tie",
+           "near = magnitude == magnitude.max()", PCA_TESTS,
+           "among entries that tie in magnitude, rounding picks which one fixes the sign"),
+    Mutant("native-output-full-scores", "moe_core.py",
+           "y[rows] += (trace.gate_scores[rows, n, None]",
+           "y[rows] += (trace.full_scores[rows, n, None]",
+           ("tests/test_cli_report.py", "tests/test_moe_core.py", "-k", "native"),
+           "the serving pass weights each expert by its softmax over all experts, so the "
+           "trace check compares the engine with a different model"),
+    Mutant("routed-counts-every-label", "static_analysis.py",
+           "return sum(label.isdigit() for label in self.labels)", "return len(self.labels)",
+           ("tests/test_static_analysis.py", "-k", "layout"),
+           "s_ee averages the shared experts and the reference in with the routed ones"),
+    Mutant("trace-overflow-unchecked", "moe_core.py",
+           'if not all(np.isfinite(np.einsum("...i,...i", a, a)).all() for a in arrays):',
+           "if False:", ("tests/test_cli_report.py", "-k", "overflows"),
+           "a block whose squares overflow is traced, and every unit vector built "
+           "from it is zero"),
 ]
 
 EQUIVALENT = [

@@ -951,6 +951,40 @@ def test_report_rerun_byte_identical(workspace, tmp_path, capsys):
     assert capsys.readouterr().out == first_stdout
 
 
+def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """A report on a Mixtral-style shape (top-2 of 4, d_hid 32, d_mid 64, 640
+    seeded tokens) gives the same files, apart from their ``# command:``
+    lines, in a child with ``OPENBLAS_NUM_THREADS=1`` and in one without any
+    BLAS thread variable, which OpenBLAS runs with one thread per CPU.  Only
+    the children's environments change.  On a BLAS that ignores the variable,
+    or on one CPU, both runs use the same setting and the test passes
+    trivially."""
+    assert run_command(["synth", "--mode", "upcycled", "--noise", "0.3", "--layers", "2",
+                        "--experts", "4", "--top-k", "2", "--d-hid", "32", "--d-mid", "64",
+                        "--vocab", "160", "--seed", "0", "--out", str(tmp_path / "m")]) == 0
+    rng = np.random.default_rng(640)
+    write_corpus(tmp_path / "corpus.txt", rng.integers(160, size=(20, 32)).tolist())
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    trees = []
+    for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        out = tmp_path / f"out-{len(trees)}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "moe_lens.cli", "report",
+             "--model", str(tmp_path / "m" / "model.moel"),
+             "--ref", str(tmp_path / "m" / "reference.moel"),
+             "--corpus", str(tmp_path / "corpus.txt"), "--out", str(out)],
+            env={**env, **threads, "PYTHONPATH": str(src)},
+            capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        trees.append({name: [line for line in blob.split(b"\n")
+                             if not line.startswith(b"# command:")]
+                      for name, blob in snapshot(out).items()})
+    assert len(trees[0]) > 1
+    assert trees[0] == trees[1]
+
+
 # Shapes beside the workspace's: a dense middle layer among gated ones with
 # shared experts, gelu and softmax-then-top-k; and the two smallest shapes a
 # report takes, two experts per layer and one neuron per expert.

@@ -700,6 +700,25 @@ def test_atomic_write_mode_follows_umask(tmp_path):
     assert (tmp_path / "out.csv").stat().st_mode & 0o777 == 0o640
 
 
+def test_atomic_write_never_touches_the_umask(tmp_path, monkeypatch):
+    """The kernel applies the caller's umask when the temp file is created, so
+    the writer neither reads nor sets the process-wide umask."""
+    set_umask = os.umask
+    old = set_umask(0o037)
+
+    def refuse(mask):
+        raise AssertionError("the process umask was changed")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    try:
+        atomic_write_bytes(tmp_path / "out.csv", b"data")
+    finally:
+        set_umask(old)
+    assert list(tmp_path.iterdir()) == [tmp_path / "out.csv"]
+    assert (tmp_path / "out.csv").read_bytes() == b"data"
+    assert (tmp_path / "out.csv").stat().st_mode & 0o777 == 0o666 & ~0o037
+
+
 @pytest.mark.parametrize("write", [
     lambda path: dump_checkpoint(build_checkpoint(tiny_config(),
                                                   full_tensor_map(tiny_config())), path),
