@@ -30,8 +30,7 @@ import numpy as np
 
 from . import static_analysis as sta
 from .config import ACTIVATIONS, GATING_ORDERS, ModelConfig
-from .report import (Provenance, emit_csv, emit_matrix, file_digest, format_cell,
-                     matrix_comments, metric_range)
+from .report import Provenance, emit_csv, emit_matrix, format_cell, matrix_comments, metric_range
 from .tensor_store import Checkpoint, atomic_write_bytes, dump_checkpoint, read_checkpoint
 
 if TYPE_CHECKING:
@@ -63,7 +62,7 @@ class Context:
     model: Checkpoint
     reference: Checkpoint | None
     tokens: list[int] | None
-    digests: dict[str, str]
+    corpus_digest: str | None
     provenance: Provenance | None = None
     trace: CorpusTrace | None = None
     writes: list[tuple[str, bytes]] = field(default_factory=list)
@@ -90,35 +89,32 @@ class Context:
 
 
 def _load_context(args, argv: list[str], loaded: Context | None) -> Context:
-    """Read and hash the inputs the command's parser takes (``--model``, and
-    ``--ref``/``--corpus`` where it has them), or take them from a report's
+    """Read the inputs the command's parser takes (``--model``, then ``--ref``
+    and ``--corpus`` where it has them) once each, or take them from a report's
     ``loaded``; a ``--cell`` below 1 is refused first."""
     if getattr(args, "cell", 1) < 1:
         raise ValueError("cell size must be positive")
     ref_path = getattr(args, "ref", None)
     corpus_path = getattr(args, "corpus", None)
     if loaded is None:
-        digests = {"model": file_digest(args.model)}
         model = read_checkpoint(args.model)
-        reference = None
-        if ref_path:
-            digests["reference"] = file_digest(ref_path)
-            reference = read_checkpoint(ref_path)
-        tokens = None
+        reference = read_checkpoint(ref_path) if ref_path else None
+        tokens = corpus_digest = None
         if corpus_path:
             from .moe_core import read_corpus
-            digests["corpus"] = file_digest(corpus_path)
-            tokens = read_corpus(corpus_path, model.config.vocab)
+            tokens, corpus_digest = read_corpus(corpus_path, model.config.vocab)
             if not tokens:
                 raise ValueError("corpus holds no tokens")
         loaded = Context(args=args, model=model, reference=reference, tokens=tokens,
-                         digests=digests)
-    used = ["model", *(["reference"] if ref_path else []),
-            *(["corpus"] if corpus_path else [])]
-    prov = Provenance(command=["moe-lens", *argv],
-                      inputs={name: loaded.digests[name] for name in used})
-    return replace(loaded, args=args, provenance=prov,
-                   reference=loaded.reference if ref_path else None)
+                         corpus_digest=corpus_digest)
+    reference = loaded.reference if ref_path else None
+    inputs = {"model": loaded.model.digest}
+    if reference is not None:
+        inputs["reference"] = reference.digest
+    if corpus_path:
+        inputs["corpus"] = loaded.corpus_digest
+    return replace(loaded, args=args, reference=reference,
+                   provenance=Provenance(command=["moe-lens", *argv], inputs=inputs))
 
 
 def _select_layers(arg: str, model: Checkpoint) -> list[int]:
@@ -166,8 +162,8 @@ def _cmd_synth(args) -> list[str]:
     for ckpt, name in zip(checkpoints, ["model.moel", "reference.moel"]):
         written.append(os.path.join(args.out, name))
         dump_checkpoint(ckpt, written[-1])
-    for path in written:
-        print(f"digest {os.path.basename(path)} sha256:{file_digest(path)}")
+    for ckpt, path in zip(checkpoints, written):
+        print(f"digest {os.path.basename(path)} sha256:{ckpt.digest}")
     return written
 
 

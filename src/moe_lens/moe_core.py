@@ -14,6 +14,8 @@ only the natively routed experts into the block's output.
 
 from __future__ import annotations
 
+import hashlib
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,27 +215,29 @@ def native_output(ckpt: Checkpoint, layer: int, trace: LayerTrace,
     return z_in + y
 
 
-def read_corpus(path, vocab: int) -> list[int]:
-    """Parse a corpus file into its token stream: the whitespace-separated
-    token ids of every line, in file order, each below ``vocab``.  An id is
+def read_corpus(path, vocab: int) -> tuple[list[int], str]:
+    """Parse a corpus file, read once, into its token stream and the sha256 of
+    its bytes.  The stream is the whitespace-separated token ids of each line
+    of a UTF-8 text-mode read, in file order, each below ``vocab``.  An id is
     ASCII digits alone, where ``int`` also takes signs, ``_`` and other digits."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
     tokens = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            digits = [f.removeprefix("-") for f in fields]
-            bad = [f for f, d in zip(fields, digits) if not (d.isascii() and d.isdigit())]
-            if bad:
-                raise ValueError(f"bad token id on line {lineno}: {bad[0]!r}")
-            if digits != fields:
-                raise ValueError(f"negative token id on line {lineno}")
-            try:
-                ids = [int(d) for d in digits]
-            except ValueError as exc:  # more digits than int() converts
-                raise ValueError(f"bad token id on line {lineno}: {exc}") from exc
-            bad = [t for t in ids if t >= vocab]
-            if bad:
-                raise ValueError(f"token id out of range on line {lineno}: {bad[0]} "
-                                 f"(vocab {vocab})")
-            tokens += ids
-    return tokens
+    for lineno, line in enumerate(io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8"), start=1):
+        fields = line.split()
+        digits = [f.removeprefix("-") for f in fields]
+        bad = [f for f, d in zip(fields, digits) if not (d.isascii() and d.isdigit())]
+        if bad:
+            raise ValueError(f"bad token id on line {lineno}: {bad[0]!r}")
+        if digits != fields:
+            raise ValueError(f"negative token id on line {lineno}")
+        try:
+            ids = [int(d) for d in digits]
+        except ValueError as exc:  # more digits than int() converts
+            raise ValueError(f"bad token id on line {lineno}: {exc}") from exc
+        bad = [t for t in ids if t >= vocab]
+        if bad:
+            raise ValueError(f"token id out of range on line {lineno}: {bad[0]} "
+                             f"(vocab {vocab})")
+        tokens += ids
+    return tokens, hashlib.sha256(blob).hexdigest()

@@ -43,6 +43,7 @@ the writer builds only what the reader accepts.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import math
 import os
@@ -101,6 +102,14 @@ class Checkpoint:
     def tensors(self) -> dict[str, TensorMeta]:
         """The tensor directory, which the config fixes."""
         return _layout(self.config)
+
+    @cached_property
+    def digest(self) -> str:
+        """sha256 of ``serialize_checkpoint(self)``, so of the file parsed when
+        this checkpoint was read; the data section is hashed without a copy."""
+        h = hashlib.sha256(_file_prefix(self.config))
+        h.update(self.data)
+        return h.hexdigest()
 
     def get_tensor(self, name: str) -> np.ndarray:
         """Read-only float32 view of one tensor, reshaped row-major."""
@@ -204,14 +213,14 @@ def _header_bytes(config: ModelConfig) -> bytes:
     return _dump({"__config__": config.to_dict(), "tensors": _entries(config)}).encode("utf-8")
 
 
+def _file_prefix(config: ModelConfig) -> bytes:
+    """A checkpoint file's bytes before its data section."""
+    header = _header_bytes(config)
+    return MAGIC + FORMAT_VERSION.to_bytes(4, "little") + len(header).to_bytes(8, "little") + header
+
+
 def serialize_checkpoint(ckpt: Checkpoint) -> bytes:
-    header = _header_bytes(ckpt.config)
-    parts = [MAGIC,
-             FORMAT_VERSION.to_bytes(4, "little"),
-             len(header).to_bytes(8, "little"),
-             header,
-             ckpt.data]
-    return b"".join(parts)
+    return _file_prefix(ckpt.config) + ckpt.data
 
 
 def dump_checkpoint(ckpt: Checkpoint, path) -> None:

@@ -59,6 +59,10 @@ CONFIG_TESTS = ("tests/test_tensor_store.py", "-k", "config")
 # The PCA tests: its bounds, sign rule and SVD-oracle comparisons.
 PCA_TESTS = ("tests/test_static_analysis.py", "-k", "pca")
 
+# The tests that each input is read once and stamped with the digest of its bytes.
+DIGEST_TESTS = ("tests/test_tensor_store.py", "tests/test_moe_core.py",
+                "tests/test_cli_report.py", "-k", "round_trips or read_corpus or synth or pipes")
+
 COUNT = "np.count_nonzero((perm[:, None] < perm) & later)"
 ROW_CERTIFICATE = "(score <= diagonal[:, None]).all()"
 EITHER_CERTIFICATE = "(score <= diagonal[:, None]).all() or (score <= diagonal).all()"
@@ -167,6 +171,23 @@ MUTANTS = [
            "if False:", ("tests/test_cli_report.py", "-k", "overflows"),
            "a block whose squares overflow is traced, and every unit vector built "
            "from it is zero"),
+    Mutant("checkpoint-digest-of-data-only", "tensor_store.py",
+           "h = hashlib.sha256(_file_prefix(self.config))", "h = hashlib.sha256()",
+           DIGEST_TESTS,
+           "two models with one payload, such as a config change that keeps every "
+           "tensor, share a stamp, which names no file"),
+    Mutant("corpus-digest-of-tokens", "moe_core.py",
+           "return tokens, hashlib.sha256(blob).hexdigest()",
+           'return tokens, hashlib.sha256(" ".join(map(str, tokens)).encode()).hexdigest()',
+           DIGEST_TESTS,
+           "a corpus is stamped with its token text, not its bytes, so files that "
+           "differ in spacing share a stamp"),
+    Mutant("corpus-lines-from-splitlines", "moe_core.py",
+           'enumerate(io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8"), start=1)',
+           'enumerate(blob.decode("utf-8").splitlines(), start=1)',
+           ("tests/test_moe_core.py", "-k", "read_corpus"),
+           "\\x0b, \\x1c, \\x85 and \\u2028 end a line too, so an error names a "
+           "later line than the file's"),
 ]
 
 EQUIVALENT = [

@@ -2,6 +2,8 @@
 
 import argparse
 import ast
+import builtins
+import hashlib
 import itertools
 import json
 import math
@@ -11,6 +13,7 @@ import subprocess
 import sys
 import shlex
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -353,13 +356,19 @@ def test_synth_seeds_at_both_ends_of_the_range(tmp_path):
     }
 
 
-def test_synth_upcycled_writes_reference(tmp_path):
+def test_synth_upcycled_writes_reference(tmp_path, capsys):
     assert run_command(["synth", "--mode", "upcycled", "--seed", "3",
                         "--noise", "0.5", "--out", str(tmp_path),
                         "--layers", "1", "--experts", "4", "--d-hid", "8",
                         "--d-mid", "8", "--vocab", "7"]) == 0
     assert (tmp_path / "model.moel").exists()
     assert (tmp_path / "reference.moel").exists()
+    # The printed digests are those of the files written.
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("digest ")]
+    assert printed == [f"digest {name} sha256:"
+                       + hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                       for name in ("model.moel", "reference.moel")]
 
 
 def test_synth_permuted_clone_mode(tmp_path):
@@ -1044,7 +1053,13 @@ def test_report_steps_match_standalone_commands(workspace, tmp_path):
 def test_report_loads_and_traces_inputs_once(workspace, tmp_path, monkeypatch):
     import moe_lens.cli as cli
     import moe_lens.moe_core as moe_core
-    calls = {"trace_all_experts": [], "read_checkpoint": [], "file_digest": []}
+    calls = {"trace_all_experts": [], "read_checkpoint": []}
+    opened = []
+    real_open = builtins.open
+
+    def counted_open(file, *args, **kwargs):
+        opened.append(os.fspath(file) if isinstance(file, (str, os.PathLike)) else file)
+        return real_open(file, *args, **kwargs)
 
     def count(module, name, key):
         fn = getattr(module, name)
@@ -1056,12 +1071,68 @@ def test_report_loads_and_traces_inputs_once(workspace, tmp_path, monkeypatch):
 
     count(moe_core, "trace_all_experts", lambda ckpt, tokens, *rest: len(tokens))
     count(cli, "read_checkpoint", lambda path: path)
-    count(cli, "file_digest", lambda path: path)
+    monkeypatch.setattr(builtins, "open", counted_open)
     assert run_command(report_argv(workspace, tmp_path / "bundle")) == 0
     # The whole corpus once, then out-sim's single token.
     assert calls["trace_all_experts"] == [10, 1]
     assert calls["read_checkpoint"] == [workspace["up"], workspace["ref"]]
-    assert calls["file_digest"] == [workspace["up"], workspace["ref"], workspace["corpus"]]
+    # Each input is opened once: its digest is taken from the bytes parsed.
+    inputs = [workspace["up"], workspace["ref"], workspace["corpus"]]
+    assert {path: opened.count(path) for path in inputs} == dict.fromkeys(inputs, 1)
+
+
+def _feed(fd: int, blob: bytes) -> None:
+    """Write ``blob`` to a pipe's write end, then close it; a closed read end
+    stops the write."""
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(blob)
+    except BrokenPipeError:
+        pass
+
+
+def _without_command_lines(tree: dict[str, bytes]) -> dict[str, bytes]:
+    return {path: b"".join(line for line in blob.splitlines(keepends=True)
+                           if not line.startswith(b"# command:"))
+            for path, blob in tree.items()}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_report_reads_its_inputs_from_pipes(workspace, tmp_path):
+    """A pipe can be read only once, so a report over three of them works
+    only when each input is read once; every stamp is the sha256 of the
+    bytes sent, and the bundle is the one the same files give."""
+    sent = {name: Path(workspace[key]).read_bytes()
+            for name, key in (("model", "up"), ("reference", "ref"), ("corpus", "corpus"))}
+    reads, writers = {}, []
+    for name, blob in sent.items():
+        reads[name], write = os.pipe()
+        writers.append(threading.Thread(target=_feed, args=(write, blob)))
+    argv = ["report", "--model", f"/dev/fd/{reads['model']}",
+            "--ref", f"/dev/fd/{reads['reference']}",
+            "--corpus", f"/dev/fd/{reads['corpus']}", "--out", str(tmp_path / "piped")]
+    for writer in writers:
+        writer.start()
+    try:
+        code = run_command(argv)
+    finally:
+        for fd in reads.values():
+            os.close(fd)
+        for writer in writers:
+            writer.join(timeout=60)
+    assert code == 0
+    piped = snapshot(tmp_path / "piped")
+    stamps = set()
+    for path, blob in piped.items():
+        if not path.endswith(".ppm"):
+            for line in blob.decode("utf-8").splitlines():
+                name, _, digest = line.removeprefix("# ").partition(": sha256:")
+                if digest:
+                    stamps.add((name, digest))
+    assert stamps == {(name, hashlib.sha256(blob).hexdigest()) for name, blob in sent.items()}
+    assert run_command(report_argv(workspace, tmp_path / "files")) == 0
+    assert (_without_command_lines(piped)
+            == _without_command_lines(snapshot(tmp_path / "files")))
 
 
 def test_report_builds_parser_once(workspace, tmp_path):

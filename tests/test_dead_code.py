@@ -93,10 +93,13 @@ def test_every_private_module_name_is_referenced():
 
 def test_every_public_module_name_is_needed():
     """A public name is needed when the package reads it, when an acceptance
-    criterion does, or when the benchmark's tracer times it."""
-    needed = (names_read([parse(ROOT / "tests" / "test_acceptance.py")])
-              | traced_names(parse(ROOT / "perfbench" / "tracer.py")))
-    assert unneeded_publics(TREES, needed) == []
+    criterion does, or when the benchmark's tracer times it.  The names that
+    only the tracer needs are listed, so that a new one is seen; each goes
+    when the tracer stops timing it."""
+    acceptance = names_read([parse(ROOT / "tests" / "test_acceptance.py")])
+    traced = traced_names(parse(ROOT / "perfbench" / "tracer.py"))
+    assert unneeded_publics(TREES, acceptance | traced) == []
+    assert set(unneeded_publics(TREES, acceptance)) == {"report:file_digest"}
 
 
 def test_scan_finds_a_leftover_import_and_an_orphaned_helper():

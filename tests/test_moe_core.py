@@ -4,6 +4,7 @@ The layer tests pin the per-token oracle to hand computations; the trace
 tests pin the corpus-wide engine to that oracle.
 """
 
+import hashlib
 import math
 import re
 import textwrap
@@ -436,7 +437,7 @@ def test_trace_identical_experts_give_equal_outputs():
 def test_read_corpus_round_trip(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_text("1 2 3\n\n7 8\n", encoding="utf-8")
-    assert read_corpus(path, 9) == [1, 2, 3, 7, 8]
+    assert read_corpus(path, 9) == ([1, 2, 3, 7, 8], hashlib.sha256(path.read_bytes()).hexdigest())
 
 
 def test_read_corpus_rejects_garbage(tmp_path):
@@ -472,10 +473,26 @@ def test_read_corpus_accepts_exactly_ascii_digits(tmp_path_factory, fields):
     path = tmp_path_factory.mktemp("corpus") / "corpus.txt"
     path.write_text(" ".join(fields) + "\n", encoding="utf-8")
     if all(re.fullmatch(r"[0-9]+", f) for f in fields):
-        assert read_corpus(path, 10_000) == [int(f) for f in fields]
+        tokens, digest = read_corpus(path, 10_000)
+        assert tokens == [int(f) for f in fields]
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     else:
         with pytest.raises(ValueError, match="^(bad|negative) token id on line 1"):
             read_corpus(path, 10_000)
+
+
+@pytest.mark.parametrize("separator, line", [
+    ("\r", 3), ("\r\n", 3), ("\x0b", 2), ("\x1c", 2), ("\x85", 2), ("\u2028", 2),
+], ids=["cr", "crlf", "vt", "fs", "nel", "ls"])
+def test_read_corpus_numbers_lines_as_text_mode_does(tmp_path, separator, line):
+    """Text mode ends a line at \\r, \\r\\n and \\n only; ``str.splitlines``
+    also ends one at the other separators, which ``str.split`` takes as spaces."""
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(f"1 2{separator}3\n4 x\n".encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        assert [n for n, text in enumerate(fh, start=1) if "x" in text] == [line]
+    with pytest.raises(ValueError, match=f"^bad token id on line {line}: 'x'$"):
+        read_corpus(path, 9)
 
 
 def test_read_corpus_rejects_ids_outside_vocab(tmp_path):

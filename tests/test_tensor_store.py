@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import hashlib
 import json
 import os
 import re
@@ -650,10 +651,13 @@ def test_every_config_either_refuses_or_round_trips(keywords):
         return
     assert config.to_dict() == {name: list(value) if isinstance(value, tuple) else value
                                 for name, value in keywords.items()}
-    blob = serialize_checkpoint(build_checkpoint(config, full_tensor_map(config)))
+    built = build_checkpoint(config, full_tensor_map(config))
+    blob = serialize_checkpoint(built)
     parsed = parse_checkpoint(blob)
     assert parsed.config == config
     assert serialize_checkpoint(parsed) == blob
+    # A checkpoint's digest is that of its one file, whether built or read.
+    assert built.digest == parsed.digest == hashlib.sha256(blob).hexdigest()
 
 
 @pytest.mark.parametrize("field, value, kind", [
