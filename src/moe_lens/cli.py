@@ -3,10 +3,10 @@
 Every analysis subcommand reads a checkpoint (plus a corpus for the
 trace-based ones) and writes provenance-stamped CSV tables and P6 heatmaps
 under ``--out``.  Handlers compute and declare their artifacts on the
-``Context``, which renders them; ``run_command`` writes them once the whole
-command (a whole ``report`` too) has returned, so a command that fails writes
-nothing.  The same invocation over the same inputs reproduces every artifact
-byte for byte.
+``Context``, which renders them and traces the corpus; ``run_command`` writes
+them, or ``synth``'s checkpoints, once the whole command (a whole ``report``
+too) has returned, so a command that fails writes nothing.  The same
+invocation over the same inputs reproduces every artifact byte for byte.
 
 Each command loads only the ``moe_lens`` modules it runs.  ``config``,
 ``tensor_store``, ``static_analysis`` and ``report`` load with this module;
@@ -31,7 +31,7 @@ import numpy as np
 from . import static_analysis as sta
 from .config import ACTIVATIONS, GATING_ORDERS, ModelConfig
 from .report import Provenance, emit_csv, emit_matrix, format_cell, matrix_comments, metric_range
-from .tensor_store import Checkpoint, atomic_write_bytes, dump_checkpoint, read_checkpoint
+from .tensor_store import Checkpoint, atomic_write_bytes, read_checkpoint, serialize_checkpoint
 
 if TYPE_CHECKING:
     from .moe_core import CorpusTrace
@@ -68,8 +68,9 @@ class Context:
     writes: list[tuple[str, bytes]] = field(default_factory=list)
 
     def corpus_trace(self) -> CorpusTrace:
-        """The corpus, traced on first use and kept; a report's steps
-        without ``--ref`` never read the reference outputs it carries."""
+        """The corpus, traced on first use and kept: the CLI's one trace call.
+        A report's steps without ``--ref`` never read the reference outputs
+        it carries."""
         if self.trace is None:
             from .moe_core import trace_all_experts
             self.trace = trace_all_experts(self.model, self.tokens, self.reference,
@@ -135,7 +136,7 @@ def _select_layers(arg: str, model: Checkpoint) -> list[int]:
 
 # --- subcommands -----------------------------------------------------------
 
-def _cmd_synth(args) -> list[str]:
+def _cmd_synth(args) -> list[tuple[str, bytes]]:
     from .synth import SynthSpec, synth_permuted_clone_model, synth_scratch, synth_upcycled
     config = ModelConfig(
         num_layers=args.layers,
@@ -158,13 +159,10 @@ def _cmd_synth(args) -> list[str]:
         checkpoints = synth_upcycled(spec)
     else:
         checkpoints = [synth_permuted_clone_model(spec)[0]]
-    written = []
-    for ckpt, name in zip(checkpoints, ["model.moel", "reference.moel"]):
-        written.append(os.path.join(args.out, name))
-        dump_checkpoint(ckpt, written[-1])
-    for ckpt, path in zip(checkpoints, written):
-        print(f"digest {os.path.basename(path)} sha256:{ckpt.digest}")
-    return written
+    named = list(zip(checkpoints, ["model.moel", "reference.moel"]))
+    for ckpt, name in named:
+        print(f"digest {name} sha256:{ckpt.digest}")
+    return [(os.path.join(args.out, name), serialize_checkpoint(ckpt)) for ckpt, name in named]
 
 
 def _layer_sims(stem: str, layer_sim: Callable[[Context], Callable[[int], sta.SimilarityMatrix]]
@@ -184,14 +182,12 @@ def _layer_sims(stem: str, layer_sim: Callable[[Context], Callable[[int], sta.Si
 def _token_sims(ctx: Context):
     """out-sim's per-layer analysis, on the ``--token`` traced alone."""
     from . import dynamic_analysis as dyn
-    from .moe_core import trace_all_experts
     token = ctx.args.token
     if not 0 <= token < len(ctx.tokens):
         raise ValueError(f"--token {token} out of range for corpus of "
                          f"{len(ctx.tokens)} tokens")
-    trace = trace_all_experts(ctx.model, [ctx.tokens[token]], ctx.reference,
-                              ctx.args.k_override == "all")
-    return functools.partial(dyn.output_sim_per_token, trace)
+    alone = replace(ctx, tokens=[ctx.tokens[token]], trace=None)
+    return functools.partial(dyn.output_sim_per_token, alone.corpus_trace())
 
 
 def _corpus_sims(ctx: Context):
@@ -508,18 +504,17 @@ def run_command(argv: list[str], loaded: Context | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         if args.command == "synth":
-            written = _cmd_synth(args)
+            writes = _cmd_synth(args)
         else:
             ctx = _load_context(args, argv, loaded)
             args.func(ctx)
-            written = []
-            for path, blob in ctx.writes if loaded is None else []:
-                atomic_write_bytes(path, blob)
-                written.append(path)
+            writes = ctx.writes if loaded is None else []
+        for path, blob in writes:
+            atomic_write_bytes(path, blob)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for path in written:
+    for path, _ in writes:
         print(f"wrote {path}")
     return 0
 

@@ -132,9 +132,10 @@ def recombined_output(trace: LayerTrace, z_in: np.ndarray) -> np.ndarray:
     return z_in + y
 
 
-def _trace_block(ckpt: Checkpoint, layer: int, h: np.ndarray,
+def _trace_block(ckpt: Checkpoint, layer: int, h: np.ndarray, reference: Checkpoint | None,
                  k_override_all: bool) -> LayerTrace:
-    """Every expert of one block on the normalized inputs ``h`` [T, d_hid].
+    """Every expert of one block, and the reference's FFN when given, on the
+    normalized inputs ``h`` [T, d_hid].
 
     Each expert is its own matmul over all tokens, so identical experts give
     bit-identical outputs and the lower-index tie rule sees exact ties.
@@ -156,7 +157,9 @@ def _trace_block(ckpt: Checkpoint, layer: int, h: np.ndarray,
         gate_scores=scores, full_scores=full, selected=selected,
         expert_outputs=np.stack([y for y, _ in pairs], axis=1),
         intermediates=np.stack([inter for _, inter in pairs], axis=1),
-        shared_outputs=np.stack(outputs, axis=1) if outputs else np.zeros((t, 0, config.d_hid)))
+        shared_outputs=np.stack(outputs, axis=1) if outputs else np.zeros((t, 0, config.d_hid)),
+        reference_output=None if reference is None else expert_forward(
+            reference.ffns(layer)[0][0], h, config.activation)[0])  # its one dense FFN
 
 
 def trace_all_experts(ckpt: Checkpoint, tokens: list[int],
@@ -184,10 +187,7 @@ def trace_all_experts(ckpt: Checkpoint, tokens: list[int],
     for i in range(config.num_layers):
         with np.errstate(over="ignore", invalid="ignore"):
             h = rmsnorm(z[i]) if config.use_prenorm else z[i]
-            lt = _trace_block(ckpt, i, h, k_override_all)
-            if reference is not None:
-                (ffn,), _ = reference.ffns(i)
-                lt.reference_output = expert_forward(ffn, h, config.activation)[0]
+            lt = _trace_block(ckpt, i, h, reference, k_override_all)
             z.append(recombined_output(lt, z[i]))
             arrays = [a for a in (*vars(lt).values(), z[-1]) if a is not None]
             if not all(np.isfinite(np.einsum("...i,...i", a, a)).all() for a in arrays):

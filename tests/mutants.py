@@ -70,10 +70,22 @@ FLAT_BOUND = "bound = (x.size + 2) * np.finfo(np.float64).eps"
 
 MUTANTS = [
     Mutant("write-after-return", "cli.py",
-           "for path, blob in ctx.writes if loaded is None else []:",
-           "for path, blob in ctx.writes:", WRITES_NOTHING,
+           "writes = ctx.writes if loaded is None else []",
+           "writes = ctx.writes", WRITES_NOTHING,
            "each report step writes the artifacts declared so far, so a later step's "
            "failure leaves them behind"),
+    Mutant("synth-writes-first-checkpoint", "cli.py",
+           "serialize_checkpoint(ckpt)) for ckpt, name in named]",
+           "serialize_checkpoint(ckpt)) for ckpt, name in named[:1]]",
+           ("tests/test_cli_report.py", "-k", "synth_upcycled_writes_reference or "
+            "every_cli_write"),
+           "an upcycled synth prints the reference's digest but never writes its file"),
+    Mutant("out-sim-traces-first-token", "cli.py",
+           "alone = replace(ctx, tokens=[ctx.tokens[token]], trace=None)",
+           "alone = replace(ctx, tokens=[ctx.tokens[0]], trace=None)",
+           ("tests/test_trace_oracle.py", "-k", "corpus_tables"),
+           "out-sim --token names one token in its file and its comments but compares "
+           "the outputs of the corpus's first"),
     Mutant("balls-range-on-first-coordinate", "static_analysis.py",
            "low, high = block[axis, 0], block[axis, -1]",
            "low, high = block[0, 0], block[0, -1]", DBSCAN_ORACLE,

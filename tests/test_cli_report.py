@@ -1081,6 +1081,65 @@ def test_report_loads_and_traces_inputs_once(workspace, tmp_path, monkeypatch):
     assert {path: opened.count(path) for path in inputs} == dict.fromkeys(inputs, 1)
 
 
+def test_every_trace_goes_through_the_context(workspace, tmp_path, monkeypatch):
+    """The report's corpus trace and out-sim's one-token trace are both made
+    by ``Context.corpus_trace``, the one place the CLI traces."""
+    import moe_lens.cli as cli
+    import moe_lens.moe_core as moe_core
+    depth, traced = [0], []
+    corpus_trace, trace_all_experts = cli.Context.corpus_trace, moe_core.trace_all_experts
+
+    def in_context(self):
+        depth[0] += 1
+        try:
+            return corpus_trace(self)
+        finally:
+            depth[0] -= 1
+
+    def recorded(ckpt, tokens, *rest):
+        traced.append((len(tokens), depth[0] > 0))
+        return trace_all_experts(ckpt, tokens, *rest)
+    monkeypatch.setattr(cli.Context, "corpus_trace", in_context)
+    monkeypatch.setattr(moe_core, "trace_all_experts", recorded)
+    assert run_command(report_argv(workspace, tmp_path / "bundle")) == 0
+    assert traced == [(10, True), (1, True)]
+
+
+def test_every_cli_write_goes_through_run_command(workspace, tmp_path, monkeypatch, capsys):
+    """synth's checkpoints and a report's artifacts are written by
+    ``run_command``'s one loop: each file on disk once, in declaration order."""
+    import moe_lens.cli as cli
+    declared, written = [], []
+    for name in ("emit_csv", "emit_matrix"):
+        def declaring(*args, _emit=getattr(cli, name), **kwargs):
+            pairs = _emit(*args, **kwargs)
+            declared.extend(path for path, _ in pairs)
+            return pairs
+        monkeypatch.setattr(cli, name, declaring)
+    atomic_write_bytes = cli.atomic_write_bytes
+
+    def recorded(path, blob):
+        written.append(os.fspath(path))
+        atomic_write_bytes(path, blob)
+    monkeypatch.setattr(cli, "atomic_write_bytes", recorded)
+
+    def on_disk(root):
+        return sorted(str(p) for p in root.rglob("*") if p.is_file())
+    synth = tmp_path / "synth"
+    assert run_command(["synth", "--mode", "upcycled", "--seed", "3", "--out", str(synth),
+                        "--layers", "1", "--experts", "4", "--d-hid", "8", "--d-mid", "8",
+                        "--vocab", "7"]) == 0
+    assert written == [str(synth / "model.moel"), str(synth / "reference.moel")]
+    assert on_disk(synth) == written
+    bundle = tmp_path / "bundle"
+    del written[:]
+    capsys.readouterr()
+    assert run_command(report_argv(workspace, bundle)) == 0
+    assert written == declared
+    assert sorted(written) == on_disk(bundle) and len(written) == len(set(written))
+    assert capsys.readouterr().out.splitlines() == [f"wrote {path}" for path in written]
+
+
 def _feed(fd: int, blob: bytes) -> None:
     """Write ``blob`` to a pipe's write end, then close it; a closed read end
     stops the write."""
