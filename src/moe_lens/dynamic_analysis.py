@@ -155,14 +155,12 @@ def routing_pattern(trace: CorpusTrace) -> tuple[np.ndarray, ...]:
     because with ``k_override_all`` each layer routes its own expert count.
     """
     t = trace.token_ids.size
-    parts = [(np.zeros(0, np.int64),) * 4 + (np.zeros(0),)]
+    parts = [(np.zeros((t, 0), np.int64),) * 4 + (np.zeros((t, 0)),)]
     for layer, lt in enumerate(trace.layers):
         if lt.gate_scores.shape[1] > 1:
-            k = lt.selected.shape[1]
-            parts.append((np.repeat(np.arange(t), k), np.full(t * k, layer),
-                          np.tile(np.arange(k), t), lt.selected.ravel(),
-                          np.take_along_axis(lt.gate_scores, lt.selected, axis=1).ravel()))
-    columns = [np.concatenate(column) for column in zip(*parts)]
-    order = np.argsort(columns[0], kind="stable")
-    token_index, layer, slot, expert, score = (c[order] for c in columns)
+            token, slot = np.indices(lt.selected.shape)
+            parts.append((token, np.full_like(token, layer), slot, lt.selected,
+                          np.take_along_axis(lt.gate_scores, lt.selected, axis=1)))
+    token_index, layer, slot, expert, score = (
+        np.concatenate(column, axis=1).ravel() for column in zip(*parts))
     return token_index, trace.token_ids[token_index], layer, slot, expert, score

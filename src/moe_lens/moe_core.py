@@ -126,9 +126,9 @@ def recombined_output(trace: LayerTrace, z_in: np.ndarray) -> np.ndarray:
     y = np.zeros_like(z_in)
     for n in range(trace.expert_outputs.shape[1]):
         # Unselected experts have score 0 and leave the sum unchanged.
-        y = y + trace.gate_scores[:, n, None] * trace.expert_outputs[:, n]
+        y += trace.gate_scores[:, n, None] * trace.expert_outputs[:, n]
     for m in range(trace.shared_outputs.shape[1]):
-        y = y + trace.shared_outputs[:, m]
+        y += trace.shared_outputs[:, m]
     return z_in + y
 
 
@@ -144,22 +144,25 @@ def _trace_block(ckpt: Checkpoint, layer: int, h: np.ndarray, reference: Checkpo
     t = h.shape[0]
     routed, shared = ckpt.ffns(layer)
     if config.is_dense(layer):
-        scores, full = np.ones((t, 1)), np.ones((t, 1))
-        selected = np.zeros((t, 1), dtype=np.int64)
+        scores, full, selected = np.ones((t, 1)), np.ones((t, 1)), np.zeros((t, 1), np.int64)
     else:
         logits = h @ np.asarray(ckpt.gate(layer), dtype=np.float64).T
         scores, selected = gate_from_logits(
             logits, len(routed) if k_override_all else config.top_k, config.gating_order)
         full = full_softmax(logits)
-    pairs = [expert_forward(expert, h, config.activation) for expert in routed]
-    outputs = [expert_forward(expert, h, config.activation)[0] for expert in shared]
-    return LayerTrace(
+    lt = LayerTrace(
         gate_scores=scores, full_scores=full, selected=selected,
-        expert_outputs=np.stack([y for y, _ in pairs], axis=1),
-        intermediates=np.stack([inter for _, inter in pairs], axis=1),
-        shared_outputs=np.stack(outputs, axis=1) if outputs else np.zeros((t, 0, config.d_hid)),
+        expert_outputs=np.empty((t, len(routed), config.d_hid)),
+        intermediates=np.empty((t, len(routed), config.d_mid)),
+        shared_outputs=np.empty((t, len(shared), config.d_hid)),
         reference_output=None if reference is None else expert_forward(
             reference.ffns(layer)[0][0], h, config.activation)[0])  # its one dense FFN
+    for n, expert in enumerate(routed):
+        lt.expert_outputs[:, n], lt.intermediates[:, n] = expert_forward(
+            expert, h, config.activation)
+    for m, expert in enumerate(shared):
+        lt.shared_outputs[:, m] = expert_forward(expert, h, config.activation)[0]
+    return lt
 
 
 def trace_all_experts(ckpt: Checkpoint, tokens: list[int],
@@ -182,18 +185,19 @@ def trace_all_experts(ckpt: Checkpoint, tokens: list[int],
     if bad:
         raise ValueError(f"token id out of range: {bad[0]}")
     ids = np.asarray(tokens, dtype=np.int64)
-    z = [np.asarray(ckpt.get_tensor(EMBED)[ids], dtype=np.float64)]
+    z = np.empty((config.num_layers + 1, ids.size, config.d_hid))
+    z[0] = ckpt.get_tensor(EMBED)[ids]
     layers = []
     for i in range(config.num_layers):
         with np.errstate(over="ignore", invalid="ignore"):
             h = rmsnorm(z[i]) if config.use_prenorm else z[i]
             lt = _trace_block(ckpt, i, h, reference, k_override_all)
-            z.append(recombined_output(lt, z[i]))
-            arrays = [a for a in (*vars(lt).values(), z[-1]) if a is not None]
+            z[i + 1] = recombined_output(lt, z[i])
+            arrays = [a for a in (*vars(lt).values(), z[i + 1]) if a is not None]
             if not all(np.isfinite(np.einsum("...i,...i", a, a)).all() for a in arrays):
                 raise ValueError(f"layer {i} overflows float64: a sum of squares is not finite")
         layers.append(lt)
-    return CorpusTrace(token_ids=ids, z=np.stack(z), layers=layers)
+    return CorpusTrace(token_ids=ids, z=z, layers=layers)
 
 
 def native_output(ckpt: Checkpoint, layer: int, trace: LayerTrace,

@@ -128,7 +128,7 @@ def layer_weights(ckpt: Checkpoint, layer: int, which: str,
         ckpt.config.check_reference(reference.config)
         ffns += reference.ffns(layer)[0]
         labels.append(REFERENCE_LABEL)
-    return np.stack([getattr(ffn, f"w_{which}") for ffn in ffns]).astype(np.float64), labels
+    return np.stack([getattr(ffn, f"w_{which}") for ffn in ffns], dtype=np.float64), labels
 
 
 def neuron_rows(stack: np.ndarray, which: str) -> np.ndarray:
@@ -474,15 +474,13 @@ def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True) ->
         raise ValueError("fewer samples than dims")
 
     center = data.mean(axis=0)
-    kept = np.arange(n_features)
-    scale = None
+    work = data - center
+    kept, scale = np.arange(n_features), None
     if standardize:
-        sd = data.std(axis=0)
+        sd = np.sqrt(np.mean(work * work, axis=0))  # np.std's own passes
         kept = np.flatnonzero(sd > 0.0)
         scale = sd[kept]
-        work = (data[:, kept] - center[kept]) / scale
-    else:
-        work = data - center
+        work = work[:, kept] / scale
     tall = n >= work.shape[1]
     gram = work.T @ work if tall else work @ work.T
     values, basis = np.linalg.eigh(gram)

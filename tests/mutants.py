@@ -200,6 +200,24 @@ MUTANTS = [
            ("tests/test_moe_core.py", "-k", "read_corpus"),
            "\\x0b, \\x1c, \\x85 and \\u2028 end a line too, so an error names a "
            "later line than the file's"),
+    Mutant("trace-expert-in-next-slot", "moe_core.py",
+           "lt.expert_outputs[:, n], lt.intermediates[:, n] = expert_forward(",
+           "lt.expert_outputs[:, n - 1], lt.intermediates[:, n - 1] = expert_forward(",
+           ("tests/test_moe_core.py", "-k", "trace"),
+           "each expert's output and intermediates land in the slot before its own, so "
+           "the router's scores weight another expert's output"),
+    Mutant("route-log-layer-major", "dynamic_analysis.py",
+           "np.concatenate(column, axis=1).ravel() for column",
+           'np.concatenate(column, axis=1).ravel(order="F") for column',
+           ("tests/test_dynamic_analysis.py", "tests/test_trace_oracle.py", "-k",
+            "routing_pattern or reductions"),
+           "the routing rows run layer by layer and slot by slot over all tokens, not "
+           "token by token"),
+    Mutant("pca-scale-unsquared", "static_analysis.py",
+           "sd = np.sqrt(np.mean(work * work, axis=0))",
+           "sd = np.sqrt(np.mean(abs(work), axis=0))", PCA_TESTS,
+           "features are scaled by the root of their mean absolute deviation, not by "
+           "their standard deviation"),
 ]
 
 EQUIVALENT = [

@@ -8,6 +8,7 @@ import hashlib
 import math
 import re
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -430,6 +431,29 @@ def test_trace_identical_experts_give_equal_outputs():
         for n in range(1, 4):
             assert np.array_equal(lt.expert_outputs[:, 0], lt.expert_outputs[:, n])
             assert np.array_equal(lt.intermediates[:, 0], lt.intermediates[:, n])
+
+
+def test_trace_holds_one_copy_of_each_layer_array():
+    """2 layers of 8 routed and 2 shared experts at d_mid 256, with a
+    reference, over 512 tokens.  Each layer's intermediates [T, N, d_mid] take
+    8 MiB.  Beyond the arrays it returns, the trace may hold one expert's
+    temporaries at a time, but not a second copy of a layer's arrays, such as
+    a list of per-expert results stacked at the end."""
+    cfg = ModelConfig(num_layers=2, experts_per_layer=[8, 8], num_shared=[2, 2],
+                      top_k=2, d_hid=32, d_mid=256, vocab=64)
+    model, ref = synth_upcycled(SynthSpec(config=cfg, mode="upcycled", seed=3,
+                                          upcycle_noise_std=0.5))
+    tokens = np.random.default_rng(4).integers(0, cfg.vocab, 512).tolist()
+    tracemalloc.start()
+    try:
+        trace = trace_all_experts(model, tokens, ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = [trace.token_ids, trace.z, *(a for lt in trace.layers for a in vars(lt).values())]
+    held = sum(a.nbytes for a in arrays if a is not None)
+    budget = trace.layers[0].intermediates.nbytes // 2
+    assert peak - held < budget, (peak - held, budget)
 
 
 # --- corpus ------------------------------------------------------------------

@@ -647,9 +647,9 @@ def test_reorder_pass_holds_one_score_matrix_at_a_time():
     rng = np.random.default_rng(9)
     ckpt = stack_checkpoint(rng.normal(size=(n, d)) + 1e-3 * rng.normal(size=(n_experts, n, d)))
     pairs = n_experts * (n_experts - 1) // 2
-    # Two copies of the stack (float32 as read, float64), each report's
-    # permutation, and eight single-pair score matrices, which also cover the
-    # tau count's 3n² bytes of booleans.
+    # The float64 stack, cast while stacking (the budget allows it twice),
+    # each report's permutation, and eight single-pair score matrices, which
+    # also cover the tau count's 3n² bytes of booleans.
     budget = 2 * n_experts * n * d * 8 + pairs * n * 8 + 8 * n * n * 8
     import scipy.optimize  # noqa: F401  (a pair may need the solver; its import is not the pass)
     tracemalloc.start()
@@ -919,6 +919,7 @@ def test_pca_standardize_drops_constant_feature(rng):
     data[:, 2] = 7.0
     proj = pca_project(data, dims=2, standardize=True)
     assert proj.kept_features.tolist() == [0, 1, 3]
+    np.testing.assert_array_equal(proj.scale, data.std(axis=0)[proj.kept_features])
 
 
 @pytest.mark.parametrize("standardize", [True, False])
