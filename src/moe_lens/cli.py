@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import itertools
 import os
 import sys
@@ -511,16 +512,23 @@ def run_command(argv: list[str], loaded: Context | None = None) -> int:
             writes = ctx.writes if loaded is None else []
         for path, blob in writes:
             atomic_write_bytes(path, blob)
+        for path, _ in writes:
+            print(f"wrote {path}")
+        sys.stdout.flush()
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for path, _ in writes:
-        print(f"wrote {path}")
     return 0
 
 
 def main() -> int:
-    return run_command(sys.argv[1:])
+    gc.freeze()  # the imports' objects: the exit's collections skip them
+    status = run_command(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError:  # run_command reported it; drop what stdout holds, or exit's flush fails too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return status
 
 
 if __name__ == "__main__":

@@ -191,6 +191,11 @@ def solve_assignment(score: np.ndarray) -> np.ndarray:
         raise ValueError("score matrix must be square")
     if not np.all(np.isfinite(score)):
         raise ValueError("score matrix must be finite")
+    return _assignment(score)
+
+
+def _assignment(score: np.ndarray) -> np.ndarray:
+    """``solve_assignment`` on a square, finite float64 ``score``, unchecked."""
     idx = np.arange(score.shape[0])
     diagonal = score[idx, idx]
     # The row (or column) optima summed bound every assignment's total; identity
@@ -248,21 +253,23 @@ def pairwise_reorder_reports(rows) -> list[ReorderReport]:
     """``reorder_neurons`` for every expert pair i < j of a layer's neuron
     stack ``rows`` [E, n, d] (``neuron_rows`` of ``layer_weights``), in
     ``itertools.combinations`` order, so the caller names the pairs: each
-    norm once, an all-zero expert refused before any score matrix, then per
-    pair one score matrix, one assignment and, unless it is identity (tau
-    exactly 1.0, ``sim_after`` = ``sim_before``), one ``_tau``.  The count is
-    O(n²) like the score matrix, and its booleans are 3/8 of the matrix's
-    bytes; at n = 1,024 it is slower than an O(n log n) inversion count.
-    With fewer than two neurons every tau is undefined (None)."""
+    norm once, an all-zero or too large expert refused before any score
+    matrix, then per pair one score matrix, one assignment and, unless it is
+    identity (tau exactly 1.0, ``sim_after`` = ``sim_before``), one ``_tau``.
+    The count is O(n²) like the score matrix, and its booleans are 3/8 of the
+    matrix's bytes; at n = 1,024 it is slower than an O(n log n) inversion
+    count.  With fewer than two neurons every tau is undefined (None)."""
     norms = [np.linalg.norm(expert) for expert in rows]
     if any(norm == 0.0 for norm in norms):
         raise ValueError("undefined similarity: zero vector")
+    if not np.max(norms) < 2.0 ** 511:  # then every score, at most two norms' product, is finite
+        raise ValueError("score matrix must be finite")
     idx = np.arange(len(rows[0]))
     later = np.tri(len(idx), k=-1, dtype=bool)
     reports = []
     for i, j in itertools.combinations(range(len(rows)), 2):
         score = rows[i] @ rows[j].T
-        row_to_col = solve_assignment(score)
+        row_to_col = _assignment(score)
         norm = norms[i] * norms[j]
         before = float(score[idx, idx].sum() / norm)
         perm, after, tau = idx.copy(), before, 1.0 if len(idx) >= 2 else None
@@ -480,7 +487,7 @@ def pca_project(vectors: np.ndarray, dims: int = 2, standardize: bool = True) ->
         sd = np.sqrt(np.mean(work * work, axis=0))  # np.std's own passes
         kept = np.flatnonzero(sd > 0.0)
         scale = sd[kept]
-        work = work[:, kept] / scale
+        work = work.take(kept, axis=1) / scale  # C order, as BLAS's fast paths want
     tall = n >= work.shape[1]
     gram = work.T @ work if tall else work @ work.T
     values, basis = np.linalg.eigh(gram)

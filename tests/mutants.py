@@ -67,6 +67,19 @@ COUNT = "np.count_nonzero((perm[:, None] < perm) & later)"
 ROW_CERTIFICATE = "(score <= diagonal[:, None]).all()"
 EITHER_CERTIFICATE = "(score <= diagonal[:, None]).all() or (score <= diagonal).all()"
 FLAT_BOUND = "bound = (x.size + 2) * np.finfo(np.float64).eps"
+# run_command's wrote lines and stdout flush, inside its handled path and after it.
+STDOUT_ERROR = """    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+"""
+STDOUT_IN_TRY = """        for path, _ in writes:
+            print(f"wrote {path}")
+        sys.stdout.flush()
+""" + STDOUT_ERROR
+STDOUT_AFTER_TRY = STDOUT_ERROR + """    for path, _ in writes:
+        print(f"wrote {path}")
+    sys.stdout.flush()
+"""
 
 MUTANTS = [
     Mutant("write-after-return", "cli.py",
@@ -218,6 +231,13 @@ MUTANTS = [
            "sd = np.sqrt(np.mean(abs(work), axis=0))", PCA_TESTS,
            "features are scaled by the root of their mean absolute deviation, not by "
            "their standard deviation"),
+    Mutant("main-no-freeze", "cli.py", "    gc.freeze()", "    pass",
+           ("tests/test_cli_report.py", "-k", "freezes"),
+           "the interpreter's collections at exit walk every object the imports built"),
+    Mutant("stdout-error-unhandled", "cli.py", STDOUT_IN_TRY, STDOUT_AFTER_TRY,
+           ("tests/test_cli_report.py", "-k", "full_stdout"),
+           "a stdout that cannot take the wrote lines ends in a traceback, or in an "
+           "ignored exception and exit 120"),
 ]
 
 EQUIVALENT = [

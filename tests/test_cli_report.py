@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from conftest import SCIPY_MODULES, kendall_ref, run_isolated, write_corpus
 
+import moe_lens
 from moe_lens import ModelConfig
 from moe_lens.cli import ANALYSES, build_parser, run_command
 from moe_lens.report import (Provenance, emit_csv, emit_heatmap, file_digest, format_cell,
@@ -992,6 +993,64 @@ def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
                       for name, blob in snapshot(out).items()})
     assert len(trees[0]) > 1
     assert trees[0] == trees[1]
+
+
+def test_main_freezes_the_import_graph(tmp_path):
+    """``main`` moves what the imports built to the permanent generation, so
+    the collections at interpreter exit skip it."""
+    run_isolated(textwrap.dedent(f"""
+        import gc, sys
+        from moe_lens import cli
+        sys.argv = ["moe-lens", "synth", "--mode", "scratch", "--seed", "0",
+                    "--out", {str(tmp_path)!r}]
+        assert gc.get_freeze_count() == 0
+        assert cli.main() == 0
+        assert gc.get_freeze_count() > 0
+    """))
+
+
+def cli_process(args, unbuffered: bool, stdout=subprocess.PIPE):
+    """``python -m moe_lens.cli ARGS`` in a child whose stdout is unbuffered
+    or block-buffered (``PYTHONUNBUFFERED`` set or removed)."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(moe_lens.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "moe_lens.cli", *args], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+def test_cli_process_exit_codes_with_buffered_stdout(workspace, tmp_path):
+    """0 with one ``wrote`` line per artifact, 1 with only ``error:`` lines
+    and no file, 2 for a usage error, when stdout is flushed only at the end."""
+    out = tmp_path / "out"
+    ok = cli_process(["gate-sim", "--model", workspace["up"], "--out", str(out)], False)
+    assert (ok.returncode, ok.stderr) == (0, "")
+    assert sorted(ok.stdout.splitlines()) == sorted(f"wrote {p}" for p in out.iterdir())
+    failed = cli_process(["gate-sim", "--model", str(tmp_path / "missing.moel"),
+                          "--out", str(tmp_path / "failed")], False)
+    assert (failed.returncode, failed.stdout) == (1, "")
+    assert failed.stderr and all(line.startswith("error: ")
+                                 for line in failed.stderr.splitlines())
+    assert not (tmp_path / "failed").exists()
+    usage = cli_process(["gate-sim", "--model", workspace["up"]], False)
+    assert (usage.returncode, usage.stdout) == (2, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_full_stdout_ends_in_one_error_line(workspace, tmp_path, unbuffered):
+    """A stdout that cannot take the ``wrote`` lines ends the command with one
+    ``error:`` line and exit 1, not a traceback or an ignored exception at
+    exit.  The artifacts, written before those lines, stay."""
+    out = tmp_path / "out"
+    with open("/dev/full", "w") as full:
+        proc = cli_process(["report", "--model", workspace["up"], "--ref", workspace["ref"],
+                            "--corpus", workspace["corpus"], "--out", str(out)],
+                           unbuffered, stdout=full)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert any(out.rglob("*.csv"))
 
 
 # Shapes beside the workspace's: a dense middle layer among gated ones with

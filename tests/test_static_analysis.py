@@ -557,6 +557,18 @@ def test_reorder_all_zero_expert_rejected(rng):
             reorder_neurons(*pair)
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+def test_reorder_refuses_a_non_finite_expert(rng, value):
+    """The pass skips ``solve_assignment``'s finiteness scan, so it refuses a
+    non-finite expert itself, before any score matrix."""
+    a = rng.normal(size=(4, 3))
+    b = a.copy()
+    b[1, 2] = value
+    for pair in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="finite"):
+            reorder_neurons(*pair)
+
+
 def stack_checkpoint(stack):
     """A one-layer checkpoint whose experts' w_up hold ``stack`` [E, n, d]
     (stored as float32), so their ``up`` neuron rows are the stack's rows."""
