@@ -2,11 +2,11 @@
 
 Every analysis subcommand reads a checkpoint (plus a corpus for the
 trace-based ones) and writes provenance-stamped CSV tables and P6 heatmaps
-under ``--out``.  Handlers compute and declare their artifacts on the
-``Context``, which renders them and traces the corpus; ``run_command`` writes
-them, or ``synth``'s checkpoints, once the whole command (a whole ``report``
-too) has returned, so a command that fails writes nothing.  The same
-invocation over the same inputs reproduces every artifact byte for byte.
+under ``--out``.  Handlers compute and declare their artifacts (``synth``'s
+are checkpoints) on the ``Context``, which renders them and traces the corpus;
+``run_command`` writes them once the whole command (a whole ``report`` too)
+has returned, so a command that fails writes nothing, and then prints.  The
+same invocation over the same inputs reproduces every artifact byte for byte.
 
 Each command loads only the ``moe_lens`` modules it runs.  ``config``,
 ``tensor_store``, ``static_analysis`` and ``report`` load with this module;
@@ -53,20 +53,22 @@ def _int_list(text: str, n: int, flag: str) -> tuple[int, ...]:
 
 @dataclass
 class Context:
-    """A command's inputs, each read and hashed once, its provenance stamp,
-    its corpus trace once traced, and its artifacts as ``(path, bytes)`` pairs.
+    """A command's inputs, each read and hashed once (``synth`` reads none),
+    its provenance stamp, its corpus trace once traced, its artifacts as
+    ``(path, bytes)`` pairs, and the ``lines`` printed before their ``wrote`` lines.
 
     A report's steps share its inputs, trace and ``writes`` through
     ``replace``; ``run_command`` writes them in declaration order."""
 
     args: argparse.Namespace
-    model: Checkpoint
+    model: Checkpoint | None
     reference: Checkpoint | None
     tokens: list[int] | None
     corpus_digest: str | None
     provenance: Provenance | None = None
     trace: CorpusTrace | None = None
     writes: list[tuple[str, bytes]] = field(default_factory=list)
+    lines: list[str] = field(default_factory=list)
 
     def corpus_trace(self) -> CorpusTrace:
         """The corpus, traced on first use and kept: the CLI's one trace call.
@@ -91,15 +93,16 @@ class Context:
 
 
 def _load_context(args, argv: list[str], loaded: Context | None) -> Context:
-    """Read the inputs the command's parser takes (``--model``, then ``--ref``
-    and ``--corpus`` where it has them) once each, or take them from a report's
+    """Read the inputs the command's parser takes (``--model``, ``--ref`` and
+    ``--corpus`` where it has them) once each, or take them from a report's
     ``loaded``; a ``--cell`` below 1 is refused first."""
     if getattr(args, "cell", 1) < 1:
         raise ValueError("cell size must be positive")
+    model_path = getattr(args, "model", None)
     ref_path = getattr(args, "ref", None)
     corpus_path = getattr(args, "corpus", None)
     if loaded is None:
-        model = read_checkpoint(args.model)
+        model = read_checkpoint(model_path) if model_path else None
         reference = read_checkpoint(ref_path) if ref_path else None
         tokens = corpus_digest = None
         if corpus_path:
@@ -110,9 +113,8 @@ def _load_context(args, argv: list[str], loaded: Context | None) -> Context:
         loaded = Context(args=args, model=model, reference=reference, tokens=tokens,
                          corpus_digest=corpus_digest)
     reference = loaded.reference if ref_path else None
-    inputs = {"model": loaded.model.digest}
-    if reference is not None:
-        inputs["reference"] = reference.digest
+    inputs = {name: ckpt.digest for name, ckpt in (("model", loaded.model),
+                                                   ("reference", reference)) if ckpt is not None}
     if corpus_path:
         inputs["corpus"] = loaded.corpus_digest
     return replace(loaded, args=args, reference=reference,
@@ -137,8 +139,9 @@ def _select_layers(arg: str, model: Checkpoint) -> list[int]:
 
 # --- subcommands -----------------------------------------------------------
 
-def _cmd_synth(args) -> list[tuple[str, bytes]]:
+def _cmd_synth(ctx: Context) -> None:
     from .synth import SynthSpec, synth_permuted_clone_model, synth_scratch, synth_upcycled
+    args = ctx.args
     config = ModelConfig(
         num_layers=args.layers,
         experts_per_layer=_int_list(args.experts, args.layers, "--experts"),
@@ -160,53 +163,40 @@ def _cmd_synth(args) -> list[tuple[str, bytes]]:
         checkpoints = synth_upcycled(spec)
     else:
         checkpoints = [synth_permuted_clone_model(spec)[0]]
-    named = list(zip(checkpoints, ["model.moel", "reference.moel"]))
-    for ckpt, name in named:
-        print(f"digest {name} sha256:{ckpt.digest}")
-    return [(os.path.join(args.out, name), serialize_checkpoint(ckpt)) for ckpt, name in named]
+    for ckpt, name in zip(checkpoints, ["model.moel", "reference.moel"]):
+        ctx.writes.append((os.path.join(args.out, name), serialize_checkpoint(ckpt)))
+        ctx.lines.append(f"digest {name} sha256:{ckpt.digest}")
 
 
-def _layer_sims(stem: str, layer_sim: Callable[[Context], Callable[[int], sta.SimilarityMatrix]]
-                ) -> Callable[[Context], None]:
-    """A handler that declares one similarity matrix per selected layer:
-    ``layer_sim(ctx)`` gives the analysis of a layer index, and ``stem``
-    formats with the arguments and ``layer`` into the file stem."""
-    def handler(ctx: Context) -> None:
-        analyse = layer_sim(ctx)
-        for layer in _select_layers(ctx.args.layer, ctx.model):
-            sim = analyse(layer)
-            ctx.matrix(stem.format_map({**vars(ctx.args), "layer": layer}), sim.labels,
-                       sim.values, metric_range(sim.metric), matrix_comments(sim))
-    return handler
+def _declare_sims(ctx: Context, stem: str, analyse: Callable[[int], sta.SimilarityMatrix]):
+    """Declare ``analyse(layer)`` for each selected layer; ``stem`` formats
+    with the arguments and ``layer`` into the file stem."""
+    for layer in _select_layers(ctx.args.layer, ctx.model):
+        sim = analyse(layer)
+        ctx.matrix(stem.format_map({**vars(ctx.args), "layer": layer}), sim.labels,
+                   sim.values, metric_range(sim.metric), matrix_comments(sim))
 
 
-def _token_sims(ctx: Context):
-    """out-sim's per-layer analysis, on the ``--token`` traced alone."""
-    from . import dynamic_analysis as dyn
-    token = ctx.args.token
-    if not 0 <= token < len(ctx.tokens):
-        raise ValueError(f"--token {token} out of range for corpus of "
-                         f"{len(ctx.tokens)} tokens")
-    alone = replace(ctx, tokens=[ctx.tokens[token]], trace=None)
-    return functools.partial(dyn.output_sim_per_token, alone.corpus_trace())
+def _cmd_matrix_sim(ctx: Context) -> None:
+    _declare_sims(ctx, "matrix-sim-layer{layer}-{which}", lambda layer: sta.matrix_level_sim(
+        *sta.layer_weights(ctx.model, layer, ctx.args.which, ctx.reference)))
 
 
-def _corpus_sims(ctx: Context):
-    """avg-out-sim's per-layer analysis, on the corpus trace."""
-    from . import dynamic_analysis as dyn
-    return functools.partial(dyn.avg_output_sim, ctx.corpus_trace())
+def _cmd_neuron_avg_sim(ctx: Context) -> None:
+    _declare_sims(ctx, "neuron-avg-sim-layer{layer}-{which}", lambda layer: sta.neuron_average_sim(
+        *sta.layer_weights(ctx.model, layer, ctx.args.which, ctx.reference), ctx.args.which))
 
 
-def _layer_weights(ctx: Context, layer: int) -> tuple[np.ndarray, list[str]]:
-    """``sta.layer_weights`` of ``--which``, with ``--ref`` where the command takes it."""
-    return sta.layer_weights(ctx.model, layer, ctx.args.which, ctx.reference)
+def _cmd_gate_sim(ctx: Context) -> None:
+    _declare_sims(ctx, "gate-sim-layer{layer}",
+                  lambda layer: sta.gate_embedding_sim(ctx.model, layer))
 
 
 def _cmd_reorder(ctx: Context) -> None:
     which = ctx.args.which
     rows = []
     for layer in _select_layers(ctx.args.layer, ctx.model):
-        stack, experts = _layer_weights(ctx, layer)
+        stack, experts = sta.layer_weights(ctx.model, layer, which)
         reports = sta.pairwise_reorder_reports(sta.neuron_rows(stack, which))
         rows += [[layer, *pair, which, rep.sim_before, rep.sim_after, rep.tau]
                  for pair, rep in zip(itertools.combinations(experts, 2), reports)]
@@ -228,7 +218,8 @@ def _cmd_gate_corr(ctx: Context) -> None:
         raise ValueError("no gated layer has enough experts for regression")
     reports = [sta.gate_expert_regression(
         sta.gate_embedding_sim(ctx.model, layer),
-        sta.neuron_average_sim(*_layer_weights(ctx, layer), which)) for layer in layers]
+        sta.neuron_average_sim(*sta.layer_weights(ctx.model, layer, which), which))
+        for layer in layers]
     rows = [[layer, which, rep.n_pairs, rep.r, rep.r2] for layer, rep in zip(layers, reports)]
     rows.append(["avg", which, None, None, sta.aggregate_r2(reports)])
     flat = [str(layer) for layer, rep in zip(layers, reports) if rep.r is None]
@@ -241,7 +232,7 @@ def _cmd_pca(ctx: Context) -> None:
     if args.min_pts < 1:
         raise ValueError("min_pts must be at least 1")
     for layer in _select_layers(args.layer, ctx.model):
-        stack, experts = _layer_weights(ctx, layer)
+        stack, experts = sta.layer_weights(ctx.model, layer, args.which)
         if args.level == "matrix":
             vectors = stack.reshape(len(stack), -1)
             labels = experts
@@ -282,6 +273,23 @@ def _cmd_trace(ctx: Context) -> None:
     worst = errs.max(initial=0.0)
     ctx.table("trace-consistency.csv", ["token_index", "token_id", "layer", "rel_err"],
               rows, [f"max_rel_err: {worst:.6e}"])
+
+
+def _cmd_out_sim(ctx: Context) -> None:
+    """Per-layer output similarity of the ``--token`` traced alone."""
+    from . import dynamic_analysis as dyn
+    token = ctx.args.token
+    if not 0 <= token < len(ctx.tokens):
+        raise ValueError(f"--token {token} out of range for corpus of {len(ctx.tokens)} tokens")
+    trace = replace(ctx, tokens=[ctx.tokens[token]], trace=None).corpus_trace()
+    _declare_sims(ctx, "out-sim-layer{layer}-token{token}",
+                  lambda layer: dyn.output_sim_per_token(trace, layer))
+
+
+def _cmd_avg_out_sim(ctx: Context) -> None:
+    from . import dynamic_analysis as dyn
+    trace = ctx.corpus_trace()
+    _declare_sims(ctx, "avg-out-sim-layer{layer}", lambda layer: dyn.avg_output_sim(trace, layer))
 
 
 def _cmd_norm_rank(ctx: Context) -> None:
@@ -382,24 +390,13 @@ class Analysis:
 # Analyses are looked up when a command runs, not when the table is built, so
 # a function that perfbench/tracer.py or a test rebinds is the one called.
 ANALYSES = {
-    "matrix-sim": Analysis(
-        "matrix-sim over expert weights",
-        _layer_sims("{command}-layer{layer}-{which}",
-                    lambda ctx: lambda layer: sta.matrix_level_sim(*_layer_weights(ctx, layer))),
-        ref=True, layer=True, which=True),
-    "neuron-avg-sim": Analysis(
-        "neuron-avg-sim over expert weights",
-        _layer_sims("{command}-layer{layer}-{which}",
-                    lambda ctx: lambda layer: sta.neuron_average_sim(*_layer_weights(ctx, layer),
-                                                                     ctx.args.which)),
-        ref=True, layer=True, which=True),
+    "matrix-sim": Analysis("matrix-sim over expert weights", _cmd_matrix_sim,
+                           ref=True, layer=True, which=True),
+    "neuron-avg-sim": Analysis("neuron-avg-sim over expert weights", _cmd_neuron_avg_sim,
+                               ref=True, layer=True, which=True),
     "reorder": Analysis("neuron alignment between expert pairs", _cmd_reorder,
                         layer=True, which=True),
-    "gate-sim": Analysis(
-        "gate row similarity",
-        _layer_sims("gate-sim-layer{layer}",
-                    lambda ctx: functools.partial(sta.gate_embedding_sim, ctx.model)),
-        layer=True),
+    "gate-sim": Analysis("gate row similarity", _cmd_gate_sim, layer=True),
     "gate-corr": Analysis("gate-vs-expert similarity regression per layer", _cmd_gate_corr,
                           which=True),
     "pca": Analysis(
@@ -413,14 +410,10 @@ ANALYSES = {
     "trace": Analysis("trace recombination consistency table", _cmd_trace,
                       ref=True, corpus=True),
     "out-sim": Analysis(
-        "per-token expert output similarity",
-        _layer_sims("out-sim-layer{layer}-token{token}", _token_sims),
-        ref=True, corpus=True, layer=True,
+        "per-token expert output similarity", _cmd_out_sim, ref=True, corpus=True, layer=True,
         options=(("--token", dict(type=int, default=0, help="flattened corpus token index")),)),
-    "avg-out-sim": Analysis(
-        "corpus-averaged angular output similarity",
-        _layer_sims("avg-out-sim-layer{layer}", _corpus_sims),
-        ref=True, corpus=True, layer=True),
+    "avg-out-sim": Analysis("corpus-averaged angular output similarity", _cmd_avg_out_sim,
+                            ref=True, corpus=True, layer=True),
     "norm-rank": Analysis("output-norm rank vs gate-score rank counts", _cmd_norm_rank,
                           corpus=True, layer=True),
     "act-ratio": Analysis("activation sparsity ratios", _cmd_act_ratio, corpus=True,
@@ -431,12 +424,20 @@ ANALYSES = {
 
 # --- parser ----------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        """argparse's, except that a failed write to stdout (``--help``) raises,
+        for ``run_command`` to report, where argparse drops it."""
+        if file is not sys.stdout:
+            return super()._print_message(message, file)
+        file.write(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``moe-lens`` parser, built once per process and shared by every
     ``run_command`` call, of which a report makes one per step."""
-    parser = argparse.ArgumentParser(prog="moe-lens",
-                                     description=__doc__.splitlines()[0])
+    parser = _Parser(prog="moe-lens", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("synth", help="generate a synthetic checkpoint")
@@ -460,6 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-std", type=float, default=0.02)
     p.add_argument("--noise", type=float, default=0.0,
                    help="upcycling noise ratio relative to --init-std")
+    p.set_defaults(func=_cmd_synth)
 
     for name, entry in ANALYSES.items():
         p = commands.add_parser(name, help=entry.help)
@@ -495,25 +497,23 @@ def run_command(argv: list[str], loaded: Context | None = None) -> int:
     """Parse and execute one invocation; returns the process exit code.
 
     A report passes its ``loaded`` inputs to each step, whose artifacts join
-    the report's.  Without them a command loads its own inputs and writes its
-    artifacts once it has returned, so a command that fails writes nothing.
-    """
+    the report's.  Without them a command loads its own inputs, writes its
+    artifacts once it has returned, so a command that fails writes nothing,
+    then prints its ``lines`` and a ``wrote`` line per artifact."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    try:
-        if args.command == "synth":
-            writes = _cmd_synth(args)
-        else:
-            ctx = _load_context(args, argv, loaded)
-            args.func(ctx)
-            writes = ctx.writes if loaded is None else []
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse printed --help, or a usage error
+            sys.stdout.flush()
+            return int(exc.code or 0)
+        ctx = _load_context(args, argv, loaded)
+        args.func(ctx)
+        writes = ctx.writes if loaded is None else []
         for path, blob in writes:
             atomic_write_bytes(path, blob)
-        for path, _ in writes:
-            print(f"wrote {path}")
+        for line in ctx.lines + [f"wrote {path}" for path, _ in writes]:
+            print(line)
         sys.stdout.flush()
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

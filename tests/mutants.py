@@ -67,19 +67,29 @@ COUNT = "np.count_nonzero((perm[:, None] < perm) & later)"
 ROW_CERTIFICATE = "(score <= diagonal[:, None]).all()"
 EITHER_CERTIFICATE = "(score <= diagonal[:, None]).all() or (score <= diagonal).all()"
 FLAT_BOUND = "bound = (x.size + 2) * np.finfo(np.float64).eps"
-# run_command's wrote lines and stdout flush, inside its handled path and after it.
+# run_command's stdout lines and flush, inside its handled path and after it.
 STDOUT_ERROR = """    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 """
-STDOUT_IN_TRY = """        for path, _ in writes:
-            print(f"wrote {path}")
+STDOUT_IN_TRY = """        for line in ctx.lines + [f"wrote {path}" for path, _ in writes]:
+            print(line)
         sys.stdout.flush()
 """ + STDOUT_ERROR
-STDOUT_AFTER_TRY = STDOUT_ERROR + """    for path, _ in writes:
-        print(f"wrote {path}")
+STDOUT_AFTER_TRY = STDOUT_ERROR + """    for line in ctx.lines + [f"wrote {path}" for path, _ in writes]:
+        print(line)
     sys.stdout.flush()
 """
+# run_command's writes, then its stdout lines; and the command's lines moved first.
+WRITES_THEN_LINES = """        for path, blob in writes:
+            atomic_write_bytes(path, blob)
+        for line in ctx.lines + ["""
+LINES_THEN_WRITES = """        for line in ctx.lines:
+            print(line)
+        for path, blob in writes:
+            atomic_write_bytes(path, blob)
+        for line in ["""
+SYNTH_WRITE = "ctx.writes.append((os.path.join(args.out, name), serialize_checkpoint(ckpt)))"
 
 MUTANTS = [
     Mutant("write-after-return", "cli.py",
@@ -87,15 +97,14 @@ MUTANTS = [
            "writes = ctx.writes", WRITES_NOTHING,
            "each report step writes the artifacts declared so far, so a later step's "
            "failure leaves them behind"),
-    Mutant("synth-writes-first-checkpoint", "cli.py",
-           "serialize_checkpoint(ckpt)) for ckpt, name in named]",
-           "serialize_checkpoint(ckpt)) for ckpt, name in named[:1]]",
+    Mutant("synth-writes-first-checkpoint", "cli.py", SYNTH_WRITE,
+           f'if name == "model.moel": {SYNTH_WRITE}',
            ("tests/test_cli_report.py", "-k", "synth_upcycled_writes_reference or "
             "every_cli_write"),
            "an upcycled synth prints the reference's digest but never writes its file"),
     Mutant("out-sim-traces-first-token", "cli.py",
-           "alone = replace(ctx, tokens=[ctx.tokens[token]], trace=None)",
-           "alone = replace(ctx, tokens=[ctx.tokens[0]], trace=None)",
+           "replace(ctx, tokens=[ctx.tokens[token]], trace=None)",
+           "replace(ctx, tokens=[ctx.tokens[0]], trace=None)",
            ("tests/test_trace_oracle.py", "-k", "corpus_tables"),
            "out-sim --token names one token in its file and its comments but compares "
            "the outputs of the corpus's first"),
@@ -238,6 +247,19 @@ MUTANTS = [
            ("tests/test_cli_report.py", "-k", "full_stdout"),
            "a stdout that cannot take the wrote lines ends in a traceback, or in an "
            "ignored exception and exit 120"),
+    Mutant("synth-digests-before-writes", "cli.py", WRITES_THEN_LINES, LINES_THEN_WRITES,
+           ("tests/test_cli_report.py", "-k", "synth"),
+           "a synth whose write fails leaves stdout naming the digests of files that "
+           "do not exist"),
+    Mutant("help-write-dropped", "cli.py", "if file is not sys.stdout:", "if True:",
+           ("tests/test_cli_report.py", "-k", "help"),
+           "argparse drops a failed write of --help to an unbuffered stdout, which then "
+           "exits 0"),
+    Mutant("help-unflushed", "cli.py",
+           "            sys.stdout.flush()\n            return int(exc.code or 0)",
+           "            return int(exc.code or 0)", ("tests/test_cli_report.py", "-k", "help"),
+           "--help that a buffered stdout holds fails only in main's last flush, whose "
+           "fallback drops it, so it exits 0"),
 ]
 
 EQUIVALENT = [

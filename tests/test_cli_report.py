@@ -372,6 +372,17 @@ def test_synth_upcycled_writes_reference(tmp_path, capsys):
                        for name in ("model.moel", "reference.moel")]
 
 
+def test_synth_whose_write_fails_prints_no_digest(tmp_path, capsys):
+    """A ``digest`` line names a file written, so a write that fails leaves
+    none on stdout: only ``error:`` lines on stderr and exit 1."""
+    (tmp_path / "file").write_bytes(b"")
+    code = run_command([*TINY_SYNTH, "--seed", "1", "--out", str(tmp_path / "file" / "out")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err and all(line.startswith("error: ")
+                                for line in captured.err.splitlines())
+
+
 def test_synth_permuted_clone_mode(tmp_path):
     assert run_command(["synth", "--mode", "permuted-clone", "--seed", "3",
                         "--out", str(tmp_path), "--layers", "1",
@@ -1051,6 +1062,22 @@ def test_full_stdout_ends_in_one_error_line(workspace, tmp_path, unbuffered):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert any(out.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [["--help"], ["synth", "--help"]], ids=["main", "synth"])
+def test_help_to_a_failing_stdout_ends_in_one_error_line(args, unbuffered):
+    """argparse's own output, ``--help``, exits 0 when stdout takes it, and
+    like a command's ends in one ``error:`` line and exit 1 when it cannot."""
+    ok = cli_process(args, unbuffered)
+    assert (ok.returncode, ok.stderr) == (0, "")
+    assert ok.stdout.startswith("usage: moe-lens")
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    with open("/dev/full", "w") as full:
+        proc = cli_process(args, unbuffered, stdout=full)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 # Shapes beside the workspace's: a dense middle layer among gated ones with
