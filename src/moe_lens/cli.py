@@ -102,20 +102,20 @@ def _load_context(args, argv: list[str], loaded: Context | None) -> Context:
     ref_path = getattr(args, "ref", None)
     corpus_path = getattr(args, "corpus", None)
     if loaded is None:
-        model = read_checkpoint(model_path) if model_path else None
-        reference = read_checkpoint(ref_path) if ref_path else None
+        model = read_checkpoint(model_path) if model_path is not None else None
+        reference = read_checkpoint(ref_path) if ref_path is not None else None
         tokens = corpus_digest = None
-        if corpus_path:
+        if corpus_path is not None:
             from .moe_core import read_corpus
             tokens, corpus_digest = read_corpus(corpus_path, model.config.vocab)
             if not tokens:
                 raise ValueError("corpus holds no tokens")
         loaded = Context(args=args, model=model, reference=reference, tokens=tokens,
                          corpus_digest=corpus_digest)
-    reference = loaded.reference if ref_path else None
+    reference = loaded.reference if ref_path is not None else None
     inputs = {name: ckpt.digest for name, ckpt in (("model", loaded.model),
                                                    ("reference", reference)) if ckpt is not None}
-    if corpus_path:
+    if corpus_path is not None:
         inputs["corpus"] = loaded.corpus_digest
     return replace(loaded, args=args, reference=reference,
                    provenance=Provenance(command=["moe-lens", *argv], inputs=inputs))
@@ -332,39 +332,31 @@ def _cmd_route_log(ctx: Context) -> None:
 
 
 def _cmd_report(ctx: Context) -> None:
-    """Run the full analysis suite into subdirectories of --out, every step
-    through ``run_command`` on inputs read, hashed and traced once here; the
-    steps' artifacts join the report's writes."""
+    """Run each analysis the model can feed, in ``ANALYSES`` order and once
+    per ``--which`` where it takes one, into subdirectories of --out: every
+    step through ``run_command`` on inputs read, hashed and traced once here;
+    the steps' artifacts join the report's writes."""
     config = ctx.model.config
     if not config.num_layers:
         raise ValueError("no intermediates to count: the model has no layers")
     ctx.corpus_trace()
-    gated = config.moe_layers()
-    steps: list[tuple[str, str | None]] = []
-    if gated:
-        for which in sta.WHICH_MATRICES:
-            steps += [(name, which) for name in ("matrix-sim", "neuron-avg-sim", "reorder", "pca")]
-        steps.append(("gate-sim", None))
-        if any(config.experts_per_layer[i] >= 3 for i in gated):
-            steps += [("gate-corr", which) for which in sta.WHICH_MATRICES]
-        steps += [(name, None) for name in ("out-sim", "avg-out-sim", "norm-rank", "route-log")]
-    steps += [("trace", None), ("act-ratio", None)]
-
     args = ctx.args
-    for name, which in steps:
-        entry = ANALYSES[name]
-        argv = [name, "--model", args.model]
-        if entry.ref and args.ref:
-            argv += ["--ref", args.ref]
-        if entry.corpus:
-            argv += ["--corpus", args.corpus]
-        if entry.layer:
-            argv += ["--layer", "all"]
-        if which:
-            argv += ["--which", which]
-        argv += ["--out", os.path.join(args.out, name)]
-        if run_command(argv, ctx) != 0:
-            raise ValueError(f"report step failed: {name}")
+    for name, entry in ANALYSES.items():
+        if max(config.experts_per_layer) < entry.min_experts:
+            continue
+        for which in sta.WHICH_MATRICES if entry.which else [None]:
+            argv = [name, "--model", args.model]
+            if entry.ref and args.ref is not None:
+                argv += ["--ref", args.ref]
+            if entry.corpus:
+                argv += ["--corpus", args.corpus]
+            if entry.layer:
+                argv += ["--layer", "all"]
+            if which:
+                argv += ["--which", which]
+            argv += ["--out", os.path.join(args.out, name)]
+            if run_command(argv, ctx) != 0:
+                raise ValueError(f"report step failed: {name}")
 
 
 # --- the analysis table ----------------------------------------------------
@@ -375,7 +367,8 @@ class Analysis:
 
     The flags say which inputs (``--ref``, ``--corpus`` with ``--k-override``)
     and selectors (``--layer``, ``--which``) it takes; ``options`` are its own
-    further flags as ``(flag, add_argument keywords)``.  It runs ``handler``.
+    further flags as ``(flag, add_argument keywords)``.  It runs ``handler``;
+    a report runs it when some layer has at least ``min_experts`` routed experts.
     """
 
     help: str
@@ -384,6 +377,7 @@ class Analysis:
     corpus: bool = False
     layer: bool = False
     which: bool = False
+    min_experts: int = 2
     options: tuple[tuple[str, dict], ...] = ()
 
 
@@ -398,7 +392,7 @@ ANALYSES = {
                         layer=True, which=True),
     "gate-sim": Analysis("gate row similarity", _cmd_gate_sim, layer=True),
     "gate-corr": Analysis("gate-vs-expert similarity regression per layer", _cmd_gate_corr,
-                          which=True),
+                          which=True, min_experts=3),
     "pca": Analysis(
         "principal-component projection of experts", _cmd_pca, layer=True, which=True,
         options=(("--level", dict(choices=["matrix", "neuron"], default="matrix")),
@@ -408,7 +402,7 @@ ANALYSES = {
                  ("--min-pts", dict(type=int, default=2)),
                  ("--no-standardize", dict(action="store_true")))),
     "trace": Analysis("trace recombination consistency table", _cmd_trace,
-                      ref=True, corpus=True),
+                      ref=True, corpus=True, min_experts=1),
     "out-sim": Analysis(
         "per-token expert output similarity", _cmd_out_sim, ref=True, corpus=True, layer=True,
         options=(("--token", dict(type=int, default=0, help="flattened corpus token index")),)),
@@ -416,7 +410,7 @@ ANALYSES = {
                             ref=True, corpus=True, layer=True),
     "norm-rank": Analysis("output-norm rank vs gate-score rank counts", _cmd_norm_rank,
                           corpus=True, layer=True),
-    "act-ratio": Analysis("activation sparsity ratios", _cmd_act_ratio, corpus=True,
+    "act-ratio": Analysis("activation sparsity ratios", _cmd_act_ratio, corpus=True, min_experts=1,
                           options=(("--threshold", dict(type=float, default=0.001)),)),
     "route-log": Analysis("routing decisions per token", _cmd_route_log, corpus=True),
 }

@@ -49,6 +49,10 @@ DBSCAN_ORACLE = (
 # The tests that a failed command, or a failed report step, writes nothing.
 WRITES_NOTHING = ("tests/test_cli_report.py", "-k", "writes_nothing")
 
+# The tests that a report runs the steps its model's expert counts allow.
+REPORT_STEPS = ("tests/test_cli_report.py", "tests/test_report_properties.py", "-k",
+                "report_steps_match or random_models_is_finite")
+
 # The Kendall, reorder, assignment and scipy-loading tests.
 REORDER_TESTS = ("tests/test_static_analysis.py", "tests/test_cli_report.py",
                  "-k", "kendall or reorder or assignment or scipy")
@@ -260,6 +264,19 @@ MUTANTS = [
            "            return int(exc.code or 0)", ("tests/test_cli_report.py", "-k", "help"),
            "--help that a buffered stdout holds fails only in main's last flush, whose "
            "fallback drops it, so it exits 0"),
+    Mutant("report-gate-corr-on-two-experts", "cli.py", "which=True, min_experts=3)",
+           "which=True)", REPORT_STEPS,
+           "a report on a model of at most two experts per layer runs gate-corr, which "
+           "refuses it, so the report fails"),
+    Mutant("report-trace-needs-gated-layer", "cli.py", "corpus=True, min_experts=1)",
+           "corpus=True)", REPORT_STEPS,
+           "a report on a dense model skips the trace consistency table"),
+    Mutant("empty-model-path-absent", "cli.py",
+           "read_checkpoint(model_path) if model_path is not None else None",
+           "read_checkpoint(model_path) if model_path else None",
+           ("tests/test_cli_report.py", "tests/test_report_properties.py", "-k",
+            "empty_path or hostile"),
+           "--model \"\" reads no checkpoint, and the command fails with a traceback"),
 ]
 
 EQUIVALENT = [

@@ -1081,13 +1081,15 @@ def test_help_to_a_failing_stdout_ends_in_one_error_line(args, unbuffered):
 
 
 # Shapes beside the workspace's: a dense middle layer among gated ones with
-# shared experts, gelu and softmax-then-top-k; and the two smallest shapes a
-# report takes, two experts per layer and one neuron per expert.
+# shared experts, gelu and softmax-then-top-k; the two smallest shapes a
+# report takes, two experts per layer and one neuron per expert; and a dense
+# model, which feeds only the report's trace and act-ratio steps.
 SMALL_SHAPES = {
     "mixed": ["--layers", "3", "--experts", "6,1,6", "--shared", "2,0,2",
               "--activation", "gelu", "--gating-order", "softmax_then_topk"],
     "two-experts": ["--experts", "2", "--top-k", "1"],
     "one-neuron": ["--d-mid", "1"],
+    "dense": ["--experts", "1", "--top-k", "1"],
 }
 
 
@@ -1128,6 +1130,8 @@ def test_report_steps_match_standalone_commands(workspace, tmp_path):
         }
         if name == "two-experts":  # regression needs three experts
             del steps["gate-corr"]
+        if name == "dense":
+            steps = {step: steps[step] for step in ("trace", "act-ratio")}
         assert sorted(steps) == sorted(os.listdir(out)), name
         for step, invocations in steps.items():
             shutil.rmtree(out / step)
@@ -1372,6 +1376,19 @@ def test_a_failed_command_writes_nothing(failing_inputs, tmp_path, capsys, argv,
     code = run_command([arg.format_map(failing_inputs) for arg in argv] + ["--out", str(out)])
     assert code == 1
     assert capsys.readouterr() == ("", "".join(f"error: {e}\n" for e in errors))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["avg-out-sim", "report"])
+@pytest.mark.parametrize("flag", ["--model", "--ref", "--corpus"])
+def test_an_empty_path_writes_nothing(workspace, tmp_path, capsys, command, flag):
+    """An empty input path is a file that does not exist, not an absent flag."""
+    inputs = {"--model": workspace["up"], "--ref": workspace["ref"],
+              "--corpus": workspace["corpus"], flag: ""}
+    out = tmp_path / "out"
+    code = run_command([command, *itertools.chain(*inputs.items()), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: ''\n")
     assert not out.exists()
 
 
