@@ -18,8 +18,10 @@ load inside the code that reads or traces a corpus, and the generators
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
+import io
 import itertools
 import os
 import sys
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import static_analysis as sta
 from .config import ACTIVATIONS, GATING_ORDERS, ModelConfig
-from .report import Provenance, emit_csv, emit_matrix, format_cell, matrix_comments, metric_range
+from .report import emit_csv, emit_matrix, format_cell, matrix_comments, metric_range, provenance
 from .tensor_store import Checkpoint, atomic_write_bytes, read_checkpoint, serialize_checkpoint
 
 if TYPE_CHECKING:
@@ -54,8 +56,9 @@ def _int_list(text: str, n: int, flag: str) -> tuple[int, ...]:
 @dataclass
 class Context:
     """A command's inputs, each read and hashed once (``synth`` reads none),
-    its provenance stamp, its corpus trace once traced, its artifacts as
-    ``(path, bytes)`` pairs, and the ``lines`` printed before their ``wrote`` lines.
+    its provenance ``header``, rendered once for all its artifacts, its corpus
+    trace once traced, its artifacts as ``(path, bytes)`` pairs, and the
+    ``lines`` printed before their ``wrote`` lines.
 
     A report's steps share its inputs, trace and ``writes`` through
     ``replace``; ``run_command`` writes them in declaration order."""
@@ -65,7 +68,7 @@ class Context:
     reference: Checkpoint | None
     tokens: list[int] | None
     corpus_digest: str | None
-    provenance: Provenance | None = None
+    header: list[str] = field(default_factory=list)
     trace: CorpusTrace | None = None
     writes: list[tuple[str, bytes]] = field(default_factory=list)
     lines: list[str] = field(default_factory=list)
@@ -82,20 +85,21 @@ class Context:
 
     def table(self, name: str, columns: list[str], rows, comments: list[str] | None = None):
         """Declare the CSV table ``name`` under ``--out``."""
-        self.writes += emit_csv(os.path.join(self.args.out, name), self.provenance, columns,
+        self.writes += emit_csv(os.path.join(self.args.out, name), self.header, columns,
                                 rows, comments)
 
     def matrix(self, stem: str, labels: list[str], values: np.ndarray,
                value_range: tuple[float, float], comments: list[str]):
         """Declare the labelled matrix ``stem`` under ``--out``: its CSV and heatmap."""
-        self.writes += emit_matrix(os.path.join(self.args.out, stem), self.provenance, labels,
+        self.writes += emit_matrix(os.path.join(self.args.out, stem), self.header, labels,
                                    values, value_range, comments, self.args.cell)
 
 
 def _load_context(args, argv: list[str], loaded: Context | None) -> Context:
     """Read the inputs the command's parser takes (``--model``, ``--ref`` and
     ``--corpus`` where it has them) once each, or take them from a report's
-    ``loaded``; a ``--cell`` below 1 is refused first."""
+    ``loaded``, and render the command's header; a ``--cell`` below 1 is
+    refused first."""
     if getattr(args, "cell", 1) < 1:
         raise ValueError("cell size must be positive")
     model_path = getattr(args, "model", None)
@@ -118,7 +122,7 @@ def _load_context(args, argv: list[str], loaded: Context | None) -> Context:
     if corpus_path is not None:
         inputs["corpus"] = loaded.corpus_digest
     return replace(loaded, args=args, reference=reference,
-                   provenance=Provenance(command=["moe-lens", *argv], inputs=inputs))
+                   header=provenance(["moe-lens", *argv], inputs))
 
 
 def _select_layers(arg: str, model: Checkpoint) -> list[int]:
@@ -260,7 +264,9 @@ def _cmd_trace(ctx: Context) -> None:
     from .moe_core import native_output
     if not ctx.model.config.num_layers:
         raise ValueError("nothing to trace: the model has no layers")
-    trace = ctx.corpus_trace()
+    if ctx.reference is not None:  # --ref only stamps the table, but is refused as elsewhere
+        ctx.model.config.check_reference(ctx.reference.config)
+    trace = (ctx if ctx.trace is not None else replace(ctx, reference=None)).corpus_trace()
     errs = np.zeros((trace.token_ids.size, len(trace.layers)))
     for layer, lt in enumerate(trace.layers):
         z_out = trace.z[layer + 1]
@@ -418,20 +424,11 @@ ANALYSES = {
 
 # --- parser ----------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    def _print_message(self, message, file=None):
-        """argparse's, except that a failed write to stdout (``--help``) raises,
-        for ``run_command`` to report, where argparse drops it."""
-        if file is not sys.stdout:
-            return super()._print_message(message, file)
-        file.write(message)
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``moe-lens`` parser, built once per process and shared by every
     ``run_command`` call, of which a report makes one per step."""
-    parser = _Parser(prog="moe-lens", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="moe-lens", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("synth", help="generate a synthetic checkpoint")
@@ -493,26 +490,30 @@ def run_command(argv: list[str], loaded: Context | None = None) -> int:
     A report passes its ``loaded`` inputs to each step, whose artifacts join
     the report's.  Without them a command loads its own inputs, writes its
     artifacts once it has returned, so a command that fails writes nothing,
-    then prints its ``lines`` and a ``wrote`` line per artifact."""
-    parser = build_parser()
+    then prints its ``lines`` and a ``wrote`` line per artifact.  argparse's
+    own stdout (``--help``) is captured and printed here too, so a stdout
+    that fails to take any of it ends in one ``error:`` line and exit 1."""
+    captured = io.StringIO()
     try:
         try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:  # argparse printed --help, or a usage error
-            sys.stdout.flush()
-            return int(exc.code or 0)
-        ctx = _load_context(args, argv, loaded)
-        args.func(ctx)
-        writes = ctx.writes if loaded is None else []
-        for path, blob in writes:
-            atomic_write_bytes(path, blob)
-        for line in ctx.lines + [f"wrote {path}" for path, _ in writes]:
+            with contextlib.redirect_stdout(captured):
+                args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse printed --help, or a usage error to stderr
+            status, lines = int(exc.code or 0), captured.getvalue().splitlines()
+        else:
+            ctx = _load_context(args, argv, loaded)
+            args.func(ctx)
+            writes = ctx.writes if loaded is None else []
+            for path, blob in writes:
+                atomic_write_bytes(path, blob)
+            status, lines = 0, ctx.lines + [f"wrote {path}" for path, _ in writes]
+        for line in lines:
             print(line)
         sys.stdout.flush()
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
+    return status
 
 
 def main() -> int:

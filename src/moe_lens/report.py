@@ -12,7 +12,6 @@ import functools
 import hashlib
 import math
 import shlex
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,26 +32,18 @@ def _shell_word(arg: str) -> str:
     return f"$'{escaped}'"
 
 
-@dataclass
-class Provenance:
-    """What produced an artifact: the command line and input digests.  The
-    analyses draw no random numbers, so the ``seed:`` line is always ``-``."""
-
-    command: list[str]
-    inputs: dict[str, str] = field(default_factory=dict)
-
-    def lines(self) -> list[str]:
-        out = [f"moe-lens {__version__}",
-               f"command: {' '.join(map(_shell_word, self.command))}"]
-        for name in sorted(self.inputs):
-            out.append(f"{name}: sha256:{self.inputs[name]}")
-        out.append("seed: -")
-        return out
+def provenance(command: list[str], inputs: dict[str, str]) -> list[str]:
+    """A command's provenance lines, the header of each of its artifacts: the
+    tool version, the command line, the input digests by name, and ``seed: -``,
+    since the analyses draw no random numbers."""
+    return [f"moe-lens {__version__}", f"command: {' '.join(map(_shell_word, command))}",
+            *(f"{name}: sha256:{inputs[name]}" for name in sorted(inputs)), "seed: -"]
 
 
-def _comment_lines(provenance: Provenance, comments: list[str] | None) -> list[str]:
-    """An artifact's ``# ``-prefixed header: the provenance lines, then ``comments``."""
-    return [f"# {line}" for line in [*provenance.lines(), *(comments or [])]]
+def _text(header: list[str], comments: list[str] | None, lines) -> bytes:
+    """A text artifact: ``header`` and ``comments`` as ``# `` lines, then ``lines``."""
+    text = "\n".join([*(f"# {line}" for line in [*header, *(comments or [])]), *lines])
+    return (text + "\n").encode("utf-8")
 
 
 def file_digest(path) -> str:
@@ -80,15 +71,12 @@ def format_cell(value) -> str:
     return "0.000000" if text == "-0.000000" else text
 
 
-def emit_csv(path, provenance: Provenance, columns: list[str], rows,
+def emit_csv(path, header: list[str], columns: list[str], rows,
              extra_comments: list[str] | None = None) -> list[tuple[str, bytes]]:
-    """Render a table with ``# ``-prefixed provenance comments and a label
-    header; returns ``[(path, bytes)]``."""
-    lines = _comment_lines(provenance, extra_comments)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(format_cell(cell) for cell in row))
-    return [(path, ("\n".join(lines) + "\n").encode("utf-8"))]
+    """Render a table under the ``header`` lines and ``extra_comments``, then
+    its label row; returns ``[(path, bytes)]``."""
+    return [(path, _text(header, extra_comments, [
+        ",".join(columns), *(",".join(format_cell(cell) for cell in row) for row in rows)]))]
 
 
 def matrix_comments(sim) -> list[str]:
@@ -108,7 +96,7 @@ def _levels() -> np.ndarray:
     return np.vstack([ramp, np.zeros(3)]).astype(np.uint8)
 
 
-def emit_heatmap(path, provenance: Provenance, values: np.ndarray,
+def emit_heatmap(path, header: list[str], values: np.ndarray,
                  value_range: tuple[float, float], cell: int = 16,
                  extra_comments: list[str] | None = None) -> list[tuple[str, bytes]]:
     """Render a matrix as a binary P6 image, one ``cell`` x ``cell`` block per
@@ -139,21 +127,19 @@ def emit_heatmap(path, provenance: Provenance, values: np.ndarray,
     level[masked] = len(table) - 1
     pixels = np.repeat(np.repeat(table[level], cell, axis=0), cell, axis=1)
     blob = b"P6\n%d %d\n255\n" % (n_cols * cell, n_rows * cell) + pixels.tobytes()
-    side = _comment_lines(provenance, extra_comments)
-    side.append(f"range: {format_cell(lo)} {format_cell(hi)}")
-    side.append(f"cell: {cell}")
-    side.append(f"shape: {n_rows} {n_cols}")
-    return [(path, blob), (f"{path}.range.txt", ("\n".join(side) + "\n").encode("utf-8"))]
+    side = [f"range: {format_cell(lo)} {format_cell(hi)}", f"cell: {cell}",
+            f"shape: {n_rows} {n_cols}"]
+    return [(path, blob), (f"{path}.range.txt", _text(header, extra_comments, side))]
 
 
-def emit_matrix(stem, provenance: Provenance, labels: list[str], values: np.ndarray,
+def emit_matrix(stem, header: list[str], labels: list[str], values: np.ndarray,
                 value_range: tuple[float, float], comments: list[str],
                 cell: int) -> list[tuple[str, bytes]]:
     """Render a labeled square matrix as ``<stem>.csv`` (first column the row
     label) and as the ``<stem>.ppm`` heatmap with its range sidecar."""
-    return [*emit_csv(f"{stem}.csv", provenance, ["", *labels],
+    return [*emit_csv(f"{stem}.csv", header, ["", *labels],
                       ([label, *row] for label, row in zip(labels, values)), comments),
-            *emit_heatmap(f"{stem}.ppm", provenance, values, value_range, cell, comments)]
+            *emit_heatmap(f"{stem}.ppm", header, values, value_range, cell, comments)]
 
 
 def metric_range(metric: str) -> tuple[float, float]:

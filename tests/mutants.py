@@ -71,28 +71,29 @@ COUNT = "np.count_nonzero((perm[:, None] < perm) & later)"
 ROW_CERTIFICATE = "(score <= diagonal[:, None]).all()"
 EITHER_CERTIFICATE = "(score <= diagonal[:, None]).all() or (score <= diagonal).all()"
 FLAT_BOUND = "bound = (x.size + 2) * np.finfo(np.float64).eps"
-# run_command's stdout lines and flush, inside its handled path and after it.
+# run_command's stdout lines (captured --help, or a command's lines) and
+# flush, inside its handled path and after it.
 STDOUT_ERROR = """    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 """
-STDOUT_IN_TRY = """        for line in ctx.lines + [f"wrote {path}" for path, _ in writes]:
+STDOUT_IN_TRY = """        for line in lines:
             print(line)
         sys.stdout.flush()
 """ + STDOUT_ERROR
-STDOUT_AFTER_TRY = STDOUT_ERROR + """    for line in ctx.lines + [f"wrote {path}" for path, _ in writes]:
+STDOUT_AFTER_TRY = STDOUT_ERROR + """    for line in lines:
         print(line)
     sys.stdout.flush()
 """
 # run_command's writes, then its stdout lines; and the command's lines moved first.
-WRITES_THEN_LINES = """        for path, blob in writes:
-            atomic_write_bytes(path, blob)
-        for line in ctx.lines + ["""
-LINES_THEN_WRITES = """        for line in ctx.lines:
-            print(line)
-        for path, blob in writes:
-            atomic_write_bytes(path, blob)
-        for line in ["""
+WRITES_THEN_LINES = """            for path, blob in writes:
+                atomic_write_bytes(path, blob)
+            status, lines = 0, ctx.lines + ["""
+LINES_THEN_WRITES = """            for line in ctx.lines:
+                print(line)
+            for path, blob in writes:
+                atomic_write_bytes(path, blob)
+            status, lines = 0, ["""
 SYNTH_WRITE = "ctx.writes.append((os.path.join(args.out, name), serialize_checkpoint(ckpt)))"
 
 MUTANTS = [
@@ -255,15 +256,26 @@ MUTANTS = [
            ("tests/test_cli_report.py", "-k", "synth"),
            "a synth whose write fails leaves stdout naming the digests of files that "
            "do not exist"),
-    Mutant("help-write-dropped", "cli.py", "if file is not sys.stdout:", "if True:",
-           ("tests/test_cli_report.py", "-k", "help"),
-           "argparse drops a failed write of --help to an unbuffered stdout, which then "
-           "exits 0"),
-    Mutant("help-unflushed", "cli.py",
-           "            sys.stdout.flush()\n            return int(exc.code or 0)",
-           "            return int(exc.code or 0)", ("tests/test_cli_report.py", "-k", "help"),
+    Mutant("help-write-dropped", "cli.py", "with contextlib.redirect_stdout(captured):",
+           "with contextlib.nullcontext():", ("tests/test_cli_report.py", "-k", "help"),
+           "argparse writes --help itself and drops a failed write to an unbuffered "
+           "stdout, which then exits 0"),
+    Mutant("help-unflushed", "cli.py", "            print(line)\n        sys.stdout.flush()\n",
+           "            print(line)\n", ("tests/test_cli_report.py", "-k", "help"),
            "--help that a buffered stdout holds fails only in main's last flush, whose "
            "fallback drops it, so it exits 0"),
+    Mutant("trace-ref-traced", "cli.py", "else replace(ctx, reference=None)).corpus_trace()",
+           "else ctx).corpus_trace()", ("tests/test_cli_report.py", "-k", "trace_ref_stamps"),
+           "trace --ref evaluates the reference FFN on every token and layer, and never "
+           "reads its output"),
+    Mutant("trace-ref-unchecked", "cli.py",
+           "        ctx.model.config.check_reference(ctx.reference.config)\n",
+           "        pass\n", ("tests/test_cli_report.py", "-k", "partly_gated_reference"),
+           "trace --ref stamps a reference that every other reader refuses"),
+    Mutant("header-inputs-unsorted", "report.py", "for name in sorted(inputs)",
+           "for name in inputs", ("tests/test_cli_report.py", "-k", "provenance"),
+           "the input digests follow the order the command read its inputs in, not "
+           "their names"),
     Mutant("report-gate-corr-on-two-experts", "cli.py", "which=True, min_experts=3)",
            "which=True)", REPORT_STEPS,
            "a report on a model of at most two experts per layer runs gate-corr, which "

@@ -23,8 +23,8 @@ from conftest import SCIPY_MODULES, kendall_ref, run_isolated, write_corpus
 import moe_lens
 from moe_lens import ModelConfig
 from moe_lens.cli import ANALYSES, build_parser, run_command
-from moe_lens.report import (Provenance, emit_csv, emit_heatmap, file_digest, format_cell,
-                             metric_range)
+from moe_lens.report import (emit_csv, emit_heatmap, file_digest, format_cell, metric_range,
+                             provenance)
 from moe_lens.synth import SynthSpec, synth_permuted_clone_model
 from moe_lens.tensor_store import (build_checkpoint, dump_checkpoint, ffn_prefixes,
                                    read_checkpoint, required_tensor_shapes)
@@ -117,9 +117,8 @@ def test_metric_range():
 # --- provenance --------------------------------------------------------------
 
 def test_provenance_lines_order_and_seed():
-    prov = Provenance(command=["moe-lens", "synth", "--seed", "5"],
-                      inputs={"model": "ab" * 32, "corpus": "cd" * 32})
-    lines = prov.lines()
+    lines = provenance(["moe-lens", "synth", "--seed", "5"],
+                       {"model": "ab" * 32, "corpus": "cd" * 32})
     assert lines[0] == "moe-lens 0.1.0"
     assert lines[1] == "command: moe-lens synth --seed 5"
     assert lines[2].startswith("corpus: sha256:")  # sorted input names
@@ -128,27 +127,44 @@ def test_provenance_lines_order_and_seed():
 
 
 def test_provenance_seedless_dash():
-    assert Provenance(command=["moe-lens"]).lines()[-1] == "seed: -"
+    assert provenance(["moe-lens"], {})[-1] == "seed: -"
 
 
 def test_provenance_quotes_awkward_arguments():
-    prov = Provenance(command=["moe-lens", "synth", "--out", "a dir"])
-    assert "'a dir'" in prov.lines()[1]
+    assert "'a dir'" in provenance(["moe-lens", "synth", "--out", "a dir"], {})[1]
 
 
 def test_provenance_command_without_line_break_keeps_shlex_bytes():
     command = ["moe-lens", "pca", "--out", "a dir", "it's", "back\\slash", "$'x'", "\t"]
-    assert Provenance(command=command).lines()[1] == f"command: {shlex.join(command)}"
+    assert provenance(command, {})[1] == f"command: {shlex.join(command)}"
 
 
 def test_provenance_command_with_line_breaks_stays_one_line():
     command = ["moe-lens", "gate-sim", "--out", "nl\nx", "a'b\\c\r\nd"]
-    line = Provenance(command=command).lines()[1]
+    line = provenance(command, {})[1]
     assert line == "command: moe-lens gate-sim --out $'nl\\nx' $'a\\'b\\\\c\\r\\nd'"
     if shutil.which("bash"):  # the ANSI-C quoting gives the words back
         shell = subprocess.run(["bash", "-c", "printf '%s\\0' " + line[len("command: "):]],
                                capture_output=True, check=True).stdout
         assert shell.decode().split("\0")[:-1] == command
+
+
+def test_every_artifact_of_one_command_carries_the_same_header(workspace, tmp_path):
+    """Each table and each range sidecar of one command opens with the same
+    provenance block, that of the command's inputs."""
+    out = tmp_path / "out"
+    argv = ["matrix-sim", "--model", workspace["up"], "--ref", workspace["ref"],
+            "--which", "up", "--out", str(out)]
+    assert run_command(argv) == 0
+    header = [f"# {line}" for line in provenance(
+        ["moe-lens", *argv], {"model": read_checkpoint(workspace["up"]).digest,
+                              "reference": read_checkpoint(workspace["ref"]).digest})]
+    names = sorted(p.name for p in out.iterdir() if p.suffix in (".csv", ".txt"))
+    assert names == [f"matrix-sim-layer{layer}-up{suffix}" for layer in (0, 1)
+                     for suffix in (".csv", ".ppm.range.txt")]
+    assert all(read_lines(out / name)[:len(header)] == header for name in names)
+    assert all(not read_lines(out / name)[len(header)].startswith(("# moe-lens", "# command:"))
+               for name in names)
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r"], ids=["lf", "cr"])
@@ -177,8 +193,8 @@ def rendered(pairs, path) -> bytes:
 
 def test_emit_csv_layout(tmp_path):
     path = tmp_path / "t.csv"
-    prov = Provenance(command=["moe-lens", "x"])
-    blob = rendered(emit_csv(path, prov, ["a", "b"], [[1, 0.5], ["z", None]],
+    header = provenance(["moe-lens", "x"], {})
+    blob = rendered(emit_csv(path, header, ["a", "b"], [[1, 0.5], ["z", None]],
                              extra_comments=["note: hi"]), path)
     lines = blob.decode("utf-8").splitlines()
     assert lines[0] == "# moe-lens 0.1.0"
@@ -194,7 +210,7 @@ def test_emit_csv_layout(tmp_path):
 def test_emit_csv_atomic(tmp_path):
     # emit_csv renders one artifact and writes nothing; run_command writes it.
     path = tmp_path / "t.csv"
-    pairs = emit_csv(path, Provenance(command=["c"]), ["a"], [[1]])
+    pairs = emit_csv(path, provenance(["c"], {}), ["a"], [[1]])
     assert [p for p, _ in pairs] == [path]
     assert list(tmp_path.iterdir()) == []
 
@@ -224,7 +240,7 @@ def test_colormap_rejects_empty_range():
 
 def test_emit_heatmap_pixels(tmp_path):
     path = tmp_path / "m.ppm"
-    pairs = emit_heatmap(path, Provenance(command=["c"]), np.array([[0.0, 1.0]]),
+    pairs = emit_heatmap(path, provenance(["c"], {}), np.array([[0.0, 1.0]]),
                          (0.0, 1.0), cell=2)
     assert [p for p, _ in pairs] == [path, f"{path}.range.txt"]
     blob = rendered(pairs, path)
@@ -240,7 +256,7 @@ def test_emit_heatmap_pixels(tmp_path):
 
 def test_emit_heatmap_identity_extremes(tmp_path):
     path = tmp_path / "i.ppm"
-    blob = rendered(emit_heatmap(path, Provenance(command=["c"]), np.eye(2), (0.0, 1.0),
+    blob = rendered(emit_heatmap(path, provenance(["c"], {}), np.eye(2), (0.0, 1.0),
                                  cell=16), path)
     body = blob[len(b"P6\n32 32\n255\n"):]
     assert body[:3] == LIGHT            # top-left block is the diagonal
@@ -249,7 +265,7 @@ def test_emit_heatmap_identity_extremes(tmp_path):
 
 def test_emit_heatmap_nan_is_black(tmp_path):
     path = tmp_path / "n.ppm"
-    blob = rendered(emit_heatmap(path, Provenance(command=["c"]),
+    blob = rendered(emit_heatmap(path, provenance(["c"], {}),
                                  np.array([[float("nan")]]), (0.0, 1.0), cell=1), path)
     assert blob == b"P6\n1 1\n255\n" + bytes((0, 0, 0))
 
@@ -257,8 +273,8 @@ def test_emit_heatmap_nan_is_black(tmp_path):
 def test_emit_heatmap_rerun_byte_identical(tmp_path, rng):
     path = tmp_path / "r.ppm"
     vals = rng.normal(size=(3, 4))
-    first = emit_heatmap(path, Provenance(command=["c"]), vals, (-1.0, 1.0))
-    assert emit_heatmap(path, Provenance(command=["c"]), vals, (-1.0, 1.0)) == first
+    first = emit_heatmap(path, provenance(["c"], {}), vals, (-1.0, 1.0))
+    assert emit_heatmap(path, provenance(["c"], {}), vals, (-1.0, 1.0)) == first
 
 
 @pytest.mark.parametrize("value_range", [(0.0, 1.0), (-1.0, 1.0), (0.0, 37.0)])
@@ -274,7 +290,7 @@ def test_emit_heatmap_matches_per_cell_colormap(tmp_path, rng, value_range):
     values = np.concatenate([rng.uniform(lo - 0.1, hi + 0.1, 249), halves, special])
     values = rng.permutation(values).reshape(16, 32)
     path = tmp_path / "m.ppm"
-    blob = rendered(emit_heatmap(path, Provenance(command=["c"]), values, value_range, cell=3),
+    blob = rendered(emit_heatmap(path, provenance(["c"], {}), values, value_range, cell=3),
                     path)
     want = b"".join(b"".join(colormap(float(v), lo, hi) * 3 for v in row) * 3
                     for row in values)
@@ -284,10 +300,10 @@ def test_emit_heatmap_matches_per_cell_colormap(tmp_path, rng, value_range):
 def test_emit_heatmap_empty_range(tmp_path):
     """An empty range is refused, as colormap refuses it, unless every cell
     is masked and so needs no range."""
-    prov = Provenance(command=["c"])
+    header = provenance(["c"], {})
     with pytest.raises(ValueError, match="empty value range"):
-        emit_heatmap(tmp_path / "x.ppm", prov, np.array([[np.nan, 0.0]]), (1.0, 1.0))
-    blob = rendered(emit_heatmap(tmp_path / "n.ppm", prov, np.full((1, 2), np.nan), (1.0, 1.0),
+        emit_heatmap(tmp_path / "x.ppm", header, np.array([[np.nan, 0.0]]), (1.0, 1.0))
+    blob = rendered(emit_heatmap(tmp_path / "n.ppm", header, np.full((1, 2), np.nan), (1.0, 1.0),
                                  cell=1), tmp_path / "n.ppm")
     assert blob == b"P6\n2 1\n255\n" + bytes(6)
 
@@ -295,19 +311,19 @@ def test_emit_heatmap_empty_range(tmp_path):
 def test_emit_heatmap_refuses_a_range_whose_width_overflows(tmp_path):
     """The width of (-1e308, 1e308) is inf, so 1e308 has no place on the ramp."""
     with pytest.raises(ValueError, match=r"^value range -1e\+308, 1e\+308 overflows$"):
-        emit_heatmap(tmp_path / "x.ppm", Provenance(command=["c"]), np.array([[1e308, 0.0]]),
+        emit_heatmap(tmp_path / "x.ppm", provenance(["c"], {}), np.array([[1e308, 0.0]]),
                      (-1e308, 1e308))
     assert os.listdir(tmp_path) == []
 
 
 def test_emit_heatmap_rejects_bad_input(tmp_path):
-    prov = Provenance(command=["c"])
+    header = provenance(["c"], {})
     with pytest.raises(ValueError, match="non-empty 2-d"):
-        emit_heatmap(tmp_path / "x.ppm", prov, np.zeros((0, 2)), (0, 1))
+        emit_heatmap(tmp_path / "x.ppm", header, np.zeros((0, 2)), (0, 1))
     with pytest.raises(ValueError, match="non-empty 2-d"):
-        emit_heatmap(tmp_path / "x.ppm", prov, np.zeros(4), (0, 1))
+        emit_heatmap(tmp_path / "x.ppm", header, np.zeros(4), (0, 1))
     with pytest.raises(ValueError, match="cell size"):
-        emit_heatmap(tmp_path / "x.ppm", prov, np.eye(2), (0, 1), cell=0)
+        emit_heatmap(tmp_path / "x.ppm", header, np.eye(2), (0, 1), cell=0)
 
 
 # --- synth command ---------------------------------------------------------------
@@ -739,6 +755,29 @@ def test_trace_consistency_table(workspace, tmp_path):
     data = [l for l in lines if not l.startswith("#")]
     assert data[0] == "token_index,token_id,layer,rel_err"
     assert len(data) == 1 + 10 * 2  # 10 corpus tokens x 2 layers
+
+
+def test_trace_ref_stamps_the_reference_but_does_not_trace_it(workspace, tmp_path,
+                                                               monkeypatch):
+    """``trace --ref`` evaluates the FFNs that ``trace`` evaluates, no reference
+    FFN, and its table differs only in its ``# command:`` and ``# reference:`` lines."""
+    import moe_lens.moe_core as moe_core
+    expert_forward, evals, tables = moe_core.expert_forward, [], []
+
+    def counted(*args):
+        evals[-1] += 1
+        return expert_forward(*args)
+    monkeypatch.setattr(moe_core, "expert_forward", counted)
+    for ref in ([], ["--ref", workspace["ref"]]):
+        evals.append(0)
+        out = tmp_path / f"out{len(tables)}"
+        assert run_command(["trace", "--model", workspace["up"], *ref,
+                            "--corpus", workspace["corpus"], "--out", str(out)]) == 0
+        tables.append(read_lines(out / "trace-consistency.csv"))
+    assert evals[0] > 0 and evals[1] == evals[0]
+    assert [line for line in tables[1] if line.startswith("# reference: sha256:")]
+    assert [line for line in tables[0] if not line.startswith("# command:")] == \
+        [line for line in tables[1] if not line.startswith(("# command:", "# reference:"))]
 
 
 def max_rel_err(path):

@@ -18,7 +18,7 @@ import checkpoint_oracle
 import moe_lens
 from moe_lens import ModelConfig, tensor_store
 from moe_lens.config import ACTIVATIONS, GATING_ORDERS
-from moe_lens.report import Provenance, emit_csv
+from moe_lens.report import emit_csv, provenance
 from moe_lens.tensor_store import (MAGIC, CheckpointError, atomic_write_bytes,
                                    build_checkpoint, dump_checkpoint, parse_checkpoint,
                                    read_checkpoint, required_tensor_shapes,
@@ -727,7 +727,7 @@ def test_atomic_write_never_touches_the_umask(tmp_path, monkeypatch):
     lambda path: dump_checkpoint(build_checkpoint(tiny_config(),
                                                   full_tensor_map(tiny_config())), path),
     # emit_csv renders a table; run_command writes its pair with atomic_write_bytes.
-    lambda path: atomic_write_bytes(*emit_csv(path, Provenance(command=["c"]), ["a"], [[1]])[0]),
+    lambda path: atomic_write_bytes(*emit_csv(path, provenance(["c"], {}), ["a"], [[1]])[0]),
 ], ids=["dump_checkpoint", "emit_csv"])
 def test_failed_rename_leaves_no_tmp(tmp_path, monkeypatch, write):
     def refuse(src, dst):
