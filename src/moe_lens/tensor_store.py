@@ -33,7 +33,8 @@ under ``layers.{i}.shared.{m}``.  A dense layer stores a single
 The config alone fixes the directory: ``_layout`` places the tensors in
 sorted-name order, each range right after the last, 4 bytes per value.  The
 header is the canonical dump (sorted keys, no whitespace) of the config and
-that directory.  The reader accepts a file exactly when its header bytes
+that directory, and ``Checkpoint.tensors`` is the directory itself, the
+header's own entries.  The reader accepts a file exactly when its header bytes
 equal that dump, its payload is exactly the layout's length, and every
 weight is finite, so a file round-trips bit-exactly and one model has one
 file.  A ``Checkpoint`` checks the last two rules whenever one is built, so
@@ -76,13 +77,6 @@ class Expert:
     w_down: np.ndarray
 
 
-@dataclass(frozen=True)
-class TensorMeta:
-    shape: tuple[int, ...]
-    start: int
-    end: int
-
-
 @dataclass
 class Checkpoint:
     """A config and its raw data section, which must be exactly the layout's
@@ -92,15 +86,15 @@ class Checkpoint:
     data: bytes | memoryview
 
     def __post_init__(self):
-        if len(self.data) != max(meta.end for meta in self.tensors.values()):
+        if len(self.data) != max(entry["offsets"][1] for entry in self.tensors.values()):
             raise CheckpointError("header/payload length mismatch")
         for name in self.tensors:
             if not np.isfinite(self.get_tensor(name)).all():
                 raise CheckpointError(f"non-finite value in {name}")
 
     @cached_property
-    def tensors(self) -> dict[str, TensorMeta]:
-        """The tensor directory, which the config fixes."""
+    def tensors(self) -> dict[str, dict]:
+        """The header's tensor directory, which the config fixes."""
         return _layout(self.config)
 
     @cached_property
@@ -113,12 +107,12 @@ class Checkpoint:
 
     def get_tensor(self, name: str) -> np.ndarray:
         """Read-only float32 view of one tensor, reshaped row-major."""
-        meta = self.tensors.get(name)
-        if meta is None:
+        entry = self.tensors.get(name)
+        if entry is None:
             raise CheckpointError(f"missing tensor: {name}")
-        flat = np.frombuffer(self.data, dtype=_F32, count=math.prod(meta.shape),
-                             offset=meta.start)
-        return flat.reshape(meta.shape)
+        flat = np.frombuffer(self.data, dtype=_F32, count=math.prod(entry["shape"]),
+                             offset=entry["offsets"][0])
+        return flat.reshape(entry["shape"])
 
     def ffns(self, layer: int) -> tuple[list[Expert], list[Expert]]:
         """A layer's ``(routed, shared)`` FFNs in ``ffn_prefixes`` order, as read-only views."""
@@ -162,14 +156,15 @@ def required_tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _layout(config: ModelConfig) -> dict[str, TensorMeta]:
-    """Where each tensor's bytes lie: sorted-name order, each range right
-    after the last, 4 bytes per value."""
-    layout: dict[str, TensorMeta] = {}
+def _layout(config: ModelConfig) -> dict[str, dict]:
+    """The header's tensor directory: each name's dtype, shape and byte range,
+    in sorted-name order, each range right after the last, 4 bytes per value."""
+    layout: dict[str, dict] = {}
     cursor = 0
     for name, shape in sorted(required_tensor_shapes(config).items()):
-        layout[name] = TensorMeta(shape=shape, start=cursor, end=cursor + 4 * math.prod(shape))
-        cursor = layout[name].end
+        end = cursor + 4 * math.prod(shape)
+        layout[name] = {"dtype": "f32", "shape": list(shape), "offsets": [cursor, end]}
+        cursor = end
     return layout
 
 
@@ -203,14 +198,8 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _entries(config: ModelConfig) -> dict[str, dict]:
-    """The header's tensor directory, which the config fixes."""
-    return {name: {"dtype": "f32", "shape": list(meta.shape), "offsets": [meta.start, meta.end]}
-            for name, meta in _layout(config).items()}
-
-
 def _header_bytes(config: ModelConfig) -> bytes:
-    return _dump({"__config__": config.to_dict(), "tensors": _entries(config)}).encode("utf-8")
+    return _dump({"__config__": config.to_dict(), "tensors": _layout(config)}).encode("utf-8")
 
 
 def _file_prefix(config: ModelConfig) -> bytes:
@@ -290,7 +279,7 @@ def parse_checkpoint(blob: bytes) -> Checkpoint:
         if not isinstance(header["tensors"], dict):
             raise CheckpointError("malformed header: tensors must be an object")
         got = {name: _dump(entry) for name, entry in header["tensors"].items()}
-        _match_tensors(got, {name: _dump(entry) for name, entry in _entries(config).items()},
+        _match_tensors(got, {name: _dump(entry) for name, entry in _layout(config).items()},
                        "entry")
         raise CheckpointError("malformed header: not in canonical form")
     return Checkpoint(config, data)

@@ -6,8 +6,10 @@ It runs the suite in this process under ``sys.settrace``, with the standard
 library alone, and hypothesis derandomized so that a rerun lists the same
 statements.  A statement counts as run when any line it spans raised a line
 event; docstrings raise none and are not counted.  Code that only
-subprocesses run, such as ``cli.main``, is listed as never run.  pytest does
-not collect this file, since its name does not start with ``test_``.
+subprocesses run would be listed as never run, since the tracer does not
+follow them; ``cli.main`` is run in process too, by the ``main_in_process``
+tests.  pytest does not collect this file, since its name does not start
+with ``test_``.
 """
 
 from __future__ import annotations

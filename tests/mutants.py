@@ -178,10 +178,15 @@ MUTANTS = [
            ("tests/test_tensor_store.py", "-k", "non_finite"),
            "the writer packs and the reader accepts NaN and infinite weights"),
     Mutant("checkpoint-length-unchecked", "tensor_store.py",
-           "if len(self.data) != max(meta.end for meta in self.tensors.values()):", "if False:",
-           ("tests/test_tensor_store.py", "-k", "truncated or trailing"),
+           'if len(self.data) != max(entry["offsets"][1] for entry in self.tensors.values()):',
+           "if False:", ("tests/test_tensor_store.py", "-k", "truncated or trailing"),
            "a payload longer than the layout is accepted, and a shorter one fails "
            "with numpy's error, not the reader's"),
+    Mutant("tensor-read-from-range-end", "tensor_store.py",
+           'offset=entry["offsets"][0])', 'offset=entry["offsets"][1])',
+           ("tests/test_synth.py",),
+           "each tensor is read from the bytes after its own range, and the last one "
+           "past the data section"),
     Mutant("canonical-header-unchecked", "tensor_store.py",
            "if raw != _header_bytes(config):", "if False:",
            ("tests/test_tensor_store.py", "-k", "canonical"),

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import builtins
+import gc
 import hashlib
 import itertools
 import json
@@ -1059,6 +1060,46 @@ def test_main_freezes_the_import_graph(tmp_path):
     """))
 
 
+def test_main_in_process_prints_help(monkeypatch, capsys):
+    from moe_lens import cli
+    monkeypatch.setattr(sys, "argv", ["moe-lens", "--help"])
+    try:
+        assert cli.main() == 0
+    finally:
+        gc.unfreeze()
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: ") and err == ""
+
+
+def test_main_in_process_points_a_failed_stdout_at_devnull(monkeypatch, capsys, tmp_path):
+    """When stdout cannot flush, ``main`` reports it once and points stdout's
+    descriptor at ``os.devnull``, so the flush at exit has nothing to fail on."""
+    from moe_lens import cli
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT, 0o600)
+
+    class FailingStdout:
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            raise OSError(28, "No space left on device")
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(sys, "stdout", FailingStdout())
+    monkeypatch.setattr(sys, "argv", ["moe-lens", "--help"])
+    try:
+        assert cli.main() == 1
+        devnull = os.stat(os.devnull)
+        assert (os.fstat(fd).st_dev, os.fstat(fd).st_ino) == (devnull.st_dev, devnull.st_ino)
+    finally:
+        gc.unfreeze()
+        os.close(fd)
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert (tmp_path / "stdout").read_bytes() == b""
+
+
 def cli_process(args, unbuffered: bool, stdout=subprocess.PIPE):
     """``python -m moe_lens.cli ARGS`` in a child whose stdout is unbuffered
     or block-buffered (``PYTHONUNBUFFERED`` set or removed)."""
@@ -1508,9 +1549,9 @@ def test_non_finite_weight_fails_cleanly(tmp_path, capsys):
     assert run_command(["synth", "--mode", "scratch", "--seed", "5", "--out", str(tmp_path),
                         "--layers", "1", "--d-hid", "8", "--d-mid", "8", "--vocab", "7"]) == 0
     ckpt = read_checkpoint(tmp_path / "model.moel")
-    meta = ckpt.tensors["layers.0.experts.1.w_up"]
+    start = ckpt.tensors["layers.0.experts.1.w_up"]["offsets"][0]
     data = bytearray(ckpt.data)
-    data[meta.start:meta.start + 4] = np.float32("nan").tobytes()
+    data[start:start + 4] = np.float32("nan").tobytes()
     ckpt.data = bytes(data)
     (tmp_path / "nan.moel").write_bytes(serialize_checkpoint(ckpt))
     capsys.readouterr()

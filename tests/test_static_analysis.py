@@ -1133,6 +1133,11 @@ def test_dbscan_min_pts_one_never_flags(rng):
     assert dbscan_outliers(pts, eps=1e-6, min_pts=1) == set()
 
 
+def test_dbscan_refuses_min_pts_below_one():
+    with pytest.raises(ValueError, match="^min_pts must be at least 1$"):
+        dbscan_outliers([np.zeros(2)] * 3, eps=1.0, min_pts=0)
+
+
 def test_dbscan_border_point_not_noise():
     # Chain where the middle point makes both ends border points of one cluster.
     pts = [np.array([0.0]), np.array([1.0]), np.array([2.0])]

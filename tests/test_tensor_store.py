@@ -19,6 +19,8 @@ import moe_lens
 from moe_lens import ModelConfig, tensor_store
 from moe_lens.config import ACTIVATIONS, GATING_ORDERS
 from moe_lens.report import emit_csv, provenance
+from moe_lens.synth import (SYNTH_MODES, SynthSpec, synth_permuted_clone_model, synth_scratch,
+                            synth_upcycled)
 from moe_lens.tensor_store import (MAGIC, CheckpointError, atomic_write_bytes,
                                    build_checkpoint, dump_checkpoint, parse_checkpoint,
                                    read_checkpoint, required_tensor_shapes,
@@ -71,8 +73,8 @@ def test_byte_range_length_matches_shape():
     # 3x2 float32 tensor occupies exactly 24 bytes.
     config = tiny_config()
     ckpt = build_checkpoint(config, full_tensor_map(config))
-    meta = ckpt.tensors["layers.0.experts.0.w_down"]  # shape [2, 3]
-    assert meta.end - meta.start == 4 * 2 * 3 == 24
+    start, end = ckpt.tensors["layers.0.experts.0.w_down"]["offsets"]  # shape [2, 3]
+    assert end - start == 4 * 2 * 3 == 24
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -294,7 +296,8 @@ def test_read_rejects_non_finite_payload(value):
     ckpt = build_checkpoint(config, full_tensor_map(config))
     blob = bytearray(serialize_checkpoint(ckpt))
     # Element [2, 1] of a [3, 2] tensor, patched in the serialized data section.
-    at = len(blob) - len(ckpt.data) + ckpt.tensors["layers.0.experts.1.w_up"].start + 4 * 5
+    start = ckpt.tensors["layers.0.experts.1.w_up"]["offsets"][0]
+    at = len(blob) - len(ckpt.data) + start + 4 * 5
     blob[at:at + 4] = np.float32(value).tobytes()
     with pytest.raises(CheckpointError, match="non-finite value in layers.0.experts.1.w_up"):
         parse_checkpoint(bytes(blob))
@@ -553,6 +556,20 @@ def test_header_is_the_dump_of_the_config_layout():
         cursor = entry["offsets"][1]
     assert cursor == len(data)
     assert header["__config__"] == config.to_dict()
+
+
+@pytest.mark.parametrize("mode", SYNTH_MODES)
+def test_checkpoint_tensors_are_the_header_entries(mode):
+    """``Checkpoint.tensors`` is the header's directory itself, written and read."""
+    config = ModelConfig(num_layers=3, experts_per_layer=[4, 1, 3], num_shared=[1, 0, 0],
+                         top_k=2, d_hid=4, d_mid=6, vocab=7)
+    spec = SynthSpec(config=config, mode=mode, seed=3)
+    built = {"scratch": synth_scratch, "upcycled": lambda s: synth_upcycled(s)[0],
+             "permuted_clone": lambda s: synth_permuted_clone_model(s)[0]}[mode](spec)
+    blob = serialize_checkpoint(built)
+    header, _ = _header_and_data(blob)
+    assert built.tensors == header["tensors"]
+    assert parse_checkpoint(blob).tensors == header["tensors"]
 
 
 def test_config_validation_round_trip():
