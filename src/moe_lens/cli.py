@@ -522,7 +522,9 @@ def main() -> int:
     try:
         sys.stdout.flush()
     except OSError:  # run_command reported it; drop what stdout holds, or exit's flush fails too
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return status
 
 

@@ -19,8 +19,8 @@ is its own index, or every b-neuron's is), and one count of the discordant
 pairs of a non-identity permutation, for Kendall's tau.  PCA takes its few
 components from the eigenvectors of the smaller Gram matrix of the population
 (features x features for neurons, experts x experts for whole matrices), not
-from an SVD of the whole population.  DBSCAN counts its eps-balls in numpy,
-over dense tiles of points sorted by their widest coordinate.
+from an SVD of the whole population.  DBSCAN sorts its cloud once along its
+widest coordinate and counts eps-balls in numpy over slices of that order.
 """
 
 from __future__ import annotations
@@ -520,52 +520,43 @@ def reconstruct(projection: Projection) -> np.ndarray:
     return work + projection.center
 
 
-_BALL_BLOCK = 64  # points per tile row
-_BALL_TILE_MAX = 4096  # centers per tile column, bounding a tile's memory
+_BALL_BLOCK = 64  # points per block
+_BALL_TILE = 256  # centers per tile, bounding a tile's memory
 
 
-def _balls_hold(points: np.ndarray, centers: np.ndarray, eps: float,
-                need: int) -> np.ndarray:
+def _balls_hold(points: np.ndarray, centers: np.ndarray, eps: float, need: int,
+                axis: int) -> np.ndarray:
     """Whether the eps-ball of each row of ``points`` holds at least ``need``
     rows of ``centers``: a center is inside when sqrt(sum(d * d)) <= eps over
     the coordinate differences d, summed in coordinate order.
 
-    Both sets are sorted by the coordinate along which the centers spread
-    widest (``np.ptp``, the first among ties).  Each block of _BALL_BLOCK
-    sorted points meets, as dense tiles of doubling width, the centers whose
-    sorted coordinate lies within ``reach`` of the block's range, up from its
-    lowest coordinate and then down, and stops once every point holds
-    ``need`` centers.  The range only preselects: every rounded difference,
-    along any coordinate, of a pair the test accepts is below ``reach``, and
-    rounding is monotone, so bounds shifted by ``reach`` never drop a center
-    the test keeps.  The coordinate decides only the work: a cloud crowded
-    along it is counted nearly pair by pair.
+    Both sets come sorted along coordinate ``axis``.  Each block of
+    _BALL_BLOCK points meets, in slices of _BALL_TILE, the centers whose
+    coordinate lies within ``reach`` of the block's range, and stops once
+    every point holds ``need`` centers.  The range only preselects: every
+    rounded difference, along any coordinate, of a pair the test accepts is
+    below ``reach``, and rounding is monotone, so bounds shifted by ``reach``
+    never drop a center the test keeps.
     """
     held = np.zeros(len(points), dtype=bool)
     # The floor keeps ``reach`` conservative where eps * eps underflows.
     reach = max(eps * (1.0 + 2.0 ** -20), 2.0 ** -510)
-    axis = int(np.ptp(centers, axis=0).argmax()) if len(centers) else 0
-    cols = np.ascontiguousarray(centers[np.argsort(centers[:, axis], kind="stable")].T)
-    order = np.argsort(points[:, axis], kind="stable")
-    point_cols = np.ascontiguousarray(points[order].T)
+    cols = np.ascontiguousarray(centers.T)
+    point_cols = np.ascontiguousarray(points.T)
     for lo in range(0, len(points), _BALL_BLOCK):
         block = point_cols[:, lo:lo + _BALL_BLOCK]
-        low, high = block[axis, 0], block[axis, -1]
-        start = np.searchsorted(cols[axis], low - reach)
-        mid = np.searchsorted(cols[axis], low)
-        stop = np.searchsorted(cols[axis], high + reach, "right")
-        candidates = np.concatenate([np.arange(mid, stop), np.arange(mid - 1, start - 1, -1)])
+        start = np.searchsorted(cols[axis], block[axis, 0] - reach)
+        stop = np.searchsorted(cols[axis], block[axis, -1] + reach, "right")
         count = np.zeros(block.shape[1], dtype=np.int64)
-        done, width = 0, _BALL_BLOCK
-        while done < len(candidates) and count.min() < need:
-            tile = cols[:, candidates[done:done + width]]
+        for first in range(start, stop, _BALL_TILE):
+            tile = cols[:, first:min(first + _BALL_TILE, stop)]
             total = np.subtract.outer(block[0], tile[0]) ** 2
             for k in range(1, len(block)):
                 total += np.subtract.outer(block[k], tile[k]) ** 2
             count += np.count_nonzero(np.sqrt(total) <= eps, axis=1)
-            done += width
-            width = min(2 * width, _BALL_TILE_MAX)
-        held[order[lo:lo + _BALL_BLOCK]] = count >= need
+            if count.min() >= need:
+                break
+        held[lo:lo + _BALL_BLOCK] = count >= need
     return held
 
 
@@ -577,16 +568,20 @@ def dbscan_outliers(points, eps: float, min_pts: int = 2) -> set:
     point is noise when it is not core and no core point lies within ``eps``
     of it, so two ball counts decide it without labelling any cluster: every
     point against every point, then the non-core points against the core
-    ones.  Both counts stop at what they need to know (``_balls_hold``), in
-    numpy alone.  With min_pts=1 every point is core, so nothing is flagged.
+    ones.  Both count, in numpy alone, over the cloud sorted once along the
+    coordinate it spreads widest on (``np.ptp``, the first among ties), and
+    stop at what they need to know (``_balls_hold``); the coordinate decides
+    only the work.  With min_pts=1 every point is core, so nothing is flagged.
     """
     data = np.asarray(points, dtype=np.float64)
-    data = data.reshape(data.shape[0], -1)
+    data = data.reshape(len(data), np.prod(data.shape[1:], dtype=int))  # -1 fails when empty
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite: {eps}")
     if min_pts < 1:
         raise ValueError("min_pts must be at least 1")
-    core = _balls_hold(data, data, eps, min_pts)
+    axis = int(np.ptp(data, axis=0).argmax()) if len(data) else 0
+    order = np.argsort(data[:, axis], kind="stable")
+    data = data[order]  # subsets taken in order stay sorted
+    core = _balls_hold(data, data, eps, min_pts, axis)
     rest = np.flatnonzero(~core)
-    return set(rest[~_balls_hold(data[rest], data[core], eps, 1)].tolist())
-
+    return set(order[rest[~_balls_hold(data[rest], data[core], eps, 1, axis)]].tolist())

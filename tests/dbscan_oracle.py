@@ -3,8 +3,8 @@
 It measures every pairwise distance, one point's row at a time, and labels
 clusters by breadth-first expansion from core points, as in Ester et al.
 (KDD 1996); whatever no cluster claims is noise.  The implementation under
-test only counts eps-balls, over tiles of points sorted by their first
-coordinate, and never labels clusters.
+test only counts eps-balls, over slices of the points sorted once along their
+widest coordinate, and never labels clusters.
 """
 
 from __future__ import annotations

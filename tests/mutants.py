@@ -42,6 +42,7 @@ class Mutant:
 
 
 DBSCAN_ORACLE = (
+    "tests/test_static_analysis.py::test_dbscan_noise_matches_bfs_oracle",
     "tests/test_static_analysis.py::test_dbscan_noise_matches_bfs_oracle_across_many_tiles",
     "tests/test_static_analysis.py::test_dbscan_noise_matches_bfs_oracle_at_subnormal_eps",
 )
@@ -70,6 +71,12 @@ DIGEST_TESTS = ("tests/test_tensor_store.py", "tests/test_moe_core.py",
 COUNT = "np.count_nonzero((perm[:, None] < perm) & later)"
 ROW_CERTIFICATE = "(score <= diagonal[:, None]).all()"
 EITHER_CERTIFICATE = "(score <= diagonal[:, None]).all() or (score <= diagonal).all()"
+# The range of sorted centers that a block of points scans.
+BALL_RANGE = """        start = np.searchsorted(cols[axis], block[axis, 0] - reach)
+        stop = np.searchsorted(cols[axis], block[axis, -1] + reach, "right")
+"""
+# The noise pass's positions in the sorted cloud.
+NOISE = "rest[~_balls_hold(data[rest], data[core], eps, 1, axis)]"
 FLAT_BOUND = "bound = (x.size + 2) * np.finfo(np.float64).eps"
 # run_command's stdout lines (captured --help, or a command's lines) and
 # flush, inside its handled path and after it.
@@ -113,23 +120,23 @@ MUTANTS = [
            ("tests/test_trace_oracle.py", "-k", "corpus_tables"),
            "out-sim --token names one token in its file and its comments but compares "
            "the outputs of the corpus's first"),
-    Mutant("balls-range-on-first-coordinate", "static_analysis.py",
-           "low, high = block[axis, 0], block[axis, -1]",
-           "low, high = block[0, 0], block[0, -1]", DBSCAN_ORACLE,
+    Mutant("balls-range-on-first-coordinate", "static_analysis.py", BALL_RANGE,
+           BALL_RANGE.replace("block[axis, ", "block[0, "), DBSCAN_ORACLE,
            "a cloud sorted by another coordinate is searched with first-coordinate "
            "bounds, which miss its neighbours"),
     Mutant("balls-lower-bound-without-reach", "static_analysis.py",
-           "start = np.searchsorted(cols[axis], low - reach)",
-           "start = np.searchsorted(cols[axis], low)", DBSCAN_ORACLE,
+           "block[axis, 0] - reach)", "block[axis, 0])", DBSCAN_ORACLE,
            "a block no longer scans the centers just below its lowest point"),
     Mutant("balls-upper-bound-from-lowest", "static_analysis.py",
-           'stop = np.searchsorted(cols[axis], high + reach, "right")',
-           'stop = np.searchsorted(cols[axis], low + reach, "right")', DBSCAN_ORACLE,
+           "block[axis, -1] + reach", "block[axis, 0] + reach", DBSCAN_ORACLE,
            "the upper points of a block wider than reach lose the centers above them"),
-    Mutant("balls-no-downward-range", "static_analysis.py",
-           "np.concatenate([np.arange(mid, stop), np.arange(mid - 1, start - 1, -1)])",
-           "np.arange(mid, stop)", DBSCAN_ORACLE,
-           "centers below a block's lowest coordinate are never counted"),
+    Mutant("balls-stop-at-first-full-point", "static_analysis.py",
+           "if count.min() >= need:", "if count.max() >= need:", DBSCAN_ORACLE,
+           "a block stops once one point holds need centers, and its other points "
+           "lose the centers of later tiles"),
+    Mutant("balls-noise-in-sorted-order", "static_analysis.py",
+           f"order[{NOISE}]", NOISE, DBSCAN_ORACLE,
+           "the noise set names positions in the sorted cloud, not the input's indices"),
     Mutant("balls-strict-ball-test", "static_analysis.py",
            "np.sqrt(total) <= eps", "np.sqrt(total) < eps", DBSCAN_ORACLE,
            "lattice neighbours exactly eps apart leave the ball"),
@@ -298,24 +305,14 @@ MUTANTS = [
 
 EQUIVALENT = [
     Mutant("balls-sweep-first-coordinate", "static_analysis.py",
-           "axis = int(np.ptp(centers, axis=0).argmax()) if len(centers) else 0",
+           "axis = int(np.ptp(data, axis=0).argmax()) if len(data) else 0",
            "axis = 0", DBSCAN_ORACLE,
            "any coordinate bounds every pair the ball test accepts, so the sweep "
            "coordinate moves the work, never the counts"),
-    Mutant("balls-downward-range-first", "static_analysis.py",
-           "np.concatenate([np.arange(mid, stop), np.arange(mid - 1, start - 1, -1)])",
-           "np.concatenate([np.arange(mid - 1, start - 1, -1), np.arange(mid, stop)])",
-           DBSCAN_ORACLE,
-           "the same candidates in another order: a block stops early only once every "
-           "point holds need centers, so the order moves the stop, never the result"),
     Mutant("balls-no-early-stop", "static_analysis.py",
-           "while done < len(candidates) and count.min() < need:",
-           "while done < len(candidates):", DBSCAN_ORACLE,
+           "need:\n                break", "need:\n                pass", DBSCAN_ORACLE,
            "counting every candidate gives counts at least those of the early stop, "
            "which stops only when every count has reached need"),
-    Mutant("balls-fixed-tile-width", "static_analysis.py",
-           "width = min(2 * width, _BALL_TILE_MAX)", "width = _BALL_BLOCK", DBSCAN_ORACLE,
-           "tiles of one width cover the same candidates, in more steps"),
     Mutant("tau-count-with-diagonal", "static_analysis.py", COUNT,
            COUNT.replace("<", "<="), REORDER_TESTS,
            "<= differs from < only where perm[i] meets itself, on the diagonal, "

@@ -1073,9 +1073,16 @@ def test_main_in_process_prints_help(monkeypatch, capsys):
 
 def test_main_in_process_points_a_failed_stdout_at_devnull(monkeypatch, capsys, tmp_path):
     """When stdout cannot flush, ``main`` reports it once and points stdout's
-    descriptor at ``os.devnull``, so the flush at exit has nothing to fail on."""
+    descriptor at ``os.devnull``, so the flush at exit has nothing to fail on.
+    It leaves no descriptor of its own open: the lowest free one is the same
+    before and after."""
     from moe_lens import cli
     fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT, 0o600)
+
+    def lowest_free_fd():
+        probe = os.open(os.devnull, os.O_RDONLY)
+        os.close(probe)
+        return probe
 
     class FailingStdout:
         def write(self, text):
@@ -1090,7 +1097,9 @@ def test_main_in_process_points_a_failed_stdout_at_devnull(monkeypatch, capsys, 
     monkeypatch.setattr(sys, "stdout", FailingStdout())
     monkeypatch.setattr(sys, "argv", ["moe-lens", "--help"])
     try:
+        free = lowest_free_fd()
         assert cli.main() == 1
+        assert lowest_free_fd() == free
         devnull = os.stat(os.devnull)
         assert (os.fstat(fd).st_dev, os.fstat(fd).st_ino) == (devnull.st_dev, devnull.st_ino)
     finally:

@@ -1138,6 +1138,20 @@ def test_dbscan_refuses_min_pts_below_one():
         dbscan_outliers([np.zeros(2)] * 3, eps=1.0, min_pts=0)
 
 
+def test_dbscan_empty_and_one_point_clouds():
+    assert dbscan_outliers(np.zeros((0, 2)), eps=1.0, min_pts=2) == set()
+    assert dbscan_outliers([np.ones(2)], eps=1.0, min_pts=1) == set()
+    # A lone point is not core, and no core point is near it.
+    assert dbscan_outliers([np.ones(2)], eps=1.0, min_pts=2) == {0}
+
+
+def test_dbscan_without_core_points_flags_every_point(rng):
+    """No two points are within eps, so nothing is core and the noise pass
+    meets no center at all."""
+    pts = rng.permutation(np.column_stack([np.arange(40.0), np.zeros(40)]) * 3.0)
+    assert dbscan_outliers(pts, eps=2.0, min_pts=2) == set(range(40))
+
+
 def test_dbscan_border_point_not_noise():
     # Chain where the middle point makes both ends border points of one cluster.
     pts = [np.array([0.0]), np.array([1.0]), np.array([2.0])]
